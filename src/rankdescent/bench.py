@@ -146,7 +146,7 @@ PRESETS = {
 
 SUMMARY_KEYS = (
     "spec.n", "spec.r", "spec.k", "spec.os", "spec.seed",
-    "alg", "iters", "final_f", "final_g_minus", "final_rel_full",
+    "alg", "status", "iters", "final_f", "final_g_minus", "final_rel_full",
     "final_rel_mask", "min_sigma_k", "a1_min_ratio", "rate_model", "rate_param",
 )
 
@@ -217,15 +217,13 @@ def run_experiment(
                 alg=alg, result=None, summary=_summary(spec, alg, None, None), error=str(err)
             )
             continue
-        fit = None
-        if result.iterates is not None:
-            fit = rate_fit(iterate_distances(result.iterates))
+        dists = None if result.iterates is None else iterate_distances(result.iterates)
+        fit = None if dists is None else rate_fit(dists)
         summary = _summary(spec, alg, result, fit)
         report.runs[alg] = AlgorithmRun(alg=alg, result=result, summary=summary)
         if out_dir:
             write_trace_csv(os.path.join(out_dir, f"{alg}_trace.csv"), result.trace, timing=timing)
-            if result.iterates is not None:
-                dists = iterate_distances(result.iterates)
+            if dists is not None:
                 np.savetxt(
                     os.path.join(out_dir, f"{alg}_distances.csv"),
                     dists, delimiter=",", fmt="%.17g",
@@ -252,6 +250,7 @@ def _summary(spec: CompletionSpec, alg: str, result: SolveResult | None, fit) ->
     sigmak_values = [r.sigmak for r in trace]
     out.update(
         {
+            "status": result.status.value,
             "iters": len(trace) - 1,
             "final_f": final.f,
             "final_g_minus": final.g_minus,

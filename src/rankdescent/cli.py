@@ -133,7 +133,7 @@ def cmd_run(args) -> int:
             s = run.summary
             print(
                 f"{alg}: iters={s['iters']} final_f={s['final_f']:.3e} "
-                f"rel_mask={float(s['final_rel_mask']):.3e} status={run.result.status.value}"
+                f"rel_mask={float(s['final_rel_mask']):.3e} status={s['status']}"
             )
     return 3 if report.failed else 0
 

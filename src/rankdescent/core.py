@@ -5,9 +5,11 @@ FactoredMatrix stores an economy SVD triple (U, sigma, V) with
 column-orthonormal U and V, so the represented matrix is
 ``U @ diag(sigma) @ V.T``. Matrices supported on a sampling set are kept as a
 SparseOnMask (index set plus one value per index); they are never scattered
-into dense form inside performance-relevant code paths. Structured ambient
-matrices (gradients) are linear combinations of these three kinds, see
-AmbientSum.
+into dense form inside performance-relevant code paths. An IndexSet is
+row-major sorted, so it carries the CSR pattern (column indices and row
+pointers) of every matrix on it; a SparseOnMask's CSR view only adds its
+values. Structured ambient matrices (gradients) are linear combinations of
+these three kinds, see AmbientSum.
 
 All containers are immutable values after construction; operations are pure.
 """
@@ -15,6 +17,7 @@ All containers are immutable values after construction; operations are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse
@@ -64,6 +67,20 @@ class IndexSet:
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         return cls(dims, pairs[:, 0], pairs[:, 1])
 
+    @cached_property
+    def csr_pattern(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indices, indptr) of the CSR pattern, built on first use.
+
+        The pairs are row-major sorted, so the column indices are cols and
+        the row pointers count the pairs per row. Both come in the index
+        dtype scipy keeps (int32 whenever it fits), which spares every CSR
+        view a downcast copy.
+        """
+        m, n = self.dims
+        idx = np.int32 if max(m, n, len(self)) <= np.iinfo(np.int32).max else np.int64
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(self.rows, minlength=m))))
+        return self.cols.astype(idx), indptr.astype(idx)
+
     @property
     def linear(self) -> np.ndarray:
         """Row-major linear indices i*n + j (sorted ascending)."""
@@ -102,10 +119,14 @@ class SparseOnMask:
 
     @property
     def csr(self) -> scipy.sparse.csr_matrix:
-        """CSR view used for products with thin dense factors."""
+        """CSR view used for products with thin dense factors.
+
+        Built from the mask's fixed pattern, so only the values are new.
+        """
         if self._csr is None:
+            indices, indptr = self.mask.csr_pattern
             self._csr = scipy.sparse.csr_matrix(
-                (self.values, (self.mask.rows, self.mask.cols)), shape=self.mask.dims
+                (self.values, indices, indptr), shape=self.mask.dims
             )
         return self._csr
 

@@ -139,11 +139,18 @@ class ConeTangentVector:
         """Thin (L, R) with L @ R.T equal to the ambient embedding.
 
         L = [U | up | perp.U * perp.sigma] and R = [V @ core.T + vp | V | perp.V],
-        of width 2s + perp_rank <= 2k.
+        of width 2s + perp_rank <= 2k. A flat direction folds its zero block
+        away and has width s + perp_rank: L = [U] and R = [V @ core.T + vp]
+        when up is zero, L = [U @ core + up] and R = [V] when vp is zero.
         """
         U, V = self.base.point.U, self.base.point.V
-        L = [U, self.up]
-        R = [V @ self.core.T + self.vp, V]
+        if not self.up.any():
+            L, R = [U], [V @ self.core.T + self.vp]
+        elif not self.vp.any():
+            L, R = [U @ self.core + self.up], [V]
+        else:
+            L = [U, self.up]
+            R = [V @ self.core.T + self.vp, V]
         if self.perp is not None:
             L.append(self.perp.U * self.perp.sigma)
             R.append(self.perp.V)
@@ -214,9 +221,11 @@ def _perp_truncation(X: VarietyPoint, F, xi: ConeTangentVector, budget: int) -> 
 
     The remainder is assembled densely (desk scale); the factors of the
     truncation are re-orthogonalized against the base spaces afterwards so
-    the block-orthogonality invariants hold despite roundoff. Remainder modes
-    at roundoff level relative to ||F|| count as zero: they are projection
-    noise, not signal.
+    the block-orthogonality invariants hold despite roundoff. That projection
+    leaves the columns of each side slightly non-orthonormal, so compact QRs
+    of both sides and an SVD of the small (R_l * sigma) @ R_r.T bring the
+    result back to an SVD triple. Remainder modes at roundoff level relative
+    to ||F|| count as zero: they are projection noise, not signal.
     """
     U, V = X.point.U, X.point.V
     D = ambient_dense(F)
@@ -229,21 +238,21 @@ def _perp_truncation(X: VarietyPoint, F, xi: ConeTangentVector, budget: int) -> 
     r = int(np.count_nonzero(P.sigma > RANK_TOL * scale)) if scale > 0 else 0
     if r == 0:
         return FactoredMatrix.zero(*X.shape)
-    Wl = _reorthogonalize(P.U[:, :r], U)
-    Wr = _reorthogonalize(P.V[:, :r], V)
-    return FactoredMatrix(Wl, P.sigma[:r], Wr)
+    QL, RL = _reorthogonalize(P.U[:, :r], U)
+    QR_, RR = _reorthogonalize(P.V[:, :r], V)
+    Ub, sb, Vbt = np.linalg.svd((RL * P.sigma[:r]) @ RR.T)
+    return FactoredMatrix(QL @ Ub, sb, QR_ @ Vbt.T)
 
 
-def _reorthogonalize(W: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Two-pass Gram-Schmidt of W's columns against an orthonormal basis."""
+def _reorthogonalize(W: np.ndarray, basis: np.ndarray):
+    """Compact QR of W's columns after two Gram-Schmidt passes against an
+    orthonormal basis."""
     if basis.shape[1] and W.shape[1]:
         for _ in range(2):
             W = W - basis @ (basis.T @ W)
-        norms = np.linalg.norm(W, axis=0)
-        if norms.min(initial=1.0) <= 0.5:
+        if np.linalg.norm(W, axis=0).min(initial=1.0) <= 0.5:
             raise ValueError("degenerate perp factor after re-orthogonalization")
-        W = W / norms
-    return W
+    return np.linalg.qr(W)
 
 
 def g_lower_bound(X: VarietyPoint, F) -> float:
@@ -309,7 +318,9 @@ def _combined_svd(X: VarietyPoint, xi: ConeTangentVector, alpha: float, cap: int
     X + alpha * xi is expressed over the orthonormal bases [U | QL] and
     [V | QR] obtained from compact QRs of the up/perp and vp/perp blocks, so
     only a (2s+p)-sized middle matrix is ever decomposed. Numerically zero
-    modes are trimmed from the result.
+    modes are trimmed from the result. Raises ValueError when the middle
+    matrix overflows (its Frobenius norm is not finite), before the SVD,
+    which on such input may not return.
     """
     U, V = X.point.U, X.point.V
     s = X.s
@@ -331,6 +342,8 @@ def _combined_svd(X: VarietyPoint, xi: ConeTangentVector, alpha: float, cap: int
         alpha * (RL[:, s:] * sp) @ RR[:, s:].T,
     ])
     B = np.vstack([top, bottom])
+    if not np.isfinite(np.linalg.norm(B)):
+        raise ValueError("non-finite middle matrix in the rank update")
 
     Ub, sb, Vbt = np.linalg.svd(B, full_matrices=False)
     r = min(cap, numerical_rank(sb))

@@ -2,7 +2,8 @@
 
 Gradients come back in structured form (masked values, factored matrices, or
 sums of both) so the tangent-cone projection can consume them through thin
-factor products alone.
+factor products alone. MatrixCompletion gathers the residual once per point:
+the gradient at the point whose value was taken last reuses its residual.
 """
 
 from __future__ import annotations
@@ -51,17 +52,30 @@ class MatrixCompletion(Objective):
 
     Only the observed values of A are stored. Entries of X on the mask are
     evaluated from its factors in O(|mask| * rank).
+
+    The residual of the point evaluated last is kept in one slot keyed by
+    the identity of X.point. A FactoredMatrix is immutable and the slot holds
+    a reference to it, so the key cannot be reused by another point: the
+    solver's gradient at the line search's accepted trial, and the first
+    gradient after value(X0), cost no gather. The slot makes an instance
+    unsafe to share between threads.
     """
 
     def __init__(self, data: SparseOnMask):
         self.data = data
         self.mask = data.mask
         self.shape = data.shape
+        self._last = (None, None)  # (point, read-only residual on the mask)
 
     def _residual(self, X: VarietyPoint) -> np.ndarray:
         if X.shape != self.shape:
             raise ValueError("dimension mismatch between point and problem")
-        return mask_apply(X.point, self.mask).values - self.data.values
+        point, r = self._last
+        if point is not X.point:
+            r = mask_apply(X.point, self.mask).values - self.data.values
+            r.flags.writeable = False
+            self._last = (X.point, r)
+        return r
 
     def value(self, X: VarietyPoint) -> float:
         r = self._residual(X)

@@ -5,7 +5,9 @@ pick a direction (the full projection, or the larger of the two flat partial
 projections), take an Armijo step, and either retract by rank truncation or
 stay on the variety through the exact affine update. Stopping rules and the
 per-iteration trace are artifact plumbing; the iteration itself would happily
-run forever.
+run forever. The trace's displacement ||X_{n+1} - X_n|| is alpha * ||xi|| for
+rf, whose affine update is exactly X + alpha * xi, and a factored distance
+for sd, whose retraction truncates.
 """
 
 from __future__ import annotations
@@ -236,10 +238,12 @@ def solve(obj: Objective, X0, cfg: SolverConfig, metrics=None) -> SolveResult:
         rec.alpha = out.alpha
         rec.backtracks = out.backtracks
         rec.xi_norm = xi_norm
-        if cfg.record_displacement:
-            rec.displacement = _point_distance(out.X_new.point, X.point)
-        else:
+        if not cfg.record_displacement:
             rec.displacement = None
+        elif cfg.variant == VARIANT_RF:
+            rec.displacement = out.alpha * xi_norm
+        else:
+            rec.displacement = _point_distance(out.X_new.point, X.point)
         rec.wall_ms = (time.perf_counter() - t0) * 1e3
         records.append(rec)
 

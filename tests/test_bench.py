@@ -150,6 +150,7 @@ class TestRunExperiment:
             run = report.runs[alg]
             assert run.error is None
             assert set(SUMMARY_KEYS) <= set(run.summary)
+            assert run.summary["status"] == run.result.status.value
             assert os.path.exists(tmp_path / f"{alg}_trace.csv")
             assert os.path.exists(tmp_path / f"{alg}_summary.txt")
             fs = [r.f for r in run.result.trace]
@@ -164,6 +165,21 @@ class TestRunExperiment:
             a = (tmp_path / "a" / name).read_bytes()
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b, name
+
+    def test_distances_computed_once_per_variant(self, tmp_path, monkeypatch):
+        from rankdescent import bench
+
+        calls = []
+        real = bench.iterate_distances
+        monkeypatch.setattr(bench, "iterate_distances", lambda it: calls.append(it) or real(it))
+        spec = CompletionSpec(30, 2, 2, 3, 12)
+        cfg = SolverConfig(k=2, max_iters=60, record_iterates=True)
+        report = run_experiment(spec, ("sd", "rf"), cfg, out_dir=tmp_path, timing=False)
+        assert len(calls) == 2
+        for alg in ("sd", "rf"):
+            dists = real(report.runs[alg].result.iterates)
+            written = np.loadtxt(tmp_path / f"{alg}_distances.csv", delimiter=",")
+            assert np.array_equal(written, dists)
 
     def test_presets_table(self):
         small = PRESETS["fig1-small"]
@@ -205,6 +221,8 @@ class TestErrorCapture:
         assert report.failed
         assert report.runs["sd"].error is not None
         assert report.runs["rf"].error is None  # second algorithm still ran
+        assert report.runs["sd"].summary["status"] == ""
+        assert read_kv(tmp_path / "rf_summary.txt")["status"] == report.runs["rf"].result.status.value
         assert calls == ["sd", "rf"]
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from rankdescent.core import (
     AmbientSum,
@@ -224,6 +225,30 @@ class TestIndexSet:
     def test_out_of_bounds(self):
         with pytest.raises(ValueError):
             IndexSet((2, 2), [0, 2], [0, 0])
+
+
+class TestSparseOnMask:
+    @pytest.mark.parametrize(
+        "dims, rows, cols",
+        [
+            # rows 0, 2 and 5 (the last) hold no entry
+            ((6, 5), [1, 1, 3, 4, 4, 4, 1], [0, 4, 2, 1, 0, 3, 2]),
+            ((4, 3), [], []),
+        ],
+    )
+    def test_fixed_pattern_csr_matches_coo_build(self, dims, rows, cols):
+        rng = np.random.default_rng(3)
+        mask = IndexSet(dims, rows, cols)
+        S = SparseOnMask(mask, rng.standard_normal(len(mask)))
+        ref = scipy.sparse.csr_matrix((S.values, (mask.rows, mask.cols)), shape=dims)
+        got = S.csr
+        for name in ("indices", "indptr", "data"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        W = rng.standard_normal((dims[1], 3))
+        Z = rng.standard_normal((dims[0], 3))
+        assert np.array_equal(got @ W, ref @ W)
+        assert np.array_equal(got.T @ Z, ref.T @ Z)
 
 
 class TestFactoredMatrix:

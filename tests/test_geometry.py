@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -258,6 +260,25 @@ class TestAffineUpdate:
         with pytest.raises(ValueError):
             affine_update(X, xi, 1.0)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_step_raises_promptly(self):
+        # the middle matrix of X + alpha * xi overflows; its SVD may not
+        # return, so the update refuses it up front. Under the line search's
+        # errstate the overflow surfaces as FloatingPointError instead.
+        rng = np.random.default_rng(18)
+        X = random_point(rng, 30, 20, 3, 5)
+        xi = random_cone_vector(rng, X)
+        g1, _ = partial_directions(X, None, xi)
+        for update, direction in ((retract, xi), (affine_update, g1)):
+            for alpha in (1e307, 1e308):
+                start = time.perf_counter()
+                with pytest.raises(ValueError, match="non-finite"):
+                    update(X, direction, alpha)
+                assert time.perf_counter() - start < 5.0
+                with np.errstate(over="raise", invalid="raise"):
+                    with pytest.raises(FloatingPointError):
+                        update(X, direction, alpha)
+
 
 class TestPartialDirections:
     def test_zero(self):
@@ -286,6 +307,21 @@ class TestPartialDirections:
         for gi in (g1, g2):
             sv = np.linalg.svd(X.dense() + gi.dense(), compute_uv=False)
             assert (sv > 1e-10 * sv[0]).sum() <= 2
+
+    def test_flat_factors_have_width_s(self):
+        # G1 and G2 fold their zero block away: width s + perp_rank, while
+        # the full projection keeps width 2s + perp_rank
+        rng = np.random.default_rng(21)
+        for s, k in ((3, 3), (2, 4), (0, 2)):
+            X = random_point(rng, 9, 7, s, k)
+            F = rng.standard_normal((9, 7))
+            G, _ = project_cone(X, F)
+            assert G.perp_rank == k - s
+            for gi, width in ((G, 2 * s), *((g, s) for g in partial_directions(X, F, G))):
+                L, R = gi.factors()
+                assert L.shape[1] == R.shape[1] == width + gi.perp_rank
+                D = gi.dense()
+                assert np.max(np.abs(L @ R.T - D), initial=0.0) <= 1e-13 * (1 + np.abs(D).max())
 
 
 class TestChooseFlat:

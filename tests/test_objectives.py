@@ -10,6 +10,7 @@ from rankdescent.core import (
 )
 from rankdescent.geometry import VarietyPoint, make_point, random_point, zero_point
 from helpers import random_cone_vector
+from rankdescent import objectives
 from rankdescent.objectives import (
     MatrixCompletion,
     QuadraticDistance,
@@ -86,6 +87,32 @@ class TestMatrixCompletion:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             self.obj.value(zero_point(8, 10, 2))
+
+    def test_gradient_reuses_residual_of_last_value(self, monkeypatch):
+        gathers = []
+        real = objectives.mask_apply
+        monkeypatch.setattr(
+            objectives, "mask_apply", lambda X, mask: gathers.append(X) or real(X, mask)
+        )
+        X = random_point(self.rng, 10, 8, 3, 3)
+        f = self.obj.value(X)
+        g = self.obj.gradient(X)
+        assert len(gathers) == 1
+        fresh = MatrixCompletion(self.data).gradient(X)
+        assert np.array_equal(g.values, fresh.values)
+        assert f == 0.5 * float(fresh.values @ fresh.values)
+
+    def test_residual_slot_keyed_by_point(self):
+        # the slot holds the point evaluated last; another point's gradient
+        # gathers afresh and gets its own residual
+        X1 = random_point(self.rng, 10, 8, 3, 3)
+        X2 = random_point(self.rng, 10, 8, 3, 3)
+        self.obj.value(X1)
+        self.obj.value(X2)
+        g1 = self.obj.gradient(X1)
+        expect = MatrixCompletion(self.data).gradient(X1)
+        assert np.array_equal(g1.values, expect.values)
+        assert not np.array_equal(g1.values, MatrixCompletion(self.data).gradient(X2).values)
 
 
 class TestQuadraticDistance:

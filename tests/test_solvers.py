@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rankdescent.core import ambient_scaled, frob_norm, truncate
+from rankdescent.core import ambient_scaled, factored_diff_norm, frob_norm, truncate
 from rankdescent.geometry import (
     VarietyPoint,
     project_cone,
@@ -97,6 +97,19 @@ class TestSolveBasics:
         err = np.linalg.norm(res.X_star.dense() - A.dense()) / np.linalg.norm(A.dense())
         assert err <= 1e-8
 
+    def test_rank_deficient_target_from_deficient_start(self):
+        # rank-4 targets with budget 8 from rank-2 starts: the perp block of
+        # each cone projection is truncated to rank 8 - s while the remainder
+        # has lower rank, and rf keeps going until it stalls near f = 0
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            A = truncate(rng.standard_normal((60, 4)) @ rng.standard_normal((4, 50)), 4)
+            X0 = random_point(rng, 60, 50, 2, 8)
+            for variant in ("sd", "rf"):
+                res = solve(QuadraticDistance(A), X0, SolverConfig(k=8, variant=variant, max_iters=500))
+                assert all(r.rank <= 8 for r in res.trace)
+                assert res.trace[-1].f <= 1e-12 * res.trace[0].f
+
 
 class TestStepFunctions:
     def test_sd_from_zero_matches_truncated_antigradient(self):
@@ -146,6 +159,17 @@ class TestStepFunctions:
         for i, rec in enumerate(res.trace[:-1]):
             dense = np.linalg.norm(res.iterates[i + 1].dense() - res.iterates[i].dense())
             assert rec.displacement == pytest.approx(dense, abs=1e-10, rel=1e-8)
+
+    def test_rf_displacement_is_step_times_direction_norm(self):
+        from rankdescent.bench import CompletionSpec, gen_problem, initial_guess
+
+        problem, _ = gen_problem(CompletionSpec(40, 3, 3, 3, 22))
+        X0 = initial_guess(problem, 3)
+        res = solve(problem, X0, SolverConfig(k=3, variant="rf", max_iters=20, record_iterates=True))
+        for i, rec in enumerate(res.trace[:-1]):
+            assert rec.displacement == rec.alpha * rec.xi_norm
+            exact = factored_diff_norm(res.iterates[i + 1].point, res.iterates[i].point)
+            assert rec.displacement == pytest.approx(exact, rel=1e-12)
 
 
 class TestContracts:
@@ -247,6 +271,35 @@ class TestCompletionRun:
             rec = res.trace[0]
             bar_beta = initial_step(g, xi.norm(), floor, curvature)
             assert rec.alpha == bar_beta * 0.5**rec.backtracks
+
+    def test_one_gather_per_trial_point(self, monkeypatch):
+        # value(X0) and each line-search trial gather P(X); the gradient at
+        # an accepted point reuses the residual of its trial
+        from rankdescent import objectives
+        from rankdescent.bench import PRESETS, gen_problem, initial_guess
+
+        gathers = []
+        real = objectives.mask_apply
+        monkeypatch.setattr(
+            objectives, "mask_apply", lambda X, mask: gathers.append(X) or real(X, mask)
+        )
+        real_gradient = MatrixCompletion.gradient
+
+        def gradient(self, X):
+            before = len(gathers)
+            out = real_gradient(self, X)
+            assert len(gathers) == before
+            return out
+
+        monkeypatch.setattr(MatrixCompletion, "gradient", gradient)
+        spec = PRESETS["fig1-small"]
+        problem, _ = gen_problem(spec)
+        X0 = initial_guess(problem, spec.k)
+        for variant in ("sd", "rf"):
+            gathers.clear()
+            res = solve(problem, X0, SolverConfig(k=spec.k, variant=variant, max_iters=30))
+            trials = sum(r.backtracks + 1 for r in res.trace[:-1])
+            assert len(gathers) == trials + 1
 
 
 class TestTraceCsv:
