@@ -1,11 +1,9 @@
 """Projected line-search descent on varieties of bounded-rank matrices."""
 
 from .core import (
-    AmbientSum,
     FactoredMatrix,
     IndexSet,
     SparseOnMask,
-    frob_inner,
     frob_norm,
     mask_apply,
     numerical_rank,
@@ -44,8 +42,6 @@ from .solvers import (
     VARIANT_RF,
     VARIANT_SD,
     rate_fit,
-    rf_step,
-    sd_step,
     solve,
 )
 from .bench import (

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .core import (
 )
 from .geometry import VarietyPoint, make_point
 from .linesearch import LineSearchError, descent_monitors
-from .objectives import MatrixCompletion, save_completion
+from .objectives import MatrixCompletion
 from .solvers import (
     SolveResult,
     SolverConfig,
@@ -188,30 +188,17 @@ def run_experiment(
     problem, target = gen_problem(spec)
     base_cfg = solver_cfg or SolverConfig(k=spec.k, record_iterates=True)
     X0 = initial_guess(problem, base_cfg.k)
-    mask_scale = float(np.linalg.norm(problem.data.values))
-    a_norm = float(np.linalg.norm(target.sigma))
 
     def metrics(X, f):
-        rel_full = factored_diff_norm(target, X.point) / a_norm
-        rel_mask = math.sqrt(max(2.0 * f, 0.0)) / mask_scale
-        return rel_full, rel_mask
+        # problem.value(X) is the value solve has just taken at X
+        return rel_errors(X, target, problem)
 
     report = ExperimentReport(spec=spec)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
     for alg in algorithms:
-        cfg = SolverConfig(
-            k=base_cfg.k,
-            variant=alg,
-            armijo=base_cfg.armijo,
-            max_iters=base_cfg.max_iters,
-            tol_g=base_cfg.tol_g,
-            tol_f=base_cfg.tol_f,
-            record_displacement=base_cfg.record_displacement,
-            record_iterates=base_cfg.record_iterates,
-        )
         try:
-            result = solve(problem, X0, cfg, metrics=metrics)
+            result = solve(problem, X0, replace(base_cfg, variant=alg), metrics=metrics)
         except LineSearchError as err:
             report.runs[alg] = AlgorithmRun(
                 alg=alg, result=None, summary=_summary(spec, alg, None, None), error=str(err)
@@ -286,7 +273,3 @@ def read_kv(path) -> dict:
             key, _, value = line.partition("=")
             out[key.strip()] = value.strip()
     return out
-
-
-def save_problem(dirpath, problem: MatrixCompletion, target: FactoredMatrix) -> None:
-    save_completion(dirpath, problem, target)

@@ -21,11 +21,10 @@ from .bench import (
     read_kv,
     rel_errors,
     run_experiment,
-    save_problem,
 )
 from .core import load_factored
 from .geometry import make_point
-from .objectives import load_completion
+from .objectives import load_completion, save_completion
 from .solvers import SolverConfig, VARIANT_RF, VARIANT_SD, rate_fit
 
 
@@ -111,7 +110,7 @@ def cmd_gen(args) -> int:
     spec = CompletionSpec(n=args.n, r=args.rank, k=args.budget, os_rate=args.os_rate, seed=args.seed)
     size = omega_size(spec)
     problem, target = gen_problem(spec)
-    save_problem(args.out, problem, target)
+    save_completion(args.out, problem, target)
     print(f"|mask| = {size} ({missing_percent(spec):.2f}% missing), written to {args.out}")
     return 0
 

@@ -8,8 +8,8 @@ SparseOnMask (index set plus one value per index); they are never scattered
 into dense form inside performance-relevant code paths. An IndexSet is
 row-major sorted, so it carries the CSR pattern (column indices and row
 pointers) of every matrix on it; a SparseOnMask's CSR view only adds its
-values. Structured ambient matrices (gradients) are linear combinations of
-these three kinds, see AmbientSum.
+values. Gradients are of one of these three kinds: masked for completion,
+factored for the quadratic distance, dense in tests.
 
 All containers are immutable values after construction; operations are pure.
 """
@@ -54,18 +54,11 @@ class IndexSet:
                 raise ValueError("index out of bounds")
         order = np.lexsort((cols, rows))
         rows, cols = rows[order], cols[order]
-        lin = rows * n + cols
-        if np.any(np.diff(lin) == 0):
+        if np.any(np.diff(rows * n + cols) == 0):
             raise ValueError("duplicate index pairs")
         self.dims = (m, n)
         self.rows = rows
         self.cols = cols
-        self._lin = lin
-
-    @classmethod
-    def from_pairs(cls, dims, pairs) -> "IndexSet":
-        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        return cls(dims, pairs[:, 0], pairs[:, 1])
 
     @cached_property
     def csr_pattern(self) -> tuple[np.ndarray, np.ndarray]:
@@ -81,11 +74,6 @@ class IndexSet:
         indptr = np.concatenate(([0], np.cumsum(np.bincount(self.rows, minlength=m))))
         return self.cols.astype(idx), indptr.astype(idx)
 
-    @property
-    def linear(self) -> np.ndarray:
-        """Row-major linear indices i*n + j (sorted ascending)."""
-        return self._lin
-
     def __len__(self) -> int:
         return self.rows.size
 
@@ -93,7 +81,8 @@ class IndexSet:
         return (
             isinstance(other, IndexSet)
             and self.dims == other.dims
-            and np.array_equal(self._lin, other._lin)
+            and np.array_equal(self.rows, other.rows)
+            and np.array_equal(self.cols, other.cols)
         )
 
     def __repr__(self) -> str:
@@ -190,98 +179,26 @@ class FactoredMatrix:
         return f"FactoredMatrix(shape={self.shape}, rank={self.rank})"
 
 
-@dataclass(frozen=True, eq=False)
-class AmbientSum:
-    """Linear combination of structured ambient matrices.
-
-    terms is a tuple of (coefficient, matrix) with matrix a dense array, a
-    FactoredMatrix, or a SparseOnMask. All terms share one shape.
-    """
-
-    terms: tuple
-
-    def __post_init__(self):
-        terms = tuple((float(c), t) for c, t in self.terms)
-        if not terms:
-            raise ValueError("empty sum")
-        shape = _term_shape(terms[0][1])
-        for _, t in terms[1:]:
-            if _term_shape(t) != shape:
-                raise ValueError("terms have mismatched shapes")
-        object.__setattr__(self, "terms", terms)
-
-    @property
-    def shape(self):
-        return _term_shape(self.terms[0][1])
-
-
-def _term_shape(t):
-    if isinstance(t, (FactoredMatrix, SparseOnMask)):
-        return t.shape
-    return _as_dense(t).shape
-
-
-def ambient_shape(F):
-    """Shape of a dense, factored, masked, or summed ambient matrix."""
-    if isinstance(F, AmbientSum):
-        return F.shape
-    return _term_shape(F)
-
-
-def ambient_scaled(F, c: float) -> AmbientSum:
-    """c * F as an AmbientSum, flattening nested sums."""
-    if isinstance(F, AmbientSum):
-        return AmbientSum(tuple((c * a, t) for a, t in F.terms))
-    return AmbientSum(((c, F),))
-
-
-def _term_matmul(t, W):
-    if isinstance(t, FactoredMatrix):
-        return t.U @ (t.sigma[:, None] * (t.V.T @ W))
-    if isinstance(t, SparseOnMask):
-        return t.csr @ W
-    return t @ W
-
-
-def _term_rmatmul(t, W):
-    if isinstance(t, FactoredMatrix):
-        return t.V @ (t.sigma[:, None] * (t.U.T @ W))
-    if isinstance(t, SparseOnMask):
-        return t.csr.T @ W
-    return t.T @ W
-
-
 def ambient_matmul(F, W) -> np.ndarray:
-    """F @ W for a structured ambient matrix F and thin dense W."""
-    W = np.asarray(W, dtype=float)
-    if isinstance(F, AmbientSum):
-        m = F.shape[0]
-        out = np.zeros((m, W.shape[1]))
-        for c, t in F.terms:
-            out += c * _term_matmul(t, W)
-        return out
-    return _term_matmul(F, W)
+    """F @ W for a dense, factored or masked ambient matrix F and thin dense W."""
+    if isinstance(F, FactoredMatrix):
+        return F.U @ (F.sigma[:, None] * (F.V.T @ W))
+    if isinstance(F, SparseOnMask):
+        return F.csr @ W
+    return F @ W
 
 
 def ambient_rmatmul(F, W) -> np.ndarray:
-    """F.T @ W for a structured ambient matrix F and thin dense W."""
-    W = np.asarray(W, dtype=float)
-    if isinstance(F, AmbientSum):
-        n = F.shape[1]
-        out = np.zeros((n, W.shape[1]))
-        for c, t in F.terms:
-            out += c * _term_rmatmul(t, W)
-        return out
-    return _term_rmatmul(F, W)
+    """F.T @ W for a dense, factored or masked ambient matrix F and thin dense W."""
+    if isinstance(F, FactoredMatrix):
+        return F.V @ (F.sigma[:, None] * (F.U.T @ W))
+    if isinstance(F, SparseOnMask):
+        return F.csr.T @ W
+    return F.T @ W
 
 
 def ambient_dense(F) -> np.ndarray:
-    """Densify a structured ambient matrix (desk scale only)."""
-    if isinstance(F, AmbientSum):
-        out = np.zeros(F.shape)
-        for c, t in F.terms:
-            out += c * ambient_dense(t)
-        return out
+    """Densify a dense, factored or masked ambient matrix (desk scale only)."""
     if isinstance(F, (FactoredMatrix, SparseOnMask)):
         return F.dense()
     return _as_dense(F)
@@ -341,84 +258,45 @@ def orthonormal_polish(W: np.ndarray) -> np.ndarray:
 
 
 def frob_norm(A) -> float:
-    """Frobenius norm of a dense, factored, masked, or summed matrix."""
+    """Frobenius norm of a dense, factored or masked matrix."""
     if isinstance(A, FactoredMatrix):
         return float(np.linalg.norm(A.sigma))
     if isinstance(A, SparseOnMask):
         return float(np.linalg.norm(A.values))
-    if isinstance(A, AmbientSum):
-        return float(np.sqrt(max(frob_inner(A, A), 0.0)))
     return float(np.linalg.norm(_as_dense(A)))
+
+
+def _joint_factors(A: FactoredMatrix, B: FactoredMatrix):
+    # A - B = L @ diag(w) @ R.T with L = [A.U | B.U], R = [A.V | B.V]
+    if A.shape != B.shape:
+        raise ValueError("shape mismatch between factored matrices")
+    return np.hstack([A.U, B.U]), np.concatenate([A.sigma, -B.sigma]), np.hstack([A.V, B.V])
+
+
+def factored_diff(A: FactoredMatrix, B: FactoredMatrix):
+    """(QL, M, QR) with A - B = QL @ M @ QR.T, without cancellation.
+
+    QL and QR are the orthonormal factors of joint compact QRs of [A.U | B.U]
+    and [A.V | B.V], so M is small, at most (rA+rB)-square. Never densifies.
+    """
+    L, w, R = _joint_factors(A, B)
+    QL, RL = np.linalg.qr(L)
+    QR, RR = np.linalg.qr(R)
+    return QL, (RL * w) @ RR.T, QR
 
 
 def factored_diff_norm(A: FactoredMatrix, B: FactoredMatrix) -> float:
     """||A - B||_F for two factored matrices, without cancellation.
 
-    Joint compact QRs reduce the difference to a small (rA+rB)-sized matrix
-    whose norm is exact at its own scale; the result is accurate to roundoff
-    in the norm itself, unlike the Gram identity, which loses half the digits
-    once the difference is small. Never densifies.
+    The norm of factored_diff's small M, for which the R factors of the
+    joint QRs suffice. It is accurate to roundoff in the norm itself, unlike
+    the Gram identity, which loses half the digits once the difference is
+    small.
     """
-    if A.shape != B.shape:
-        raise ValueError("shape mismatch in factored_diff_norm")
-    L = np.hstack([A.U, B.U])
-    R = np.hstack([A.V, B.V])
-    _, RL = np.linalg.qr(L)
-    _, RR = np.linalg.qr(R)
-    w = np.concatenate([A.sigma, -B.sigma])
+    L, w, R = _joint_factors(A, B)
+    RL = np.linalg.qr(L, mode="r")
+    RR = np.linalg.qr(R, mode="r")
     return float(np.linalg.norm((RL * w) @ RR.T))
-
-
-def frob_inner(A, B) -> float:
-    """Frobenius inner product trace(A.T @ B) between any mix of kinds.
-
-    Factored operands are never densified: inner products go through r-by-r
-    Gram matrices or through per-entry evaluation on masks.
-    """
-    if ambient_shape(A) != ambient_shape(B):
-        raise ValueError("shape mismatch in frob_inner")
-    if isinstance(A, AmbientSum):
-        return sum(c * frob_inner(t, B) for c, t in A.terms)
-    if isinstance(B, AmbientSum):
-        return sum(c * frob_inner(A, t) for c, t in B.terms)
-    return _inner_pair(A, B)
-
-
-def _inner_pair(A, B) -> float:
-    a_fac, b_fac = isinstance(A, FactoredMatrix), isinstance(B, FactoredMatrix)
-    a_sp, b_sp = isinstance(A, SparseOnMask), isinstance(B, SparseOnMask)
-    if a_sp and b_sp:
-        if A.mask is B.mask or A.mask == B.mask:
-            return float(A.values @ B.values)
-        _, ia, ib = np.intersect1d(
-            A.mask.linear, B.mask.linear, assume_unique=True, return_indices=True
-        )
-        return float(A.values[ia] @ B.values[ib])
-    if a_sp:
-        return _inner_sparse_other(A, B)
-    if b_sp:
-        return _inner_sparse_other(B, A)
-    if a_fac and b_fac:
-        gu = A.U.T @ B.U
-        gv = B.V.T @ A.V
-        return float(np.einsum("ab,ba,a,b->", gu, gv, A.sigma, B.sigma))
-    if a_fac:
-        return _inner_factored_dense(A, _as_dense(B))
-    if b_fac:
-        return _inner_factored_dense(B, _as_dense(A))
-    return float(np.vdot(_as_dense(A), _as_dense(B)))
-
-
-def _inner_factored_dense(F: FactoredMatrix, D: np.ndarray) -> float:
-    tmp = F.U.T @ D  # (r, n)
-    return float(np.sum(F.sigma * np.einsum("rj,jr->r", tmp, F.V)))
-
-
-def _inner_sparse_other(S: SparseOnMask, B) -> float:
-    if isinstance(B, FactoredMatrix):
-        return float(S.values @ mask_apply(B, S.mask).values)
-    D = _as_dense(B)
-    return float(S.values @ D[S.mask.rows, S.mask.cols])
 
 
 # Mask entries per block of mask_gather: bounds its two (chunk, rank)
@@ -464,19 +342,11 @@ def mask_apply(X, mask: IndexSet) -> SparseOnMask:
 
 
 # ---------------------------------------------------------------------------
-# File formats: dense matrices as CSV, factored matrices as a directory of
-# three CSVs (U, sigma, V), index sets as two-column 0-based integer CSV.
+# File formats: factored matrices as a directory of three CSVs (U, sigma, V),
+# index sets as two-column 0-based integer CSV.
 # ---------------------------------------------------------------------------
 
 _FLOAT_FMT = "%.17g"
-
-
-def save_dense(path, A) -> None:
-    np.savetxt(path, _as_dense(A), delimiter=",", fmt=_FLOAT_FMT)
-
-
-def load_dense(path) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", ndmin=2)
 
 
 def save_factored(dirpath, F: FactoredMatrix) -> None:

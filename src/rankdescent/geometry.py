@@ -15,6 +15,11 @@ projected-antigradient norm, the metric-projection (truncated SVD)
 retraction, and the two partial directions along which X + alpha * xi never
 leaves the variety.
 
+The tangent cone is closed under sign, so the projection of the
+antigradient is the negated projection of the gradient: callers project the
+gradient in whichever form the objective returns it (masked, factored or
+dense) and negate the result blockwise.
+
 Large structured matrices are only touched through products with thin
 factors. The remainder handed to the best rank-(k-s) approximation is formed
 densely (desk scale), never as a projector acting on the full ambient space.
@@ -31,7 +36,6 @@ from .core import (
     ambient_dense,
     ambient_matmul,
     ambient_rmatmul,
-    ambient_shape,
     frob_norm,
     numerical_rank,
     orthonormal_polish,
@@ -132,6 +136,13 @@ class ConeTangentVector:
         )
         return float(np.sqrt(sq))
 
+    def __neg__(self) -> "ConeTangentVector":
+        """-xi blockwise; the perp block flips the sign of its left factor."""
+        perp = self.perp
+        if perp is not None:
+            perp = FactoredMatrix(-perp.U, perp.sigma, perp.V)
+        return ConeTangentVector(self.base, -self.core, -self.up, -self.vp, perp)
+
     def is_zero(self) -> bool:
         return self.norm() == 0.0
 
@@ -182,10 +193,10 @@ def project_tangent_space(X: VarietyPoint, F) -> ConeTangentVector:
     """Orthogonal projection of an ambient matrix onto the tangent space at X.
 
     Blockwise: core = U.T F V, up = (I - U U.T) F V, vp = (I - V V.T) F.T U.
-    The input may be dense, factored, masked, or an AmbientSum; only products
-    with the thin factors U and V are taken.
+    The input may be dense, factored or masked; only products with the thin
+    factors U and V are taken.
     """
-    if ambient_shape(F) != X.shape:
+    if F.shape != X.shape:
         raise ValueError("dimension mismatch in project_tangent_space")
     U, V = X.point.U, X.point.V
     FV = ambient_matmul(F, V)

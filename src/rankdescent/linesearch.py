@@ -168,11 +168,6 @@ class MonitorReport:
         ratios = [e.a1_ratio for e in self.entries if e.a1_ratio is not None]
         return min(ratios) if ratios else None
 
-    @property
-    def tail_a3(self):
-        ratios = [e.a3_ratio for e in self.entries if e.a3_ratio is not None]
-        return ratios
-
 
 def descent_monitors(trace, omega: float = 1.0, c: float = 1e-4) -> MonitorReport:
     """Compute the descent ratios along a recorded trace.

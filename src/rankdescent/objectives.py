@@ -1,9 +1,10 @@
 """Cost functions over variety points: value plus structured ambient gradient.
 
-Gradients come back in structured form (masked values, factored matrices, or
-sums of both) so the tangent-cone projection can consume them through thin
-factor products alone. MatrixCompletion gathers the residual once per point:
-the gradient at the point whose value was taken last reuses its residual.
+Each objective returns its gradient in one form the tangent-cone projection
+consumes through thin factor products alone: MatrixCompletion as values on
+the mask, QuadraticDistance as one factored matrix. Both compute the residual
+once per point: the gradient at the point whose value was taken last reuses
+its residual.
 """
 
 from __future__ import annotations
@@ -13,16 +14,16 @@ import os
 import numpy as np
 
 from .core import (
-    AmbientSum,
     FactoredMatrix,
     SparseOnMask,
-    factored_diff_norm,
+    factored_diff,
     load_factored,
     load_index_set,
     mask_apply,
     mask_gather,
     save_factored,
     save_index_set,
+    svd,
 )
 from .geometry import ConeTangentVector, VarietyPoint
 
@@ -35,9 +36,18 @@ class Objective:
     xi lets the solver start its line search at the exact minimizer of the
     quadratic model along xi; one that leaves it None gets the floor rule
     alone, at no cost per iteration.
+
+    Subclasses that define shape and _compute_residual(point) get _residual,
+    which keeps the residual of the point evaluated last in one slot keyed by
+    the identity of X.point. A FactoredMatrix is immutable and the slot holds
+    a reference to it, so the key cannot be reused by another point: the
+    solver's gradient at the line search's accepted trial, and the first
+    gradient after value(X0), cost no residual. The slot makes an instance
+    unsafe to share between threads.
     """
 
     curvature = None
+    _last = (None, None)  # (point, residual)
 
     def value(self, X: VarietyPoint) -> float:
         raise NotImplementedError
@@ -46,35 +56,31 @@ class Objective:
         """Ambient gradient at X in structured form."""
         raise NotImplementedError
 
+    def _residual(self, X: VarietyPoint):
+        if X.shape != self.shape:
+            raise ValueError("dimension mismatch between point and problem")
+        point, r = self._last
+        if point is not X.point:
+            r = self._compute_residual(X.point)
+            self._last = (X.point, r)
+        return r
+
 
 class MatrixCompletion(Objective):
     """Half the squared masked residual: 0.5 * sum over the mask of (A - X)^2.
 
     Only the observed values of A are stored. Entries of X on the mask are
     evaluated from its factors in O(|mask| * rank).
-
-    The residual of the point evaluated last is kept in one slot keyed by
-    the identity of X.point. A FactoredMatrix is immutable and the slot holds
-    a reference to it, so the key cannot be reused by another point: the
-    solver's gradient at the line search's accepted trial, and the first
-    gradient after value(X0), cost no gather. The slot makes an instance
-    unsafe to share between threads.
     """
 
     def __init__(self, data: SparseOnMask):
         self.data = data
         self.mask = data.mask
         self.shape = data.shape
-        self._last = (None, None)  # (point, read-only residual on the mask)
 
-    def _residual(self, X: VarietyPoint) -> np.ndarray:
-        if X.shape != self.shape:
-            raise ValueError("dimension mismatch between point and problem")
-        point, r = self._last
-        if point is not X.point:
-            r = mask_apply(X.point, self.mask).values - self.data.values
-            r.flags.writeable = False
-            self._last = (X.point, r)
+    def _compute_residual(self, point: FactoredMatrix) -> np.ndarray:
+        r = mask_apply(point, self.mask).values - self.data.values
+        r.flags.writeable = False
         return r
 
     def value(self, X: VarietyPoint) -> float:
@@ -94,21 +100,36 @@ class MatrixCompletion(Objective):
 
 
 class QuadraticDistance(Objective):
-    """Half the squared Frobenius distance to a fixed factored target."""
+    """Half the squared Frobenius distance to a fixed factored target.
+
+    The residual X - A is kept as QL @ M @ QR.T from core.factored_diff: the
+    value is 0.5 * ||M||^2 and the gradient X - A is refactored through an
+    SVD of the small M. A point whose factors equal the target's bitwise has
+    the exact zero residual, which the joint QRs would only give to roundoff.
+    """
 
     def __init__(self, target: FactoredMatrix):
         self.target = target
         self.shape = target.shape
 
-    def value(self, X: VarietyPoint) -> float:
-        if X.shape != self.shape:
-            raise ValueError("dimension mismatch between point and target")
-        return 0.5 * factored_diff_norm(X.point, self.target) ** 2
+    def _compute_residual(self, point: FactoredMatrix):
+        T = self.target
+        pairs = ((point.sigma, T.sigma), (point.U, T.U), (point.V, T.V))
+        if all(np.array_equal(a, b) for a, b in pairs):
+            return None
+        return factored_diff(point, T)
 
-    def gradient(self, X: VarietyPoint) -> AmbientSum:
-        if X.shape != self.shape:
-            raise ValueError("dimension mismatch between point and target")
-        return AmbientSum(((1.0, X.point), (-1.0, self.target)))
+    def value(self, X: VarietyPoint) -> float:
+        r = self._residual(X)
+        return 0.0 if r is None else 0.5 * float(np.linalg.norm(r[1])) ** 2
+
+    def gradient(self, X: VarietyPoint) -> FactoredMatrix:
+        r = self._residual(X)
+        if r is None:
+            return FactoredMatrix.zero(*self.shape)
+        QL, M, QR = r
+        Ub, sb, Vb = svd(M)
+        return FactoredMatrix(QL @ Ub, sb, QR @ Vb)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Iteration drivers: projected steepest descent and the retraction-free method.
 
-Both follow the same loop: project the antigradient onto the tangent cone,
+Both follow the same loop: project the antigradient onto the tangent cone
+(the negated projection of the gradient, since the cone is closed under sign),
 pick a direction (the full projection, or the larger of the two flat partial
 projections), take an Armijo step, and either retract by rank truncation or
 stay on the variety through the exact affine update. Stopping rules and the
@@ -19,9 +20,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import FactoredMatrix, ambient_scaled, factored_diff_norm
+from .core import FactoredMatrix, factored_diff_norm
 from .geometry import (
-    ConeTangentVector,
     VarietyPoint,
     affine_update,
     choose_flat_direction,
@@ -62,7 +62,6 @@ class SolverConfig:
     max_iters: int = 1000
     tol_g: float = 1e-12
     tol_f: float = 1e-14
-    record_displacement: bool = True
     record_iterates: bool = False
 
     def __post_init__(self):
@@ -115,34 +114,6 @@ class SolveResult:
     iterates: list | None = None
 
 
-def sd_step(X: VarietyPoint, grad, projection: ConeTangentVector | None = None):
-    """Steepest-descent direction and retractor.
-
-    The direction is the full cone projection of the antigradient; the
-    retractor truncates the rank-(k+s) update back to rank at most k. A
-    precomputed projection of -grad may be passed to avoid recomputation.
-    """
-    if projection is None:
-        projection, _ = project_cone(X, ambient_scaled(grad, -1.0))
-    return projection, retract
-
-
-def rf_step(X: VarietyPoint, grad, projection: ConeTangentVector | None = None):
-    """Retraction-free direction and retractor.
-
-    The direction is the larger-norm flat partial projection, so the exact
-    affine update X + alpha * xi keeps rank at most k for every alpha.
-    """
-    if projection is None:
-        projection, _ = project_cone(X, ambient_scaled(grad, -1.0))
-    direction = choose_flat_direction(X, None, projection)
-    return direction, affine_update
-
-
-def _point_distance(A: FactoredMatrix, B: FactoredMatrix) -> float:
-    return factored_diff_norm(A, B)
-
-
 def solve(obj: Objective, X0, cfg: SolverConfig, metrics=None) -> SolveResult:
     """Run the configured descent variant from X0.
 
@@ -167,6 +138,12 @@ def solve(obj: Objective, X0, cfg: SolverConfig, metrics=None) -> SolveResult:
         X0 = VarietyPoint(X0.point, cfg.k)
     armijo_cfg = cfg.armijo_config()
     curvature = getattr(obj, "curvature", None)
+    # sd: the full projection, retracted by rank truncation; rf: the larger
+    # flat partial projection, updated exactly
+    direction, update = {
+        VARIANT_SD: (lambda X, G: G, retract),
+        VARIANT_RF: (lambda X, G: choose_flat_direction(X, None, G), affine_update),
+    }[cfg.variant]
 
     X = X0
     f_x = obj.value(X)
@@ -196,8 +173,7 @@ def solve(obj: Objective, X0, cfg: SolverConfig, metrics=None) -> SolveResult:
 
     while True:
         t0 = time.perf_counter()
-        grad = obj.gradient(X)
-        G, g_minus = project_cone(X, ambient_scaled(grad, -1.0))
+        G, g_minus = project_cone(X, obj.gradient(X))
         rec = base_record(g_minus)
 
         if g_minus == 0.0:
@@ -220,17 +196,14 @@ def solve(obj: Objective, X0, cfg: SolverConfig, metrics=None) -> SolveResult:
             status = SolveStatus.MAX_ITERS
             break
 
-        if cfg.variant == VARIANT_SD:
-            xi, retractor = sd_step(X, grad, projection=G)
-        else:
-            xi, retractor = rf_step(X, grad, projection=G)
+        xi = direction(X, -G)
         xi_norm = xi.norm()
         # for projection-derived directions <grad, xi> = -||xi||^2 exactly
         slope = -(xi_norm**2)
         curv = curvature(X, xi) if curvature is not None else None
         bar_beta = initial_step(g_minus, xi_norm, armijo_cfg.initial_floor, curv)
         try:
-            out = armijo(X, xi, obj, f_x, slope, bar_beta, armijo_cfg, retractor)
+            out = armijo(X, xi, obj, f_x, slope, bar_beta, armijo_cfg, update)
         except LineSearchError as err:
             err.records = records
             raise
@@ -238,12 +211,10 @@ def solve(obj: Objective, X0, cfg: SolverConfig, metrics=None) -> SolveResult:
         rec.alpha = out.alpha
         rec.backtracks = out.backtracks
         rec.xi_norm = xi_norm
-        if not cfg.record_displacement:
-            rec.displacement = None
-        elif cfg.variant == VARIANT_RF:
+        if cfg.variant == VARIANT_RF:
             rec.displacement = out.alpha * xi_norm
         else:
-            rec.displacement = _point_distance(out.X_new.point, X.point)
+            rec.displacement = factored_diff_norm(out.X_new.point, X.point)
         rec.wall_ms = (time.perf_counter() - t0) * 1e3
         records.append(rec)
 
@@ -325,7 +296,7 @@ def iterate_distances(iterates, X_star: VarietyPoint | None = None) -> np.ndarra
     """||X_n - X*|| for a list of factored iterates (X* defaults to the last)."""
     if X_star is None:
         X_star = iterates[-1]
-    return np.array([_point_distance(X.point, X_star.point) for X in iterates])
+    return np.array([factored_diff_norm(X.point, X_star.point) for X in iterates])
 
 
 @dataclass(frozen=True)

@@ -3,24 +3,21 @@ import pytest
 import scipy.sparse
 
 from rankdescent.core import (
-    AmbientSum,
     FactoredMatrix,
     IndexSet,
     SparseOnMask,
     ambient_dense,
     ambient_matmul,
     ambient_rmatmul,
-    ambient_scaled,
-    frob_inner,
+    factored_diff,
+    factored_diff_norm,
     frob_norm,
-    load_dense,
     load_factored,
     load_index_set,
     GATHER_CHUNK,
     mask_apply,
     mask_gather,
     numerical_rank,
-    save_dense,
     save_factored,
     save_index_set,
     svd,
@@ -109,46 +106,35 @@ class TestNorms:
     def test_frob_norm_diag(self):
         assert frob_norm(np.diag([3.0, 4.0])) == pytest.approx(5.0, abs=1e-14)
 
-    def test_inner_matches_norm(self):
-        rng = np.random.default_rng(5)
-        A = rng.standard_normal((4, 5))
-        assert frob_inner(A, A) == pytest.approx(frob_norm(A) ** 2, rel=1e-14)
-
     def test_disjoint_support(self):
-        e11 = np.zeros((2, 2)); e11[0, 0] = 1.0
-        e22 = np.zeros((2, 2)); e22[1, 1] = 1.0
-        assert frob_inner(e11, e22) == 0.0
+        # e11 - e22 from two rank-1 factored matrices with orthogonal factors
+        e = np.eye(2)
+        e11 = FactoredMatrix(e[:, :1], [1.0], e[:, :1])
+        e22 = FactoredMatrix(e[:, 1:], [1.0], e[:, 1:])
+        assert factored_diff_norm(e11, e22) == pytest.approx(np.sqrt(2.0), rel=1e-15)
 
     def test_mixed_representations_agree(self):
         rng = np.random.default_rng(6)
         A = rng.standard_normal((6, 5))
         B = rng.standard_normal((6, 5))
         FA = truncate(A, 3)
+        FB = truncate(B, 2)
         mask = IndexSet((6, 5), *np.nonzero(rng.random((6, 5)) < 0.4))
         SB = mask_apply(B, mask)
-        dense_FA = FA.dense()
-        dense_SB = SB.dense()
-        pairs = [
-            (FA, B, dense_FA, B),
-            (FA, FA, dense_FA, dense_FA),
-            (SB, B, dense_SB, B),
-            (SB, FA, dense_SB, dense_FA),
-            (SB, SB, dense_SB, dense_SB),
-        ]
-        for X, Y, DX, DY in pairs:
-            assert frob_inner(X, Y) == pytest.approx(np.vdot(DX, DY), rel=1e-13, abs=1e-13)
-
-    def test_sparse_different_masks(self):
-        rng = np.random.default_rng(7)
-        m1 = IndexSet((3, 3), [0, 1, 2], [0, 1, 2])
-        m2 = IndexSet((3, 3), [0, 1, 2], [0, 2, 2])
-        s1 = SparseOnMask(m1, [1.0, 2.0, 3.0])
-        s2 = SparseOnMask(m2, [5.0, 7.0, 11.0])
-        assert frob_inner(s1, s2) == pytest.approx(np.vdot(s1.dense(), s2.dense()))
+        for X in (FA, SB, B):
+            D = ambient_dense(X)
+            assert frob_norm(X) == pytest.approx(np.linalg.norm(D), rel=1e-13)
+        diff = np.linalg.norm(FA.dense() - FB.dense())
+        assert factored_diff_norm(FA, FB) == pytest.approx(diff, rel=1e-13)
+        QL, M, QR = factored_diff(FA, FB)
+        assert np.allclose(QL @ M @ QR.T, FA.dense() - FB.dense(), atol=1e-13)
+        assert factored_diff_norm(FA, FB) == float(np.linalg.norm(M))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            frob_inner(np.eye(2), np.eye(3))
+            factored_diff_norm(truncate(np.eye(2), 1), truncate(np.eye(3), 1))
+        with pytest.raises(ValueError):
+            factored_diff(truncate(np.ones((2, 3)), 1), truncate(np.ones((2, 4)), 1))
 
 
 class TestMaskApply:
@@ -268,33 +254,21 @@ class TestFactoredMatrix:
 
 
 class TestAmbient:
-    def test_sum_matmul_matches_dense(self):
+    def test_products_match_dense_per_kind(self):
         rng = np.random.default_rng(9)
         A = rng.standard_normal((5, 4))
         F = truncate(rng.standard_normal((5, 4)), 2)
         mask = IndexSet((5, 4), *np.nonzero(rng.random((5, 4)) < 0.5))
         S = mask_apply(rng.standard_normal((5, 4)), mask)
-        total = AmbientSum(((2.0, A), (-1.5, F), (0.5, S)))
-        D = ambient_dense(total)
         W = rng.standard_normal((4, 3))
-        assert np.allclose(ambient_matmul(total, W), D @ W, atol=1e-12)
         W2 = rng.standard_normal((5, 2))
-        assert np.allclose(ambient_rmatmul(total, W2), D.T @ W2, atol=1e-12)
-        assert frob_norm(total) == pytest.approx(np.linalg.norm(D), rel=1e-12)
-
-    def test_scaled_flattens(self):
-        F = ambient_scaled(ambient_scaled(np.eye(2), 2.0), -1.0)
-        assert np.allclose(ambient_dense(F), -2.0 * np.eye(2))
+        for X, D in ((A, A), (F, F.dense()), (S, S.dense())):
+            assert np.array_equal(ambient_dense(X), D)
+            assert np.allclose(ambient_matmul(X, W), D @ W, atol=1e-12)
+            assert np.allclose(ambient_rmatmul(X, W2), D.T @ W2, atol=1e-12)
 
 
 class TestIO:
-    def test_dense_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(10)
-        A = rng.standard_normal((4, 3))
-        path = tmp_path / "a.csv"
-        save_dense(path, A)
-        assert np.array_equal(load_dense(path), A)
-
     def test_factored_roundtrip(self, tmp_path):
         rng = np.random.default_rng(11)
         F = truncate(rng.standard_normal((5, 4)), 2)

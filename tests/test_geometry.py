@@ -98,6 +98,28 @@ class TestConeProjection:
             assert np.allclose(G.dense(), oracle, atol=1e-11)
             assert g == pytest.approx(np.linalg.norm(oracle), rel=1e-11, abs=1e-13)
 
+    def test_negation_commutes_with_projection(self):
+        # the cone is closed under sign, so P(-F) = -P(F): the tangent blocks
+        # agree bitwise, the perp truncation up to roundoff
+        rng = np.random.default_rng(17)
+        seen = 0
+        for _ in range(200):
+            X, F = random_instance(rng)
+            if X.s == X.k:
+                continue
+            seen += 1
+            G, g = project_cone(X, F)
+            H, h = project_cone(X, -F)
+            N = -G
+            assert h == pytest.approx(g, rel=1e-12)
+            for name in ("core", "up", "vp"):
+                assert np.array_equal(getattr(N, name), getattr(H, name)), name
+            assert N.perp_rank == H.perp_rank
+            if N.perp is not None:
+                scale = max(1.0, np.linalg.norm(F))
+                assert np.allclose(N.perp.dense(), H.perp.dense(), rtol=0, atol=1e-12 * scale)
+        assert seen > 50
+
     def test_pythagoras(self):
         rng = np.random.default_rng(7)
         for _ in range(300):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rankdescent.core import (
+    FactoredMatrix,
     IndexSet,
     SparseOnMask,
     ambient_dense,
@@ -66,11 +67,9 @@ class TestMatrixCompletion:
     def test_gradient_matches_dense_formula(self):
         X = random_point(self.rng, 10, 8, 3, 3)
         g = self.obj.gradient(X)
-        expect = np.where(
-            np.isin(np.arange(80).reshape(10, 8), self.mask.linear),
-            X.dense() - self.A_dense,
-            0.0,
-        )
+        on_mask = np.zeros((10, 8), dtype=bool)
+        on_mask[self.mask.rows, self.mask.cols] = True
+        expect = np.where(on_mask, X.dense() - self.A_dense, 0.0)
         assert np.allclose(g.dense(), expect, atol=1e-12)
 
     def test_curvature_matches_dense_oracle(self):
@@ -138,6 +137,45 @@ class TestQuadraticDistance:
         X = random_point(rng, 6, 5, 2, 4)
         g = QuadraticDistance(A).gradient(X)
         assert np.allclose(ambient_dense(g), X.dense() - A.dense(), atol=1e-13)
+
+    @pytest.mark.parametrize("m, n, r, s", [(12, 10, 4, 3), (6, 5, 4, 3), (5, 7, 5, 4)])
+    def test_gradient_is_one_factored_matrix(self, m, n, r, s):
+        # s + r > min(m, n) in the last two cases: the joint QRs are square
+        rng = np.random.default_rng(m + n + r + s)
+        A = truncate(rng.standard_normal((m, n)), r)
+        X = random_point(rng, m, n, s, max(r, s))
+        obj = QuadraticDistance(A)
+        g = obj.gradient(X)
+        assert isinstance(g, FactoredMatrix)
+        assert g.rank <= min(m, n, r + s)
+        D = X.dense() - A.dense()
+        assert np.allclose(g.dense(), D, atol=1e-13 * np.linalg.norm(D))
+        assert obj.value(X) == pytest.approx(0.5 * np.sum(D**2), rel=1e-12)
+
+    def test_exact_zero_at_identical_factors(self):
+        rng = np.random.default_rng(3)
+        A = truncate(rng.standard_normal((8, 7)), 3)
+        obj = QuadraticDistance(A)
+        X = VarietyPoint(truncate(A, 3), 3)
+        g = obj.gradient(X)
+        assert g.rank == 0 and g.shape == A.shape
+        assert obj.value(X) == 0.0
+
+    def test_one_residual_per_point(self, monkeypatch):
+        calls = []
+        real = objectives.factored_diff
+        monkeypatch.setattr(
+            objectives, "factored_diff", lambda A, B: calls.append(A) or real(A, B)
+        )
+        rng = np.random.default_rng(5)
+        obj = QuadraticDistance(truncate(rng.standard_normal((9, 8)), 4))
+        X = random_point(rng, 9, 8, 3, 4)
+        f = obj.value(X)
+        g = obj.gradient(X)
+        assert len(calls) == 1
+        fresh = QuadraticDistance(obj.target)
+        assert f == fresh.value(X)
+        assert np.array_equal(g.dense(), fresh.gradient(X).dense())
 
 
 class TestFiniteDifferences:

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from rankdescent.core import ambient_scaled, factored_diff_norm, frob_norm, truncate
+from rankdescent.core import FactoredMatrix, factored_diff_norm, frob_norm, truncate
 from rankdescent.geometry import (
     VarietyPoint,
+    affine_update,
+    choose_flat_direction,
     project_cone,
     random_point,
     zero_point,
@@ -18,8 +20,6 @@ from rankdescent.solvers import (
     iterate_distances,
     rate_fit,
     read_trace_csv,
-    rf_step,
-    sd_step,
     solve,
     write_trace_csv,
 )
@@ -122,8 +122,8 @@ class TestStepFunctions:
         data = SparseOnMask(mask, A.dense()[mask.rows, mask.cols])
         obj = MatrixCompletion(data)
         X0 = zero_point(9, 8, 3)
-        grad = obj.gradient(X0)
-        direction, retractor = sd_step(X0, grad)
+        # the sd direction is the negated cone projection of the gradient
+        direction = -project_cone(X0, obj.gradient(X0))[0]
         oracle = truncate(data.dense(), 3)
         # same subspaces: projectors onto the spans agree
         D = direction.perp
@@ -137,7 +137,7 @@ class TestStepFunctions:
             G, g = project_cone(X, F)
             if g == 0.0:
                 continue
-            direction, _ = rf_step(X, ambient_scaled(F, -1.0), projection=G)
+            direction = choose_flat_direction(X, None, G)
             # |<grad, xi_rf>| = ||xi||^2 >= 0.5 ||G||^2 = 0.5 |<grad, G>|
             assert direction.norm() ** 2 >= 0.5 * g**2 - 1e-12
 
@@ -148,8 +148,8 @@ class TestStepFunctions:
         X = random_point(rng, 7, 6, 3, 3)
         U, V = X.point.U, X.point.V
         grad = U @ rng.standard_normal((3, 3)) @ V.T
-        direction, retractor = rf_step(X, grad)
-        Y = retractor(X, direction, 0.7)
+        direction = choose_flat_direction(X, None, -project_cone(X, grad)[0])
+        Y = affine_update(X, direction, 0.7)
         assert np.allclose(Y.point.U @ Y.point.U.T, U @ U.T, atol=1e-10)
         assert np.allclose(Y.point.V @ Y.point.V.T, V @ V.T, atol=1e-10)
 
@@ -202,7 +202,6 @@ class TestFailurePropagation:
         # an objective with an inconsistent (sign-flipped) gradient makes the
         # claimed slope wrong, so backtracking must exhaust and attach the
         # records collected so far
-        from rankdescent.core import AmbientSum
         from rankdescent.linesearch import LineSearchError
         from rankdescent.objectives import Objective
 
@@ -214,7 +213,8 @@ class TestFailurePropagation:
                 return QuadraticDistance(A).value(X)
 
             def gradient(self, X):
-                return AmbientSum(((-1.0, X.point), (1.0, A)))  # wrong sign
+                g = QuadraticDistance(A).gradient(X)
+                return FactoredMatrix(-g.U, g.sigma, g.V)  # A - X: wrong sign
 
         X0 = random_point(rng, 6, 5, 2, 2)
         with pytest.raises(LineSearchError) as err:
@@ -263,8 +263,8 @@ class TestCompletionRun:
         X0 = initial_guess(problem, 3)
         for variant, floor in (("sd", 1.0), ("rf", math.sqrt(2.0))):
             res = solve(problem, X0, SolverConfig(k=3, variant=variant, max_iters=1))
-            G, g = project_cone(X0, ambient_scaled(problem.gradient(X0), -1.0))
-            xi = G if variant == "sd" else rf_step(X0, None, projection=G)[0]
+            G, g = project_cone(X0, problem.gradient(X0))
+            xi = -G if variant == "sd" else choose_flat_direction(X0, None, -G)
             curvature = problem.curvature(X0, xi)
             # under full sampling the exact step would be 1; on the mask it is longer
             assert xi.norm() ** 2 / curvature > floor
