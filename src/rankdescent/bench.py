@@ -109,9 +109,10 @@ def initial_guess(problem: MatrixCompletion, k: int) -> VarietyPoint:
     """Best rank-k approximation of the antigradient at zero, P(A).
 
     Differentiating the masked half-squared residual at zero gives the
-    antigradient +P(A). Dense SVD at desk scale.
+    antigradient +P(A). core.truncate takes it on the mask (Golub-Kahan-
+    Lanczos through the CSR view), so P(A) is never densified.
     """
-    return make_point(truncate(problem.data.dense(), k), k)
+    return make_point(truncate(problem.data, k), k)
 
 
 def rel_errors(X: VarietyPoint, target: FactoredMatrix, problem: MatrixCompletion):

@@ -1,7 +1,10 @@
 """rankbench: generate completion problems, run the solvers, inspect results.
 
 Exit codes: 0 on success, 2 on an infeasible problem spec, 3 on solver
-failure.
+failure, 4 when `errors` cannot use its problem or point directory (a
+missing file, a values/mask length mismatch, no target factors, factors
+that do not form a point of the problem's shape). Codes 2 and 4 come with
+a one-line message on stderr.
 """
 
 from __future__ import annotations
@@ -138,12 +141,16 @@ def cmd_run(args) -> int:
 
 
 def cmd_errors(args) -> int:
-    problem, target = load_completion(args.problem)
-    if target is None:
-        raise SystemExit("problem directory carries no target factors")
-    fm = load_factored(args.point)
-    point = make_point(fm, k=fm.rank)
-    rel_full, rel_mask = rel_errors(point, target, problem)
+    try:
+        problem, target = load_completion(args.problem)
+        if target is None:
+            raise ValueError("problem directory carries no target factors")
+        fm = load_factored(args.point)
+        rel_full, rel_mask = rel_errors(make_point(fm, k=fm.rank), target, problem)
+    except (OSError, ValueError, KeyError) as err:
+        message = " ".join(str(err).split())
+        print(f"errors: malformed input: {type(err).__name__}: {message}", file=sys.stderr)
+        return 4
     print(f"rel_full = {rel_full:.12e}")
     print(f"rel_mask = {rel_mask:.12e}")
     return 0

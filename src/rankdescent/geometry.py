@@ -21,8 +21,9 @@ gradient in whichever form the objective returns it (masked, factored or
 dense) and negate the result blockwise.
 
 Large structured matrices are only touched through products with thin
-factors. The remainder handed to the best rank-(k-s) approximation is formed
-densely (desk scale), never as a projector acting on the full ambient space.
+factors, the best rank-(k-s) approximation of the remainder included:
+core.truncate projects the base spaces out of the gradient's own form and
+never densifies a masked or factored matrix.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import numpy as np
 
 from .core import (
     FactoredMatrix,
-    ambient_dense,
     ambient_matmul,
     ambient_rmatmul,
     frob_norm,
@@ -221,30 +221,28 @@ def project_cone(X: VarietyPoint, F) -> tuple[ConeTangentVector, float]:
     xi = project_tangent_space(X, F)
     budget = X.k - X.s
     if budget > 0:
-        perp = _perp_truncation(X, F, xi, budget)
+        perp = _perp_truncation(X, F, budget)
         if perp.rank:
             xi = replace(xi, perp=perp)
     return xi, xi.norm()
 
 
-def _perp_truncation(X: VarietyPoint, F, xi: ConeTangentVector, budget: int) -> FactoredMatrix:
+def _perp_truncation(X: VarietyPoint, F, budget: int) -> FactoredMatrix:
     """Best rank-(budget) approximation of (I - UU.T) F (I - VV.T).
 
-    The remainder is assembled densely (desk scale); the factors of the
-    truncation are re-orthogonalized against the base spaces afterwards so
-    the block-orthogonality invariants hold despite roundoff. That projection
+    core.truncate takes F in the form the objective returns it, with U and V
+    projected out: a masked F goes through Golub-Kahan-Lanczos on its CSR
+    view, a factored one through QRs of its projected thin factors, so
+    neither is densified. The factors of the truncation are
+    re-orthogonalized against the base spaces afterwards so the
+    block-orthogonality invariants hold despite roundoff. That projection
     leaves the columns of each side slightly non-orthonormal, so compact QRs
     of both sides and an SVD of the small (R_l * sigma) @ R_r.T bring the
     result back to an SVD triple. Remainder modes at roundoff level relative
     to ||F|| count as zero: they are projection noise, not signal.
     """
     U, V = X.point.U, X.point.V
-    D = ambient_dense(F)
-    if U.shape[1]:
-        D = D - U @ (U.T @ D)
-    if V.shape[1]:
-        D = D - (D @ V) @ V.T
-    P = truncate(D, budget)
+    P = truncate(F, budget, U, V)
     scale = frob_norm(F)
     r = int(np.count_nonzero(P.sigma > RANK_TOL * scale)) if scale > 0 else 0
     if r == 0:

@@ -1,5 +1,6 @@
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,8 +19,9 @@ from rankdescent.bench import (
     run_experiment,
     write_kv,
 )
-from rankdescent.core import truncate
+from rankdescent.core import IndexSet, SparseOnMask, truncate
 from rankdescent.geometry import VarietyPoint, make_point, zero_point
+from rankdescent.objectives import MatrixCompletion
 from rankdescent.solvers import SolverConfig
 
 
@@ -107,6 +109,42 @@ class TestInitialGuess:
         X0 = initial_guess(problem, 2)
         oracle = truncate(problem.data.dense(), 2)
         assert np.allclose(X0.dense(), oracle.dense(), atol=1e-12)
+
+    @staticmethod
+    def _rel_to_dense(problem, k):
+        oracle = truncate(problem.data.dense(), k).dense()
+        return np.linalg.norm(initial_guess(problem, k).dense() - oracle) / np.linalg.norm(oracle)
+
+    def test_matches_dense_truncation_on_preset_seeds(self):
+        for seed in (42, 43, 44):
+            spec = replace(PRESETS["fig1-small"], seed=seed)
+            problem, _ = gen_problem(spec)
+            assert self._rel_to_dense(problem, spec.k) <= 1e-10
+
+    def test_matches_dense_truncation_on_degenerate_masks(self):
+        rng = np.random.default_rng(11)
+        U, _ = np.linalg.qr(rng.standard_normal((40, 4)))
+        V, _ = np.linalg.qr(rng.standard_normal((30, 4)))
+        full = np.ones((40, 30), dtype=bool)
+        sparse = rng.random((40, 30)) < 0.4
+        sparse[::3] = False  # empty rows
+        sparse[:, 5:9] = False  # and empty columns
+        cases = [
+            ((U[:, :2] * [3.0, 1.0]) @ V[:, :2].T, full, 5),  # rank 2 < k
+            (rng.standard_normal((40, 30)), sparse, 4),
+            ((U * [2.0, 2.0, 2.0, 0.5]) @ V.T, full, 3),  # repeated singular values
+            ((U * [2.0, 2.0, 2.0, 0.5]) @ V.T, full, 4),
+        ]
+        for D, keep, k in cases:
+            rows, cols = np.nonzero(keep)
+            problem = MatrixCompletion(SparseOnMask(IndexSet(D.shape, rows, cols), D[rows, cols]))
+            assert self._rel_to_dense(problem, k) <= 1e-10
+
+    def test_repeated_calls_are_bitwise_equal(self):
+        problem, _ = gen_problem(CompletionSpec(60, 3, 3, 3, 5))
+        first, second = initial_guess(problem, 3).point, initial_guess(problem, 3).point
+        for name in ("U", "sigma", "V"):
+            assert np.array_equal(getattr(first, name), getattr(second, name))
 
 
 class TestRelErrors:

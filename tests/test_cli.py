@@ -89,6 +89,21 @@ class TestRun:
         )
         assert code == 3
 
+    def test_no_timing_output_is_reproducible(self, tmp_path):
+        # the starting point comes from a seeded Lanczos run, so two runs of
+        # the same spec write byte-identical files
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            code = run_cli(
+                "run", "--n", "40", "--rank", "3", "--budget", "3", "--seed", "8",
+                "--alg", "both", "--out", str(out), "--max-iters", "30", "--no-timing",
+            )
+            assert code == 0
+        names = sorted(os.listdir(outs[0]))
+        assert names == sorted(os.listdir(outs[1])) and "sd_trace.csv" in names
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
 
 class TestErrors:
     def test_reports_errors(self, tmp_path, capsys):
@@ -104,6 +119,46 @@ class TestErrors:
         assert code == 0
         out = capsys.readouterr().out
         assert "rel_full" in out and "rel_mask" in out
+
+    def _problem_and_point(self, tmp_path):
+        prob = tmp_path / "prob"
+        run_cli(
+            "gen", "--n", "20", "--rank", "2", "--budget", "2",
+            "--seed", "7", "--out", str(prob),
+        )
+        save_factored(tmp_path / "pt", truncate(np.random.default_rng(1).standard_normal((20, 20)), 2))
+        return prob, tmp_path / "pt"
+
+    def _assert_clean_exit(self, capsys, code, needle):
+        # exit code 4 with one line on stderr, no traceback
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and needle in err
+        assert "Traceback" not in err
+
+    def test_missing_dims_exits_4(self, tmp_path, capsys):
+        prob, pt = self._problem_and_point(tmp_path)
+        (prob / "dims.txt").unlink()
+        capsys.readouterr()
+        code = run_cli("errors", "--problem", str(prob), "--point", str(pt))
+        self._assert_clean_exit(capsys, code, "dims.txt")
+
+    def test_values_mask_mismatch_exits_4(self, tmp_path, capsys):
+        prob, pt = self._problem_and_point(tmp_path)
+        values = (prob / "values.csv").read_text().splitlines()
+        (prob / "values.csv").write_text("\n".join(values[:-1]) + "\n")
+        capsys.readouterr()
+        code = run_cli("errors", "--problem", str(prob), "--point", str(pt))
+        self._assert_clean_exit(capsys, code, "values not aligned with mask")
+
+    def test_missing_target_exits_4(self, tmp_path, capsys):
+        prob, pt = self._problem_and_point(tmp_path)
+        for name in ("U.csv", "sigma.csv", "V.csv"):
+            (prob / "target_factors" / name).unlink()
+        (prob / "target_factors").rmdir()
+        capsys.readouterr()
+        code = run_cli("errors", "--problem", str(prob), "--point", str(pt))
+        self._assert_clean_exit(capsys, code, "no target factors")
 
 
 class TestRateFit:

@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from rankdescent.core import FactoredMatrix, truncate
+from rankdescent.core import FactoredMatrix, IndexSet, SparseOnMask, truncate
 from rankdescent.geometry import (
     VarietyPoint,
     affine_update,
@@ -119,6 +119,38 @@ class TestConeProjection:
                 scale = max(1.0, np.linalg.norm(F))
                 assert np.allclose(N.perp.dense(), H.perp.dense(), rtol=0, atol=1e-12 * scale)
         assert seen > 50
+
+    @staticmethod
+    def _perp_oracle(X, D):
+        # the dense formula: best rank-(k-s) approximation of (I-UU')D(I-VV')
+        U, V = X.point.U, X.point.V
+        rest = D - U @ (U.T @ D)
+        rest = rest - (rest @ V) @ V.T
+        return truncate(rest, X.k - X.s).dense()
+
+    def test_masked_perp_matches_dense_formula(self):
+        rng = np.random.default_rng(23)
+        for m, n, s, k in ((30, 25, 2, 6), (25, 30, 0, 4), (40, 40, 5, 8), (12, 9, 3, 9)):
+            X = random_point(rng, m, n, s, k)
+            mask = IndexSet((m, n), *np.nonzero(rng.random((m, n)) < 0.5))
+            F = SparseOnMask(mask, rng.standard_normal(len(mask)))
+            D = F.dense()
+            G, _ = project_cone(X, F)
+            oracle = self._perp_oracle(X, D)
+            assert np.linalg.norm(G.perp.dense() - oracle) <= 1e-10 * np.linalg.norm(oracle)
+            dense_G, _ = project_cone(X, D)
+            assert np.linalg.norm(G.dense() - dense_G.dense()) <= 1e-10 * np.linalg.norm(D)
+
+    def test_factored_perp_matches_dense_formula(self):
+        # the last three have s + rank(F) > min(m, n)
+        rng = np.random.default_rng(29)
+        for m, n, s, k, rank in ((30, 25, 3, 8, 6), (7, 6, 3, 6, 5), (6, 7, 2, 5, 6), (9, 9, 4, 7, 9)):
+            X = random_point(rng, m, n, s, k)
+            F = truncate(rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n)), rank)
+            D = F.dense()
+            G, _ = project_cone(X, F)
+            oracle = self._perp_oracle(X, D)
+            assert np.linalg.norm(G.perp.dense() - oracle) <= 1e-12 * np.linalg.norm(D)
 
     def test_pythagoras(self):
         rng = np.random.default_rng(7)

@@ -130,6 +130,37 @@ class TestStepFunctions:
         assert np.allclose(D.U @ D.U.T, oracle.U @ oracle.U.T, atol=1e-10)
         assert np.allclose(D.V @ D.V.T, oracle.V @ oracle.V.T, atol=1e-10)
 
+    def test_masked_gradients_are_never_densified(self, monkeypatch):
+        # the starting guess and the rank-deficient cone projections of the
+        # first iterations take the masked gradient as it is
+        from rankdescent import geometry
+        from rankdescent.bench import CompletionSpec, gen_problem, initial_guess
+        from rankdescent.core import SparseOnMask
+
+        problem, _ = gen_problem(CompletionSpec(60, 3, 5, 3, 9))
+
+        def refuse(self):
+            raise AssertionError("a masked matrix was densified")
+
+        seen = []
+        perp_truncation = geometry._perp_truncation
+
+        def spy(X, F, budget):
+            seen.append((X.s, type(F)))
+            return perp_truncation(X, F, budget)
+
+        monkeypatch.setattr(SparseOnMask, "dense", refuse)
+        monkeypatch.setattr(geometry, "_perp_truncation", spy)
+        assert initial_guess(problem, 5).s == 5
+        starts = (zero_point(60, 60, 5), random_point(np.random.default_rng(4), 60, 60, 2, 5))
+        for X0 in starts:
+            for variant in ("sd", "rf"):
+                res = solve(problem, X0, SolverConfig(k=5, variant=variant, max_iters=5))
+                assert len(res.trace) == 6
+                assert res.trace[-1].f < res.trace[0].f
+        assert {s for s, _ in seen} >= {0, 2}
+        assert all(kind is SparseOnMask for _, kind in seen)
+
     def test_rf_direction_half_norm_bound(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
