@@ -109,8 +109,9 @@ def initial_guess(problem: MatrixCompletion, k: int) -> VarietyPoint:
     """Best rank-k approximation of the antigradient at zero, P(A).
 
     Differentiating the masked half-squared residual at zero gives the
-    antigradient +P(A). core.truncate takes it on the mask (Golub-Kahan-
-    Lanczos through the CSR view), so P(A) is never densified.
+    antigradient +P(A). core.truncate takes it on the mask (ARPACK via
+    scipy.sparse.linalg.svds through the CSR view), so P(A) is densified
+    only at k = n.
     """
     return make_point(truncate(problem.data, k), k)
 
@@ -181,7 +182,9 @@ def run_experiment(
 
     All algorithms share the problem and the starting guess. Per algorithm a
     trace CSV, an iterate-distance CSV (when iterates were recorded) and a
-    key = value summary are written under out_dir. Solver failures go into
+    key = value summary are written under out_dir. The reported results hold
+    no iterates: the history is dropped once its distances are taken, so it
+    is not held while the next algorithm runs. Solver failures go into
     the report instead of aborting the remaining algorithms. With timing off
     the wall_ms column is zeroed, which makes every emitted file a pure
     function of the spec.
@@ -207,6 +210,7 @@ def run_experiment(
             continue
         dists = None if result.iterates is None else iterate_distances(result.iterates)
         fit = None if dists is None else rate_fit(dists)
+        result = replace(result, iterates=None)
         summary = _summary(spec, alg, result, fit)
         report.runs[alg] = AlgorithmRun(alg=alg, result=result, summary=summary)
         if out_dir:

@@ -11,8 +11,8 @@ pointers) of every matrix on it; a SparseOnMask's CSR view only adds its
 values. Gradients are of one of these three kinds: masked for completion,
 factored for the quadratic distance, dense in tests. truncate is the one
 truncated-SVD primitive for all three, with optional bases projected out of
-both sides; it densifies neither structured kind (a masked matrix goes
-through Golub-Kahan-Lanczos on its CSR view).
+both sides; it densifies neither structured kind below full rank (a masked
+matrix goes through ARPACK via scipy.sparse.linalg.svds on its CSR view).
 
 All containers are immutable values after construction; operations are pure.
 """
@@ -200,14 +200,6 @@ def ambient_rmatmul(F, W) -> np.ndarray:
     return F.T @ W
 
 
-def ambient_dense(F) -> np.ndarray:
-    """Densify a dense, factored or masked ambient matrix (for checks at desk
-    scale; the solver path never calls it)."""
-    if isinstance(F, (FactoredMatrix, SparseOnMask)):
-        return F.dense()
-    return _as_dense(F)
-
-
 def svd(A):
     """Economy SVD of a dense matrix.
 
@@ -227,26 +219,28 @@ def truncate(A, r: int, U=None, V=None) -> FactoredMatrix:
 
     U and V are optional column-orthonormal bases projected out of the column
     and row spaces (None projects nothing). A is dense, factored or masked,
-    and neither structured kind is densified:
+    and neither structured kind is densified below r = min(m, n):
 
     - dense: the projected matrix goes through LAPACK's SVD, and ties between
       equal singular values keep its ordering (the first r columns);
     - factored: with nothing to project the stored triple is sliced;
       otherwise the projected thin factors U * sigma and V go through compact
       QRs and an SVD of the small R_L @ R_R.T, exact in O((m+n) rank^2);
-    - masked: Golub-Kahan-Lanczos bidiagonalization (_gkl_truncate), whose
-      products go through the CSR view.
+    - masked: ARPACK via scipy.sparse.linalg.svds (_masked_truncate), whose
+      products go through the CSR view; at r = min(m, n) the result is as
+      large as A, and A is densified.
 
     A factored A gives at most min(r, rank) triples, a masked one min(r, d)
-    with d the smaller of the two complements' dimensions, a dense one r;
-    trailing singular values may be zero.
+    with d the smaller of the two complements' dimensions (none when the
+    projected A is zero), a dense one r; trailing singular values may be
+    zero.
     """
     if not isinstance(A, (FactoredMatrix, SparseOnMask)):
         A = _as_dense(A)
     if not 0 <= r <= min(A.shape):
         raise ValueError(f"rank {r} out of range for shape {A.shape}")
     if isinstance(A, SparseOnMask):
-        return _gkl_truncate(A, r, U, V)
+        return _masked_truncate(A, r, U, V)
     if isinstance(A, FactoredMatrix):
         if _width(U) == 0 and _width(V) == 0:
             q = min(r, A.rank)
@@ -274,45 +268,23 @@ def _project_out(W: np.ndarray, B) -> np.ndarray:
     return W - B @ (B.T @ W) if _width(B) else W
 
 
-# Golub-Kahan-Lanczos (_gkl_truncate). GKL_TOL times ||A||_F is the roundoff
-# level of a product with A: a Lanczos coefficient at or below it is a
-# breakdown, and a Ritz residual at or below it has converged. A coefficient
-# below GKL_EXPLORE times the largest one so far ends a block (the bases came
-# near an invariant subspace). The bases grow by GKL_BLOCK vectors.
-GKL_TOL = 1e-14
-GKL_EXPLORE = 1e-8
-GKL_BLOCK = 32
-
-
-def _gkl_truncate(A: SparseOnMask, r: int, U=None, V=None) -> FactoredMatrix:
+def _masked_truncate(A: SparseOnMask, r: int, U, V) -> FactoredMatrix:
     """Best rank-r approximation of B = (I - U U.T) A (I - V V.T), A masked.
 
-    Golub-Kahan-Lanczos bidiagonalization with full reorthogonalization
-    (Golub & Kahan, SIAM J. Numer. Anal. 1965). After j steps B Q = P T with
-    orthonormal Q and P of j vectors each and T upper bidiagonal (alpha on
-    the diagonal, beta above it). The Ritz triples of T approximate B's; the
-    residual of the i-th is beta_j |e_j.T x_i|, x_i its left singular vector
-    in T. The run starts on the side of the smaller complement, whose basis
-    fills first, and T is exact once it has.
-
-    A single Krylov sequence sees a repeated singular value once, and ends in
-    an invariant subspace, where the next coefficient is roundoff or
-    roundoff amplified by the recurrence. A breakdown (coefficient at most
-    GKL_TOL ||A||_F) is set to zero and the recurrence goes on from a random
-    unit vector orthogonal to the bases and to U or V; a small coefficient
-    (GKL_EXPLORE) is kept. Either starts a block, and the run stops once the
-    r leading Ritz pairs of T and those of the last block have converged, so
-    that repeated singular values of a matrix with few distinct ones come
-    out exact. A restart vector that B maps to zero shows (almost surely)
-    that B vanishes on the rest, which makes a rank below r exact as well.
-    Every product with A goes through the CSR view; the projections are thin
-    products with U and V.
+    ARPACK's implicitly restarted Lanczos through scipy.sparse.linalg.svds
+    (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM 1998), on an
+    operator whose products go through the CSR view and thin products with
+    U and V. The start vector comes from a fixed seed, so the result is a
+    function of the input. ARPACK needs r < min(m, n); at r = min(m, n) the
+    output is as large as A, so A is densified. ARPACK fails on a zero
+    operator, and B maps the random start vector to zero only if B = 0
+    (almost surely). scipy.sparse.linalg is imported here, so that callers
+    which never truncate a masked matrix do not load it.
     """
     m, n = A.shape
-    size = min(m - _width(U), n - _width(V))  # bound on rank(B)
-    r = min(r, size)
-    if r == 0:
-        return FactoredMatrix.zero(m, n)
+    r = min(r, m - _width(U), n - _width(V))  # bound on rank(B)
+    if r == min(m, n):
+        return truncate(A.dense(), r, U, V)
     csr = A.csr
 
     def mv(x):  # B @ x
@@ -321,101 +293,14 @@ def _gkl_truncate(A: SparseOnMask, r: int, U=None, V=None) -> FactoredMatrix:
     def rmv(y):  # B.T @ y
         return _project_out(csr.T @ _project_out(y, U), V)
 
-    # Q holds the start side's vectors as rows, P the other side's
-    swap = n - _width(V) > m - _width(U)
-    if swap:
-        mv, rmv = rmv, mv
-    (dq, Wq), (dp, Wp) = ((m, U), (n, V)) if swap else ((n, V), (m, U))
-    rng = np.random.default_rng(0)  # fixed: the result is a function of the input
-    tiny = GKL_TOL * frob_norm(A)
-    Q, P = np.empty((0, dq)), np.empty((0, dp))
-    alphas, betas = [], []
-    row0 = col0 = 0  # first row and column of T's last block
-    top = 0.0
-    fresh, null_rest = True, False
-    q = _random_unit(rng, dq, Q, Wq)
-    j = 0
-    while True:
-        if j == Q.shape[0]:
-            Q, P = _grow(Q, size), _grow(P, size)
-        Q[j] = q
-        w = mv(q)
-        if j:
-            w -= betas[-1] * P[j - 1]
-        w, alpha = _orthogonalize(w, P[:j], Wp)
-        if alpha <= GKL_EXPLORE * top:
-            row0, col0 = j, j + 1
-        if alpha <= tiny:
-            null_rest |= fresh
-            alpha, w, fresh = 0.0, _random_unit(rng, dp, P[:j], Wp), True
-        else:
-            w, fresh = w / alpha, False
-        P[j] = w
-        alphas.append(alpha)
-        top = max(top, alpha)
-        j += 1
-        if j == size:  # the start side's basis is complete: T is exact
-            break
-        w, beta = _orthogonalize(rmv(w) - alpha * q, Q[:j], Wq)
-        if beta <= GKL_EXPLORE * top:
-            row0, col0 = j, j
-        if beta <= tiny:
-            null_rest |= fresh
-            beta, w, fresh = 0.0, _random_unit(rng, dq, Q[:j], Wq), True
-        else:
-            w, fresh = w / beta, False
-        betas.append(beta)
-        top = max(top, beta)
-        q = w
-        if j >= r and (null_rest or _converged(alphas, betas, r, row0, col0, tiny)):
-            break
-    X, s, Yt = np.linalg.svd(_bidiagonal(alphas, betas[: j - 1]))
-    Ur, Vr = P[:j].T @ X[:, :r], Q[:j].T @ Yt[:r].T
-    if swap:
-        Ur, Vr = Vr, Ur
-    return FactoredMatrix(Ur, s[:r], Vr)
+    v0 = np.random.default_rng(0).standard_normal(min(m, n))  # svds starts on the smaller side
+    if r == 0 or not np.any(mv(v0) if m >= n else rmv(v0)):
+        return FactoredMatrix.zero(m, n)
+    from scipy.sparse.linalg import LinearOperator, svds
 
-
-def _bidiagonal(alphas, betas) -> np.ndarray:
-    T = np.diag(alphas)
-    T[np.arange(len(betas)), np.arange(1, len(betas) + 1)] = betas
-    return T
-
-
-def _converged(alphas, betas, r: int, row0: int, col0: int, tiny: float) -> bool:
-    """Whether the leading r Ritz pairs of T, and those of its last block
-    (rows from row0, columns from col0), have residuals at most tiny.
-
-    The residual coupling is betas[-1]. A last block with no column yet has
-    not been explored.
-    """
-    if col0 == len(alphas):
-        return False
-    T = _bidiagonal(alphas, betas[:-1])
-    for B in (T, T[row0:, col0:]) if col0 else (T,):
-        X = np.linalg.svd(B, full_matrices=False)[0]
-        if np.any(betas[-1] * np.abs(X[-1, :r]) > tiny):
-            return False
-    return True
-
-
-def _orthogonalize(w: np.ndarray, basis: np.ndarray, proj):
-    """w with the rows of an orthonormal basis and the span of proj projected
-    out twice, which is enough in floating point, and its norm."""
-    for _ in range(2):
-        w = _project_out(w, proj)
-        w = w - basis.T @ (basis @ w)
-    return w, float(np.linalg.norm(w))
-
-
-def _random_unit(rng, dim: int, basis: np.ndarray, proj) -> np.ndarray:
-    w, nrm = _orthogonalize(rng.standard_normal(dim), basis, proj)
-    return w / nrm
-
-
-def _grow(B: np.ndarray, limit: int) -> np.ndarray:
-    """B with up to GKL_BLOCK more (uninitialized) rows, at most limit in all."""
-    return np.vstack([B, np.empty((min(GKL_BLOCK, limit - B.shape[0]), B.shape[1]))])
+    B = LinearOperator((m, n), matvec=mv, rmatvec=rmv, matmat=mv, rmatmat=rmv, dtype=float)
+    Ub, s, Vbt = svds(B, k=r, solver="arpack", tol=0, v0=v0)
+    return FactoredMatrix(Ub[:, ::-1], s[::-1], Vbt[::-1].T)
 
 
 def numerical_rank(sigma, tol_rel: float = RANK_TOL) -> int:

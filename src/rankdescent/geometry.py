@@ -183,12 +183,6 @@ def _check_perp(basis: np.ndarray, W: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} is not orthogonal to the base factor ({drift:.2e})")
 
 
-def zero_tangent(X: VarietyPoint) -> ConeTangentVector:
-    m, n = X.shape
-    s = X.s
-    return ConeTangentVector(X, np.zeros((s, s)), np.zeros((m, s)), np.zeros((n, s)))
-
-
 def project_tangent_space(X: VarietyPoint, F) -> ConeTangentVector:
     """Orthogonal projection of an ambient matrix onto the tangent space at X.
 
@@ -231,9 +225,10 @@ def _perp_truncation(X: VarietyPoint, F, budget: int) -> FactoredMatrix:
     """Best rank-(budget) approximation of (I - UU.T) F (I - VV.T).
 
     core.truncate takes F in the form the objective returns it, with U and V
-    projected out: a masked F goes through Golub-Kahan-Lanczos on its CSR
-    view, a factored one through QRs of its projected thin factors, so
-    neither is densified. The factors of the truncation are
+    projected out: a masked F goes through ARPACK via
+    scipy.sparse.linalg.svds on its CSR view, a factored one through QRs of
+    its projected thin factors, so neither is densified unless the result is
+    as large as F. The factors of the truncation are
     re-orthogonalized against the base spaces afterwards so the
     block-orthogonality invariants hold despite roundoff. That projection
     leaves the columns of each side slightly non-orthonormal, so compact QRs

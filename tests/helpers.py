@@ -1,9 +1,23 @@
-"""Shared randomized constructors for the geometry tests."""
+"""Shared constructors and dense views for the tests."""
 
 import numpy as np
 
-from rankdescent.core import FactoredMatrix
+from rankdescent.core import FactoredMatrix, SparseOnMask
 from rankdescent.geometry import ConeTangentVector, VarietyPoint, random_point
+
+
+def ambient_dense(F) -> np.ndarray:
+    """Densify a dense, factored or masked ambient matrix."""
+    if isinstance(F, (FactoredMatrix, SparseOnMask)):
+        return F.dense()
+    return np.asarray(F, dtype=float)
+
+
+def zero_tangent(X: VarietyPoint) -> ConeTangentVector:
+    """The zero element of the tangent cone at X."""
+    m, n = X.shape
+    s = X.s
+    return ConeTangentVector(X, np.zeros((s, s)), np.zeros((m, s)), np.zeros((n, s)))
 
 
 def random_cone_vector(rng, X: VarietyPoint, perp_rank=None) -> ConeTangentVector:

@@ -40,7 +40,7 @@ from rankdescent.solvers import (
     rate_fit,
     solve,
 )
-from helpers import random_cone_vector, random_instance
+from helpers import ambient_dense, random_cone_vector, random_instance
 
 
 def verdict(num, clauses):
@@ -315,7 +315,7 @@ def test_criterion_6_line_search_contracts(quad_run, fig1_runs, fig2_runs):
 
 
 def test_criterion_7_gradient_correctness():
-    from rankdescent.core import IndexSet, SparseOnMask, ambient_dense
+    from rankdescent.core import IndexSet, SparseOnMask
     from rankdescent.objectives import MatrixCompletion
 
     t0 = time.perf_counter()

@@ -214,10 +214,11 @@ class TestRunExperiment:
         cfg = SolverConfig(k=2, max_iters=60, record_iterates=True)
         report = run_experiment(spec, ("sd", "rf"), cfg, out_dir=tmp_path, timing=False)
         assert len(calls) == 2
-        for alg in ("sd", "rf"):
-            dists = real(report.runs[alg].result.iterates)
+        for alg, iterates in zip(("sd", "rf"), calls):
             written = np.loadtxt(tmp_path / f"{alg}_distances.csv", delimiter=",")
-            assert np.array_equal(written, dists)
+            assert np.array_equal(written, real(iterates))
+            # the history is dropped once its distances are taken
+            assert report.runs[alg].result.iterates is None
 
     def test_presets_table(self):
         small = PRESETS["fig1-small"]

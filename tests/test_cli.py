@@ -90,7 +90,7 @@ class TestRun:
         assert code == 3
 
     def test_no_timing_output_is_reproducible(self, tmp_path):
-        # the starting point comes from a seeded Lanczos run, so two runs of
+        # the starting point comes from a seeded ARPACK run, so two runs of
         # the same spec write byte-identical files
         outs = [tmp_path / "a", tmp_path / "b"]
         for out in outs:

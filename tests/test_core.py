@@ -1,12 +1,18 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 import scipy.sparse
+
+import rankdescent
 
 from rankdescent.core import (
     FactoredMatrix,
     IndexSet,
     SparseOnMask,
-    ambient_dense,
     ambient_matmul,
     ambient_rmatmul,
     factored_diff,
@@ -23,6 +29,7 @@ from rankdescent.core import (
     svd,
     truncate,
 )
+from helpers import ambient_dense
 
 
 class TestSvd:
@@ -100,6 +107,67 @@ class TestTruncate:
             C = rng.standard_normal((N, r, 4))
             resid = np.linalg.norm(B @ C - A, axis=(1, 2))
             assert np.all(resid >= best - 1e-12)
+
+    @staticmethod
+    def _fully_observed(D):
+        m, n = D.shape
+        rows, cols = np.divmod(np.arange(m * n), n)
+        return SparseOnMask(IndexSet((m, n), rows, cols), D.ravel())
+
+    def test_masked_repeated_singular_values(self):
+        # diag(B, B) has every singular value twice; a single Krylov sequence
+        # sees each once
+        B = np.random.default_rng(2).standard_normal((9, 9))
+        D = np.kron(np.eye(2), B)
+        expect = svd(D)[1]
+        for r in (2, 3, 4):
+            T = truncate(self._fully_observed(D), r)
+            assert np.abs(T.sigma - expect[:r]).max() <= 1e-12 * expect[0]
+
+    def test_masked_zero_operator_gives_rank_zero(self):
+        mask = IndexSet((20, 15), *np.divmod(np.arange(300), 15))
+        T = truncate(SparseOnMask(mask, np.zeros(300)), 3)
+        assert T.shape == (20, 15) and T.rank == 0
+        # nonzero only in rows 0-2, which projecting out U = I[:, :3] removes
+        values = np.where(mask.rows < 3, np.random.default_rng(0).standard_normal(300), 0.0)
+        T = truncate(SparseOnMask(mask, values), 4, np.eye(20)[:, :3], np.eye(15)[:, :2])
+        assert T.shape == (20, 15) and T.rank == 0
+
+    def test_masked_full_rank_matches_dense(self):
+        rng = np.random.default_rng(5)
+        for m, n in ((7, 5), (5, 7), (6, 6)):
+            D = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.6)
+            A = mask_apply(D, IndexSet((m, n), *np.nonzero(rng.random((m, n)) < 0.8)))
+            r = min(m, n)
+            T, E = truncate(A, r), truncate(A.dense(), r)
+            assert np.allclose(T.sigma, E.sigma, rtol=0, atol=1e-13)
+            assert np.allclose(T.dense(), A.dense(), rtol=0, atol=1e-13)
+
+    def test_quadratic_solve_leaves_sparse_linalg_unloaded(self):
+        # only the masked path imports scipy.sparse.linalg, so a run that
+        # never truncates a masked matrix does not pay for the import
+        script = textwrap.dedent(
+            """
+            import sys
+            import numpy as np
+            import rankdescent
+            from rankdescent import core, geometry, objectives, solvers
+
+            rng = np.random.default_rng(0)
+            A = core.truncate(rng.standard_normal((40, 6)) @ rng.standard_normal((6, 30)), 6)
+            X0 = geometry.random_point(rng, 40, 30, 3, 6)
+            for variant in ("sd", "rf"):
+                cfg = solvers.SolverConfig(k=6, variant=variant, max_iters=5)
+                solvers.solve(objectives.QuadraticDistance(A), X0, cfg)
+            print("scipy.sparse.linalg" in sys.modules)
+            """
+        )
+        src = os.path.dirname(os.path.dirname(rankdescent.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestNorms:

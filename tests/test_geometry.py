@@ -16,9 +16,8 @@ from rankdescent.geometry import (
     random_point,
     retract,
     zero_point,
-    zero_tangent,
 )
-from helpers import random_cone_vector, random_instance
+from helpers import random_cone_vector, random_instance, zero_tangent
 
 
 def tangent_projector_oracle(X, F):

@@ -5,12 +5,11 @@ from rankdescent.core import (
     FactoredMatrix,
     IndexSet,
     SparseOnMask,
-    ambient_dense,
     frob_norm,
     truncate,
 )
 from rankdescent.geometry import VarietyPoint, make_point, random_point, zero_point
-from helpers import random_cone_vector
+from helpers import ambient_dense, random_cone_vector
 from rankdescent import objectives
 from rankdescent.objectives import (
     MatrixCompletion,
