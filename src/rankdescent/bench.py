@@ -32,8 +32,7 @@ from .objectives import MatrixCompletion
 from .solvers import (
     SolveResult,
     SolverConfig,
-    VARIANT_RF,
-    VARIANT_SD,
+    VARIANTS,
     iterate_distances,
     rate_fit,
     solve,
@@ -173,7 +172,7 @@ class ExperimentReport:
 
 def run_experiment(
     spec: CompletionSpec,
-    algorithms=(VARIANT_SD, VARIANT_RF),
+    algorithms=tuple(VARIANTS),
     solver_cfg: SolverConfig | None = None,
     out_dir=None,
     timing: bool = True,

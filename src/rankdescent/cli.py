@@ -1,10 +1,12 @@
 """rankbench: generate completion problems, run the solvers, inspect results.
 
-Exit codes: 0 on success, 2 on an infeasible problem spec, 3 on solver
-failure, 4 when `errors` cannot use its problem or point directory (a
-missing file, a values/mask length mismatch, no target factors, factors
-that do not form a point of the problem's shape). Codes 2 and 4 come with
-a one-line message on stderr.
+Exit codes: 0 on success; 2 when `gen` or `run` gets an invalid or
+infeasible problem spec, an invalid solver setting, or a `--config` file it
+cannot read or parse; 3 on solver failure; 4 when `errors` cannot use its
+problem or point directory (a missing file, a values/mask length mismatch,
+no target factors, factors that do not form a point of the problem's
+shape), or `ratefit` its distances file (missing, non-numeric or
+non-finite). Codes 2 and 4 come with a one-line message on stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import numpy as np
 
 from .bench import (
     CompletionSpec,
-    InfeasibleSpecError,
     PRESETS,
     gen_problem,
     missing_percent,
@@ -28,7 +29,7 @@ from .bench import (
 from .core import load_factored
 from .geometry import make_point
 from .objectives import load_completion, save_completion
-from .solvers import SolverConfig, VARIANT_RF, VARIANT_SD, rate_fit
+from .solvers import SolverConfig, VARIANTS, rate_fit
 
 
 def _add_spec_flags(p: argparse.ArgumentParser, require: bool) -> None:
@@ -54,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run the solvers on a preset or explicit spec")
     run.add_argument("--preset", choices=sorted(PRESETS), help="named experiment preset")
     _add_spec_flags(run, require=False)
-    run.add_argument("--alg", choices=["sd", "rf", "both"], default="both")
+    run.add_argument("--alg", choices=[*VARIANTS, "both"], default="both")
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--config", help="key = value file with spec/solver fields")
     run.add_argument("--max-iters", type=int, default=None)
@@ -94,7 +95,7 @@ def _spec_from_args(args, config: dict) -> CompletionSpec:
         if value is not None:
             fields[key] = value
     if None in (fields["n"], fields["r"], fields["k"]):
-        raise SystemExit("run: need --preset or all of --n/--rank/--budget")
+        raise ValueError("need --preset or all of --n/--rank/--budget")
     return CompletionSpec(**fields)
 
 
@@ -109,9 +110,18 @@ def _solver_cfg(args, config: dict, k: int) -> SolverConfig:
     return SolverConfig(**kwargs)
 
 
+def _input_error(command: str, err: Exception, code: int) -> int:
+    message = " ".join(str(err).split())
+    print(f"{command}: invalid input: {type(err).__name__}: {message}", file=sys.stderr)
+    return code
+
+
 def cmd_gen(args) -> int:
-    spec = CompletionSpec(n=args.n, r=args.rank, k=args.budget, os_rate=args.os_rate, seed=args.seed)
-    size = omega_size(spec)
+    try:
+        spec = CompletionSpec(n=args.n, r=args.rank, k=args.budget, os_rate=args.os_rate, seed=args.seed)
+        size = omega_size(spec)
+    except ValueError as err:
+        return _input_error("gen", err, 2)
     problem, target = gen_problem(spec)
     save_completion(args.out, problem, target)
     print(f"|mask| = {size} ({missing_percent(spec):.2f}% missing), written to {args.out}")
@@ -119,11 +129,14 @@ def cmd_gen(args) -> int:
 
 
 def cmd_run(args) -> int:
-    config = read_kv(args.config) if args.config else {}
-    spec = _spec_from_args(args, config)
-    omega_size(spec)  # validates feasibility up front
-    cfg = _solver_cfg(args, config, spec.k)
-    algorithms = [VARIANT_SD, VARIANT_RF] if args.alg == "both" else [args.alg]
+    try:
+        config = read_kv(args.config) if args.config else {}
+        spec = _spec_from_args(args, config)
+        omega_size(spec)  # validates feasibility up front
+        cfg = _solver_cfg(args, config, spec.k)
+    except (OSError, ValueError) as err:
+        return _input_error("run", err, 2)
+    algorithms = list(VARIANTS) if args.alg == "both" else [args.alg]
     report = run_experiment(
         spec, algorithms=algorithms, solver_cfg=cfg, out_dir=args.out,
         timing=not args.no_timing,
@@ -148,17 +161,18 @@ def cmd_errors(args) -> int:
         fm = load_factored(args.point)
         rel_full, rel_mask = rel_errors(make_point(fm, k=fm.rank), target, problem)
     except (OSError, ValueError, KeyError) as err:
-        message = " ".join(str(err).split())
-        print(f"errors: malformed input: {type(err).__name__}: {message}", file=sys.stderr)
-        return 4
+        return _input_error("errors", err, 4)
     print(f"rel_full = {rel_full:.12e}")
     print(f"rel_mask = {rel_mask:.12e}")
     return 0
 
 
 def cmd_ratefit(args) -> int:
-    distances = np.loadtxt(args.distances, delimiter=",").ravel()
-    fit = rate_fit(distances, tail_fraction=args.tail)
+    try:
+        distances = np.loadtxt(args.distances, delimiter=",").ravel()
+        fit = rate_fit(distances, tail_fraction=args.tail)
+    except (OSError, ValueError) as err:
+        return _input_error("ratefit", err, 4)
     if fit is None:
         print("rate fit unavailable (insufficient tail)")
         return 0
@@ -171,11 +185,7 @@ def cmd_ratefit(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {"gen": cmd_gen, "run": cmd_run, "errors": cmd_errors, "ratefit": cmd_ratefit}
-    try:
-        return handlers[args.command](args)
-    except InfeasibleSpecError as err:
-        print(f"infeasible spec: {err}", file=sys.stderr)
-        return 2
+    return handlers[args.command](args)
 
 
 if __name__ == "__main__":

@@ -279,45 +279,24 @@ def retract(X: VarietyPoint, xi: ConeTangentVector, alpha: float) -> VarietyPoin
     Works on the rank-(k+s) structured representation through a compact QR
     plus a small SVD in O((m+n)(k+s)^2); the full matrix is never formed. The
     result satisfies ||retract(X, xi, 1) - (X + xi)|| <= ||xi|| / sqrt(2).
+    On a flat direction (up or vp block zero) X + alpha * xi has rank at most
+    s + rank(perp) <= k, so nothing is truncated and the result is X + alpha
+    * xi exactly.
     """
     if alpha < 0:
         raise ValueError("step size must be nonnegative")
-    if xi.base is not X:
-        _require_same_base(X, xi)
-    if alpha == 0.0 or xi.is_zero():
-        return X
-    U_new, sig, V_new = _combined_svd(X, xi, alpha, cap=X.k)
-    return make_point(FactoredMatrix(U_new, sig, V_new), X.k)
-
-
-def affine_update(X: VarietyPoint, xi: ConeTangentVector, alpha: float) -> VarietyPoint:
-    """Exact refactorization of X + alpha * xi for flat directions.
-
-    Requires one of the up/vp blocks to vanish, in which case the update has
-    rank at most s + rank(perp) <= k by construction and no truncation takes
-    place: the rank cap applied here is structural, not an approximation.
-    """
-    if alpha < 0:
-        raise ValueError("step size must be nonnegative")
-    if xi.base is not X:
-        _require_same_base(X, xi)
-    if alpha == 0.0 or xi.is_zero():
-        return X
-    if xi.up.any() and xi.vp.any():
-        raise ValueError("affine update needs a direction with up or vp block zero")
-    U_new, sig, V_new = _combined_svd(X, xi, alpha, cap=X.s + xi.perp_rank)
-    return make_point(FactoredMatrix(U_new, sig, V_new), X.k)
-
-
-def _require_same_base(X: VarietyPoint, xi: ConeTangentVector) -> None:
     # the blocks are coefficients relative to the base factors, so anything
     # short of the same factors would silently produce a wrong update
     if xi.base.point is not X.point:
         raise ValueError("tangent vector is not based at the given point")
+    if alpha == 0.0 or xi.is_zero():
+        return X
+    U_new, sig, V_new = _combined_svd(X, xi, alpha)
+    return make_point(FactoredMatrix(U_new, sig, V_new), X.k)
 
 
-def _combined_svd(X: VarietyPoint, xi: ConeTangentVector, alpha: float, cap: int):
-    """SVD factors of X + alpha * xi, truncated to rank at most cap.
+def _combined_svd(X: VarietyPoint, xi: ConeTangentVector, alpha: float):
+    """SVD factors of X + alpha * xi, truncated to rank at most X.k.
 
     X + alpha * xi is expressed over the orthonormal bases [U | QL] and
     [V | QR] obtained from compact QRs of the up/perp and vp/perp blocks, so
@@ -350,7 +329,7 @@ def _combined_svd(X: VarietyPoint, xi: ConeTangentVector, alpha: float, cap: int
         raise ValueError("non-finite middle matrix in the rank update")
 
     Ub, sb, Vbt = np.linalg.svd(B, full_matrices=False)
-    r = min(cap, numerical_rank(sb))
+    r = min(X.k, numerical_rank(sb))
     U_new = orthonormal_polish(np.hstack([U, QL]) @ Ub[:, :r])
     V_new = orthonormal_polish(np.hstack([V, QR_]) @ Vbt[:r].T)
     return U_new, sb[:r], V_new

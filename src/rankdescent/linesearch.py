@@ -5,9 +5,9 @@ decrease test f(R(x, alpha*xi)) - f(x) <= c * alpha * <grad f, xi>. The
 initial trial bar_beta (see initial_step) has three parts: a closed-form
 floor rule is its lower bound, so that it never falls below the ratio
 g/||xi|| of projected-antigradient norm to direction norm; the exact
-minimizer ||xi||^2 / <xi, Hess f xi> of the quadratic model along xi is the
-usual start when the objective supplies its curvature; STEP_CAP bounds that
-start above.
+minimizer ||xi||^2 / <xi, Hess f xi> of the quadratic model along xi, from
+the curvature every objective supplies, is the usual start; STEP_CAP bounds
+that start above.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Cost functions over variety points: value plus structured ambient gradient.
+"""Cost functions over variety points: value, structured gradient, curvature.
 
 Each objective returns its gradient in one form the tangent-cone projection
 consumes through thin factor products alone: MatrixCompletion as values on
@@ -31,11 +31,9 @@ from .geometry import ConeTangentVector, VarietyPoint
 class Objective:
     """Interface: a differentiable cost bounded below on the ambient space.
 
-    curvature is optional. An objective that defines it as a method
-    curvature(X, xi) returning <xi, Hess f(X) xi> for a cone tangent vector
-    xi lets the solver start its line search at the exact minimizer of the
-    quadratic model along xi; one that leaves it None gets the floor rule
-    alone, at no cost per iteration.
+    value, gradient and curvature are required. curvature(X, xi) returns
+    <xi, Hess f(X) xi> for a cone tangent vector xi; the solver starts its
+    line search at the exact minimizer of the quadratic model along xi.
 
     Subclasses that define shape and _compute_residual(point) get _residual,
     which keeps the residual of the point evaluated last in one slot keyed by
@@ -46,7 +44,6 @@ class Objective:
     unsafe to share between threads.
     """
 
-    curvature = None
     _last = (None, None)  # (point, residual)
 
     def value(self, X: VarietyPoint) -> float:
@@ -54,6 +51,10 @@ class Objective:
 
     def gradient(self, X: VarietyPoint):
         """Ambient gradient at X in structured form."""
+        raise NotImplementedError
+
+    def curvature(self, X: VarietyPoint, xi: ConeTangentVector) -> float:
+        """<xi, Hess f(X) xi> along a cone tangent vector at X."""
         raise NotImplementedError
 
     def _residual(self, X: VarietyPoint):
@@ -130,6 +131,10 @@ class QuadraticDistance(Objective):
         QL, M, QR = r
         Ub, sb, Vb = svd(M)
         return FactoredMatrix(QL @ Ub, sb, QR @ Vb)
+
+    def curvature(self, X: VarietyPoint, xi: ConeTangentVector) -> float:
+        """<xi, Hess f xi> = ||xi||^2: the Hessian is the identity."""
+        return xi.norm() ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
-"""Iteration drivers: projected steepest descent and the retraction-free method.
+"""Iteration driver: projected steepest descent and the retraction-free method.
 
-Both follow the same loop: project the antigradient onto the tangent cone
-(the negated projection of the gradient, since the cone is closed under sign),
-pick a direction (the full projection, or the larger of the two flat partial
-projections), take an Armijo step, and either retract by rank truncation or
-stay on the variety through the exact affine update. Stopping rules and the
-per-iteration trace are artifact plumbing; the iteration itself would happily
-run forever. The trace's displacement ||X_{n+1} - X_n|| is alpha * ||xi|| for
-rf, whose affine update is exactly X + alpha * xi, and a factored distance
-for sd, whose retraction truncates.
+Every variant follows the same loop: project the antigradient onto the
+tangent cone (the negated projection of the gradient, since the cone is
+closed under sign), apply the variant's direction rule, take an Armijo step
+from the initial step that the objective's curvature gives, and project
+X + alpha * xi back onto the variety with retract. A variant is one entry of
+VARIANTS: its direction rule and the floor of its initial step. Stopping
+rules and the per-iteration trace are artifact plumbing; the iteration
+itself would happily run forever. The trace's displacement ||X_{n+1} - X_n||
+is alpha * ||xi|| for a flat direction, whose update is exactly
+X + alpha * xi, and a factored distance otherwise, where retract truncates.
 """
 
 from __future__ import annotations
@@ -21,19 +22,20 @@ from enum import Enum
 import numpy as np
 
 from .core import FactoredMatrix, factored_diff_norm
-from .geometry import (
-    VarietyPoint,
-    affine_update,
-    choose_flat_direction,
-    make_point,
-    project_cone,
-    retract,
-)
+from .geometry import VarietyPoint, choose_flat_direction, make_point, project_cone, retract
 from .linesearch import ArmijoConfig, LineSearchError, armijo, initial_step
 from .objectives import Objective
 
-VARIANT_SD = "sd"  # projected steepest descent with rank-truncation retraction
-VARIANT_RF = "rf"  # retraction-free flat-direction descent
+# name -> (direction rule applied to the projected antigradient, floor of the
+# initial step). The floor is the largest ratio g_minus / ||xi|| the rule
+# allows, so the initial step never falls below it.
+VARIANTS = {
+    # projected steepest descent: the full projection, retracted by truncation
+    "sd": (lambda X, G: G, 1.0),
+    # retraction-free: the larger flat partial projection, whose update stays
+    # on the variety without truncation
+    "rf": (lambda X, G: choose_flat_direction(X, None, G), math.sqrt(2.0)),
+}
 
 
 class SolveStatus(Enum):
@@ -45,27 +47,26 @@ class SolveStatus(Enum):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Rank budget, variant, line-search parameters and stopping rules.
+    """Rank budget, variant, stopping rules and the line search they imply.
 
     tol_g stops once the projected-antigradient norm falls below tol_g times
     its value at the first iterate; tol_f declares a stall after three
-    consecutive decreases below tol_f * max(1, f). armijo defaults to the
-    variant's floor (1 for sd, sqrt(2) for rf) when left as None; the floor
-    is the lower bound of each initial trial step, the exact-curvature step
-    is its usual value when the objective supplies a curvature, and
-    linesearch.STEP_CAP its upper bound (see linesearch.initial_step).
+    consecutive decreases below tol_f * max(1, f). The line search uses
+    ArmijoConfig's defaults with the variant's floor (1 for sd, sqrt(2) for
+    rf); the floor is the lower bound of each initial trial step, the
+    exact-curvature step its usual value and linesearch.STEP_CAP its upper
+    bound (see linesearch.initial_step).
     """
 
     k: int
-    variant: str = VARIANT_SD
-    armijo: ArmijoConfig | None = None
+    variant: str = "sd"
     max_iters: int = 1000
     tol_g: float = 1e-12
     tol_f: float = 1e-14
     record_iterates: bool = False
 
     def __post_init__(self):
-        if self.variant not in (VARIANT_SD, VARIANT_RF):
+        if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.tol_g <= 0 or self.tol_f <= 0:
             raise ValueError("tolerances must be positive")
@@ -73,10 +74,7 @@ class SolverConfig:
             raise ValueError("max_iters must be at least 1")
 
     def armijo_config(self) -> ArmijoConfig:
-        if self.armijo is not None:
-            return self.armijo
-        floor = 1.0 if self.variant == VARIANT_SD else math.sqrt(2.0)
-        return ArmijoConfig(initial_floor=floor)
+        return ArmijoConfig(initial_floor=VARIANTS[self.variant][1])
 
 
 @dataclass
@@ -122,10 +120,9 @@ def solve(obj: Objective, X0, cfg: SolverConfig, metrics=None) -> SolveResult:
     (rel_err_full, rel_err_mask) for the trace.
 
     Each Armijo search starts at initial_step: the variant's floor rule is
-    the lower bound; when the objective defines curvature, the exact
-    minimizer ||xi||^2 / obj.curvature(X, xi) of the quadratic model along
-    the direction, capped above at STEP_CAP, is the usual start. Objectives
-    that leave curvature None get the floor rule alone.
+    the lower bound, and the exact minimizer ||xi||^2 / obj.curvature(X, xi)
+    of the quadratic model along the direction, capped above at STEP_CAP, is
+    the usual start.
 
     The iteration stops on exact stationarity of the projected antigradient,
     on the relative g tolerance, on a persistent stall of f, or at max_iters;
@@ -137,13 +134,7 @@ def solve(obj: Objective, X0, cfg: SolverConfig, metrics=None) -> SolveResult:
     if X0.k != cfg.k:
         X0 = VarietyPoint(X0.point, cfg.k)
     armijo_cfg = cfg.armijo_config()
-    curvature = getattr(obj, "curvature", None)
-    # sd: the full projection, retracted by rank truncation; rf: the larger
-    # flat partial projection, updated exactly
-    direction, update = {
-        VARIANT_SD: (lambda X, G: G, retract),
-        VARIANT_RF: (lambda X, G: choose_flat_direction(X, None, G), affine_update),
-    }[cfg.variant]
+    direction = VARIANTS[cfg.variant][0]
 
     X = X0
     f_x = obj.value(X)
@@ -200,10 +191,10 @@ def solve(obj: Objective, X0, cfg: SolverConfig, metrics=None) -> SolveResult:
         xi_norm = xi.norm()
         # for projection-derived directions <grad, xi> = -||xi||^2 exactly
         slope = -(xi_norm**2)
-        curv = curvature(X, xi) if curvature is not None else None
+        curv = obj.curvature(X, xi)
         bar_beta = initial_step(g_minus, xi_norm, armijo_cfg.initial_floor, curv)
         try:
-            out = armijo(X, xi, obj, f_x, slope, bar_beta, armijo_cfg, update)
+            out = armijo(X, xi, obj, f_x, slope, bar_beta, armijo_cfg, retract)
         except LineSearchError as err:
             err.records = records
             raise
@@ -211,10 +202,11 @@ def solve(obj: Objective, X0, cfg: SolverConfig, metrics=None) -> SolveResult:
         rec.alpha = out.alpha
         rec.backtracks = out.backtracks
         rec.xi_norm = xi_norm
-        if cfg.variant == VARIANT_RF:
-            rec.displacement = out.alpha * xi_norm
-        else:
+        if xi.up.any() and xi.vp.any():
             rec.displacement = factored_diff_norm(out.X_new.point, X.point)
+        else:
+            # flat: retract returned X + alpha * xi without truncating
+            rec.displacement = out.alpha * xi_norm
         rec.wall_ms = (time.perf_counter() - t0) * 1e3
         records.append(rec)
 
@@ -262,36 +254,6 @@ def write_trace_csv(path, records, timing: bool = True) -> None:
             fh.write(",".join(fields) + "\n")
 
 
-def read_trace_csv(path) -> list[TraceRecord]:
-    def opt(x):
-        return None if x == "" else float(x)
-
-    records = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != TRACE_COLUMNS:
-            raise ValueError("unexpected trace header")
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            records.append(
-                TraceRecord(
-                    n=int(parts[0]),
-                    f=float(parts[1]),
-                    g_minus=float(parts[2]),
-                    alpha=float(parts[3]),
-                    backtracks=int(parts[4]),
-                    rank=int(parts[5]),
-                    sigma1=float(parts[6]),
-                    sigmak=float(parts[7]),
-                    displacement=opt(parts[8]),
-                    rel_err_full=opt(parts[9]),
-                    rel_err_mask=opt(parts[10]),
-                    wall_ms=float(parts[11]),
-                )
-            )
-    return records
-
-
 def iterate_distances(iterates, X_star: VarietyPoint | None = None) -> np.ndarray:
     """||X_n - X*|| for a list of factored iterates (X* defaults to the last)."""
     if X_star is None:
@@ -318,9 +280,12 @@ def rate_fit(distances, tail_fraction: float = 0.5, drop_last: int = 3) -> RateF
 
     The last drop_last entries are discarded (the limit proxy is the final
     iterate, whose self-distance biases the tail). Returns None when fewer
-    than 10 usable tail records remain.
+    than 10 usable tail records remain. Raises ValueError on a non-finite
+    distance, which no fit could use.
     """
     d = np.asarray(distances, dtype=float).ravel()
+    if not np.isfinite(d).all():
+        raise ValueError("distances must be finite")
     n = np.arange(d.size)
     if drop_last:
         d, n = d[:-drop_last], n[:-drop_last]

@@ -4,6 +4,7 @@ import numpy as np
 
 from rankdescent.core import FactoredMatrix, SparseOnMask
 from rankdescent.geometry import ConeTangentVector, VarietyPoint, random_point
+from rankdescent.solvers import TRACE_COLUMNS, TraceRecord
 
 
 def ambient_dense(F) -> np.ndarray:
@@ -65,3 +66,35 @@ def random_instance(rng, max_m=8, max_n=6, s=None):
     X = random_point(rng, m, n, s, k)
     F = rng.standard_normal((m, n))
     return X, F
+
+
+def read_trace_csv(path) -> list[TraceRecord]:
+    """Parse a trace written by solvers.write_trace_csv."""
+
+    def opt(x):
+        return None if x == "" else float(x)
+
+    records = []
+    with open(path) as fh:
+        header = fh.readline().strip()
+        if header != TRACE_COLUMNS:
+            raise ValueError("unexpected trace header")
+        for line in fh:
+            parts = line.rstrip("\n").split(",")
+            records.append(
+                TraceRecord(
+                    n=int(parts[0]),
+                    f=float(parts[1]),
+                    g_minus=float(parts[2]),
+                    alpha=float(parts[3]),
+                    backtracks=int(parts[4]),
+                    rank=int(parts[5]),
+                    sigma1=float(parts[6]),
+                    sigmak=float(parts[7]),
+                    displacement=opt(parts[8]),
+                    rel_err_full=opt(parts[9]),
+                    rel_err_mask=opt(parts[10]),
+                    wall_ms=float(parts[11]),
+                )
+            )
+    return records

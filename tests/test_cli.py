@@ -1,14 +1,23 @@
 import os
 
 import numpy as np
+import pytest
 
 from rankdescent.cli import main
 from rankdescent.core import save_factored, truncate
-from rankdescent.solvers import read_trace_csv
+from helpers import read_trace_csv
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def assert_input_error(capsys, code, expected_code, command, needle=""):
+    # the expected exit code with one line on stderr, no traceback
+    assert code == expected_code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"{command}: invalid input")
+    assert needle in err and "Traceback" not in err
 
 
 class TestGen:
@@ -30,6 +39,18 @@ class TestGen:
             "--os", "2", "--seed", "1", "--out", str(tmp_path / "x"),
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--n", "10", "--rank", "20", "--budget", "5"),
+            ("--n", "30", "--rank", "2", "--budget", "2", "--os", "0.5"),
+        ],
+    )
+    def test_invalid_spec_exits_2(self, tmp_path, capsys, flags):
+        code = run_cli("gen", *flags, "--out", str(tmp_path / "x"))
+        assert_input_error(capsys, code, 2, "gen")
+        assert not (tmp_path / "x").exists()
 
 
 class TestRun:
@@ -59,6 +80,28 @@ class TestRun:
             "--alg", "sd", "--out", str(tmp_path / "bad"),
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flags, config",
+        [
+            (("--n", "10", "--rank", "20", "--budget", "5"), None),
+            (("--rank", "2", "--budget", "2"), None),
+            (("--n", "30", "--rank", "2", "--budget", "2", "--max-iters", "0"), None),
+            (("--n", "30", "--rank", "2", "--budget", "2", "--tol-g", "-1"), None),
+            ((), "missing"),
+            ((), "n = abc\nrank = 2\nbudget = 2\n"),
+            ((), "n = 30\nrank = 2\nbudget = 2\nmax_iters = many\n"),
+        ],
+    )
+    def test_invalid_input_exits_2(self, tmp_path, capsys, flags, config):
+        argv = ["run", *flags, "--alg", "sd", "--out", str(tmp_path / "o")]
+        if config is not None:
+            path = tmp_path / "cfg.txt"
+            if config != "missing":
+                path.write_text(config)
+            argv += ["--config", str(path)]
+        assert_input_error(capsys, run_cli(*argv), 2, "run")
+        assert not (tmp_path / "o").exists()
 
     def test_explicit_flag_overrides_preset(self, tmp_path):
         # shrink a preset down with explicit flags, including --os
@@ -129,19 +172,12 @@ class TestErrors:
         save_factored(tmp_path / "pt", truncate(np.random.default_rng(1).standard_normal((20, 20)), 2))
         return prob, tmp_path / "pt"
 
-    def _assert_clean_exit(self, capsys, code, needle):
-        # exit code 4 with one line on stderr, no traceback
-        assert code == 4
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and needle in err
-        assert "Traceback" not in err
-
     def test_missing_dims_exits_4(self, tmp_path, capsys):
         prob, pt = self._problem_and_point(tmp_path)
         (prob / "dims.txt").unlink()
         capsys.readouterr()
         code = run_cli("errors", "--problem", str(prob), "--point", str(pt))
-        self._assert_clean_exit(capsys, code, "dims.txt")
+        assert_input_error(capsys, code, 4, "errors", "dims.txt")
 
     def test_values_mask_mismatch_exits_4(self, tmp_path, capsys):
         prob, pt = self._problem_and_point(tmp_path)
@@ -149,7 +185,7 @@ class TestErrors:
         (prob / "values.csv").write_text("\n".join(values[:-1]) + "\n")
         capsys.readouterr()
         code = run_cli("errors", "--problem", str(prob), "--point", str(pt))
-        self._assert_clean_exit(capsys, code, "values not aligned with mask")
+        assert_input_error(capsys, code, 4, "errors", "values not aligned with mask")
 
     def test_missing_target_exits_4(self, tmp_path, capsys):
         prob, pt = self._problem_and_point(tmp_path)
@@ -158,7 +194,7 @@ class TestErrors:
         (prob / "target_factors").rmdir()
         capsys.readouterr()
         code = run_cli("errors", "--problem", str(prob), "--point", str(pt))
-        self._assert_clean_exit(capsys, code, "no target factors")
+        assert_input_error(capsys, code, 4, "errors", "no target factors")
 
 
 class TestRateFit:
@@ -177,3 +213,11 @@ class TestRateFit:
         code = run_cli("ratefit", "--distances", str(path))
         assert code == 0
         assert "unavailable" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("content", [None, "1.0\nabc\n0.5\n", "1.0\ninf\n0.5\n"])
+    def test_invalid_distances_exit_4(self, tmp_path, capsys, content):
+        # a missing file, a non-numeric row and a non-finite row
+        path = tmp_path / "d.csv"
+        if content is not None:
+            path.write_text(content)
+        assert_input_error(capsys, run_cli("ratefit", "--distances", str(path)), 4, "ratefit")

@@ -124,6 +124,26 @@ class TestQuadraticDistance:
         g = obj.gradient(X)
         assert frob_norm(ambient_dense(g)) <= 1e-12
 
+    def test_curvature_matches_dense_oracle(self):
+        # f is quadratic, so the central second difference of the dense cost
+        # along xi is <xi, Hess f xi> exactly; at s = k and at s < k with a
+        # perp block
+        rng = np.random.default_rng(5)
+        A = truncate(rng.standard_normal((10, 8)), 4)
+        obj = QuadraticDistance(A)
+
+        def dense_value(Y):
+            return 0.5 * np.sum((Y - A.dense()) ** 2)
+
+        for s, k in ((3, 3), (2, 5), (0, 2)):
+            X = random_point(rng, 10, 8, s, k)
+            for _ in range(5):
+                xi = random_cone_vector(rng, X)
+                assert xi.perp_rank == k - s
+                Xd, D = X.dense(), xi.dense()
+                expected = dense_value(Xd + D) - 2.0 * dense_value(Xd) + dense_value(Xd - D)
+                assert obj.curvature(X, xi) == pytest.approx(expected, rel=1e-10)
+
     def test_diag_example(self):
         A = truncate(np.diag([3.0, 1.0]), 2)
         X = make_point(truncate(np.diag([3.0, 0.0]), 2), 2)

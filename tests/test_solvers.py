@@ -6,10 +6,10 @@ import pytest
 from rankdescent.core import FactoredMatrix, factored_diff_norm, frob_norm, truncate
 from rankdescent.geometry import (
     VarietyPoint,
-    affine_update,
     choose_flat_direction,
     project_cone,
     random_point,
+    retract,
     zero_point,
 )
 from rankdescent.linesearch import angle_check, descent_monitors, initial_step
@@ -19,11 +19,10 @@ from rankdescent.solvers import (
     SolverConfig,
     iterate_distances,
     rate_fit,
-    read_trace_csv,
     solve,
     write_trace_csv,
 )
-from helpers import random_instance
+from helpers import random_instance, read_trace_csv
 
 
 def quadratic_setup(seed, m=12, n=10, r=5, k=3):
@@ -180,7 +179,7 @@ class TestStepFunctions:
         U, V = X.point.U, X.point.V
         grad = U @ rng.standard_normal((3, 3)) @ V.T
         direction = choose_flat_direction(X, None, -project_cone(X, grad)[0])
-        Y = affine_update(X, direction, 0.7)
+        Y = retract(X, direction, 0.7)
         assert np.allclose(Y.point.U @ Y.point.U.T, U @ U.T, atol=1e-10)
         assert np.allclose(Y.point.V @ Y.point.V.T, V @ V.T, atol=1e-10)
 
@@ -234,22 +233,18 @@ class TestFailurePropagation:
         # claimed slope wrong, so backtracking must exhaust and attach the
         # records collected so far
         from rankdescent.linesearch import LineSearchError
-        from rankdescent.objectives import Objective
 
         rng = np.random.default_rng(21)
         A = truncate(rng.standard_normal((6, 5)), 2)
 
-        class LyingGradient(Objective):
-            def value(self, X):
-                return QuadraticDistance(A).value(X)
-
+        class LyingGradient(QuadraticDistance):
             def gradient(self, X):
-                g = QuadraticDistance(A).gradient(X)
+                g = super().gradient(X)
                 return FactoredMatrix(-g.U, g.sigma, g.V)  # A - X: wrong sign
 
         X0 = random_point(rng, 6, 5, 2, 2)
         with pytest.raises(LineSearchError) as err:
-            solve(LyingGradient(), X0, SolverConfig(k=2, max_iters=10))
+            solve(LyingGradient(A), X0, SolverConfig(k=2, max_iters=10))
         assert hasattr(err.value, "records")
         assert err.value.trials
 
@@ -372,6 +367,15 @@ class TestRateFit:
 
     def test_insufficient_tail(self):
         assert rate_fit(np.ones(8)) is None
+
+    def test_rejects_non_finite_distances(self):
+        # an inf row would otherwise survive the d > 0 filter and give a nan fit
+        d = 2.0 ** -np.arange(60.0)
+        for bad in (np.inf, np.nan):
+            d_bad = d.copy()
+            d_bad[40] = bad
+            with pytest.raises(ValueError, match="finite"):
+                rate_fit(d_bad)
 
     def test_quadratic_run_selects_exponential(self):
         obj, _, X0 = quadratic_setup(15)
