@@ -86,7 +86,8 @@ def gen_problem(spec: CompletionSpec):
 
     A = U V^T with n-by-r standard-normal factors; the mask is drawn
     uniformly without replacement. The target comes back as an orthonormal
-    factorization so full-error metrics stay in factored form.
+    factorization, core.truncate of the pair (U, V) with its factors
+    polished, so full-error metrics stay in factored form.
     """
     size = omega_size(spec)
     rng = np.random.default_rng(spec.seed)
@@ -95,12 +96,8 @@ def gen_problem(spec: CompletionSpec):
     lin = np.sort(rng.choice(spec.n * spec.n, size=size, replace=False))
     mask = IndexSet((spec.n, spec.n), lin // spec.n, lin % spec.n)
 
-    qu, ru = np.linalg.qr(Uf)
-    qv, rv = np.linalg.qr(Vf)
-    um, sm, vmt = np.linalg.svd(ru @ rv.T)
-    target = FactoredMatrix(
-        orthonormal_polish(qu @ um), sm, orthonormal_polish(qv @ vmt.T)
-    )
+    T = truncate((Uf, Vf), spec.r)
+    target = FactoredMatrix(orthonormal_polish(T.U), T.sigma, orthonormal_polish(T.V))
     return MatrixCompletion(mask_apply(target, mask)), target
 
 
@@ -118,8 +115,8 @@ def initial_guess(problem: MatrixCompletion, k: int) -> VarietyPoint:
 def rel_errors(X: VarietyPoint, target: FactoredMatrix, problem: MatrixCompletion):
     """(relative error on all entries, relative error on the visible set).
 
-    The full error runs through factored Gram identities; the masked error
-    uses sqrt(2 f(X)) / ||P(A)||.
+    The full error is core.factored_diff_norm, from joint QRs of the two
+    points' factors; the masked error uses sqrt(2 f(X)) / ||P(A)||.
     """
     a_norm = float(np.linalg.norm(target.sigma))
     if a_norm == 0.0:

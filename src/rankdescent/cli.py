@@ -2,11 +2,12 @@
 
 Exit codes: 0 on success; 2 when `gen` or `run` gets an invalid or
 infeasible problem spec, an invalid solver setting, or a `--config` file it
-cannot read or parse; 3 on solver failure; 4 when `errors` cannot use its
-problem or point directory (a missing file, a values/mask length mismatch,
-no target factors, factors that do not form a point of the problem's
-shape), or `ratefit` its distances file (missing, non-numeric or
-non-finite). Codes 2 and 4 come with a one-line message on stderr.
+cannot read or parse or with a key outside CONFIG_KEYS; 3 on solver failure;
+4 when `errors` cannot use its problem or point directory (a missing file, a
+values/mask length mismatch, no target factors, factors that do not form a
+point of the problem's shape), or `ratefit` its distances file (missing,
+non-numeric or non-finite) or a `--tail` outside (0, 1]. Codes 2 and 4 come
+with a one-line message on stderr.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ from .core import load_factored
 from .geometry import make_point
 from .objectives import load_completion, save_completion
 from .solvers import SolverConfig, VARIANTS, rate_fit
+
+# keys a `run --config` file may set: spec flag names, then solver settings
+CONFIG_KEYS = ("n", "rank", "budget", "os", "seed", "max_iters", "tol_g", "tol_f")
 
 
 def _add_spec_flags(p: argparse.ArgumentParser, require: bool) -> None:
@@ -69,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rf = sub.add_parser("ratefit", help="fit exponential vs power decay to a distance trace")
     rf.add_argument("--distances", required=True, help="one-column CSV of distances to the limit")
-    rf.add_argument("--tail", type=float, default=0.5, help="tail fraction used for the fit")
+    rf.add_argument("--tail", type=float, default=0.5, help="tail fraction used for the fit, in (0, 1]")
 
     return parser
 
@@ -131,6 +135,9 @@ def cmd_gen(args) -> int:
 def cmd_run(args) -> int:
     try:
         config = read_kv(args.config) if args.config else {}
+        unknown = [key for key in config if key not in CONFIG_KEYS]
+        if unknown:
+            raise ValueError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
         spec = _spec_from_args(args, config)
         omega_size(spec)  # validates feasibility up front
         cfg = _solver_cfg(args, config, spec.k)

@@ -10,9 +10,10 @@ row-major sorted, so it carries the CSR pattern (column indices and row
 pointers) of every matrix on it; a SparseOnMask's CSR view only adds its
 values. Gradients are of one of these three kinds: masked for completion,
 factored for the quadratic distance, dense in tests. truncate is the one
-truncated-SVD primitive for all three, with optional bases projected out of
-both sides; it densifies neither structured kind below full rank (a masked
-matrix goes through ARPACK via scipy.sparse.linalg.svds on its CSR view).
+truncated-SVD primitive for all three and for a thin pair (L, R) standing
+for L @ R.T, with optional bases projected out of both sides; it densifies
+no structured kind below full rank (a masked matrix goes through ARPACK via
+scipy.sparse.linalg.svds on its CSR view, a pair through thin QRs).
 
 All containers are immutable values after construction; operations are pure.
 """
@@ -27,7 +28,7 @@ import scipy.sparse
 
 # Tolerance for orthonormality of stored factors.
 ORTHO_TOL = 1e-12
-# Default relative tolerance for numerical rank decisions.
+# Relative tolerance for numerical rank decisions.
 RANK_TOL = 1e-14
 
 
@@ -218,40 +219,51 @@ def truncate(A, r: int, U=None, V=None) -> FactoredMatrix:
     (I - U U.T) A (I - V V.T).
 
     U and V are optional column-orthonormal bases projected out of the column
-    and row spaces (None projects nothing). A is dense, factored or masked,
-    and neither structured kind is densified below r = min(m, n):
+    and row spaces (None projects nothing). A is dense, factored, masked, or
+    a thin pair (L, R) of equal width standing for L @ R.T, and no
+    structured kind is densified below r = min(m, n):
 
     - dense: the projected matrix goes through LAPACK's SVD, and ties between
       equal singular values keep its ordering (the first r columns);
-    - factored: with nothing to project the stored triple is sliced;
-      otherwise the projected thin factors U * sigma and V go through compact
-      QRs and an SVD of the small R_L @ R_R.T, exact in O((m+n) rank^2);
+    - pair: the projected L and R go through compact QRs and an SVD of the
+      small R_L @ R_R.T, exact in O((m+n) width^2);
+    - factored: the stored triple is sliced, or with bases to project out
+      taken as the pair (U * sigma, V);
     - masked: ARPACK via scipy.sparse.linalg.svds (_masked_truncate), whose
       products go through the CSR view; at r = min(m, n) the result is as
       large as A, and A is densified.
 
-    A factored A gives at most min(r, rank) triples, a masked one min(r, d)
-    with d the smaller of the two complements' dimensions (none when the
-    projected A is zero), a dense one r; trailing singular values may be
-    zero.
+    A pair gives at most min(r, width) triples, a factored A min(r, rank), a
+    masked one min(r, d) with d the smaller of the two complements'
+    dimensions (none when the projected A is zero), a dense one r; trailing
+    singular values may be zero.
     """
-    if not isinstance(A, (FactoredMatrix, SparseOnMask)):
-        A = _as_dense(A)
-    if not 0 <= r <= min(A.shape):
-        raise ValueError(f"rank {r} out of range for shape {A.shape}")
-    if isinstance(A, SparseOnMask):
-        return _masked_truncate(A, r, U, V)
-    if isinstance(A, FactoredMatrix):
-        if _width(U) == 0 and _width(V) == 0:
-            q = min(r, A.rank)
-            return FactoredMatrix(A.U[:, :q], A.sigma[:q], A.V[:, :q])
-        if r == 0 or A.rank == 0:
-            return FactoredMatrix.zero(*A.shape)
-        QL, RL = np.linalg.qr(_project_out(A.U * A.sigma, U))
-        QR, RR = np.linalg.qr(_project_out(A.V, V))
+    if isinstance(A, FactoredMatrix) and (_width(U) or _width(V)):
+        A = (A.U * A.sigma, A.V)
+    if isinstance(A, tuple):
+        L, R = (_as_dense(W) for W in A)
+        if L.shape[1] != R.shape[1]:
+            raise ValueError("thin factors differ in width")
+        shape = (L.shape[0], R.shape[0])
+    else:
+        if not isinstance(A, (FactoredMatrix, SparseOnMask)):
+            A = _as_dense(A)
+        shape = A.shape
+    if not 0 <= r <= min(shape):
+        raise ValueError(f"rank {r} out of range for shape {shape}")
+    if isinstance(A, tuple):
+        if r == 0 or L.shape[1] == 0:
+            return FactoredMatrix.zero(*shape)
+        QL, RL = np.linalg.qr(_project_out(L, U))
+        QR, RR = np.linalg.qr(_project_out(R, V))
         Ub, sb, Vb = svd(RL @ RR.T)
         q = min(r, sb.size)
         return FactoredMatrix(QL @ Ub[:, :q], sb[:q], QR @ Vb[:, :q])
+    if isinstance(A, SparseOnMask):
+        return _masked_truncate(A, r, U, V)
+    if isinstance(A, FactoredMatrix):
+        q = min(r, A.rank)
+        return FactoredMatrix(A.U[:, :q], A.sigma[:q], A.V[:, :q])
     A = _project_out(A, U)
     if _width(V):
         A = A - (A @ V) @ V.T
@@ -303,12 +315,12 @@ def _masked_truncate(A: SparseOnMask, r: int, U, V) -> FactoredMatrix:
     return FactoredMatrix(Ub[:, ::-1], s[::-1], Vbt[::-1].T)
 
 
-def numerical_rank(sigma, tol_rel: float = RANK_TOL) -> int:
-    """Count of singular values above tol_rel times the largest one."""
+def numerical_rank(sigma) -> int:
+    """Count of singular values above RANK_TOL times the largest one."""
     sigma = np.asarray(sigma, dtype=float).ravel()
     if sigma.size == 0 or sigma[0] <= 0:
         return 0
-    return int(np.count_nonzero(sigma > tol_rel * sigma[0]))
+    return int(np.count_nonzero(sigma > RANK_TOL * sigma[0]))
 
 
 def orthonormal_polish(W: np.ndarray) -> np.ndarray:
@@ -332,36 +344,20 @@ def frob_norm(A) -> float:
     return float(np.linalg.norm(_as_dense(A)))
 
 
-def _joint_factors(A: FactoredMatrix, B: FactoredMatrix):
-    # A - B = L @ diag(w) @ R.T with L = [A.U | B.U], R = [A.V | B.V]
-    if A.shape != B.shape:
-        raise ValueError("shape mismatch between factored matrices")
-    return np.hstack([A.U, B.U]), np.concatenate([A.sigma, -B.sigma]), np.hstack([A.V, B.V])
-
-
-def factored_diff(A: FactoredMatrix, B: FactoredMatrix):
-    """(QL, M, QR) with A - B = QL @ M @ QR.T, without cancellation.
-
-    QL and QR are the orthonormal factors of joint compact QRs of [A.U | B.U]
-    and [A.V | B.V], so M is small, at most (rA+rB)-square. Never densifies.
-    """
-    L, w, R = _joint_factors(A, B)
-    QL, RL = np.linalg.qr(L)
-    QR, RR = np.linalg.qr(R)
-    return QL, (RL * w) @ RR.T, QR
-
-
 def factored_diff_norm(A: FactoredMatrix, B: FactoredMatrix) -> float:
     """||A - B||_F for two factored matrices, without cancellation.
 
-    The norm of factored_diff's small M, for which the R factors of the
-    joint QRs suffice. It is accurate to roundoff in the norm itself, unlike
-    the Gram identity, which loses half the digits once the difference is
-    small.
+    A - B = L @ diag(w) @ R.T with L = [A.U | B.U], w = [A.sigma, -B.sigma]
+    and R = [A.V | B.V]; its norm is that of the small (R_L * w) @ R_R.T,
+    for which the R factors of compact QRs of L and R suffice. It is
+    accurate to roundoff in the norm itself, unlike the Gram identity, which
+    loses half the digits once the difference is small.
     """
-    L, w, R = _joint_factors(A, B)
-    RL = np.linalg.qr(L, mode="r")
-    RR = np.linalg.qr(R, mode="r")
+    if A.shape != B.shape:
+        raise ValueError("shape mismatch between factored matrices")
+    RL = np.linalg.qr(np.hstack([A.U, B.U]), mode="r")
+    RR = np.linalg.qr(np.hstack([A.V, B.V]), mode="r")
+    w = np.concatenate([A.sigma, -B.sigma])
     return float(np.linalg.norm((RL * w) @ RR.T))
 
 

@@ -75,9 +75,9 @@ class VarietyPoint:
         return self.point.dense()
 
 
-def make_point(F: FactoredMatrix, k: int, tol_rel: float = RANK_TOL) -> VarietyPoint:
-    """Wrap a factored matrix as a VarietyPoint, trimming numerically zero modes."""
-    r = numerical_rank(F.sigma, tol_rel)
+def make_point(F: FactoredMatrix, k: int) -> VarietyPoint:
+    """Wrap F as a VarietyPoint, trimming modes at or below RANK_TOL * sigma_1."""
+    r = numerical_rank(F.sigma)
     if r < F.rank:
         F = FactoredMatrix(F.U[:, :r], F.sigma[:r], F.V[:, :r])
     return VarietyPoint(F, k)
@@ -93,7 +93,7 @@ class ConeTangentVector:
 
     core is s-by-s, up is m-by-s with U.T @ up = 0, vp is n-by-s with
     V.T @ vp = 0, and perp is a FactoredMatrix of rank at most k - s whose
-    factors are orthogonal to U and V (None means zero). The ambient
+    factors are orthogonal to U and V (rank 0 when omitted). The ambient
     embedding is U @ core @ V.T + up @ V.T + U @ vp.T + perp.
     """
 
@@ -113,34 +113,33 @@ class ConeTangentVector:
         object.__setattr__(self, "core", core)
         object.__setattr__(self, "up", up)
         object.__setattr__(self, "vp", vp)
+        if self.perp is None:
+            object.__setattr__(self, "perp", FactoredMatrix.zero(m, n))
         _check_perp(U, up, "up")
         _check_perp(V, vp, "vp")
-        if self.perp is not None:
-            if self.perp.rank > self.base.k - s:
-                raise ValueError("perp exceeds the rank budget k - s")
-            if self.perp.shape != (m, n):
-                raise ValueError("perp shape mismatch")
-            _check_perp(U, self.perp.U, "perp.U")
-            _check_perp(V, self.perp.V, "perp.V")
+        if self.perp.rank > self.base.k - s:
+            raise ValueError("perp exceeds the rank budget k - s")
+        if self.perp.shape != (m, n):
+            raise ValueError("perp shape mismatch")
+        _check_perp(U, self.perp.U, "perp.U")
+        _check_perp(V, self.perp.V, "perp.V")
 
     @property
     def perp_rank(self) -> int:
-        return 0 if self.perp is None else self.perp.rank
+        return self.perp.rank
 
     def norm(self) -> float:
         sq = (
             np.sum(self.core**2)
             + np.sum(self.up**2)
             + np.sum(self.vp**2)
-            + (0.0 if self.perp is None else np.sum(self.perp.sigma**2))
+            + np.sum(self.perp.sigma**2)
         )
         return float(np.sqrt(sq))
 
     def __neg__(self) -> "ConeTangentVector":
         """-xi blockwise; the perp block flips the sign of its left factor."""
-        perp = self.perp
-        if perp is not None:
-            perp = FactoredMatrix(-perp.U, perp.sigma, perp.V)
+        perp = FactoredMatrix(-self.perp.U, self.perp.sigma, self.perp.V)
         return ConeTangentVector(self.base, -self.core, -self.up, -self.vp, perp)
 
     def is_zero(self) -> bool:
@@ -162,17 +161,13 @@ class ConeTangentVector:
         else:
             L = [U, self.up]
             R = [V @ self.core.T + self.vp, V]
-        if self.perp is not None:
-            L.append(self.perp.U * self.perp.sigma)
-            R.append(self.perp.V)
+        L.append(self.perp.U * self.perp.sigma)
+        R.append(self.perp.V)
         return np.hstack(L), np.hstack(R)
 
     def dense(self) -> np.ndarray:
         U, V = self.base.point.U, self.base.point.V
-        out = U @ self.core @ V.T + self.up @ V.T + U @ self.vp.T
-        if self.perp is not None:
-            out += self.perp.dense()
-        return out
+        return U @ self.core @ V.T + self.up @ V.T + U @ self.vp.T + self.perp.dense()
 
 
 def _check_perp(basis: np.ndarray, W: np.ndarray, name: str) -> None:
@@ -215,9 +210,7 @@ def project_cone(X: VarietyPoint, F) -> tuple[ConeTangentVector, float]:
     xi = project_tangent_space(X, F)
     budget = X.k - X.s
     if budget > 0:
-        perp = _perp_truncation(X, F, budget)
-        if perp.rank:
-            xi = replace(xi, perp=perp)
+        xi = replace(xi, perp=_perp_truncation(X, F, budget))
     return xi, xi.norm()
 
 
@@ -228,35 +221,30 @@ def _perp_truncation(X: VarietyPoint, F, budget: int) -> FactoredMatrix:
     projected out: a masked F goes through ARPACK via
     scipy.sparse.linalg.svds on its CSR view, a factored one through QRs of
     its projected thin factors, so neither is densified unless the result is
-    as large as F. The factors of the truncation are
-    re-orthogonalized against the base spaces afterwards so the
-    block-orthogonality invariants hold despite roundoff. That projection
-    leaves the columns of each side slightly non-orthonormal, so compact QRs
-    of both sides and an SVD of the small (R_l * sigma) @ R_r.T bring the
-    result back to an SVD triple. Remainder modes at roundoff level relative
-    to ||F|| count as zero: they are projection noise, not signal.
+    as large as F. The factors of the truncation are re-orthogonalized
+    against the base spaces afterwards so the block-orthogonality invariants
+    hold despite roundoff. That projection leaves the columns of each side
+    slightly non-orthonormal, so truncate takes the pair (W_l * sigma, W_r)
+    back to an SVD triple. Remainder modes at roundoff level relative to
+    ||F|| count as zero: they are projection noise, not signal.
     """
     U, V = X.point.U, X.point.V
     P = truncate(F, budget, U, V)
     scale = frob_norm(F)
     r = int(np.count_nonzero(P.sigma > RANK_TOL * scale)) if scale > 0 else 0
-    if r == 0:
-        return FactoredMatrix.zero(*X.shape)
-    QL, RL = _reorthogonalize(P.U[:, :r], U)
-    QR_, RR = _reorthogonalize(P.V[:, :r], V)
-    Ub, sb, Vbt = np.linalg.svd((RL * P.sigma[:r]) @ RR.T)
-    return FactoredMatrix(QL @ Ub, sb, QR_ @ Vbt.T)
+    WL = _reorthogonalize(P.U[:, :r], U)
+    WR = _reorthogonalize(P.V[:, :r], V)
+    return truncate((WL * P.sigma[:r], WR), r)
 
 
-def _reorthogonalize(W: np.ndarray, basis: np.ndarray):
-    """Compact QR of W's columns after two Gram-Schmidt passes against an
-    orthonormal basis."""
+def _reorthogonalize(W: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """W's columns after two Gram-Schmidt passes against an orthonormal basis."""
     if basis.shape[1] and W.shape[1]:
         for _ in range(2):
             W = W - basis @ (basis.T @ W)
         if np.linalg.norm(W, axis=0).min(initial=1.0) <= 0.5:
             raise ValueError("degenerate perp factor after re-orthogonalization")
-    return np.linalg.qr(W)
+    return W
 
 
 def g_lower_bound(X: VarietyPoint, F) -> float:
@@ -307,13 +295,8 @@ def _combined_svd(X: VarietyPoint, xi: ConeTangentVector, alpha: float):
     """
     U, V = X.point.U, X.point.V
     s = X.s
-    p = xi.perp_rank
-    Wl = xi.perp.U if p else np.zeros((X.shape[0], 0))
-    Wr = xi.perp.V if p else np.zeros((X.shape[1], 0))
-    sp = xi.perp.sigma if p else np.zeros(0)
-
-    QL, RL = _qr_against(np.hstack([xi.up, Wl]), U)
-    QR_, RR = _qr_against(np.hstack([xi.vp, Wr]), V)
+    QL, RL = _qr_against(np.hstack([xi.up, xi.perp.U]), U)
+    QR_, RR = _qr_against(np.hstack([xi.vp, xi.perp.V]), V)
 
     # middle matrix over the bases [U | QL] x [V | QR_]
     top = np.hstack([
@@ -322,7 +305,7 @@ def _combined_svd(X: VarietyPoint, xi: ConeTangentVector, alpha: float):
     ])
     bottom = np.hstack([
         alpha * RL[:, :s],
-        alpha * (RL[:, s:] * sp) @ RR[:, s:].T,
+        alpha * (RL[:, s:] * xi.perp.sigma) @ RR[:, s:].T,
     ])
     B = np.vstack([top, bottom])
     if not np.isfinite(np.linalg.norm(B)):
@@ -339,8 +322,7 @@ def _qr_against(W: np.ndarray, basis: np.ndarray):
     """Compact QR of W after projecting out an orthonormal basis."""
     if basis.shape[1] and W.shape[1]:
         W = W - basis @ (basis.T @ W)
-    Q, R = np.linalg.qr(W)
-    return Q, R
+    return np.linalg.qr(W)
 
 
 def partial_directions(X: VarietyPoint, F, projection: ConeTangentVector | None = None):

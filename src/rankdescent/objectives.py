@@ -16,14 +16,14 @@ import numpy as np
 from .core import (
     FactoredMatrix,
     SparseOnMask,
-    factored_diff,
+    frob_norm,
     load_factored,
     load_index_set,
     mask_apply,
     mask_gather,
     save_factored,
     save_index_set,
-    svd,
+    truncate,
 )
 from .geometry import ConeTangentVector, VarietyPoint
 
@@ -103,34 +103,31 @@ class MatrixCompletion(Objective):
 class QuadraticDistance(Objective):
     """Half the squared Frobenius distance to a fixed factored target.
 
-    The residual X - A is kept as QL @ M @ QR.T from core.factored_diff: the
-    value is 0.5 * ||M||^2 and the gradient X - A is refactored through an
-    SVD of the small M. A point whose factors equal the target's bitwise has
-    the exact zero residual, which the joint QRs would only give to roundoff.
+    The residual X - A is one FactoredMatrix, core.truncate of the thin pair
+    ([X.U * sigma | -A.U * tau], [X.V | A.V]) at full rank: the value is
+    0.5 * ||sigma_res||^2 and the gradient is the residual itself. A point
+    whose factors equal the target's bitwise has the exact zero residual,
+    which the QRs of the pair would only give to roundoff.
     """
 
     def __init__(self, target: FactoredMatrix):
         self.target = target
         self.shape = target.shape
 
-    def _compute_residual(self, point: FactoredMatrix):
+    def _compute_residual(self, point: FactoredMatrix) -> FactoredMatrix:
         T = self.target
         pairs = ((point.sigma, T.sigma), (point.U, T.U), (point.V, T.V))
         if all(np.array_equal(a, b) for a, b in pairs):
-            return None
-        return factored_diff(point, T)
+            return FactoredMatrix.zero(*self.shape)
+        L = np.hstack([point.U * point.sigma, -(T.U * T.sigma)])
+        R = np.hstack([point.V, T.V])
+        return truncate((L, R), min(self.shape))
 
     def value(self, X: VarietyPoint) -> float:
-        r = self._residual(X)
-        return 0.0 if r is None else 0.5 * float(np.linalg.norm(r[1])) ** 2
+        return 0.5 * frob_norm(self._residual(X)) ** 2
 
     def gradient(self, X: VarietyPoint) -> FactoredMatrix:
-        r = self._residual(X)
-        if r is None:
-            return FactoredMatrix.zero(*self.shape)
-        QL, M, QR = r
-        Ub, sb, Vb = svd(M)
-        return FactoredMatrix(QL @ Ub, sb, QR @ Vb)
+        return self._residual(X)
 
     def curvature(self, X: VarietyPoint, xi: ConeTangentVector) -> float:
         """<xi, Hess f xi> = ||xi||^2: the Hessian is the identity."""

@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import FactoredMatrix, factored_diff_norm
 from .geometry import VarietyPoint, choose_flat_direction, make_point, project_cone, retract
-from .linesearch import ArmijoConfig, LineSearchError, armijo, initial_step
+from .linesearch import ArmijoConfig, armijo, initial_step
 from .objectives import Objective
 
 # name -> (direction rule applied to the projected antigradient, floor of the
@@ -193,11 +193,7 @@ def solve(obj: Objective, X0, cfg: SolverConfig, metrics=None) -> SolveResult:
         slope = -(xi_norm**2)
         curv = obj.curvature(X, xi)
         bar_beta = initial_step(g_minus, xi_norm, armijo_cfg.initial_floor, curv)
-        try:
-            out = armijo(X, xi, obj, f_x, slope, bar_beta, armijo_cfg, retract)
-        except LineSearchError as err:
-            err.records = records
-            raise
+        out = armijo(X, xi, obj, f_x, slope, bar_beta, armijo_cfg, retract)
 
         rec.alpha = out.alpha
         rec.backtracks = out.backtracks
@@ -254,11 +250,10 @@ def write_trace_csv(path, records, timing: bool = True) -> None:
             fh.write(",".join(fields) + "\n")
 
 
-def iterate_distances(iterates, X_star: VarietyPoint | None = None) -> np.ndarray:
-    """||X_n - X*|| for a list of factored iterates (X* defaults to the last)."""
-    if X_star is None:
-        X_star = iterates[-1]
-    return np.array([factored_diff_norm(X.point, X_star.point) for X in iterates])
+def iterate_distances(iterates) -> np.ndarray:
+    """||X_n - X*|| for a list of factored iterates, X* the last of them."""
+    last = iterates[-1].point
+    return np.array([factored_diff_norm(X.point, last) for X in iterates])
 
 
 @dataclass(frozen=True)
@@ -275,20 +270,26 @@ class RateFit:
     residual: float
 
 
-def rate_fit(distances, tail_fraction: float = 0.5, drop_last: int = 3) -> RateFit | None:
+# entries rate_fit drops from the end of a distance sequence
+RATE_DROP_LAST = 3
+
+
+def rate_fit(distances, tail_fraction: float = 0.5) -> RateFit | None:
     """Fit exponential and power-law decay to the tail of a distance sequence.
 
-    The last drop_last entries are discarded (the limit proxy is the final
-    iterate, whose self-distance biases the tail). Returns None when fewer
-    than 10 usable tail records remain. Raises ValueError on a non-finite
-    distance, which no fit could use.
+    The last RATE_DROP_LAST entries are discarded (the limit proxy is the
+    final iterate, whose self-distance biases the tail), and the fit uses the
+    last tail_fraction of the sequence. Returns None when fewer than 10
+    usable tail records remain. Raises ValueError on a non-finite distance,
+    which no fit could use, and on a tail_fraction outside (0, 1].
     """
+    if not 0.0 < tail_fraction <= 1.0:
+        raise ValueError(f"tail fraction must lie in (0, 1], got {tail_fraction}")
     d = np.asarray(distances, dtype=float).ravel()
     if not np.isfinite(d).all():
         raise ValueError("distances must be finite")
     n = np.arange(d.size)
-    if drop_last:
-        d, n = d[:-drop_last], n[:-drop_last]
+    d, n = d[:-RATE_DROP_LAST], n[:-RATE_DROP_LAST]
     keep = d > 0
     # restrict to the tail; index 0 is always dropped so log n stays finite
     keep[: max(1, int((1.0 - tail_fraction) * d.size))] = False

@@ -91,6 +91,8 @@ class TestRun:
             ((), "missing"),
             ((), "n = abc\nrank = 2\nbudget = 2\n"),
             ((), "n = 30\nrank = 2\nbudget = 2\nmax_iters = many\n"),
+            ((), "n = 30\nrank = 2\nbudget = 2\nmax_iter = 5\n"),
+            ((), "n = 30\nrank = 2\nbudget = 2\nmax_iters 5\n"),
         ],
     )
     def test_invalid_input_exits_2(self, tmp_path, capsys, flags, config):
@@ -102,6 +104,13 @@ class TestRun:
             argv += ["--config", str(path)]
         assert_input_error(capsys, run_cli(*argv), 2, "run")
         assert not (tmp_path / "o").exists()
+
+    def test_unknown_config_key_is_named(self, tmp_path, capsys):
+        # a misspelt key (max_iter for max_iters) used to be ignored silently
+        path = tmp_path / "cfg.txt"
+        path.write_text("n = 30\nrank = 2\nbudget = 2\nmax_iter = 5\n")
+        code = run_cli("run", "--config", str(path), "--alg", "sd", "--out", str(tmp_path / "o"))
+        assert_input_error(capsys, code, 2, "run", needle="'max_iter'")
 
     def test_explicit_flag_overrides_preset(self, tmp_path):
         # shrink a preset down with explicit flags, including --os
@@ -221,3 +230,10 @@ class TestRateFit:
         if content is not None:
             path.write_text(content)
         assert_input_error(capsys, run_cli("ratefit", "--distances", str(path)), 4, "ratefit")
+
+    @pytest.mark.parametrize("tail", ["-1", "0", "2"])
+    def test_tail_outside_unit_interval_exits_4(self, tmp_path, capsys, tail):
+        path = tmp_path / "d.csv"
+        np.savetxt(path, 3.0 * 2.0 ** -np.arange(80), delimiter=",")
+        code = run_cli("ratefit", "--distances", str(path), f"--tail={tail}")
+        assert_input_error(capsys, code, 4, "ratefit")

@@ -15,7 +15,6 @@ from rankdescent.core import (
     SparseOnMask,
     ambient_matmul,
     ambient_rmatmul,
-    factored_diff,
     factored_diff_norm,
     frob_norm,
     load_factored,
@@ -95,6 +94,62 @@ class TestTruncate:
         T = truncate(F, 2)
         oracle = truncate(F.dense(), 2)
         assert np.allclose(T.dense(), oracle.dense(), atol=1e-12)
+
+    @staticmethod
+    def _assert_matches_dense(T, L, R, r, U=None, V=None):
+        # the pair's truncation is the dense one of the projected L @ R.T, up
+        # to the sign of each pair of singular vectors; compare the products
+        oracle = truncate(L @ R.T, r, U, V)
+        q = T.rank
+        assert q <= min(r, L.shape[1])
+        scale = max(1.0, oracle.sigma[0]) if oracle.rank else 1.0
+        assert np.abs(T.sigma - oracle.sigma[:q]).max(initial=0.0) <= 1e-12 * scale
+        assert np.all(oracle.sigma[q:] <= 1e-12 * scale)
+        assert np.allclose(T.dense(), oracle.dense(), atol=1e-12 * scale)
+
+    def test_pair_matches_dense(self):
+        rng = np.random.default_rng(7)
+        for m, n, w in ((9, 7, 3), (7, 9, 4), (8, 8, 5)):
+            L, R = rng.standard_normal((m, w)), rng.standard_normal((n, w))
+            for r in range(w + 1):
+                self._assert_matches_dense(truncate((L, R), r), L, R, r)
+
+    def test_pair_with_projected_bases(self):
+        rng = np.random.default_rng(8)
+        L, R = rng.standard_normal((10, 4)), rng.standard_normal((8, 4))
+        U = np.linalg.qr(rng.standard_normal((10, 2)))[0]
+        V = np.linalg.qr(rng.standard_normal((8, 3)))[0]
+        for r in (1, 2, 4):
+            for Ub, Vb in ((U, V), (U, None), (None, V)):
+                T = truncate((L, R), r, Ub, Vb)
+                self._assert_matches_dense(T, L, R, r, Ub, Vb)
+                if Ub is not None:
+                    assert np.abs(Ub.T @ T.U).max() <= 1e-13
+                if Vb is not None:
+                    assert np.abs(Vb.T @ T.V).max() <= 1e-13
+
+    def test_pair_rank_deficient(self):
+        # [U | U] @ [V | W].T = U @ (V + W).T has rank 2 although the pair is 4 wide
+        rng = np.random.default_rng(9)
+        U, V, W = (rng.standard_normal((k, 2)) for k in (9, 7, 7))
+        L, R = np.hstack([U, U]), np.hstack([V, W])
+        T = truncate((L, R), 4)
+        self._assert_matches_dense(T, L, R, 4)
+        assert T.sigma[2:].max() <= 1e-13 * T.sigma[0]
+        assert np.allclose(truncate((L, R), 2).dense(), L @ R.T, atol=1e-12)
+
+    def test_pair_width_zero_gives_rank_zero(self):
+        T = truncate((np.zeros((6, 0)), np.zeros((5, 0))), 3)
+        assert T.shape == (6, 5) and T.rank == 0
+
+    def test_pair_rank_above_width(self):
+        rng = np.random.default_rng(10)
+        L, R = rng.standard_normal((8, 2)), rng.standard_normal((6, 2))
+        T = truncate((L, R), 5)
+        assert T.rank == 2
+        assert np.allclose(T.dense(), L @ R.T, atol=1e-12)
+        with pytest.raises(ValueError):
+            truncate((L, R), 7)
 
     def test_eckart_young_against_random_sampling(self):
         # oracle sampling: no random rank-r matrix beats the truncation
@@ -194,15 +249,19 @@ class TestNorms:
             assert frob_norm(X) == pytest.approx(np.linalg.norm(D), rel=1e-13)
         diff = np.linalg.norm(FA.dense() - FB.dense())
         assert factored_diff_norm(FA, FB) == pytest.approx(diff, rel=1e-13)
-        QL, M, QR = factored_diff(FA, FB)
-        assert np.allclose(QL @ M @ QR.T, FA.dense() - FB.dense(), atol=1e-13)
-        assert factored_diff_norm(FA, FB) == float(np.linalg.norm(M))
+        # the difference as one factored matrix: the pair of joint factors
+        L = np.hstack([FA.U * FA.sigma, -(FB.U * FB.sigma)])
+        D = truncate((L, np.hstack([FA.V, FB.V])), 5)
+        assert np.allclose(D.dense(), FA.dense() - FB.dense(), atol=1e-13)
+        assert factored_diff_norm(FA, FB) == pytest.approx(frob_norm(D), rel=1e-14)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             factored_diff_norm(truncate(np.eye(2), 1), truncate(np.eye(3), 1))
         with pytest.raises(ValueError):
-            factored_diff(truncate(np.ones((2, 3)), 1), truncate(np.ones((2, 4)), 1))
+            factored_diff_norm(truncate(np.ones((2, 3)), 1), truncate(np.ones((2, 4)), 1))
+        with pytest.raises(ValueError):
+            truncate((np.ones((2, 1)), np.ones((3, 2))), 1)
 
 
 class TestMaskApply:
@@ -256,14 +315,14 @@ class TestMaskApply:
 
 class TestNumericalRank:
     def test_threshold(self):
-        assert numerical_rank([3.0, 1.0, 1e-18], 1e-14) == 2
+        assert numerical_rank([3.0, 1.0, 1e-18]) == 2
 
     def test_zero(self):
         assert numerical_rank([0.0, 0.0]) == 0
         assert numerical_rank([]) == 0
 
     def test_full(self):
-        assert numerical_rank([1.0, 1.0, 1.0], 1e-14) == 3
+        assert numerical_rank([1.0, 1.0, 1.0]) == 3
 
 
 class TestIndexSet:

@@ -84,7 +84,7 @@ class TestConeProjection:
         X, F = random_instance(rng, s=10)  # s clipped to k
         assert X.s == X.k
         G, g = project_cone(X, F)
-        assert G.perp is None
+        assert G.perp_rank == 0
         assert np.allclose(G.dense(), tangent_projector_oracle(X, F), atol=1e-12)
 
     def test_matches_dense_oracle(self):

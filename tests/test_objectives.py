@@ -182,9 +182,9 @@ class TestQuadraticDistance:
 
     def test_one_residual_per_point(self, monkeypatch):
         calls = []
-        real = objectives.factored_diff
+        real = objectives.truncate
         monkeypatch.setattr(
-            objectives, "factored_diff", lambda A, B: calls.append(A) or real(A, B)
+            objectives, "truncate", lambda A, r: calls.append(A) or real(A, r)
         )
         rng = np.random.default_rng(5)
         obj = QuadraticDistance(truncate(rng.standard_normal((9, 8)), 4))
