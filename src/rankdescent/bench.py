@@ -57,8 +57,10 @@ class CompletionSpec:
     def __post_init__(self):
         if not (1 <= self.r <= self.n and 1 <= self.k <= self.n):
             raise ValueError("need 1 <= r, k <= n")
-        if self.os_rate < 1:
-            raise ValueError("oversampling rate must be at least 1")
+        if not 1 <= self.os_rate < math.inf:
+            raise ValueError(f"oversampling rate must be finite and at least 1, got {self.os_rate}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 def omega_size(spec: CompletionSpec) -> int:
@@ -68,6 +70,8 @@ def omega_size(spec: CompletionSpec) -> int:
     integer-exact, so the rounding mode never shows up there.
     """
     dof = spec.os_rate * (2 * spec.k * spec.n - spec.k**2)
+    if math.isinf(dof):  # a finite OS can still overflow the product
+        raise InfeasibleSpecError(f"|mask| = OS * (2kn - k^2) overflows at OS = {spec.os_rate}")
     size = int(round(max(dof, spec.n * math.log(spec.n))))
     if size > spec.n**2:
         raise InfeasibleSpecError(

@@ -21,7 +21,7 @@ All containers are immutable values after construction; operations are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.sparse
@@ -176,7 +176,9 @@ class FactoredMatrix:
         return (self.U * self.sigma) @ self.V.T
 
     @classmethod
+    @cache
     def zero(cls, m: int, n: int) -> "FactoredMatrix":
+        """The m-by-n zero matrix, one shared instance per shape: its arrays are empty."""
         return cls(np.zeros((m, 0)), np.zeros(0), np.zeros((n, 0)))
 
     def __repr__(self) -> str:
@@ -254,8 +256,8 @@ def truncate(A, r: int, U=None, V=None) -> FactoredMatrix:
     if isinstance(A, tuple):
         if r == 0 or L.shape[1] == 0:
             return FactoredMatrix.zero(*shape)
-        QL, RL = np.linalg.qr(_project_out(L, U))
-        QR, RR = np.linalg.qr(_project_out(R, V))
+        QL, RL = np.linalg.qr(project_out(L, U))
+        QR, RR = np.linalg.qr(project_out(R, V))
         Ub, sb, Vb = svd(RL @ RR.T)
         q = min(r, sb.size)
         return FactoredMatrix(QL @ Ub[:, :q], sb[:q], QR @ Vb[:, :q])
@@ -264,7 +266,7 @@ def truncate(A, r: int, U=None, V=None) -> FactoredMatrix:
     if isinstance(A, FactoredMatrix):
         q = min(r, A.rank)
         return FactoredMatrix(A.U[:, :q], A.sigma[:q], A.V[:, :q])
-    A = _project_out(A, U)
+    A = project_out(A, U)
     if _width(V):
         A = A - (A @ V) @ V.T
     Uf, s, Vf = svd(A)
@@ -275,7 +277,7 @@ def _width(B) -> int:
     return 0 if B is None else B.shape[1]
 
 
-def _project_out(W: np.ndarray, B) -> np.ndarray:
+def project_out(W: np.ndarray, B) -> np.ndarray:
     """(I - B B.T) W for an orthonormal basis B (None or empty: W itself)."""
     return W - B @ (B.T @ W) if _width(B) else W
 
@@ -300,10 +302,10 @@ def _masked_truncate(A: SparseOnMask, r: int, U, V) -> FactoredMatrix:
     csr = A.csr
 
     def mv(x):  # B @ x
-        return _project_out(csr @ _project_out(x, V), U)
+        return project_out(csr @ project_out(x, V), U)
 
     def rmv(y):  # B.T @ y
-        return _project_out(csr.T @ _project_out(y, U), V)
+        return project_out(csr.T @ project_out(y, U), V)
 
     v0 = np.random.default_rng(0).standard_normal(min(m, n))  # svds starts on the smaller side
     if r == 0 or not np.any(mv(v0) if m >= n else rmv(v0)):

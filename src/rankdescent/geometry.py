@@ -12,8 +12,8 @@ three blocks span the tangent space of the rank-s manifold; adding the perp
 budget gives the tangent cone of the rank-at-most-k variety. This module
 computes orthogonal projections onto tangent space and tangent cone, the
 projected-antigradient norm, the metric-projection (truncated SVD)
-retraction, and the two partial directions along which X + alpha * xi never
-leaves the variety.
+retraction, and the flat direction: the larger of the two partial
+projections, along which X + alpha * xi never leaves the variety.
 
 The tangent cone is closed under sign, so the projection of the
 antigradient is the negated projection of the gradient: callers project the
@@ -40,6 +40,7 @@ from .core import (
     numerical_rank,
     orthonormal_polish,
     truncate,
+    project_out,
     ORTHO_TOL,
     RANK_TOL,
 )
@@ -124,10 +125,6 @@ class ConeTangentVector:
         _check_perp(U, self.perp.U, "perp.U")
         _check_perp(V, self.perp.V, "perp.V")
 
-    @property
-    def perp_rank(self) -> int:
-        return self.perp.rank
-
     def norm(self) -> float:
         sq = (
             np.sum(self.core**2)
@@ -138,8 +135,10 @@ class ConeTangentVector:
         return float(np.sqrt(sq))
 
     def __neg__(self) -> "ConeTangentVector":
-        """-xi blockwise; the perp block flips the sign of its left factor."""
-        perp = FactoredMatrix(-self.perp.U, self.perp.sigma, self.perp.V)
+        """-xi blockwise; a nonzero perp flips the sign of its left factor, a zero one is kept."""
+        perp = self.perp
+        if perp.rank:
+            perp = FactoredMatrix(-perp.U, perp.sigma, perp.V)
         return ConeTangentVector(self.base, -self.core, -self.up, -self.vp, perp)
 
     def is_zero(self) -> bool:
@@ -149,8 +148,8 @@ class ConeTangentVector:
         """Thin (L, R) with L @ R.T equal to the ambient embedding.
 
         L = [U | up | perp.U * perp.sigma] and R = [V @ core.T + vp | V | perp.V],
-        of width 2s + perp_rank <= 2k. A flat direction folds its zero block
-        away and has width s + perp_rank: L = [U] and R = [V @ core.T + vp]
+        of width 2s + perp.rank <= 2k. A flat direction folds its zero block
+        away and has width s + perp.rank: L = [U] and R = [V @ core.T + vp]
         when up is zero, L = [U @ core + up] and R = [V] when vp is zero.
         """
         U, V = self.base.point.U, self.base.point.V
@@ -170,10 +169,10 @@ class ConeTangentVector:
         return U @ self.core @ V.T + self.up @ V.T + U @ self.vp.T + self.perp.dense()
 
 
-def _check_perp(basis: np.ndarray, W: np.ndarray, name: str) -> None:
-    if basis.shape[1] == 0 or W.shape[1] == 0:
+def _check_perp(B: np.ndarray, W: np.ndarray, name: str) -> None:
+    if B.shape[1] == 0 or W.shape[1] == 0:
         return
-    drift = np.abs(basis.T @ W).max(initial=0.0)
+    drift = np.abs(B.T @ W).max(initial=0.0)
     if drift > ORTHO_TOL * (1.0 + np.linalg.norm(W)):
         raise ValueError(f"{name} is not orthogonal to the base factor ({drift:.2e})")
 
@@ -194,9 +193,7 @@ def project_tangent_space(X: VarietyPoint, F) -> ConeTangentVector:
     up = FV - U @ core
     vp = FtU - V @ core.T
     # one cleanup pass keeps the orthogonality invariants at roundoff level
-    up -= U @ (U.T @ up)
-    vp -= V @ (V.T @ vp)
-    return ConeTangentVector(X, core, up, vp)
+    return ConeTangentVector(X, core, project_out(up, U), project_out(vp, V))
 
 
 def project_cone(X: VarietyPoint, F) -> tuple[ConeTangentVector, float]:
@@ -240,8 +237,7 @@ def _perp_truncation(X: VarietyPoint, F, budget: int) -> FactoredMatrix:
 def _reorthogonalize(W: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """W's columns after two Gram-Schmidt passes against an orthonormal basis."""
     if basis.shape[1] and W.shape[1]:
-        for _ in range(2):
-            W = W - basis @ (basis.T @ W)
+        W = project_out(project_out(W, basis), basis)
         if np.linalg.norm(W, axis=0).min(initial=1.0) <= 0.5:
             raise ValueError("degenerate perp factor after re-orthogonalization")
     return W
@@ -295,8 +291,8 @@ def _combined_svd(X: VarietyPoint, xi: ConeTangentVector, alpha: float):
     """
     U, V = X.point.U, X.point.V
     s = X.s
-    QL, RL = _qr_against(np.hstack([xi.up, xi.perp.U]), U)
-    QR_, RR = _qr_against(np.hstack([xi.vp, xi.perp.V]), V)
+    QL, RL = np.linalg.qr(project_out(np.hstack([xi.up, xi.perp.U]), U))
+    QR_, RR = np.linalg.qr(project_out(np.hstack([xi.vp, xi.perp.V]), V))
 
     # middle matrix over the bases [U | QL] x [V | QR_]
     top = np.hstack([
@@ -318,40 +314,19 @@ def _combined_svd(X: VarietyPoint, xi: ConeTangentVector, alpha: float):
     return U_new, sb[:r], V_new
 
 
-def _qr_against(W: np.ndarray, basis: np.ndarray):
-    """Compact QR of W after projecting out an orthonormal basis."""
-    if basis.shape[1] and W.shape[1]:
-        W = W - basis @ (basis.T @ W)
-    return np.linalg.qr(W)
+def choose_flat_direction(G: ConeTangentVector) -> ConeTangentVector:
+    """The larger of the two partial projections of a cone projection G.
 
-
-def partial_directions(X: VarietyPoint, F, projection: ConeTangentVector | None = None):
-    """The two single-sided cone directions for an ambient matrix F.
-
-    G1 keeps the vp block and drops up (column space of X + alpha*G1 stays in
-    span(U) plus the perp factor); G2 keeps up and drops vp. Both contain the
-    shared core and perp parts and keep X + alpha * Gi inside the variety for
-    every alpha >= 0.
-    """
-    if projection is None:
-        projection, _ = project_cone(X, F)
-    g1 = replace(projection, up=np.zeros_like(projection.up))
-    g2 = replace(projection, vp=np.zeros_like(projection.vp))
-    return g1, g2
-
-
-def choose_flat_direction(
-    X: VarietyPoint, F, projection: ConeTangentVector | None = None
-) -> ConeTangentVector:
-    """Larger-norm direction among the two partial projections (ties pick G1).
-
-    When F is the antigradient the choice satisfies the angle condition with
+    Zeroing G's up block keeps the column space of X + alpha * xi in span(U)
+    plus the perp factor, zeroing vp keeps the row space; either way
+    X + alpha * xi stays in the variety for every alpha >= 0. The one whose
+    kept block has the larger squared norm is returned, vp on a tie. When G
+    projects the antigradient, the choice meets the angle condition with
     omega = 1/sqrt(2) and carries at least half of the squared cone norm.
     """
-    g1, g2 = partial_directions(X, F, projection)
-    if np.sum(g1.vp**2) >= np.sum(g2.up**2):
-        return g1
-    return g2
+    if np.sum(G.vp**2) >= np.sum(G.up**2):
+        return replace(G, up=np.zeros_like(G.up))
+    return replace(G, vp=np.zeros_like(G.vp))
 
 
 def random_point(rng: np.random.Generator, m: int, n: int, s: int, k: int) -> VarietyPoint:

@@ -4,10 +4,11 @@ The step size is the largest beta^m * bar_beta satisfying the sufficient
 decrease test f(R(x, alpha*xi)) - f(x) <= c * alpha * <grad f, xi>. The
 initial trial bar_beta (see initial_step) has three parts: a closed-form
 floor rule is its lower bound, so that it never falls below the ratio
-g/||xi|| of projected-antigradient norm to direction norm; the exact
+g/||xi|| of projected-antigradient norm to direction norm, with the floor
+the caller passes (solvers.VARIANTS holds each variant's); the exact
 minimizer ||xi||^2 / <xi, Hess f xi> of the quadratic model along xi, from
-the curvature every objective supplies, is the usual start; STEP_CAP bounds
-that start above.
+the curvature every objective must supply, is the usual start; STEP_CAP
+bounds that start above.
 """
 
 from __future__ import annotations
@@ -34,13 +35,12 @@ class ArmijoConfig:
     beta: backtracking factor in (0, 1).
     c: sufficient-decrease constant in (0, 1).
     max_backtracks: hard cap on rejected trials (0.5**60 ~ 1e-18 underflow guard).
-    initial_floor: per-algorithm lower bound of the initial trial step.
+    The floor of the initial trial step is the variant's, in solvers.VARIANTS.
     """
 
     beta: float = 0.5
     c: float = 1e-4
     max_backtracks: int = 60
-    initial_floor: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
@@ -49,8 +49,6 @@ class ArmijoConfig:
             raise ValueError("c must lie in (0, 1)")
         if self.max_backtracks < 1:
             raise ValueError("max_backtracks must be positive")
-        if self.initial_floor <= 0.0:
-            raise ValueError("initial_floor must be positive")
 
 
 @dataclass(frozen=True)
@@ -76,24 +74,23 @@ class LineSearchError(RuntimeError):
         self.trials = trials
 
 
-def initial_step(
-    g_minus: float, xi_norm: float, floor: float, curvature: float | None = None
-) -> float:
+def initial_step(g_minus: float, xi_norm: float, floor: float, curvature: float) -> float:
     """Initial trial step max(floor, g_minus / xi_norm, min(STEP_CAP, exact)).
 
     The floor rule max(floor, g_minus / xi_norm) is the lower bound: with
     floor 1 for the full cone projection (where the ratio is exactly 1) and
     floor sqrt(2) for the flat directions (where the ratio is at most
-    sqrt(2)), the trial step never falls below g_minus / xi_norm. When the
-    curvature <xi, Hess f xi> along the direction is given, positive and
-    finite, the exact minimizer exact = xi_norm**2 / curvature of the
-    quadratic model along xi is the usual start, capped above at STEP_CAP;
-    otherwise the floor rule alone applies.
+    sqrt(2)), the trial step never falls below g_minus / xi_norm. The
+    curvature <xi, Hess f xi> along the direction is required: when it is
+    positive and finite, the exact minimizer exact = xi_norm**2 / curvature
+    of the quadratic model along xi is the usual start, capped above at
+    STEP_CAP; when it is zero, negative, infinite or NaN the floor rule alone
+    applies.
     """
     if xi_norm <= 0.0:
         raise ValueError("direction norm must be positive (handle stationarity first)")
     step = max(floor, g_minus / xi_norm)
-    if curvature is not None and 0.0 < curvature < math.inf:
+    if 0.0 < curvature < math.inf:
         step = max(step, min(STEP_CAP, xi_norm**2 / curvature))
     return step
 

@@ -5,11 +5,12 @@ tangent cone (the negated projection of the gradient, since the cone is
 closed under sign), apply the variant's direction rule, take an Armijo step
 from the initial step that the objective's curvature gives, and project
 X + alpha * xi back onto the variety with retract. A variant is one entry of
-VARIANTS: its direction rule and the floor of its initial step. Stopping
-rules and the per-iteration trace are artifact plumbing; the iteration
-itself would happily run forever. The trace's displacement ||X_{n+1} - X_n||
-is alpha * ||xi|| for a flat direction, whose update is exactly
-X + alpha * xi, and a factored distance otherwise, where retract truncates.
+VARIANTS: its direction rule, which takes the cone projection alone, and the
+floor of its initial step. Stopping rules and the per-iteration trace are
+artifact plumbing; the iteration itself would happily run forever. The
+trace's displacement ||X_{n+1} - X_n|| is alpha * ||xi|| for a flat
+direction, whose update is exactly X + alpha * xi, and a factored distance
+otherwise, where retract truncates.
 """
 
 from __future__ import annotations
@@ -31,10 +32,11 @@ from .objectives import Objective
 # allows, so the initial step never falls below it.
 VARIANTS = {
     # projected steepest descent: the full projection, retracted by truncation
-    "sd": (lambda X, G: G, 1.0),
+    "sd": (lambda G: G, 1.0),
     # retraction-free: the larger flat partial projection, whose update stays
-    # on the variety without truncation
-    "rf": (lambda X, G: choose_flat_direction(X, None, G), math.sqrt(2.0)),
+    # on the variety without truncation. The name is looked up at call time,
+    # so a wrapper installed on this module sees every call.
+    "rf": (lambda G: choose_flat_direction(G), math.sqrt(2.0)),
 }
 
 
@@ -51,11 +53,12 @@ class SolverConfig:
 
     tol_g stops once the projected-antigradient norm falls below tol_g times
     its value at the first iterate; tol_f declares a stall after three
-    consecutive decreases below tol_f * max(1, f). The line search uses
-    ArmijoConfig's defaults with the variant's floor (1 for sd, sqrt(2) for
-    rf); the floor is the lower bound of each initial trial step, the
-    exact-curvature step its usual value and linesearch.STEP_CAP its upper
-    bound (see linesearch.initial_step).
+    consecutive decreases below tol_f * max(1, f); both tolerances must be
+    positive and finite. The line search uses ArmijoConfig's defaults. Its
+    initial trial step is bounded below by the variant's floor, which solve
+    reads from VARIANTS (1 for sd, sqrt(2) for rf); the exact-curvature step
+    is its usual value and linesearch.STEP_CAP its upper bound (see
+    linesearch.initial_step).
     """
 
     k: int
@@ -68,13 +71,13 @@ class SolverConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.tol_g <= 0 or self.tol_f <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.tol_g < math.inf and 0 < self.tol_f < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 
     def armijo_config(self) -> ArmijoConfig:
-        return ArmijoConfig(initial_floor=VARIANTS[self.variant][1])
+        return ArmijoConfig()
 
 
 @dataclass
@@ -134,7 +137,7 @@ def solve(obj: Objective, X0, cfg: SolverConfig, metrics=None) -> SolveResult:
     if X0.k != cfg.k:
         X0 = VarietyPoint(X0.point, cfg.k)
     armijo_cfg = cfg.armijo_config()
-    direction = VARIANTS[cfg.variant][0]
+    direction, floor = VARIANTS[cfg.variant]
 
     X = X0
     f_x = obj.value(X)
@@ -187,12 +190,12 @@ def solve(obj: Objective, X0, cfg: SolverConfig, metrics=None) -> SolveResult:
             status = SolveStatus.MAX_ITERS
             break
 
-        xi = direction(X, -G)
+        xi = direction(-G)
         xi_norm = xi.norm()
         # for projection-derived directions <grad, xi> = -||xi||^2 exactly
         slope = -(xi_norm**2)
         curv = obj.curvature(X, xi)
-        bar_beta = initial_step(g_minus, xi_norm, armijo_cfg.initial_floor, curv)
+        bar_beta = initial_step(g_minus, xi_norm, floor, curv)
         out = armijo(X, xi, obj, f_x, slope, bar_beta, armijo_cfg, retract)
 
         rec.alpha = out.alpha
@@ -224,30 +227,19 @@ def solve(obj: Objective, X0, cfg: SolverConfig, metrics=None) -> SolveResult:
 def _fmt(value) -> str:
     if value is None:
         return ""
+    if isinstance(value, int):
+        return str(value)
     return repr(float(value))
 
 
 def write_trace_csv(path, records, timing: bool = True) -> None:
-    """Stream a trace in the fixed column order, one row per iteration."""
+    """Stream a trace in TRACE_COLUMNS order, one row per iteration."""
+    columns = TRACE_COLUMNS.split(",")
     with open(path, "w") as fh:
         fh.write(TRACE_COLUMNS + "\n")
         for r in records:
-            wall = r.wall_ms if timing else 0.0
-            fields = [
-                str(r.n),
-                _fmt(r.f),
-                _fmt(r.g_minus),
-                _fmt(r.alpha),
-                str(r.backtracks),
-                str(r.rank),
-                _fmt(r.sigma1),
-                _fmt(r.sigmak),
-                _fmt(r.displacement),
-                _fmt(r.rel_err_full),
-                _fmt(r.rel_err_mask),
-                _fmt(wall),
-            ]
-            fh.write(",".join(fields) + "\n")
+            values = (0.0 if c == "wall_ms" and not timing else getattr(r, c) for c in columns)
+            fh.write(",".join(map(_fmt, values)) + "\n")
 
 
 def iterate_distances(iterates) -> np.ndarray:

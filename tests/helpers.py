@@ -1,9 +1,11 @@
 """Shared constructors and dense views for the tests."""
 
+from dataclasses import replace
+
 import numpy as np
 
-from rankdescent.core import FactoredMatrix, SparseOnMask
-from rankdescent.geometry import ConeTangentVector, VarietyPoint, random_point
+from rankdescent.core import FactoredMatrix, SparseOnMask, project_out
+from rankdescent.geometry import ConeTangentVector, VarietyPoint, project_cone, random_point
 from rankdescent.solvers import TRACE_COLUMNS, TraceRecord
 
 
@@ -21,6 +23,21 @@ def zero_tangent(X: VarietyPoint) -> ConeTangentVector:
     return ConeTangentVector(X, np.zeros((s, s)), np.zeros((m, s)), np.zeros((n, s)))
 
 
+def partial_directions(X: VarietyPoint, F, projection: ConeTangentVector | None = None):
+    """The two single-sided cone directions for an ambient matrix F.
+
+    G1 keeps the vp block and drops up (column space of X + alpha*G1 stays in
+    span(U) plus the perp factor); G2 keeps up and drops vp. Both contain the
+    shared core and perp parts and keep X + alpha * Gi inside the variety for
+    every alpha >= 0. geometry.choose_flat_direction returns the larger one.
+    """
+    if projection is None:
+        projection, _ = project_cone(X, F)
+    g1 = replace(projection, up=np.zeros_like(projection.up))
+    g2 = replace(projection, vp=np.zeros_like(projection.vp))
+    return g1, g2
+
+
 def random_cone_vector(rng, X: VarietyPoint, perp_rank=None) -> ConeTangentVector:
     """Random element of the tangent cone at X with a rank-(k-s) perp part."""
     m, n = X.shape
@@ -29,9 +46,8 @@ def random_cone_vector(rng, X: VarietyPoint, perp_rank=None) -> ConeTangentVecto
     core = rng.standard_normal((s, s))
     up = rng.standard_normal((m, s))
     vp = rng.standard_normal((n, s))
-    if s:
-        up -= U @ (U.T @ up)
-        vp -= V @ (V.T @ vp)
+    up = project_out(up, U)
+    vp = project_out(vp, V)
     p = X.k - s if perp_rank is None else perp_rank
     perp = None
     if p > 0:
@@ -45,11 +61,8 @@ def random_perp(rng, X: VarietyPoint, p: int) -> FactoredMatrix:
     U, V = X.point.U, X.point.V
     wl = rng.standard_normal((m, p))
     wr = rng.standard_normal((n, p))
-    if X.s:
-        wl -= U @ (U.T @ wl)
-        wr -= V @ (V.T @ wr)
-    wl, _ = np.linalg.qr(wl)
-    wr, _ = np.linalg.qr(wr)
+    wl, _ = np.linalg.qr(project_out(wl, U))
+    wr, _ = np.linalg.qr(project_out(wr, V))
     sig = np.sort(rng.uniform(0.2, 1.5, size=p))[::-1]
     return FactoredMatrix(wl, sig, wr)
 

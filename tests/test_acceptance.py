@@ -21,7 +21,6 @@ from rankdescent.bench import (
 )
 from rankdescent.core import factored_diff_norm, truncate
 from rankdescent.geometry import (
-    partial_directions,
     project_cone,
     random_point,
     retract,
@@ -40,7 +39,7 @@ from rankdescent.solvers import (
     rate_fit,
     solve,
 )
-from helpers import ambient_dense, random_cone_vector, random_instance
+from helpers import ambient_dense, partial_directions, random_cone_vector, random_instance
 
 
 def verdict(num, clauses):

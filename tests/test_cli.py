@@ -45,6 +45,12 @@ class TestGen:
         [
             ("--n", "10", "--rank", "20", "--budget", "5"),
             ("--n", "30", "--rank", "2", "--budget", "2", "--os", "0.5"),
+            # out-of-range spec values are input errors, not tracebacks
+            ("--n", "30", "--rank", "2", "--budget", "2", "--os", "inf"),
+            ("--n", "30", "--rank", "2", "--budget", "2", "--os", "nan"),
+            ("--n", "30", "--rank", "2", "--budget", "2", "--seed", "-1"),
+            # finite, but the mask size OS * (2kn - k^2) overflows
+            ("--n", "30", "--rank", "2", "--budget", "2", "--os", "1e308"),
         ],
     )
     def test_invalid_spec_exits_2(self, tmp_path, capsys, flags):
@@ -93,6 +99,13 @@ class TestRun:
             ((), "n = 30\nrank = 2\nbudget = 2\nmax_iters = many\n"),
             ((), "n = 30\nrank = 2\nbudget = 2\nmax_iter = 5\n"),
             ((), "n = 30\nrank = 2\nbudget = 2\nmax_iters 5\n"),
+            (("--n", "30", "--rank", "2", "--budget", "2", "--os", "inf"), None),
+            (("--n", "30", "--rank", "2", "--budget", "2", "--os", "nan"), None),
+            (("--n", "30", "--rank", "2", "--budget", "2", "--seed", "-1"), None),
+            # a NaN tolerance never converges or stalls; an infinite one stops at once
+            (("--n", "30", "--rank", "2", "--budget", "2", "--tol-g", "nan"), None),
+            (("--n", "30", "--rank", "2", "--budget", "2", "--tol-f", "nan"), None),
+            (("--n", "30", "--rank", "2", "--budget", "2", "--tol-g", "inf"), None),
         ],
     )
     def test_invalid_input_exits_2(self, tmp_path, capsys, flags, config):

@@ -379,6 +379,14 @@ class TestFactoredMatrix:
         assert Z.rank == 0
         assert np.all(Z.dense() == 0)
 
+    def test_zero_is_shared_per_shape(self):
+        # one validated instance per shape; its arrays are empty, so sharing
+        # it cannot leak a change from one user to another
+        Z = FactoredMatrix.zero(3, 4)
+        assert FactoredMatrix.zero(3, 4) is Z
+        assert FactoredMatrix.zero(4, 3) is not Z
+        assert Z.U.size == Z.sigma.size == Z.V.size == 0
+
 
 class TestAmbient:
     def test_products_match_dense_per_kind(self):

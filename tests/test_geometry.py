@@ -9,14 +9,13 @@ from rankdescent.geometry import (
     choose_flat_direction,
     g_lower_bound,
     make_point,
-    partial_directions,
     project_cone,
     project_tangent_space,
     random_point,
     retract,
     zero_point,
 )
-from helpers import random_cone_vector, random_instance, zero_tangent
+from helpers import partial_directions, random_cone_vector, random_instance, zero_tangent
 
 
 def tangent_projector_oracle(X, F):
@@ -84,7 +83,7 @@ class TestConeProjection:
         X, F = random_instance(rng, s=10)  # s clipped to k
         assert X.s == X.k
         G, g = project_cone(X, F)
-        assert G.perp_rank == 0
+        assert G.perp.rank == 0
         assert np.allclose(G.dense(), tangent_projector_oracle(X, F), atol=1e-12)
 
     def test_matches_dense_oracle(self):
@@ -112,11 +111,24 @@ class TestConeProjection:
             assert h == pytest.approx(g, rel=1e-12)
             for name in ("core", "up", "vp"):
                 assert np.array_equal(getattr(N, name), getattr(H, name)), name
-            assert N.perp_rank == H.perp_rank
+            assert N.perp.rank == H.perp.rank
             if N.perp is not None:
                 scale = max(1.0, np.linalg.norm(F))
                 assert np.allclose(N.perp.dense(), H.perp.dense(), rtol=0, atol=1e-12 * scale)
         assert seen > 50
+
+    def test_negation_keeps_a_zero_perp_and_negates_a_nonzero_one(self):
+        rng = np.random.default_rng(25)
+        X = random_point(rng, 7, 6, 3, 3)
+        G, _ = project_cone(X, rng.standard_normal((7, 6)))
+        assert G.perp.rank == 0
+        assert (-G).perp is G.perp
+        X = random_point(rng, 7, 6, 2, 4)
+        G = random_cone_vector(rng, X)
+        N = -G
+        assert N.perp.rank == G.perp.rank == 2
+        assert np.array_equal(N.perp.dense(), -G.perp.dense())
+        assert np.array_equal(N.dense(), -G.dense())
 
     @staticmethod
     def _perp_oracle(X, D):
@@ -300,7 +312,7 @@ class TestRetractFlatDirections:
             X, F = random_instance(rng)
             g1, g2 = partial_directions(X, F)
             for gi in (g1, g2):
-                bound = X.s + gi.perp_rank
+                bound = X.s + gi.perp.rank
                 for alpha in (0.1, 1.0, 10.0):
                     Y = retract(X, gi, alpha)
                     target = X.dense() + alpha * gi.dense()
@@ -358,22 +370,39 @@ class TestPartialDirections:
             assert (sv > 1e-10 * sv[0]).sum() <= 2
 
     def test_flat_factors_have_width_s(self):
-        # G1 and G2 fold their zero block away: width s + perp_rank, while
-        # the full projection keeps width 2s + perp_rank
+        # G1 and G2 fold their zero block away: width s + perp.rank, while
+        # the full projection keeps width 2s + perp.rank
         rng = np.random.default_rng(21)
         for s, k in ((3, 3), (2, 4), (0, 2)):
             X = random_point(rng, 9, 7, s, k)
             F = rng.standard_normal((9, 7))
             G, _ = project_cone(X, F)
-            assert G.perp_rank == k - s
+            assert G.perp.rank == k - s
             for gi, width in ((G, 2 * s), *((g, s) for g in partial_directions(X, F, G))):
                 L, R = gi.factors()
-                assert L.shape[1] == R.shape[1] == width + gi.perp_rank
+                assert L.shape[1] == R.shape[1] == width + gi.perp.rank
                 D = gi.dense()
                 assert np.max(np.abs(L @ R.T - D), initial=0.0) <= 1e-13 * (1 + np.abs(D).max())
 
 
 class TestChooseFlat:
+    @staticmethod
+    def _assert_same(xi, ref):
+        for name in ("core", "up", "vp"):
+            assert np.array_equal(getattr(xi, name), getattr(ref, name)), name
+        for name in ("U", "sigma", "V"):
+            assert np.array_equal(getattr(xi.perp, name), getattr(ref.perp, name)), name
+
+    @pytest.mark.parametrize("s", [0, 10])  # 10 is clipped to s = k
+    def test_equals_larger_partial_direction_bitwise(self, s):
+        rng = np.random.default_rng(24 + s)
+        for _ in range(100):
+            X, F = random_instance(rng, s=s)
+            G, _ = project_cone(X, F)
+            g1, g2 = partial_directions(X, F, G)
+            ref = g1 if np.sum(g1.vp**2) >= np.sum(g2.up**2) else g2
+            self._assert_same(choose_flat_direction(G), ref)
+
     def test_symmetric_tie_returns_g1(self):
         # integer symmetric data makes both one-sided norms bitwise equal,
         # so the tie-break is exercised exactly and must pick G1
@@ -382,11 +411,13 @@ class TestChooseFlat:
         F = np.array(
             [[1.0, 2, 3, 4], [2, 5, 6, 7], [3, 6, 8, 9], [4, 7, 9, 10]]
         )
-        g1, g2 = partial_directions(X, F)
+        G, _ = project_cone(X, F)
+        g1, g2 = partial_directions(X, F, G)
         assert np.sum(g1.vp**2) == np.sum(g2.up**2)
-        xi = choose_flat_direction(X, F)
+        xi = choose_flat_direction(G)
         assert not xi.up.any()
         assert xi.vp.any()
+        self._assert_same(xi, g1)
 
     def test_one_sided_input_gives_full_projection(self):
         # F with zero up block: G1 is chosen and equals the full projection
@@ -395,7 +426,7 @@ class TestChooseFlat:
         U, V = X.point.U, X.point.V
         F = U @ rng.standard_normal((2, 4))  # column space inside span(U)
         G, _ = project_cone(X, F)
-        xi = choose_flat_direction(X, F)
+        xi = choose_flat_direction(G)
         assert not xi.up.any()
         assert np.allclose(xi.dense(), G.dense(), atol=1e-12)
 
@@ -406,7 +437,7 @@ class TestChooseFlat:
             G, g = project_cone(X, F)
             if g == 0.0:
                 continue
-            xi = choose_flat_direction(X, F, G)
+            xi = choose_flat_direction(G)
             n = xi.norm()
             # treating F as the antigradient: <F, xi> >= (1/sqrt(2)) g ||xi||
             inner = np.vdot(F, xi.dense())

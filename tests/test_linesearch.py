@@ -22,14 +22,14 @@ def vector_retractor(x, xi, alpha):
 
 class TestInitialStep:
     def test_floor_when_ratio_is_one(self):
-        assert initial_step(2.0, 2.0, 1.0) == 1.0
+        assert initial_step(2.0, 2.0, 1.0, 0.0) == 1.0
 
     def test_ratio_dominates(self):
-        assert initial_step(2.0, 1.0, 1.0) == 2.0
+        assert initial_step(2.0, 1.0, 1.0, 0.0) == 2.0
 
     def test_zero_direction_rejected(self):
         with pytest.raises(ValueError):
-            initial_step(1.0, 0.0, 1.0)
+            initial_step(1.0, 0.0, 1.0, 0.0)
 
     def test_flat_direction_floor_suffices(self):
         # ||xi||^2 >= g^2/2 implies g/||xi|| <= sqrt(2), so the sqrt(2) floor
@@ -38,7 +38,7 @@ class TestInitialStep:
         for _ in range(200):
             g = rng.uniform(0.1, 10.0)
             xi = rng.uniform(g / math.sqrt(2.0), g)
-            step = initial_step(g, xi, math.sqrt(2.0))
+            step = initial_step(g, xi, math.sqrt(2.0), 0.0)
             assert step >= g / xi - 1e-15
 
     def test_exact_curvature_step(self):
@@ -54,7 +54,7 @@ class TestInitialStep:
         assert initial_step(2.0, 2.0, 1.0, curvature=1e-300) == STEP_CAP
 
     def test_unusable_curvature_falls_back_to_floor(self):
-        for curvature in (None, 0.0, -1.0, math.inf, math.nan):
+        for curvature in (0.0, -1.0, math.inf, math.nan):
             assert initial_step(2.0, 2.0, math.sqrt(2.0), curvature) == math.sqrt(2.0)
 
 
@@ -161,8 +161,6 @@ class TestConfigs:
             ArmijoConfig(c=0.0)
         with pytest.raises(ValueError):
             ArmijoConfig(max_backtracks=0)
-        with pytest.raises(ValueError):
-            ArmijoConfig(initial_floor=0.0)
 
 
 def rec(f, g, d):

@@ -77,7 +77,7 @@ class TestMatrixCompletion:
             X = random_point(self.rng, 10, 8, s, k)
             for _ in range(5):
                 xi = random_cone_vector(self.rng, X)
-                assert xi.perp_rank == k - s
+                assert xi.perp.rank == k - s
                 dense = xi.dense()[self.mask.rows, self.mask.cols]
                 expected = float(dense @ dense)
                 assert self.obj.curvature(X, xi) == pytest.approx(expected, rel=1e-12)
@@ -139,7 +139,7 @@ class TestQuadraticDistance:
             X = random_point(rng, 10, 8, s, k)
             for _ in range(5):
                 xi = random_cone_vector(rng, X)
-                assert xi.perp_rank == k - s
+                assert xi.perp.rank == k - s
                 Xd, D = X.dense(), xi.dense()
                 expected = dense_value(Xd + D) - 2.0 * dense_value(Xd) + dense_value(Xd - D)
                 assert obj.curvature(X, xi) == pytest.approx(expected, rel=1e-10)

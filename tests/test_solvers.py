@@ -110,6 +110,16 @@ class TestSolveBasics:
                 assert res.trace[-1].f <= 1e-12 * res.trace[0].f
 
 
+class TestSolverConfig:
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_tolerances_must_be_positive_and_finite(self, tol):
+        # a NaN tolerance never converges or stalls, an infinite one stops at once
+        with pytest.raises(ValueError, match="positive and finite"):
+            SolverConfig(k=3, tol_g=tol)
+        with pytest.raises(ValueError, match="positive and finite"):
+            SolverConfig(k=3, tol_f=tol)
+
+
 class TestStepFunctions:
     def test_sd_from_zero_matches_truncated_antigradient(self):
         rng = np.random.default_rng(6)
@@ -167,7 +177,7 @@ class TestStepFunctions:
             G, g = project_cone(X, F)
             if g == 0.0:
                 continue
-            direction = choose_flat_direction(X, None, G)
+            direction = choose_flat_direction(G)
             # |<grad, xi_rf>| = ||xi||^2 >= 0.5 ||G||^2 = 0.5 |<grad, G>|
             assert direction.norm() ** 2 >= 0.5 * g**2 - 1e-12
 
@@ -178,7 +188,7 @@ class TestStepFunctions:
         X = random_point(rng, 7, 6, 3, 3)
         U, V = X.point.U, X.point.V
         grad = U @ rng.standard_normal((3, 3)) @ V.T
-        direction = choose_flat_direction(X, None, -project_cone(X, grad)[0])
+        direction = choose_flat_direction(-project_cone(X, grad)[0])
         Y = retract(X, direction, 0.7)
         assert np.allclose(Y.point.U @ Y.point.U.T, U @ U.T, atol=1e-10)
         assert np.allclose(Y.point.V @ Y.point.V.T, V @ V.T, atol=1e-10)
@@ -289,7 +299,7 @@ class TestCompletionRun:
         for variant, floor in (("sd", 1.0), ("rf", math.sqrt(2.0))):
             res = solve(problem, X0, SolverConfig(k=3, variant=variant, max_iters=1))
             G, g = project_cone(X0, problem.gradient(X0))
-            xi = -G if variant == "sd" else choose_flat_direction(X0, None, -G)
+            xi = -G if variant == "sd" else choose_flat_direction(-G)
             curvature = problem.curvature(X0, xi)
             # under full sampling the exact step would be 1; on the mask it is longer
             assert xi.norm() ** 2 / curvature > floor
