@@ -1,18 +1,20 @@
 """rankbench: generate completion problems, run the solvers, inspect results.
 
 Exit codes: 0 on success; 2 when `gen` or `run` gets an invalid or
-infeasible problem spec, an invalid solver setting, or a `--config` file it
-cannot read or parse or with a key outside CONFIG_KEYS; 3 on solver failure;
-4 when `errors` cannot use its problem or point directory (a missing file, a
-values/mask length mismatch, no target factors, factors that do not form a
-point of the problem's shape), or `ratefit` its distances file (missing,
-non-numeric or non-finite) or a `--tail` outside (0, 1]. Codes 2 and 4 come
-with a one-line message on stderr.
+infeasible problem spec, an invalid solver setting, a `--config` file it
+cannot read or parse or with a key outside CONFIG_KEYS, or an `--out` it
+cannot create as a directory (an existing file, or a path under one); 3 on
+solver failure; 4 when `errors` cannot use its problem or point directory
+(a missing file, a values/mask length mismatch, no target factors, factors
+that do not form a point of the problem's shape), or `ratefit` its
+distances file (missing, non-numeric or non-finite) or a `--tail` outside
+(0, 1]. Codes 2 and 4 come with a one-line message on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -124,7 +126,8 @@ def cmd_gen(args) -> int:
     try:
         spec = CompletionSpec(n=args.n, r=args.rank, k=args.budget, os_rate=args.os_rate, seed=args.seed)
         size = omega_size(spec)
-    except ValueError as err:
+        os.makedirs(args.out, exist_ok=True)
+    except (OSError, ValueError) as err:
         return _input_error("gen", err, 2)
     problem, target = gen_problem(spec)
     save_completion(args.out, problem, target)
@@ -141,6 +144,7 @@ def cmd_run(args) -> int:
         spec = _spec_from_args(args, config)
         omega_size(spec)  # validates feasibility up front
         cfg = _solver_cfg(args, config, spec.k)
+        os.makedirs(args.out, exist_ok=True)
     except (OSError, ValueError) as err:
         return _input_error("run", err, 2)
     algorithms = list(VARIANTS) if args.alg == "both" else [args.alg]

@@ -8,8 +8,13 @@ SparseOnMask (index set plus one value per index); they are never scattered
 into dense form inside performance-relevant code paths. An IndexSet is
 row-major sorted, so it carries the CSR pattern (column indices and row
 pointers) of every matrix on it; a SparseOnMask's CSR view only adds its
-values. Gradients are of one of these three kinds: masked for completion,
-factored for the quadratic distance, dense in tests. truncate is the one
+values. Entries of a thin product L @ R.T on a mask come from mask_gather,
+whose two paths split at the sampling density GATHER_BLAS_DENSITY: below
+it, a row-wise dot product per entry, O(|mask| * width); at or above it, one
+BLAS GEMM per block of consecutive rows, O(m * n * width), and one take of
+the block's entries. Both bound their temporaries by GATHER_BYTES.
+Gradients are of one of three kinds: masked for completion, factored for
+the quadratic distance, dense in tests. truncate is the one
 truncated-SVD primitive for all three and for a thin pair (L, R) standing
 for L @ R.T, with optional bases projected out of both sides; it densifies
 no structured kind below full rank (a masked matrix goes through ARPACK via
@@ -77,6 +82,30 @@ class IndexSet:
         idx = np.int32 if max(m, n, len(self)) <= np.iinfo(np.int32).max else np.int64
         indptr = np.concatenate(([0], np.cumsum(np.bincount(self.rows, minlength=m))))
         return self.cols.astype(idx), indptr.astype(idx)
+
+    @cached_property
+    def row_blocks(self) -> tuple[list, np.ndarray]:
+        """(bounds, offsets) of mask_gather's row blocks, built on first use.
+
+        The rows are cut into runs of GATHER_BYTES // (8 n) (at least one),
+        at the CSR row pointers. bounds holds (i0, i1, p0, p1) for each run
+        with entries: its entries p0:p1 lie in rows i0:i1, from the first
+        entry's row to the last one's. offsets[p] = (rows[p] - i0) * n +
+        cols[p] is entry p's position in the flat (i1 - i0)-by-n block.
+        """
+        m, n = self.dims
+        indptr = self.csr_pattern[1]
+        step = max(1, GATHER_BYTES // (8 * n))
+        bounds = []
+        offsets = np.empty(len(self), dtype=np.intp)
+        for start in range(0, m, step):
+            p0, p1 = int(indptr[start]), int(indptr[min(m, start + step)])
+            if p0 == p1:
+                continue
+            i0 = int(self.rows[p0])
+            offsets[p0:p1] = (self.rows[p0:p1] - i0) * n + self.cols[p0:p1]
+            bounds.append((i0, int(self.rows[p1 - 1]) + 1, p0, p1))
+        return bounds, offsets
 
     def __len__(self) -> int:
         return self.rows.size
@@ -363,23 +392,58 @@ def factored_diff_norm(A: FactoredMatrix, B: FactoredMatrix) -> float:
     return float(np.linalg.norm((RL * w) @ RR.T))
 
 
-# Mask entries per block of mask_gather: bounds its two (chunk, rank)
-# temporaries and keeps them cache-sized (about 5 MB each at rank 20).
-GATHER_CHUNK = 32768
+# Bytes of mask_gather's temporaries: the flat block of each GEMM (rows of
+# n entries) and the two (chunk, width) gathers of the row-wise path. Swept
+# from 128 KiB to 4 MiB at n = 2000 (widths 8 to 40, and 160 for the GEMM),
+# 512 KiB came within 20% of the best budget on both paths at every width,
+# and it fits the measured host's 2 MiB L2.
+GATHER_BYTES = 1 << 19
+# Sampling density |mask| / (m n) from which mask_gather takes the GEMM path.
+# The GEMM does m n width flops at BLAS speed, the row-wise path |mask| width
+# at gather speed, so both grow with width and their ratio is set by density.
+# ms per call, row-wise / GEMM, square n = 2000, one OpenBLAS thread on a
+# shared 2-core Xeon, best of 14:
+#   density   width 8       width 20      width 40
+#   0.5%      0.59 / 2.87   1.01 / 6.23   1.39 / 8.87
+#   2%        1.59 / 2.14   2.85 / 4.89   4.32 / 8.02
+#   3%        2.46 / 2.13   3.77 / 5.00   5.87 / 8.41
+#   4%        3.12 / 2.32   7.62 / 6.54   9.35 / 8.35
+#   6%        4.99 / 2.49   9.13 / 5.52   13.7 / 8.86
+#   16%       18.8 / 4.23   22.8 / 6.28   33.8 / 9.28
+# The paths tie between 3% and 4% at n = 300 and n = 1000 as well. Every
+# preset samples more (6% to 23%), the n log n floor at n = 2000 less (0.4%).
+GATHER_BLAS_DENSITY = 0.035
 
 
 def mask_gather(L: np.ndarray, R: np.ndarray, mask: IndexSet) -> np.ndarray:
     """Entries of L @ R.T on a mask: out[p] = L[i_p] . R[j_p].
 
-    Runs in O(|mask| * rank) over blocks of GATHER_CHUNK entries without
-    forming L @ R.T. No finiteness check: callers that need finite values
-    validate them (SparseOnMask does).
+    Below GATHER_BLAS_DENSITY the entries are row-wise dot products,
+    O(|mask| * width), over chunks whose two (chunk, width) gathers fit in
+    GATHER_BYTES. From it on, each of the mask's row_blocks takes one GEMM
+    L[i0:i1] @ R.T into a flat buffer of at most GATHER_BYTES, O(m * n *
+    width) in all, and one take of the block's entries at the cached
+    offsets. The GEMM sums in its own order, so the two paths agree to
+    roundoff, not bitwise; each is bitwise repeatable. No finiteness check:
+    callers that need finite values validate them (SparseOnMask does).
     """
     if (L.shape[0], R.shape[0]) != mask.dims or L.shape[1] != R.shape[1]:
         raise ValueError("dimension mismatch in mask_gather")
+    m, n = mask.dims
     out = np.empty(len(mask))
-    for start in range(0, len(mask), GATHER_CHUNK):
-        stop = start + GATHER_CHUNK
+    if len(mask) >= GATHER_BLAS_DENSITY * m * n:
+        bounds, offsets = mask.row_blocks
+        Rt = np.ascontiguousarray(R.T)
+        buf = np.empty(max(1, GATHER_BYTES // (8 * n)) * n)
+        for i0, i1, p0, p1 in bounds:
+            block = buf[: (i1 - i0) * n]
+            np.matmul(L[i0:i1], Rt, out=block.reshape(i1 - i0, n))
+            # the offsets lie in the block; mode="raise" would copy through a buffer
+            np.take(block, offsets[p0:p1], out=out[p0:p1], mode="clip")
+        return out
+    chunk = max(1, GATHER_BYTES // (16 * max(1, L.shape[1])))
+    for start in range(0, len(mask), chunk):
+        stop = start + chunk
         np.einsum(
             "pr,pr->p",
             np.take(L, mask.rows[start:stop], axis=0),
@@ -393,7 +457,8 @@ def mask_apply(X, mask: IndexSet) -> SparseOnMask:
     """Restrict X to a mask: values[p] = X[i_p, j_p].
 
     For a FactoredMatrix the entries are gathered from the sigma-scaled
-    factors by mask_gather, without densifying.
+    factors by mask_gather (row-wise or by row-blocked GEMM, by density),
+    without densifying.
     """
     if isinstance(X, FactoredMatrix):
         if X.shape != mask.dims:

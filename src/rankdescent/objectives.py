@@ -70,8 +70,11 @@ class Objective:
 class MatrixCompletion(Objective):
     """Half the squared masked residual: 0.5 * sum over the mask of (A - X)^2.
 
-    Only the observed values of A are stored. Entries of X on the mask are
-    evaluated from its factors in O(|mask| * rank).
+    Only the observed values of A are stored. Entries of X on the mask (the
+    residual) and of a direction xi on it (the curvature) are gathered from
+    thin factors by core.mask_gather: row-wise dot products in
+    O(|mask| * width) below its density crossover, one BLAS GEMM and one
+    take per block of rows, O(m * n * width), from it on.
     """
 
     def __init__(self, data: SparseOnMask):

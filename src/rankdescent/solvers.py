@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import FactoredMatrix, factored_diff_norm
 from .geometry import VarietyPoint, choose_flat_direction, make_point, project_cone, retract
-from .linesearch import ArmijoConfig, armijo, initial_step
+from .linesearch import ArmijoConfig, LineSearchError, armijo, initial_step
 from .objectives import Objective
 
 # name -> (direction rule applied to the projected antigradient, floor of the
@@ -53,12 +53,13 @@ class SolverConfig:
 
     tol_g stops once the projected-antigradient norm falls below tol_g times
     its value at the first iterate; tol_f declares a stall after three
-    consecutive decreases below tol_f * max(1, f); both tolerances must be
-    positive and finite. The line search uses ArmijoConfig's defaults. Its
-    initial trial step is bounded below by the variant's floor, which solve
-    reads from VARIANTS (1 for sd, sqrt(2) for rf); the exact-curvature step
-    is its usual value and linesearch.STEP_CAP its upper bound (see
-    linesearch.initial_step).
+    consecutive decreases below tol_f * max(1, f), or at once when a line
+    search fails with no trial moving f by more than that; both tolerances
+    must be positive and finite. The line search uses ArmijoConfig's
+    defaults. Its initial trial step is bounded below by the variant's floor,
+    which solve reads from VARIANTS (1 for sd, sqrt(2) for rf); the
+    exact-curvature step is its usual value and linesearch.STEP_CAP its upper
+    bound (see linesearch.initial_step).
     """
 
     k: int
@@ -129,7 +130,10 @@ def solve(obj: Objective, X0, cfg: SolverConfig, metrics=None) -> SolveResult:
 
     The iteration stops on exact stationarity of the projected antigradient,
     on the relative g tolerance, on a persistent stall of f, or at max_iters;
-    the trace always ends with a terminal row for the final iterate.
+    the trace always ends with a terminal row for the final iterate. A line
+    search that fails while every trial stays within tol_f * max(1, f) of f
+    also ends the run as stalled (f is flat to roundoff there, as at an exact
+    fit of a fully observed problem); any other LineSearchError propagates.
     Deterministic for deterministic objectives.
     """
     if isinstance(X0, FactoredMatrix):
@@ -196,7 +200,17 @@ def solve(obj: Objective, X0, cfg: SolverConfig, metrics=None) -> SolveResult:
         slope = -(xi_norm**2)
         curv = obj.curvature(X, xi)
         bar_beta = initial_step(g_minus, xi_norm, floor, curv)
-        out = armijo(X, xi, obj, f_x, slope, bar_beta, armijo_cfg, retract)
+        try:
+            out = armijo(X, xi, obj, f_x, slope, bar_beta, armijo_cfg, retract)
+        except LineSearchError as err:
+            # no trial moved f beyond the stall tolerance: f is flat to
+            # roundoff here, as at an exact fit, so the run has stalled
+            flat = cfg.tol_f * max(1.0, f_x)
+            if not all(abs(f - f_x) <= flat for _, f in err.trials):
+                raise
+            records.append(rec)
+            status = SolveStatus.STALLED_F
+            break
 
         rec.alpha = out.alpha
         rec.backtracks = out.backtracks

@@ -58,6 +58,15 @@ class TestGen:
         assert_input_error(capsys, code, 2, "gen")
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("under", [False, True])
+    def test_out_not_a_directory_exits_2(self, tmp_path, capsys, under):
+        # an existing file, or a path under one
+        (tmp_path / "file").write_text("keep\n")
+        out = tmp_path / "file" / "sub" if under else tmp_path / "file"
+        code = run_cli("gen", "--n", "30", "--rank", "2", "--budget", "2", "--out", str(out))
+        assert_input_error(capsys, code, 2, "gen", needle="Error")
+        assert (tmp_path / "file").read_text() == "keep\n"
+
 
 class TestRun:
     def test_explicit_spec_both_algorithms(self, tmp_path):
@@ -117,6 +126,32 @@ class TestRun:
             argv += ["--config", str(path)]
         assert_input_error(capsys, run_cli(*argv), 2, "run")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("under", [False, True])
+    def test_out_not_a_directory_exits_2(self, tmp_path, capsys, under):
+        (tmp_path / "file").write_text("keep\n")
+        out = tmp_path / "file" / "sub" if under else tmp_path / "file"
+        code = run_cli(
+            "run", "--n", "30", "--rank", "2", "--budget", "2", "--alg", "sd", "--out", str(out),
+        )
+        assert_input_error(capsys, code, 2, "run", needle="Error")
+        assert (tmp_path / "file").read_text() == "keep\n"
+
+    @pytest.mark.parametrize("n, rank", [(4, 1), (5, 1), (6, 2)])
+    def test_fully_observed_run_stalls(self, tmp_path, capsys, n, rank):
+        # k = n and oversampling 1 observe every entry: f is flat to roundoff
+        # from the start, and the run stalls instead of failing its line search
+        from rankdescent.bench import read_kv
+
+        out = tmp_path / "full"
+        code = run_cli(
+            "run", "--n", str(n), "--rank", str(rank), "--budget", str(n), "--os", "1",
+            "--alg", "both", "--out", str(out),
+        )
+        assert code == 0
+        assert "FAILED" not in capsys.readouterr().out
+        for alg in ("sd", "rf"):
+            assert read_kv(out / f"{alg}_summary.txt")["status"] == "stalled_f"
 
     def test_unknown_config_key_is_named(self, tmp_path, capsys):
         # a misspelt key (max_iter for max_iters) used to be ignored silently

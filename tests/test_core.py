@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse
 
 import rankdescent
+from rankdescent import core
 
 from rankdescent.core import (
     FactoredMatrix,
@@ -19,7 +20,8 @@ from rankdescent.core import (
     frob_norm,
     load_factored,
     load_index_set,
-    GATHER_CHUNK,
+    GATHER_BLAS_DENSITY,
+    GATHER_BYTES,
     mask_apply,
     mask_gather,
     numerical_rank,
@@ -290,10 +292,10 @@ class TestMaskApply:
             mask_apply(np.eye(3), IndexSet((2, 2), [0], [0]))
 
     def test_chunked_gather_matches_dense(self):
-        # a full 150x500 mask spans three GATHER_CHUNK blocks, the last one partial
+        # a full 150x500 mask spans two row blocks of mask_gather, the last one partial
         rng = np.random.default_rng(11)
         m, n = 150, 500
-        assert 2 * GATHER_CHUNK < m * n < 3 * GATHER_CHUNK
+        assert GATHER_BYTES // (8 * n) < m < 2 * (GATHER_BYTES // (8 * n))
         rows, cols = np.nonzero(np.ones((m, n)))
         mask = IndexSet((m, n), rows, cols)
         F = truncate(rng.standard_normal((m, 6)) @ rng.standard_normal((6, n)), 6)
@@ -311,6 +313,85 @@ class TestMaskApply:
             mask_gather(np.ones((3, 2)), np.ones((2, 1)), mask)
         with pytest.raises(ValueError):
             mask_gather(np.ones((2, 1)), np.ones((2, 1)), mask)
+
+
+def random_mask(rng, m, n, density, empty_rows=()):
+    keep = rng.random((m, n)) < density
+    keep[list(empty_rows)] = False
+    return IndexSet((m, n), *np.nonzero(keep))
+
+
+def assert_gathers_dense(L, R, mask, blas):
+    # the contract: out[p] = (L @ R.T)[i_p, j_p] to 1e-13 relative, on the path expected
+    m, n = mask.dims
+    assert (len(mask) >= GATHER_BLAS_DENSITY * m * n) is blas
+    g = mask_gather(L, R, mask)
+    d = (L @ R.T)[mask.rows, mask.cols]
+    assert g.shape == d.shape
+    assert np.max(np.abs(g - d), initial=0.0) <= 1e-13 * np.abs(d).max(initial=0.0)
+
+
+class TestMaskGather:
+    # a mask below the density crossover takes the row-wise path, above it the GEMM path
+    DENSITIES = {False: GATHER_BLAS_DENSITY / 2, True: min(1.0, 4 * GATHER_BLAS_DENSITY)}
+
+    @pytest.mark.parametrize("blas", [False, True])
+    @pytest.mark.parametrize("m, n", [(120, 90), (90, 120), (400, 30), (30, 400), (1, 300)])
+    def test_matches_dense_on_both_paths(self, blas, m, n):
+        rng = np.random.default_rng(m * n)
+        mask = random_mask(rng, m, n, self.DENSITIES[blas])
+        assert len(mask)
+        for width in (1, 7, 40):
+            L, R = rng.standard_normal((m, width)), rng.standard_normal((n, width))
+            assert_gathers_dense(L, R, mask, blas)
+
+    @pytest.mark.parametrize("blas", [False, True])
+    @pytest.mark.parametrize("m", [5, 21, 30])
+    def test_row_blocks_of_every_size(self, monkeypatch, blas, m):
+        # blocks of 7 rows: m below one block, a multiple of it, and not a
+        # multiple; rows empty at both ends and inside, whole blocks empty
+        n, width = 40, 6
+        monkeypatch.setattr(core, "GATHER_BYTES", 8 * n * 7)
+        rng = np.random.default_rng(m)
+        empty = {0, 2, m - 1} | set(range(7, 14) if m > 14 else ())
+        mask = random_mask(rng, m, n, self.DENSITIES[blas], empty_rows=empty)
+        assert not set(mask.rows.tolist()) & empty
+        bounds, offsets = mask.row_blocks
+        assert bounds[-1][3] == len(mask) == offsets.size
+        assert all(i1 - i0 <= 7 for i0, i1, _, _ in bounds)
+        L, R = rng.standard_normal((m, width)), rng.standard_normal((n, width))
+        assert_gathers_dense(L, R, mask, blas)
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (6, 50), (50, 6)])
+    def test_mask_with_no_entries(self, m, n):
+        mask = IndexSet((m, n), [], [])
+        out = mask_gather(np.ones((m, 3)), np.ones((n, 3)), mask)
+        assert out.shape == (0,)
+
+    @pytest.mark.parametrize("blas", [False, True])
+    def test_width_zero_is_all_zeros(self, blas):
+        rng = np.random.default_rng(5)
+        m, n = 60, 80
+        mask = random_mask(rng, m, n, self.DENSITIES[blas])
+        assert (len(mask) >= GATHER_BLAS_DENSITY * m * n) is blas
+        values = mask_apply(FactoredMatrix.zero(m, n), mask).values
+        assert values.shape == (len(mask),) and not values.any()
+
+    @pytest.mark.parametrize("blas", [False, True])
+    def test_repeated_calls_are_bitwise_equal(self, blas):
+        rng = np.random.default_rng(6)
+        m, n = 300, 200
+        mask = random_mask(rng, m, n, self.DENSITIES[blas])
+        L, R = rng.standard_normal((m, 12)), rng.standard_normal((n, 12))
+        first = mask_gather(L, R, mask)
+        for _ in range(3):
+            assert np.array_equal(mask_gather(L, R, mask), first)
+
+    def test_every_preset_takes_the_gemm_path(self):
+        from rankdescent.bench import PRESETS, omega_size
+
+        for spec in PRESETS.values():
+            assert omega_size(spec) >= GATHER_BLAS_DENSITY * spec.n**2
 
 
 class TestNumericalRank:

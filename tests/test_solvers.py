@@ -257,6 +257,55 @@ class TestFailurePropagation:
             solve(LyingGradient(A), X0, SolverConfig(k=2, max_iters=10))
         assert err.value.trials
 
+    @pytest.mark.parametrize(
+        "moves, stalls",
+        [
+            # trial f - f(X0) in units of tol_f * max(1, f(X0))
+            ([0.0, 0.5], True),
+            ([-0.9, 0.9], True),
+            ([0.0, 2.0], False),
+            ([math.inf, 0.0], False),
+            ([math.nan], False),
+        ],
+    )
+    def test_failed_line_search_stalls_only_when_f_is_flat(self, monkeypatch, moves, stalls):
+        from rankdescent import solvers
+        from rankdescent.linesearch import LineSearchError
+
+        obj, _, X0 = quadratic_setup(3)
+        cfg = SolverConfig(k=3, max_iters=10)
+        f0 = obj.value(X0)
+        unit = cfg.tol_f * max(1.0, f0)
+        trials = [(0.5**i, f0 + d * unit) for i, d in enumerate(moves)]
+
+        def failing_armijo(*args):
+            raise LineSearchError("injected", trials)
+
+        monkeypatch.setattr(solvers, "armijo", failing_armijo)
+        if not stalls:
+            with pytest.raises(LineSearchError):
+                solve(obj, X0, cfg)
+            return
+        res = solve(obj, X0, cfg)
+        assert res.status is SolveStatus.STALLED_F
+        assert len(res.trace) == 1 and res.trace[0].alpha == 0.0
+
+    @pytest.mark.parametrize("n, r", [(4, 1), (5, 1), (6, 2)])
+    def test_fully_observed_problem_stalls(self, n, r):
+        # k = n with oversampling 1 observes every entry; the starting SVD is
+        # exact to roundoff and no trial moves f, so Armijo fails on a flat f
+        from rankdescent.bench import CompletionSpec, gen_problem, initial_guess
+
+        spec = CompletionSpec(n, r, n, 1, 42)
+        problem, _ = gen_problem(spec)
+        assert len(problem.mask) == n * n
+        X0 = initial_guess(problem, n)
+        for variant in ("sd", "rf"):
+            res = solve(problem, X0, SolverConfig(k=n, variant=variant))
+            assert res.status is SolveStatus.STALLED_F
+            assert res.trace[-1].alpha == 0.0
+            assert res.trace[-1].f <= 1e-28
+
 
 class TestCompletionRun:
     def test_a3_ratio_tail_bounded_away_from_zero(self):
