@@ -119,8 +119,9 @@ def initial_guess(problem: MatrixCompletion, k: int) -> VarietyPoint:
 def rel_errors(X: VarietyPoint, target: FactoredMatrix, problem: MatrixCompletion):
     """(relative error on all entries, relative error on the visible set).
 
-    The full error is core.factored_diff_norm, from joint QRs of the two
-    points' factors; the masked error uses sqrt(2 f(X)) / ||P(A)||.
+    The full error is core.factored_diff_norm(target, X): X's factors are
+    projected against the target's fixed orthonormal factors, and only the
+    remainder is orthogonalized. The masked error uses sqrt(2 f(X)) / ||P(A)||.
     """
     a_norm = float(np.linalg.norm(target.sigma))
     if a_norm == 0.0:
@@ -182,9 +183,11 @@ def run_experiment(
 
     All algorithms share the problem and the starting guess. Per algorithm a
     trace CSV, an iterate-distance CSV (when iterates were recorded) and a
-    key = value summary are written under out_dir. The reported results hold
-    no iterates: the history is dropped once its distances are taken, so it
-    is not held while the next algorithm runs. Solver failures go into
+    key = value summary are written under out_dir. solve keeps a recorded
+    history on disk (solvers.IterateHistory), and iterate_distances reads it
+    one iterate at a time. The reported results hold no iterates: the history
+    is dropped, and its file closed, once its distances are taken, so it is
+    not kept while the next algorithm runs. Solver failures go into
     the report instead of aborting the remaining algorithms. With timing off
     the wall_ms column is zeroed, which makes every emitted file a pure
     function of the spec.

@@ -165,8 +165,9 @@ class SparseOnMask:
 class FactoredMatrix:
     """Rank-r matrix stored as an SVD triple U @ diag(sigma) @ V.T.
 
-    U (m, r) and V (n, r) are column-orthonormal to ORTHO_TOL; sigma is
-    nonnegative and sorted descending. r = 0 represents the zero matrix.
+    U (m, r) and V (n, r) are finite and column-orthonormal to ORTHO_TOL;
+    sigma is finite, nonnegative and sorted descending. r = 0 represents the
+    zero matrix.
     """
 
     U: np.ndarray
@@ -184,13 +185,16 @@ class FactoredMatrix:
         if U.shape[1] != r or V.shape[1] != r:
             raise ValueError("factor widths do not match sigma")
         if r:
-            if not np.all(np.isfinite(sigma)) or sigma[-1] < 0:
+            if not np.isfinite(sigma).all() or sigma[-1] < 0:
                 raise ValueError("sigma must be finite and nonnegative")
-            if np.any(np.diff(sigma) > 0):
+            if (sigma[1:] > sigma[:-1]).any():
                 raise ValueError("sigma must be sorted descending")
+        eye = np.eye(r)
         for W, name in ((U, "U"), (V, "V")):
-            gram = W.T @ W
-            if np.abs(gram - np.eye(r)).max(initial=0.0) > ORTHO_TOL:
+            # checked first: a Gram product of inf warns, and NaN compares False
+            if not np.isfinite(W).all():
+                raise ValueError(f"{name} has non-finite entries")
+            if not np.abs(W.T @ W - eye).max(initial=0.0) <= ORTHO_TOL:
                 raise ValueError(f"{name} is not column-orthonormal to {ORTHO_TOL}")
 
     @property
@@ -378,18 +382,31 @@ def frob_norm(A) -> float:
 def factored_diff_norm(A: FactoredMatrix, B: FactoredMatrix) -> float:
     """||A - B||_F for two factored matrices, without cancellation.
 
-    A - B = L @ diag(w) @ R.T with L = [A.U | B.U], w = [A.sigma, -B.sigma]
-    and R = [A.V | B.V]; its norm is that of the small (R_L * w) @ R_R.T,
-    for which the R factors of compact QRs of L and R suffice. It is
-    accurate to roundoff in the norm itself, unlike the Gram identity, which
-    loses half the digits once the difference is small.
+    A's factors are column-orthonormal (FactoredMatrix's invariant), so each
+    of B's factors splits into its part in A's span and a remainder:
+    B.U = A.U @ C_U + W_U with C_U = A.U.T @ B.U. One projection leaves W_U
+    orthogonal to A.U only to the roundoff of C_U, so it is projected a
+    second time and the correction added to C_U ("twice is enough", Kahan
+    and Parlett). Then W_U = Q_U @ R_U by one compact QR of that m-by-rank(B)
+    remainder, and over the orthonormal bases [A.U | Q_U] and [A.V | Q_V]
+    A - B is the small ([C_U; R_U] * B.sigma) @ [C_V; R_V].T minus
+    diag(A.sigma) in its leading block, whose norm is taken. Only B's factors
+    are orthogonalized, where a joint QR of [A.U | B.U] would take twice the
+    width. It is accurate to roundoff in the norm itself, unlike the Gram
+    identity, which loses half the digits once the difference is small.
     """
     if A.shape != B.shape:
         raise ValueError("shape mismatch between factored matrices")
-    RL = np.linalg.qr(np.hstack([A.U, B.U]), mode="r")
-    RR = np.linalg.qr(np.hstack([A.V, B.V]), mode="r")
-    w = np.concatenate([A.sigma, -B.sigma])
-    return float(np.linalg.norm((RL * w) @ RR.T))
+    K = []
+    for QA, QB in ((A.U, B.U), (A.V, B.V)):
+        C = QA.T @ QB
+        W = QB - QA @ C
+        D = QA.T @ W
+        W -= QA @ D
+        K.append(np.vstack([C + D, np.linalg.qr(W, mode="r")]))
+    M = (K[0] * B.sigma) @ K[1].T
+    M[: A.rank, : A.rank] -= np.diag(A.sigma)
+    return float(np.linalg.norm(M))
 
 
 # Bytes of mask_gather's temporaries: the flat block of each GEMM (rows of

@@ -15,8 +15,12 @@ otherwise, where retract truncates.
 
 from __future__ import annotations
 
+import io
 import math
+import tempfile
 import time
+import weakref
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -55,11 +59,12 @@ class SolverConfig:
     its value at the first iterate; tol_f declares a stall after three
     consecutive decreases below tol_f * max(1, f), or at once when a line
     search fails with no trial moving f by more than that; both tolerances
-    must be positive and finite. The line search uses ArmijoConfig's
-    defaults. Its initial trial step is bounded below by the variant's floor,
-    which solve reads from VARIANTS (1 for sd, sqrt(2) for rf); the
-    exact-curvature step is its usual value and linesearch.STEP_CAP its upper
-    bound (see linesearch.initial_step).
+    must be positive and finite. record_iterates keeps every iterate, the
+    start included, in the result's IterateHistory, which holds them on disk.
+    The line search uses ArmijoConfig's defaults. Its initial trial step is
+    bounded below by the variant's floor, which solve reads from VARIANTS (1
+    for sd, sqrt(2) for rf); the exact-curvature step is its usual value and
+    linesearch.STEP_CAP its upper bound (see linesearch.initial_step).
     """
 
     k: int
@@ -108,12 +113,52 @@ TRACE_COLUMNS = (
 )
 
 
+class IterateHistory(Sequence):
+    """Read-only sequence of a solve's iterates, kept in an unnamed temporary file.
+
+    append writes an iterate's factors U, sigma and V as raw float64 bytes;
+    only an index of (offset, m, n, s) stays in memory, since the rank s can
+    change between iterates. An item is read back into fresh arrays, bitwise
+    equal to those appended, as a validated FactoredMatrix wrapped with the
+    solve's budget k; iteration reads one iterate at a time. The file is not
+    memory-mapped, so iterates read and dropped are not held by the process,
+    and it is closed when the history is garbage-collected.
+    """
+
+    def __init__(self, k: int):
+        self.k = k
+        self._index: list[tuple[int, int, int, int]] = []
+        self._file = tempfile.TemporaryFile()
+        weakref.finalize(self, self._file.close)
+
+    def append(self, X: VarietyPoint) -> None:
+        F = X.point
+        self._index.append((self._file.seek(0, io.SEEK_END), *F.shape, F.rank))
+        for a in (F.U, F.sigma, F.V):
+            self._file.write(np.ascontiguousarray(a).data)
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def __getitem__(self, i: int) -> VarietyPoint:
+        offset, m, n, s = self._index[i]
+        buf = np.empty((m + 1 + n) * s)
+        self._file.seek(offset)
+        self._file.readinto(buf)
+        U, sigma, V = np.split(buf, [m * s, (m + 1) * s])
+        return VarietyPoint(FactoredMatrix(U.reshape(m, s), sigma, V.reshape(n, s)), self.k)
+
+
 @dataclass
 class SolveResult:
+    """The final iterate, why the run stopped, one TraceRecord per iterate,
+    and, with SolverConfig.record_iterates, every iterate in an
+    IterateHistory (None otherwise)."""
+
     X_star: VarietyPoint
     status: SolveStatus
     trace: list = field(default_factory=list)
-    iterates: list | None = None
+    iterates: IterateHistory | None = None
 
 
 def solve(obj: Objective, X0, cfg: SolverConfig, metrics=None) -> SolveResult:
@@ -134,6 +179,8 @@ def solve(obj: Objective, X0, cfg: SolverConfig, metrics=None) -> SolveResult:
     search that fails while every trial stays within tol_f * max(1, f) of f
     also ends the run as stalled (f is flat to roundoff there, as at an exact
     fit of a fully observed problem); any other LineSearchError propagates.
+    With cfg.record_iterates each iterate, X0 included, is written to the
+    result's IterateHistory before its iteration starts, outside wall_ms.
     Deterministic for deterministic objectives.
     """
     if isinstance(X0, FactoredMatrix):
@@ -149,7 +196,7 @@ def solve(obj: Objective, X0, cfg: SolverConfig, metrics=None) -> SolveResult:
     stall = 0
     steps = 0
     records: list[TraceRecord] = []
-    iterates = [X] if cfg.record_iterates else None
+    iterates = IterateHistory(cfg.k) if cfg.record_iterates else None
 
     def base_record(g_minus):
         rel_full, rel_mask = metrics(X, f_x) if metrics is not None else (None, None)
@@ -170,6 +217,8 @@ def solve(obj: Objective, X0, cfg: SolverConfig, metrics=None) -> SolveResult:
         )
 
     while True:
+        if iterates is not None:
+            iterates.append(X)
         t0 = time.perf_counter()
         G, g_minus = project_cone(X, obj.gradient(X))
         rec = base_record(g_minus)
@@ -227,8 +276,6 @@ def solve(obj: Objective, X0, cfg: SolverConfig, metrics=None) -> SolveResult:
         X = out.X_new
         f_x = out.f_new
         steps += 1
-        if iterates is not None:
-            iterates.append(X)
 
     return SolveResult(X_star=X, status=status, trace=records, iterates=iterates)
 
@@ -257,7 +304,8 @@ def write_trace_csv(path, records, timing: bool = True) -> None:
 
 
 def iterate_distances(iterates) -> np.ndarray:
-    """||X_n - X*|| for a list of factored iterates, X* the last of them."""
+    """||X_n - X*|| for a sequence of iterates (an IterateHistory or a list),
+    X* the last of them; the sequence is read one iterate at a time."""
     last = iterates[-1].point
     return np.array([factored_diff_norm(X.point, last) for X in iterates])
 

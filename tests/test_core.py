@@ -257,6 +257,48 @@ class TestNorms:
         assert np.allclose(D.dense(), FA.dense() - FB.dense(), atol=1e-13)
         assert factored_diff_norm(FA, FB) == pytest.approx(frob_norm(D), rel=1e-14)
 
+    @staticmethod
+    def long_double_diff_norm(A, B) -> float:
+        """||A - B||_F densified from the factors in extended precision."""
+        Ad, Bd = ((F.U.astype(np.longdouble) * F.sigma) @ F.V.T.astype(np.longdouble) for F in (A, B))
+        return float(np.sqrt(np.sum((Ad - Bd) ** 2)))
+
+    @pytest.mark.parametrize("scale", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
+    @pytest.mark.parametrize("m, n, k", [(40, 30, 5), (30, 45, 7)])
+    def test_small_differences_match_long_double_reference(self, scale, m, n, k):
+        # B is the best rank-k approximation of A + scale * P, so both its
+        # factors and its singular values move by about scale
+        rng = np.random.default_rng(int(-np.log10(scale)) * 100 + m)
+        A, P = (truncate((rng.standard_normal((m, k)), rng.standard_normal((n, k))), k) for _ in range(2))
+        B = truncate((np.hstack([A.U * A.sigma, scale * (P.U * P.sigma)]), np.hstack([A.V, P.V])), k)
+        a_norm = float(np.linalg.norm(A.sigma))
+        ref = self.long_double_diff_norm(A, B)
+        assert 0.01 * scale * a_norm < ref < 100 * scale * a_norm
+        for X, Y in ((A, B), (B, A)):
+            assert abs(factored_diff_norm(X, Y) - ref) <= 1e-14 * a_norm
+
+    @pytest.mark.parametrize(
+        "m, n, ra, rb",
+        [(9, 6, 4, 2), (9, 6, 2, 4), (6, 9, 0, 3), (6, 9, 3, 0), (6, 9, 0, 0), (9, 6, 6, 6), (6, 9, 6, 3), (7, 7, 7, 7)],
+    )
+    def test_ranks_and_shapes_match_long_double_reference(self, m, n, ra, rb):
+        # unequal ranks, rank 0 on either side, m != n and rank min(m, n)
+        rng = np.random.default_rng(1000 * m + 10 * ra + rb)
+        A = truncate(rng.standard_normal((m, n)), ra)
+        B = truncate(rng.standard_normal((m, n)), rb)
+        ref = self.long_double_diff_norm(A, B)
+        scale = float(np.linalg.norm(A.sigma) + np.linalg.norm(B.sigma))
+        for X, Y in ((A, B), (B, A)):
+            assert abs(factored_diff_norm(X, Y) - ref) <= 1e-14 * scale
+        if ra == rb == 0:
+            assert factored_diff_norm(A, B) == 0.0
+
+    @pytest.mark.parametrize("m, n, k", [(50, 40, 6), (40, 50, 40), (2000, 300, 20)])
+    def test_self_distance_is_roundoff(self, m, n, k):
+        rng = np.random.default_rng(m + n + k)
+        A = truncate((rng.standard_normal((m, k)), rng.standard_normal((n, k))), k)
+        assert factored_diff_norm(A, A) <= 1e-14 * float(np.linalg.norm(A.sigma))
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             factored_diff_norm(truncate(np.eye(2), 1), truncate(np.eye(3), 1))
@@ -450,6 +492,16 @@ class TestFactoredMatrix:
         U = np.ones((3, 2)) / np.sqrt(3)
         with pytest.raises(ValueError):
             FactoredMatrix(U, [1.0, 0.5], np.eye(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["U", "V"])
+    def test_non_finite_factors_rejected(self, bad, side):
+        # rejected before the Gram product, which would warn on inf, and not
+        # let through by an orthonormality comparison that is False on NaN
+        factors = {"U": np.eye(3)[:, :2], "V": np.eye(4)[:, :2]}
+        factors[side][0, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            FactoredMatrix(factors["U"], [2.0, 1.0], factors["V"])
 
     def test_sigma_order_enforced(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,7 @@
+import gc
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -210,6 +213,85 @@ class TestStepFunctions:
             assert rec.displacement == rec.alpha * rec.xi_norm
             exact = factored_diff_norm(res.iterates[i + 1].point, res.iterates[i].point)
             assert rec.displacement == pytest.approx(exact, rel=1e-12)
+
+
+def assert_same_point(X, Y):
+    assert X.k == Y.k
+    for a, b in ((X.point.U, Y.point.U), (X.point.sigma, Y.point.sigma), (X.point.V, Y.point.V)):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
+class TestIterateHistory:
+    def recorded_run(self, variant="sd", max_iters=60):
+        # a rank-4 target from a rank-2 start with budget 8: the iterate rank
+        # changes, so the history holds factors of several widths
+        rng = np.random.default_rng(3)
+        A = truncate(rng.standard_normal((60, 4)) @ rng.standard_normal((4, 50)), 4)
+        X0 = random_point(rng, 60, 50, 2, 8)
+        seen = []
+
+        def metrics(X, f):
+            seen.append(X)
+            return 0.0, 0.0
+
+        cfg = SolverConfig(k=8, variant=variant, max_iters=max_iters, record_iterates=True)
+        return solve(QuadraticDistance(A), X0, cfg, metrics=metrics), seen
+
+    @pytest.mark.parametrize("variant", ["sd", "rf"])
+    def test_read_back_bitwise_equal_to_metrics_points(self, variant):
+        res, seen = self.recorded_run(variant)
+        assert len({X.s for X in seen}) > 1
+        assert len(res.iterates) == len(seen) == len(res.trace)
+        for i, X in enumerate(seen):
+            assert_same_point(res.iterates[i], X)
+        assert_same_point(res.iterates[-1], res.X_star)
+
+    def test_sequence_protocol(self):
+        res, seen = self.recorded_run()
+        h = res.iterates
+        n = len(h)
+        for i in (-1, -2, -n):
+            assert_same_point(h[i], seen[n + i])
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                h[i]
+        read = list(h)
+        assert len(read) == n
+        for X, Y in zip(read, seen):
+            assert_same_point(X, Y)
+
+    def test_distances_equal_over_history_and_list(self):
+        res, seen = self.recorded_run()
+        assert np.array_equal(iterate_distances(res.iterates), iterate_distances(seen))
+
+    def test_peak_memory_flat_in_iteration_count(self):
+        from rankdescent.bench import CompletionSpec, gen_problem, initial_guess
+
+        # r < k: neither run stalls before max_iters
+        problem, _ = gen_problem(CompletionSpec(200, 2, 6, 3, 5))
+        X0 = initial_guess(problem, 6)
+        peaks = {}
+        for max_iters in (40, 160):
+            tracemalloc.start()
+            try:
+                res = solve(problem, X0, SolverConfig(k=6, max_iters=max_iters, record_iterates=True))
+                peaks[max_iters] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert res.status is SolveStatus.MAX_ITERS
+            assert len(res.iterates) == max_iters + 1
+        held = 120 * (2 * 200 * 6 + 6) * 8  # 120 more iterates in memory
+        assert peaks[160] - peaks[40] < held / 10
+
+    def test_dropping_the_result_closes_the_file_quietly(self):
+        res, _ = self.recorded_run(max_iters=5)
+        fh = res.iterates._file
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            del res
+            gc.collect()
+        assert fh.closed
+        assert not caught
 
 
 class TestContracts:
