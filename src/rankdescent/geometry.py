@@ -257,7 +257,7 @@ def g_lower_bound(X: VarietyPoint, F) -> float:
     return float(np.sqrt((X.k - s) / min(m - s, n - s)) * frob_norm(F))
 
 
-def retract(X: VarietyPoint, xi: ConeTangentVector, alpha: float) -> VarietyPoint:
+def retract(X: VarietyPoint, xi: ConeTangentVector, alpha: float, with_distance: bool = False):
     """Best rank-at-most-k approximation of X + alpha * xi.
 
     Works on the rank-(k+s) structured representation through a compact QR
@@ -265,7 +265,8 @@ def retract(X: VarietyPoint, xi: ConeTangentVector, alpha: float) -> VarietyPoin
     result satisfies ||retract(X, xi, 1) - (X + xi)|| <= ||xi|| / sqrt(2).
     On a flat direction (up or vp block zero) X + alpha * xi has rank at most
     s + rank(perp) <= k, so nothing is truncated and the result is X + alpha
-    * xi exactly.
+    * xi exactly. With with_distance the result is the pair (Y, ||Y - X||_F),
+    the distance read off the small middle matrix (see _combined_svd).
     """
     if alpha < 0:
         raise ValueError("step size must be nonnegative")
@@ -274,20 +275,24 @@ def retract(X: VarietyPoint, xi: ConeTangentVector, alpha: float) -> VarietyPoin
     if xi.base.point is not X.point:
         raise ValueError("tangent vector is not based at the given point")
     if alpha == 0.0 or xi.is_zero():
-        return X
-    U_new, sig, V_new = _combined_svd(X, xi, alpha)
-    return make_point(FactoredMatrix(U_new, sig, V_new), X.k)
+        return (X, 0.0) if with_distance else X
+    U_new, sig, V_new, distance = _combined_svd(X, xi, alpha)
+    Y = make_point(FactoredMatrix(U_new, sig, V_new), X.k)
+    return (Y, distance) if with_distance else Y
 
 
 def _combined_svd(X: VarietyPoint, xi: ConeTangentVector, alpha: float):
-    """SVD factors of X + alpha * xi, truncated to rank at most X.k.
+    """SVD factors of X + alpha * xi, truncated to rank at most X.k, and
+    the distance of that truncation from X.
 
     X + alpha * xi is expressed over the orthonormal bases [U | QL] and
     [V | QR] obtained from compact QRs of the up/perp and vp/perp blocks, so
-    only a (2s+p)-sized middle matrix is ever decomposed. Numerically zero
-    modes are trimmed from the result. Raises ValueError when the middle
-    matrix overflows (its Frobenius norm is not finite), before the SVD,
-    which on such input may not return.
+    only a (2s+p)-sized middle matrix B is ever decomposed. Numerically zero
+    modes are trimmed from the result. Over the same bases X is diag(sigma, 0)
+    and the truncation is B_r, the SVD of B cut to the kept modes, so the
+    distance is ||B_r - diag(sigma, 0)||_F, a small-matrix norm with no QR.
+    Raises ValueError when the middle matrix overflows (its Frobenius norm is
+    not finite), before the SVD, which on such input may not return.
     """
     U, V = X.point.U, X.point.V
     s = X.s
@@ -311,7 +316,9 @@ def _combined_svd(X: VarietyPoint, xi: ConeTangentVector, alpha: float):
     r = min(X.k, numerical_rank(sb))
     U_new = orthonormal_polish(np.hstack([U, QL]) @ Ub[:, :r])
     V_new = orthonormal_polish(np.hstack([V, QR_]) @ Vbt[:r].T)
-    return U_new, sb[:r], V_new
+    step = (Ub[:, :r] * sb[:r]) @ Vbt[:r]
+    step[:s, :s] -= np.diag(X.point.sigma)
+    return U_new, sb[:r], V_new, float(np.linalg.norm(step))
 
 
 def choose_flat_direction(G: ConeTangentVector) -> ConeTangentVector:

@@ -7,8 +7,10 @@ floor rule is its lower bound, so that it never falls below the ratio
 g/||xi|| of projected-antigradient norm to direction norm, with the floor
 the caller passes (solvers.VARIANTS holds each variant's); the exact
 minimizer ||xi||^2 / <xi, Hess f xi> of the quadratic model along xi, from
-the curvature every objective must supply, is the usual start; STEP_CAP
-bounds that start above.
+the curvature of the objective's line, is the usual start; STEP_CAP bounds
+that start above. Along an update that is exactly x + alpha * xi, an exact
+line (objectives.MaskedLine) gives every trial value, and only the accepted
+step is retracted.
 """
 
 from __future__ import annotations
@@ -95,15 +97,18 @@ def initial_step(g_minus: float, xi_norm: float, floor: float, curvature: float)
     return step
 
 
-def armijo(X, xi, obj, f_x, slope, bar_beta, cfg: ArmijoConfig, retractor) -> StepOutcome:
+def armijo(X, xi, obj, f_x, slope, bar_beta, cfg: ArmijoConfig, retractor, line=None) -> StepOutcome:
     """Backtrack from bar_beta until sufficient decrease holds.
 
     slope is the directional derivative <grad f(X), xi> and must be negative.
     Candidate points are produced by retractor(X, xi, alpha); their cost is
-    evaluated through obj.value. A trial whose retraction or value overflows
-    (or produces an invalid floating-point result) counts as f = inf, and a
-    trial with a non-finite value is rejected like any other. Raises
-    LineSearchError after cfg.max_backtracks rejected trials.
+    evaluated through obj.value. With an exact line, valid only when
+    retractor(X, xi, alpha) is X + alpha * xi, a trial's cost is
+    line.value(alpha) instead, retractor runs once, at the accepted step,
+    and line.keep receives its point. A trial whose retraction or value
+    overflows (or produces an invalid floating-point result) counts as
+    f = inf, and a trial with a non-finite value is rejected like any other.
+    Raises LineSearchError after cfg.max_backtracks rejected trials.
     """
     if not slope < 0.0:
         raise ValueError(f"need a descent direction (slope={slope!r})")
@@ -112,12 +117,19 @@ def armijo(X, xi, obj, f_x, slope, bar_beta, cfg: ArmijoConfig, retractor) -> St
         alpha = bar_beta * cfg.beta**m
         try:
             with np.errstate(over="raise", invalid="raise"):
-                X_new = retractor(X, xi, alpha)
-                f_new = obj.value(X_new)
+                if line is None:
+                    X_new = retractor(X, xi, alpha)
+                    f_new = obj.value(X_new)
+                else:
+                    f_new = line.value(alpha)
+                accept = math.isfinite(f_new) and f_new - f_x <= cfg.c * alpha * slope
+                if accept and line is not None:
+                    X_new = retractor(X, xi, alpha)
+                    line.keep(X_new)
         except FloatingPointError:
-            f_new = math.inf
+            f_new, accept = math.inf, False
         trials.append((alpha, f_new))
-        if math.isfinite(f_new) and f_new - f_x <= cfg.c * alpha * slope:
+        if accept:
             return StepOutcome(alpha, m, f_new, X_new, f_new - f_x)
     raise LineSearchError(
         f"no sufficient decrease within {cfg.max_backtracks} backtracks", trials

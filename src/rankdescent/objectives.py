@@ -1,10 +1,15 @@
-"""Cost functions over variety points: value, structured gradient, curvature.
+"""Cost functions over variety points: value, structured gradient, line.
 
 Each objective returns its gradient in one form the tangent-cone projection
 consumes through thin factor products alone: MatrixCompletion as values on
 the mask, QuadraticDistance as one factored matrix. Both compute the residual
 once per point: the gradient at the point whose value was taken last reuses
-its residual.
+its residual. line(X, xi) describes the objective along the ambient line
+X + alpha * xi: its curvature, which sets the line search's initial step,
+and, for matrix completion, its exact values. Those come from one gather of
+the direction on the mask, so a search along a flat direction, whose update
+is exactly X + alpha * xi, gathers nothing per trial, and the residual of
+its accepted point is the line's, with no gather either.
 """
 
 from __future__ import annotations
@@ -28,18 +33,62 @@ from .core import (
 from .geometry import ConeTangentVector, VarietyPoint
 
 
+class Line:
+    """The objective along the ambient line X + alpha * xi from a point X.
+
+    curvature is <xi, Hess f(X) xi>, from which the line search takes its
+    initial step. This base class knows nothing more (exact is False). An
+    objective that knows f along the line returns a subclass with exact =
+    True and two more methods: value(alpha) = f(X + alpha * xi), and keep(Y),
+    which files the residual of the last value taken as that of Y, the point
+    X + alpha * xi once the update has formed it.
+    """
+
+    exact = False
+
+    def __init__(self, curvature: float):
+        self.curvature = curvature
+
+
+class MaskedLine(Line):
+    """0.5 * ||r + alpha * v||^2 along the line, r = P(X - A) and v = P(xi).
+
+    f is exactly quadratic on the line, so each value is one O(|mask|) vector
+    update, and keep seeds the objective's residual slot with r + alpha * v
+    (read-only) under Y's identity: the gradient and value at Y gather
+    nothing. The kept residual differs from a fresh gather at Y by the
+    roundoff of forming Y, which accumulates over the steps that keep one.
+    """
+
+    exact = True
+
+    def __init__(self, obj: "MatrixCompletion", r: np.ndarray, v: np.ndarray):
+        super().__init__(float(v @ v))
+        self._obj, self._r, self._v = obj, r, v
+        self._w = None
+
+    def value(self, alpha: float) -> float:
+        self._w = self._r + alpha * self._v
+        return 0.5 * float(self._w @ self._w)
+
+    def keep(self, Y: VarietyPoint) -> None:
+        self._w.flags.writeable = False
+        self._obj._last = (Y.point, self._w)
+
+
 class Objective:
     """Interface: a differentiable cost bounded below on the ambient space.
 
-    value, gradient and curvature are required. curvature(X, xi) returns
-    <xi, Hess f(X) xi> for a cone tangent vector xi; the solver starts its
-    line search at the exact minimizer of the quadratic model along xi.
+    value, gradient and line are required. line(X, xi) returns a Line along
+    X + alpha * xi for a cone tangent vector xi at X: its curvature
+    <xi, Hess f(X) xi> sets the exact-minimizer start of the line search, and
+    an exact Line (see MaskedLine) gives the search's trial values as well.
 
     Subclasses that define shape and _compute_residual(point) get _residual,
     which keeps the residual of the point evaluated last in one slot keyed by
     the identity of X.point. A FactoredMatrix is immutable and the slot holds
     a reference to it, so the key cannot be reused by another point: the
-    solver's gradient at the line search's accepted trial, and the first
+    solver's gradient at the line search's accepted point, and the first
     gradient after value(X0), cost no residual. The slot makes an instance
     unsafe to share between threads.
     """
@@ -53,8 +102,8 @@ class Objective:
         """Ambient gradient at X in structured form."""
         raise NotImplementedError
 
-    def curvature(self, X: VarietyPoint, xi: ConeTangentVector) -> float:
-        """<xi, Hess f(X) xi> along a cone tangent vector at X."""
+    def line(self, X: VarietyPoint, xi: ConeTangentVector) -> Line:
+        """The objective along X + alpha * xi, for a cone tangent vector xi at X."""
         raise NotImplementedError
 
     def _residual(self, X: VarietyPoint):
@@ -71,10 +120,10 @@ class MatrixCompletion(Objective):
     """Half the squared masked residual: 0.5 * sum over the mask of (A - X)^2.
 
     Only the observed values of A are stored. Entries of X on the mask (the
-    residual) and of a direction xi on it (the curvature) are gathered from
-    thin factors by core.mask_gather: row-wise dot products in
-    O(|mask| * width) below its density crossover, one BLAS GEMM and one
-    take per block of rows, O(m * n * width), from it on.
+    residual, unless a MaskedLine kept it) and of a direction xi on it (the
+    line's v) are gathered from thin factors by core.mask_gather: row-wise
+    dot products in O(|mask| * width) below its density crossover, one BLAS
+    GEMM and one take per block of rows, O(m * n * width), from it on.
     """
 
     def __init__(self, data: SparseOnMask):
@@ -95,12 +144,10 @@ class MatrixCompletion(Objective):
         # gradient of 0.5*||P(A - X)||^2 is P(X - A), supported on the mask
         return SparseOnMask(self.mask, self._residual(X))
 
-    def curvature(self, X: VarietyPoint, xi: ConeTangentVector) -> float:
-        """<xi, Hess f xi> = ||P(xi)||^2, gathered from xi's thin factors."""
-        if X.shape != self.shape:
-            raise ValueError("dimension mismatch between point and problem")
-        v = mask_gather(*xi.factors(), self.mask)
-        return float(v @ v)
+    def line(self, X: VarietyPoint, xi: ConeTangentVector) -> MaskedLine:
+        """The exact line, v = P(xi) gathered from xi's thin factors once;
+        its curvature <xi, Hess f xi> is ||v||^2."""
+        return MaskedLine(self, self._residual(X), mask_gather(*xi.factors(), self.mask))
 
 
 class QuadraticDistance(Objective):
@@ -132,9 +179,9 @@ class QuadraticDistance(Objective):
     def gradient(self, X: VarietyPoint) -> FactoredMatrix:
         return self._residual(X)
 
-    def curvature(self, X: VarietyPoint, xi: ConeTangentVector) -> float:
-        """<xi, Hess f xi> = ||xi||^2: the Hessian is the identity."""
-        return xi.norm() ** 2
+    def line(self, X: VarietyPoint, xi: ConeTangentVector) -> Line:
+        """The curvature <xi, Hess f xi> = ||xi||^2 alone: the Hessian is the identity."""
+        return Line(xi.norm() ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,20 @@
 Every variant follows the same loop: project the antigradient onto the
 tangent cone (the negated projection of the gradient, since the cone is
 closed under sign), apply the variant's direction rule, take an Armijo step
-from the initial step that the objective's curvature gives, and project
-X + alpha * xi back onto the variety with retract. A variant is one entry of
-VARIANTS: its direction rule, which takes the cone projection alone, and the
-floor of its initial step. Stopping rules and the per-iteration trace are
-artifact plumbing; the iteration itself would happily run forever. The
-trace's displacement ||X_{n+1} - X_n|| is alpha * ||xi|| for a flat
-direction, whose update is exactly X + alpha * xi, and a factored distance
-otherwise, where retract truncates.
+from the initial step that the curvature of the objective's line gives, and
+project X + alpha * xi back onto the variety with retract. A variant is one
+entry of VARIANTS: its direction rule, which takes the cone projection
+alone, and the floor of its initial step. Stopping rules and the
+per-iteration trace are artifact plumbing; the iteration itself would
+happily run forever.
+
+A flat direction's update is exactly X + alpha * xi. When the objective's
+line is exact there (matrix completion), the line search takes every trial
+value from it and retracts once, at the accepted step, whose residual the
+line keeps: an rf iteration on a completion problem gathers only the
+direction on the mask, and the residual is gathered once per solve, at X0.
+The trace's displacement ||X_{n+1} - X_n|| is alpha * ||xi|| for a flat
+direction and otherwise the distance retract reads off its middle matrix.
 """
 
 from __future__ import annotations
@@ -120,7 +126,8 @@ class IterateHistory(Sequence):
     only an index of (offset, m, n, s) stays in memory, since the rank s can
     change between iterates. An item is read back into fresh arrays, bitwise
     equal to those appended, as a validated FactoredMatrix wrapped with the
-    solve's budget k; iteration reads one iterate at a time. The file is not
+    solve's budget k; iteration reads one iterate at a time, and a slice is
+    a list of its iterates, read one after another. The file is not
     memory-mapped, so iterates read and dropped are not held by the process,
     and it is closed when the history is garbage-collected.
     """
@@ -140,7 +147,9 @@ class IterateHistory(Sequence):
     def __len__(self) -> int:
         return len(self._index)
 
-    def __getitem__(self, i: int) -> VarietyPoint:
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
         offset, m, n, s = self._index[i]
         buf = np.empty((m + 1 + n) * s)
         self._file.seek(offset)
@@ -169,9 +178,11 @@ def solve(obj: Objective, X0, cfg: SolverConfig, metrics=None) -> SolveResult:
     (rel_err_full, rel_err_mask) for the trace.
 
     Each Armijo search starts at initial_step: the variant's floor rule is
-    the lower bound, and the exact minimizer ||xi||^2 / obj.curvature(X, xi)
-    of the quadratic model along the direction, capped above at STEP_CAP, is
-    the usual start.
+    the lower bound, and the exact minimizer ||xi||^2 / curvature of the
+    quadratic model along the direction, with the curvature of
+    obj.line(X, xi) and capped above at STEP_CAP, is the usual start. Along
+    a flat direction an exact line also gives the trial values (see
+    linesearch.armijo).
 
     The iteration stops on exact stationarity of the projected antigradient,
     on the relative g tolerance, on a persistent stall of f, or at max_iters;
@@ -197,6 +208,13 @@ def solve(obj: Objective, X0, cfg: SolverConfig, metrics=None) -> SolveResult:
     steps = 0
     records: list[TraceRecord] = []
     iterates = IterateHistory(cfg.k) if cfg.record_iterates else None
+
+    moved = 0.0  # ||Y - X|| of the last retraction
+
+    def retractor(X, xi, alpha):
+        nonlocal moved
+        Y, moved = retract(X, xi, alpha, with_distance=True)
+        return Y
 
     def base_record(g_minus):
         rel_full, rel_mask = metrics(X, f_x) if metrics is not None else (None, None)
@@ -247,10 +265,13 @@ def solve(obj: Objective, X0, cfg: SolverConfig, metrics=None) -> SolveResult:
         xi_norm = xi.norm()
         # for projection-derived directions <grad, xi> = -||xi||^2 exactly
         slope = -(xi_norm**2)
-        curv = obj.curvature(X, xi)
-        bar_beta = initial_step(g_minus, xi_norm, floor, curv)
+        # flat: retract returns X + alpha * xi without truncating
+        flat = not (xi.up.any() and xi.vp.any())
+        line = obj.line(X, xi)
+        bar_beta = initial_step(g_minus, xi_norm, floor, line.curvature)
+        exact = line if flat and line.exact else None
         try:
-            out = armijo(X, xi, obj, f_x, slope, bar_beta, armijo_cfg, retract)
+            out = armijo(X, xi, obj, f_x, slope, bar_beta, armijo_cfg, retractor, exact)
         except LineSearchError as err:
             # no trial moved f beyond the stall tolerance: f is flat to
             # roundoff here, as at an exact fit, so the run has stalled
@@ -264,11 +285,8 @@ def solve(obj: Objective, X0, cfg: SolverConfig, metrics=None) -> SolveResult:
         rec.alpha = out.alpha
         rec.backtracks = out.backtracks
         rec.xi_norm = xi_norm
-        if xi.up.any() and xi.vp.any():
-            rec.displacement = factored_diff_norm(out.X_new.point, X.point)
-        else:
-            # flat: retract returned X + alpha * xi without truncating
-            rec.displacement = out.alpha * xi_norm
+        # the accepted trial is the last one retracted
+        rec.displacement = out.alpha * xi_norm if flat else moved
         rec.wall_ms = (time.perf_counter() - t0) * 1e3
         records.append(rec)
 

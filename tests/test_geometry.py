@@ -274,6 +274,22 @@ class TestRetraction:
             oracle = truncate(X.dense() + alpha * xi.dense(), X.k).dense()
             assert np.allclose(R.dense(), oracle, atol=1e-12 * (1 + np.abs(oracle).max()))
 
+    def test_distance_matches_dense(self):
+        # with_distance reads ||Y - X|| off the small middle matrix, at s = k
+        # and s < k; the zero step moves nothing
+        rng = np.random.default_rng(19)
+        for _ in range(100):
+            X, _ = random_instance(rng)
+            xi = random_cone_vector(rng, X)
+            alpha = float(rng.uniform(0.0, 2.0))
+            Y, distance = retract(X, xi, alpha, with_distance=True)
+            plain = retract(X, xi, alpha).point
+            assert all(np.array_equal(a, b) for a, b in zip(
+                (Y.point.U, Y.point.sigma, Y.point.V), (plain.U, plain.sigma, plain.V)))
+            dense = np.linalg.norm(Y.dense() - X.dense())
+            assert distance == pytest.approx(dense, rel=1e-10, abs=1e-12)
+        assert retract(X, xi, 0.0, with_distance=True) == (X, 0.0)
+
     def test_stability_bound(self):
         rng = np.random.default_rng(14)
         for _ in range(1000):

@@ -103,6 +103,39 @@ class TestArmijo:
         assert out.alpha == pytest.approx(1.0, rel=1e-12)
         assert out.f_new == pytest.approx(0.0, abs=1e-24)
 
+    def test_exact_line_retracts_only_accepted_step(self):
+        # the scalar example with f(x0 + alpha * xi) = (1 - alpha)^2 / 2 from
+        # an exact line: trials never retract or call obj.value, and the
+        # accepted point is retracted once and handed to the line
+        kept, retracted = [], []
+        line = SimpleNamespace(value=lambda a: 0.5 * (1.0 - a) ** 2, keep=kept.append)
+
+        def retractor(x, xi, alpha):
+            retracted.append(alpha)
+            return x + alpha * xi
+
+        out = armijo(
+            1.0, -1.0, SimpleNamespace(value=None), 0.5, -1.0, 1.0,
+            ArmijoConfig(beta=0.5, c=0.9), retractor, line,
+        )
+        assert (out.alpha, out.backtracks, out.f_new) == (0.125, 3, 0.5 * 0.875**2)
+        assert retracted == [0.125]
+        assert kept == [out.X_new] == [0.875]
+
+    def test_exact_line_step_whose_retraction_overflows_is_rejected(self):
+        # the line accepts every trial, but the retraction overflows at
+        # alpha = 1 and 1/2: those trials count as f = inf and the search
+        # backtracks to 1/4 instead of raising
+        kept = []
+        line = SimpleNamespace(value=lambda a: 0.5 * (1.0 - a) ** 2, keep=kept.append)
+
+        def retractor(x, xi, alpha):
+            return x + np.exp(np.float64(2000.0 * alpha))
+
+        out = armijo(1.0, -1.0, None, 0.5, -1.0, 1.0, ArmijoConfig(), retractor, line)
+        assert (out.alpha, out.backtracks, out.f_new) == (0.25, 2, 0.5 * 0.75**2)
+        assert kept == [out.X_new]
+
     def test_non_finite_values_exhaust_to_error(self):
         obj = SimpleNamespace(value=lambda y: -math.inf)
         cfg = ArmijoConfig(max_backtracks=3)

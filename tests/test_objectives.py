@@ -8,7 +8,14 @@ from rankdescent.core import (
     frob_norm,
     truncate,
 )
-from rankdescent.geometry import VarietyPoint, make_point, random_point, zero_point
+from rankdescent.geometry import (
+    VarietyPoint,
+    choose_flat_direction,
+    make_point,
+    random_point,
+    retract,
+    zero_point,
+)
 from helpers import ambient_dense, random_cone_vector
 from rankdescent import objectives
 from rankdescent.objectives import (
@@ -80,7 +87,43 @@ class TestMatrixCompletion:
                 assert xi.perp.rank == k - s
                 dense = xi.dense()[self.mask.rows, self.mask.cols]
                 expected = float(dense @ dense)
-                assert self.obj.curvature(X, xi) == pytest.approx(expected, rel=1e-12)
+                assert self.obj.line(X, xi).curvature == pytest.approx(expected, rel=1e-12)
+
+    def test_line_values_match_dense_oracle(self):
+        # f along X + alpha * xi is 0.5 * ||P(X + alpha * xi - A)||^2 for any
+        # cone vector; the line takes it from P(X - A) and P(xi)
+        on_mask = (self.mask.rows, self.mask.cols)
+        for s, k in ((3, 3), (2, 5), (0, 2)):
+            X = random_point(self.rng, 10, 8, s, k)
+            xi = random_cone_vector(self.rng, X)
+            self.obj.gradient(X)
+            line = self.obj.line(X, xi)
+            assert line.exact
+            for alpha in (0.0, 0.3, 2.0):
+                res = (X.dense() + alpha * xi.dense() - self.A_dense)[on_mask]
+                assert line.value(alpha) == pytest.approx(0.5 * float(res @ res), rel=1e-12)
+
+    def test_kept_line_residual_seeds_the_slot(self, monkeypatch):
+        # a flat step's update is X + alpha * xi: keep files the line's
+        # residual under the new point, whose gradient and value gather nothing
+        X = random_point(self.rng, 10, 8, 3, 3)
+        xi = choose_flat_direction(random_cone_vector(self.rng, X))
+        self.obj.value(X)
+        line = self.obj.line(X, xi)
+        f = line.value(0.4)
+        Y = retract(X, xi, 0.4)
+        line.keep(Y)
+        gathers = []
+        real = objectives.mask_apply
+        monkeypatch.setattr(
+            objectives, "mask_apply", lambda X, mask: gathers.append(X) or real(X, mask)
+        )
+        g = self.obj.gradient(Y)
+        assert self.obj.value(Y) == f
+        assert not gathers
+        assert not g.values.flags.writeable
+        fresh = MatrixCompletion(self.data).gradient(Y).values
+        assert np.allclose(g.values, fresh, rtol=0, atol=1e-13)
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
@@ -142,7 +185,8 @@ class TestQuadraticDistance:
                 assert xi.perp.rank == k - s
                 Xd, D = X.dense(), xi.dense()
                 expected = dense_value(Xd + D) - 2.0 * dense_value(Xd) + dense_value(Xd - D)
-                assert obj.curvature(X, xi) == pytest.approx(expected, rel=1e-10)
+                assert obj.line(X, xi).curvature == pytest.approx(expected, rel=1e-10)
+                assert not obj.line(X, xi).exact
 
     def test_diag_example(self):
         A = truncate(np.diag([3.0, 1.0]), 2)

@@ -214,6 +214,31 @@ class TestStepFunctions:
             exact = factored_diff_norm(res.iterates[i + 1].point, res.iterates[i].point)
             assert rec.displacement == pytest.approx(exact, rel=1e-12)
 
+    @pytest.mark.parametrize("run", ["fig1-small", "rank-deficient"])
+    def test_sd_displacement_matches_factored_distance(self, monkeypatch, run):
+        # sd's displacement is read off the retraction's middle matrix, with
+        # no factored distance taken in solve; it agrees with the factored
+        # distance between consecutive iterates
+        from rankdescent import solvers
+        from rankdescent.bench import PRESETS, CompletionSpec, gen_problem, initial_guess
+
+        if run == "fig1-small":
+            spec, start_rank = PRESETS["fig1-small"], 8
+        else:
+            # a rank-2 target under budget 6, from a rank-1 start (s < k)
+            spec, start_rank = CompletionSpec(200, 2, 6, 3, 5), 1
+        problem, _ = gen_problem(spec)
+        X0 = VarietyPoint(initial_guess(problem, start_rank).point, spec.k)
+        monkeypatch.setattr(solvers, "factored_diff_norm", None)  # a call would fail
+        res = solve(problem, X0, SolverConfig(k=spec.k, max_iters=200, record_iterates=True))
+        monkeypatch.undo()
+        assert len(res.trace) > 100
+        prev = res.iterates[0]
+        for rec, nxt in zip(res.trace[:-1], res.iterates[1:]):
+            exact = factored_diff_norm(nxt.point, prev.point)
+            assert abs(rec.displacement - exact) <= 1e-12 * frob_norm(prev.point)
+            prev = nxt
+
 
 def assert_same_point(X, Y):
     assert X.k == Y.k
@@ -259,6 +284,18 @@ class TestIterateHistory:
         assert len(read) == n
         for X, Y in zip(read, seen):
             assert_same_point(X, Y)
+
+    def test_slices_read_lists_of_iterates(self):
+        res, seen = self.recorded_run()
+        h = res.iterates
+        n = len(h)
+        for sl in (slice(1, 3), slice(None), slice(-3, None), slice(None, None, -7),
+                   slice(2, n + 10), slice(n, n + 5), slice(3, 1)):
+            read = h[sl]
+            assert isinstance(read, list)
+            assert len(read) == len(seen[sl])
+            for X, Y in zip(read, seen[sl]):
+                assert_same_point(X, Y)
 
     def test_distances_equal_over_history_and_list(self):
         res, seen = self.recorded_run()
@@ -431,7 +468,7 @@ class TestCompletionRun:
             res = solve(problem, X0, SolverConfig(k=3, variant=variant, max_iters=1))
             G, g = project_cone(X0, problem.gradient(X0))
             xi = -G if variant == "sd" else choose_flat_direction(-G)
-            curvature = problem.curvature(X0, xi)
+            curvature = problem.line(X0, xi).curvature
             # under full sampling the exact step would be 1; on the mask it is longer
             assert xi.norm() ** 2 / curvature > floor
             rec = res.trace[0]
@@ -439,15 +476,21 @@ class TestCompletionRun:
             assert rec.alpha == bar_beta * 0.5**rec.backtracks
 
     def test_one_gather_per_trial_point(self, monkeypatch):
-        # value(X0) and each line-search trial gather P(X); the gradient at
-        # an accepted point reuses the residual of its trial
+        # sd gathers P(X) at X0 and at each line-search trial; rf gathers it
+        # at X0 alone, since its trials are values of the exact line and the
+        # accepted point keeps the line's residual. Both gather P(xi) once per
+        # iteration, for the line, and the gradient never gathers.
         from rankdescent import objectives
         from rankdescent.bench import PRESETS, gen_problem, initial_guess
 
-        gathers = []
+        gathers, lines = [], []
         real = objectives.mask_apply
         monkeypatch.setattr(
             objectives, "mask_apply", lambda X, mask: gathers.append(X) or real(X, mask)
+        )
+        real_gather = objectives.mask_gather
+        monkeypatch.setattr(
+            objectives, "mask_gather", lambda L, R, mask: lines.append(L) or real_gather(L, R, mask)
         )
         real_gradient = MatrixCompletion.gradient
 
@@ -463,9 +506,36 @@ class TestCompletionRun:
         X0 = initial_guess(problem, spec.k)
         for variant in ("sd", "rf"):
             gathers.clear()
+            lines.clear()
             res = solve(problem, X0, SolverConfig(k=spec.k, variant=variant, max_iters=30))
-            trials = sum(r.backtracks + 1 for r in res.trace[:-1])
-            assert len(gathers) == trials + 1
+            steps = res.trace[:-1]
+            trials = sum(r.backtracks + 1 for r in steps)
+            assert len(gathers) == (trials + 1 if variant == "sd" else 1)
+            assert len(lines) == len(steps) == 30
+
+    @pytest.mark.parametrize(
+        "preset, seed", [("fig1-small", 42), ("fig1-small", 1000), ("fig1-small", 1001),
+                         ("fig1-small", 1002), ("fig2-small", 42)],
+    )
+    def test_rf_kept_residual_matches_fresh_gather(self, monkeypatch, preset, seed):
+        # rf's residual is gathered at X0 and then kept from the line of each
+        # step; after a full solve (1000 iterations on fig2-small, which does
+        # not converge) it agrees with a fresh gather at the final iterate
+        from dataclasses import replace
+
+        from rankdescent import objectives
+        from rankdescent.bench import PRESETS, gen_problem, initial_guess
+        from rankdescent.core import mask_apply
+
+        spec = replace(PRESETS[preset], seed=seed)
+        problem, _ = gen_problem(spec)
+        X0 = initial_guess(problem, spec.k)
+        res = solve(problem, X0, SolverConfig(k=spec.k, variant="rf", max_iters=1000))
+        assert len(res.trace) > 200
+        monkeypatch.setattr(objectives, "mask_apply", None)  # a gather would fail
+        kept = problem.gradient(res.X_star).values
+        fresh = mask_apply(res.X_star.point, problem.mask).values - problem.data.values
+        assert np.linalg.norm(kept - fresh) <= 1e-12 * np.linalg.norm(problem.data.values)
 
 
 class TestTraceCsv:
