@@ -257,7 +257,7 @@ def g_lower_bound(X: VarietyPoint, F) -> float:
     return float(np.sqrt((X.k - s) / min(m - s, n - s)) * frob_norm(F))
 
 
-def retract(X: VarietyPoint, xi: ConeTangentVector, alpha: float, with_distance: bool = False):
+def retract(X: VarietyPoint, xi: ConeTangentVector, alpha: float) -> tuple[VarietyPoint, float]:
     """Best rank-at-most-k approximation of X + alpha * xi.
 
     Works on the rank-(k+s) structured representation through a compact QR
@@ -265,8 +265,8 @@ def retract(X: VarietyPoint, xi: ConeTangentVector, alpha: float, with_distance:
     result satisfies ||retract(X, xi, 1) - (X + xi)|| <= ||xi|| / sqrt(2).
     On a flat direction (up or vp block zero) X + alpha * xi has rank at most
     s + rank(perp) <= k, so nothing is truncated and the result is X + alpha
-    * xi exactly. With with_distance the result is the pair (Y, ||Y - X||_F),
-    the distance read off the small middle matrix (see _combined_svd).
+    * xi exactly. Returns the pair (Y, ||Y - X||_F), the distance read off
+    the small middle matrix (see _combined_svd).
     """
     if alpha < 0:
         raise ValueError("step size must be nonnegative")
@@ -275,10 +275,9 @@ def retract(X: VarietyPoint, xi: ConeTangentVector, alpha: float, with_distance:
     if xi.base.point is not X.point:
         raise ValueError("tangent vector is not based at the given point")
     if alpha == 0.0 or xi.is_zero():
-        return (X, 0.0) if with_distance else X
+        return X, 0.0
     U_new, sig, V_new, distance = _combined_svd(X, xi, alpha)
-    Y = make_point(FactoredMatrix(U_new, sig, V_new), X.k)
-    return (Y, distance) if with_distance else Y
+    return make_point(FactoredMatrix(U_new, sig, V_new), X.k), distance
 
 
 def _combined_svd(X: VarietyPoint, xi: ConeTangentVector, alpha: float):

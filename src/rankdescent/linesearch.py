@@ -55,13 +55,15 @@ class ArmijoConfig:
 
 @dataclass(frozen=True)
 class StepOutcome:
-    """Accepted Armijo step: alpha = beta**backtracks * bar_beta."""
+    """Accepted Armijo step: alpha = beta**backtracks * bar_beta, and the
+    distance of X_new from X that the retractor reported for it."""
 
     alpha: float
     backtracks: int
     f_new: float
     X_new: object
     decrease: float
+    distance: float
 
 
 class LineSearchError(RuntimeError):
@@ -101,9 +103,9 @@ def armijo(X, xi, obj, f_x, slope, bar_beta, cfg: ArmijoConfig, retractor, line=
     """Backtrack from bar_beta until sufficient decrease holds.
 
     slope is the directional derivative <grad f(X), xi> and must be negative.
-    Candidate points are produced by retractor(X, xi, alpha); their cost is
-    evaluated through obj.value. With an exact line, valid only when
-    retractor(X, xi, alpha) is X + alpha * xi, a trial's cost is
+    retractor(X, xi, alpha) returns a candidate point and its distance from
+    X; the candidate's cost is evaluated through obj.value. With an exact
+    line, valid only when the candidate is X + alpha * xi, a trial's cost is
     line.value(alpha) instead, retractor runs once, at the accepted step,
     and line.keep receives its point. A trial whose retraction or value
     overflows (or produces an invalid floating-point result) counts as
@@ -118,19 +120,19 @@ def armijo(X, xi, obj, f_x, slope, bar_beta, cfg: ArmijoConfig, retractor, line=
         try:
             with np.errstate(over="raise", invalid="raise"):
                 if line is None:
-                    X_new = retractor(X, xi, alpha)
+                    X_new, distance = retractor(X, xi, alpha)
                     f_new = obj.value(X_new)
                 else:
                     f_new = line.value(alpha)
                 accept = math.isfinite(f_new) and f_new - f_x <= cfg.c * alpha * slope
                 if accept and line is not None:
-                    X_new = retractor(X, xi, alpha)
+                    X_new, distance = retractor(X, xi, alpha)
                     line.keep(X_new)
         except FloatingPointError:
             f_new, accept = math.inf, False
         trials.append((alpha, f_new))
         if accept:
-            return StepOutcome(alpha, m, f_new, X_new, f_new - f_x)
+            return StepOutcome(alpha, m, f_new, X_new, f_new - f_x, distance)
     raise LineSearchError(
         f"no sufficient decrease within {cfg.max_backtracks} backtracks", trials
     )

@@ -72,8 +72,7 @@ class MaskedLine(Line):
         return 0.5 * float(self._w @ self._w)
 
     def keep(self, Y: VarietyPoint) -> None:
-        self._w.flags.writeable = False
-        self._obj._last = (Y.point, self._w)
+        self._obj._keep_residual(Y.point, self._w)
 
 
 class Objective:
@@ -112,8 +111,15 @@ class Objective:
         point, r = self._last
         if point is not X.point:
             r = self._compute_residual(X.point)
-            self._last = (X.point, r)
+            self._keep_residual(X.point, r)
         return r
+
+    def _keep_residual(self, point: FactoredMatrix, r) -> None:
+        """File r as the residual of point in the slot. An array residual is
+        made read-only; a FactoredMatrix one is immutable already."""
+        if isinstance(r, np.ndarray):
+            r.flags.writeable = False
+        self._last = (point, r)
 
 
 class MatrixCompletion(Objective):
@@ -132,9 +138,7 @@ class MatrixCompletion(Objective):
         self.shape = data.shape
 
     def _compute_residual(self, point: FactoredMatrix) -> np.ndarray:
-        r = mask_apply(point, self.mask).values - self.data.values
-        r.flags.writeable = False
-        return r
+        return mask_apply(point, self.mask).values - self.data.values
 
     def value(self, X: VarietyPoint) -> float:
         r = self._residual(X)

@@ -15,8 +15,11 @@ line is exact there (matrix completion), the line search takes every trial
 value from it and retracts once, at the accepted step, whose residual the
 line keeps: an rf iteration on a completion problem gathers only the
 direction on the mask, and the residual is gathered once per solve, at X0.
-The trace's displacement ||X_{n+1} - X_n|| is alpha * ||xi|| for a flat
-direction and otherwise the distance retract reads off its middle matrix.
+The rule looks at the direction, not the variant: an sd step is flat too
+when its up or vp block vanishes, as at a rank-0 point, where both are
+empty, and it then takes the exact line. The trace's displacement ||X_{n+1} - X_n|| is
+alpha * ||xi|| for a flat direction and otherwise the distance that retract
+returns beside the point, read off its middle matrix.
 """
 
 from __future__ import annotations
@@ -182,7 +185,9 @@ def solve(obj: Objective, X0, cfg: SolverConfig, metrics=None) -> SolveResult:
     quadratic model along the direction, with the curvature of
     obj.line(X, xi) and capped above at STEP_CAP, is the usual start. Along
     a flat direction an exact line also gives the trial values (see
-    linesearch.armijo).
+    linesearch.armijo), whatever the variant: sd's step from a rank-0 point
+    is flat, so its f value comes from the line and can differ from a fresh
+    evaluation at roundoff level.
 
     The iteration stops on exact stationarity of the projected antigradient,
     on the relative g tolerance, on a persistent stall of f, or at max_iters;
@@ -208,13 +213,6 @@ def solve(obj: Objective, X0, cfg: SolverConfig, metrics=None) -> SolveResult:
     steps = 0
     records: list[TraceRecord] = []
     iterates = IterateHistory(cfg.k) if cfg.record_iterates else None
-
-    moved = 0.0  # ||Y - X|| of the last retraction
-
-    def retractor(X, xi, alpha):
-        nonlocal moved
-        Y, moved = retract(X, xi, alpha, with_distance=True)
-        return Y
 
     def base_record(g_minus):
         rel_full, rel_mask = metrics(X, f_x) if metrics is not None else (None, None)
@@ -271,7 +269,7 @@ def solve(obj: Objective, X0, cfg: SolverConfig, metrics=None) -> SolveResult:
         bar_beta = initial_step(g_minus, xi_norm, floor, line.curvature)
         exact = line if flat and line.exact else None
         try:
-            out = armijo(X, xi, obj, f_x, slope, bar_beta, armijo_cfg, retractor, exact)
+            out = armijo(X, xi, obj, f_x, slope, bar_beta, armijo_cfg, retract, exact)
         except LineSearchError as err:
             # no trial moved f beyond the stall tolerance: f is flat to
             # roundoff here, as at an exact fit, so the run has stalled
@@ -285,8 +283,7 @@ def solve(obj: Objective, X0, cfg: SolverConfig, metrics=None) -> SolveResult:
         rec.alpha = out.alpha
         rec.backtracks = out.backtracks
         rec.xi_norm = xi_norm
-        # the accepted trial is the last one retracted
-        rec.displacement = out.alpha * xi_norm if flat else moved
+        rec.displacement = out.alpha * xi_norm if flat else out.distance
         rec.wall_ms = (time.perf_counter() - t0) * 1e3
         records.append(rec)
 

@@ -202,7 +202,7 @@ def test_criterion_5_geometry_invariants():
                 lower_ok = False
         # (c) retraction stability
         xi = random_cone_vector(rng, X)
-        R = retract(X, xi, 1.0)
+        R, _ = retract(X, xi, 1.0)
         err = np.linalg.norm(R.dense() - (X.dense() + xi.dense()))
         if err > xi.norm() / math.sqrt(2.0) + 1e-12:
             retract_ok = False
@@ -290,6 +290,9 @@ def test_criterion_6_line_search_contracts(quad_run, fig1_runs, fig2_runs):
                 angle_ok = False
 
     # closed-form backtracking examples reproduce exactly
+    def affine(p, d, al):
+        return p + al * d, al * float(np.linalg.norm(d))
+
     rng = np.random.default_rng(99)
     a = rng.standard_normal(6)
     x = rng.standard_normal(6)
@@ -297,12 +300,12 @@ def test_criterion_6_line_search_contracts(quad_run, fig1_runs, fig2_runs):
     obj = SimpleNamespace(value=lambda y: 0.5 * float(np.sum((y - a) ** 2)))
     out1 = armijo(
         x, xi, obj, obj.value(x), -float(np.sum(xi**2)), 1.0,
-        ArmijoConfig(c=1e-4), lambda p, d, al: p + al * d,
+        ArmijoConfig(c=1e-4), affine,
     )
     scalar_obj = SimpleNamespace(value=lambda y: 0.5 * float(y**2))
     out2 = armijo(
         1.0, -1.0, scalar_obj, 0.5, -1.0, 1.0,
-        ArmijoConfig(beta=0.5, c=0.9), lambda p, d, al: p + al * d,
+        ArmijoConfig(beta=0.5, c=0.9), affine,
     )
     verdict(6, [
         (sufficient_ok, "sufficient decrease holds post hoc on criteria 2-4"),

@@ -239,8 +239,8 @@ class TestRetraction:
         rng = np.random.default_rng(11)
         X = random_point(rng, 5, 4, 2, 3)
         xi = random_cone_vector(rng, X)
-        assert retract(X, xi, 0.0) is X
-        assert retract(X, zero_tangent(X), 1.0) is X
+        for Y, distance in (retract(X, xi, 0.0), retract(X, zero_tangent(X), 1.0)):
+            assert Y is X and distance == 0.0
 
     def test_negative_step_rejected(self):
         rng = np.random.default_rng(12)
@@ -259,7 +259,7 @@ class TestRetraction:
             X, np.zeros((1, 1)), np.array([[0.0], [1.0]]), np.array([[0.0], [1.0]])
         )
         assert np.allclose(xi.dense(), np.array([[0.0, 1.0], [1.0, 0.0]]), atol=1e-14)
-        R = retract(X, xi, 1.0)
+        R, _ = retract(X, xi, 1.0)
         err = np.linalg.norm(R.dense() - (X.dense() + xi.dense()))
         assert err == pytest.approx(np.sqrt(2.0) - 1.0, rel=1e-12)
         assert err <= (1 / np.sqrt(2.0)) * xi.norm() + 1e-12
@@ -270,32 +270,28 @@ class TestRetraction:
             X, _ = random_instance(rng)
             xi = random_cone_vector(rng, X)
             alpha = float(rng.uniform(0.0, 2.0))
-            R = retract(X, xi, alpha)
+            R, _ = retract(X, xi, alpha)
             oracle = truncate(X.dense() + alpha * xi.dense(), X.k).dense()
             assert np.allclose(R.dense(), oracle, atol=1e-12 * (1 + np.abs(oracle).max()))
 
     def test_distance_matches_dense(self):
-        # with_distance reads ||Y - X|| off the small middle matrix, at s = k
-        # and s < k; the zero step moves nothing
+        # retract reads ||Y - X|| off the small middle matrix, at s = k and
+        # s < k
         rng = np.random.default_rng(19)
         for _ in range(100):
             X, _ = random_instance(rng)
             xi = random_cone_vector(rng, X)
             alpha = float(rng.uniform(0.0, 2.0))
-            Y, distance = retract(X, xi, alpha, with_distance=True)
-            plain = retract(X, xi, alpha).point
-            assert all(np.array_equal(a, b) for a, b in zip(
-                (Y.point.U, Y.point.sigma, Y.point.V), (plain.U, plain.sigma, plain.V)))
+            Y, distance = retract(X, xi, alpha)
             dense = np.linalg.norm(Y.dense() - X.dense())
             assert distance == pytest.approx(dense, rel=1e-10, abs=1e-12)
-        assert retract(X, xi, 0.0, with_distance=True) == (X, 0.0)
 
     def test_stability_bound(self):
         rng = np.random.default_rng(14)
         for _ in range(1000):
             X, _ = random_instance(rng)
             xi = random_cone_vector(rng, X)
-            R = retract(X, xi, 1.0)
+            R, _ = retract(X, xi, 1.0)
             err = np.linalg.norm(R.dense() - (X.dense() + xi.dense()))
             assert err <= xi.norm() / np.sqrt(2.0) + 1e-12
 
@@ -313,7 +309,7 @@ class TestRetraction:
             ratios = []
             for j in range(1, 11):
                 a = 2.0**-j
-                err = np.linalg.norm(retract(X, xi, a).dense() - (X.dense() + a * xi.dense()))
+                err = np.linalg.norm(retract(X, xi, a)[0].dense() - (X.dense() + a * xi.dense()))
                 ratios.append(err / a)
             ratios = np.array(ratios)
             assert np.all(np.diff(ratios) <= 1e-9 + 1e-6 * ratios[:-1])
@@ -330,7 +326,7 @@ class TestRetractFlatDirections:
             for gi in (g1, g2):
                 bound = X.s + gi.perp.rank
                 for alpha in (0.1, 1.0, 10.0):
-                    Y = retract(X, gi, alpha)
+                    Y, _ = retract(X, gi, alpha)
                     target = X.dense() + alpha * gi.dense()
                     assert np.allclose(Y.dense(), target, atol=1e-11 * (1 + np.abs(target).max()))
                     assert Y.s <= bound
@@ -475,7 +471,7 @@ class TestMediumScale:
             scale = np.abs(oracle).max() + 1.0
             assert np.allclose(G.dense(), oracle, atol=1e-11 * scale)
             xi = random_cone_vector(rng, X)
-            R = retract(X, xi, 0.7)
+            R, _ = retract(X, xi, 0.7)
             dense = truncate(X.dense() + 0.7 * xi.dense(), 10).dense()
             assert np.allclose(R.dense(), dense, atol=1e-11 * (np.abs(dense).max() + 1.0))
 

@@ -17,7 +17,7 @@ from rankdescent.linesearch import (
 
 
 def vector_retractor(x, xi, alpha):
-    return x + alpha * xi
+    return x + alpha * xi, alpha * float(np.linalg.norm(xi))
 
 
 class TestInitialStep:
@@ -83,6 +83,8 @@ class TestArmijo:
         )
         assert out.alpha == 0.125
         assert out.backtracks == 3
+        # the distance is the retractor's for the accepted trial
+        assert out.distance == 0.125
 
     def test_first_trial_accepted_keeps_bar_beta(self):
         obj = SimpleNamespace(value=lambda y: float(y))
@@ -112,7 +114,7 @@ class TestArmijo:
 
         def retractor(x, xi, alpha):
             retracted.append(alpha)
-            return x + alpha * xi
+            return vector_retractor(x, xi, alpha)
 
         out = armijo(
             1.0, -1.0, SimpleNamespace(value=None), 0.5, -1.0, 1.0,
@@ -121,6 +123,7 @@ class TestArmijo:
         assert (out.alpha, out.backtracks, out.f_new) == (0.125, 3, 0.5 * 0.875**2)
         assert retracted == [0.125]
         assert kept == [out.X_new] == [0.875]
+        assert out.distance == 0.125
 
     def test_exact_line_step_whose_retraction_overflows_is_rejected(self):
         # the line accepts every trial, but the retraction overflows at
@@ -130,11 +133,12 @@ class TestArmijo:
         line = SimpleNamespace(value=lambda a: 0.5 * (1.0 - a) ** 2, keep=kept.append)
 
         def retractor(x, xi, alpha):
-            return x + np.exp(np.float64(2000.0 * alpha))
+            return x + np.exp(np.float64(2000.0 * alpha)), alpha
 
         out = armijo(1.0, -1.0, None, 0.5, -1.0, 1.0, ArmijoConfig(), retractor, line)
         assert (out.alpha, out.backtracks, out.f_new) == (0.25, 2, 0.5 * 0.75**2)
         assert kept == [out.X_new]
+        assert out.distance == 0.25
 
     def test_non_finite_values_exhaust_to_error(self):
         obj = SimpleNamespace(value=lambda y: -math.inf)

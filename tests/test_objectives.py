@@ -111,7 +111,7 @@ class TestMatrixCompletion:
         self.obj.value(X)
         line = self.obj.line(X, xi)
         f = line.value(0.4)
-        Y = retract(X, xi, 0.4)
+        Y, _ = retract(X, xi, 0.4)
         line.keep(Y)
         gathers = []
         real = objectives.mask_apply

@@ -192,7 +192,7 @@ class TestStepFunctions:
         U, V = X.point.U, X.point.V
         grad = U @ rng.standard_normal((3, 3)) @ V.T
         direction = choose_flat_direction(-project_cone(X, grad)[0])
-        Y = retract(X, direction, 0.7)
+        Y, _ = retract(X, direction, 0.7)
         assert np.allclose(Y.point.U @ Y.point.U.T, U @ U.T, atol=1e-10)
         assert np.allclose(Y.point.V @ Y.point.V.T, V @ V.T, atol=1e-10)
 
@@ -512,6 +512,29 @@ class TestCompletionRun:
             trials = sum(r.backtracks + 1 for r in steps)
             assert len(gathers) == (trials + 1 if variant == "sd" else 1)
             assert len(lines) == len(steps) == 30
+
+    def test_sd_flat_step_from_zero_takes_the_exact_line(self, monkeypatch):
+        # at a rank-0 point up and vp are empty, so sd's first step is flat:
+        # its trials gather nothing and its f is the line's, equal to a
+        # fresh evaluation at the new point up to roundoff
+        from rankdescent import objectives
+        from rankdescent.bench import PRESETS, gen_problem
+
+        spec = PRESETS["fig1-small"]
+        problem, _ = gen_problem(spec)
+        X0 = zero_point(*problem.shape, spec.k)
+        gathers = []
+        real = objectives.mask_apply
+        monkeypatch.setattr(
+            objectives, "mask_apply", lambda X, mask: gathers.append(X) or real(X, mask)
+        )
+        res = solve(problem, X0, SolverConfig(k=spec.k, max_iters=1, record_iterates=True))
+        monkeypatch.undo()
+        assert len(gathers) == 1  # value(X0)
+        rec, X1 = res.trace[1], res.iterates[1]
+        fresh = MatrixCompletion(problem.data).value(X1)
+        assert rec.f == pytest.approx(fresh, rel=1e-12)
+        assert res.trace[0].displacement == res.trace[0].alpha * res.trace[0].xi_norm
 
     @pytest.mark.parametrize(
         "preset, seed", [("fig1-small", 42), ("fig1-small", 1000), ("fig1-small", 1001),
