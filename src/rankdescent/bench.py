@@ -122,14 +122,17 @@ def rel_errors(X: VarietyPoint, target: FactoredMatrix, problem: MatrixCompletio
     The full error is core.factored_diff_norm(target, X): X's factors are
     projected against the target's fixed orthonormal factors, and only the
     remainder is orthogonalized. The masked error uses sqrt(2 f(X)) / ||P(A)||.
+    Raises ValueError when either denominator is zero: a zero target, or an
+    observation (empty or all zero) with ||P(A)|| = 0.
     """
     a_norm = float(np.linalg.norm(target.sigma))
     if a_norm == 0.0:
         raise ValueError("relative error undefined for a zero target")
+    p_norm = float(np.linalg.norm(problem.data.values))
+    if p_norm == 0.0:
+        raise ValueError("relative masked error undefined for a zero observation")
     rel_full = factored_diff_norm(target, X.point) / a_norm
-    rel_mask = math.sqrt(2.0 * problem.value(X)) / float(
-        np.linalg.norm(problem.data.values)
-    )
+    rel_mask = math.sqrt(2.0 * problem.value(X)) / p_norm
     return rel_full, rel_mask
 
 

@@ -25,6 +25,7 @@ All containers are immutable values after construction; operations are pure.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -521,6 +522,21 @@ def save_index_set(path, mask: IndexSet) -> None:
     )
 
 
+def load_csv(path, **kwargs) -> np.ndarray:
+    """np.loadtxt of a comma-separated file. A file with no data, which is
+    what np.savetxt writes for an empty array, reads as an empty array
+    without numpy's warning."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(path, delimiter=",", **kwargs)
+
+
 def load_index_set(path, dims) -> IndexSet:
-    pairs = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2)
+    """Read a mask that save_index_set wrote: one row,col line per pair,
+    none for the empty mask. Raises ValueError on any other shape."""
+    pairs = load_csv(path, dtype=np.int64, ndmin=2)
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    if pairs.shape[1] != 2:
+        raise ValueError(f"mask file needs two columns (row, col), got {pairs.shape[1]}")
     return IndexSet(dims, pairs[:, 0], pairs[:, 1])

@@ -84,10 +84,6 @@ def make_point(F: FactoredMatrix, k: int) -> VarietyPoint:
     return VarietyPoint(F, k)
 
 
-def zero_point(m: int, n: int, k: int) -> VarietyPoint:
-    return VarietyPoint(FactoredMatrix.zero(m, n), k)
-
-
 @dataclass(frozen=True, eq=False)
 class ConeTangentVector:
     """Element of the tangent cone at a VarietyPoint, stored blockwise.
@@ -141,8 +137,11 @@ class ConeTangentVector:
             perp = FactoredMatrix(-perp.U, perp.sigma, perp.V)
         return ConeTangentVector(self.base, -self.core, -self.up, -self.vp, perp)
 
-    def is_zero(self) -> bool:
-        return self.norm() == 0.0
+    @property
+    def flat(self) -> bool:
+        """Whether the up or the vp block is zero: X + alpha * xi then has rank
+        at most s + perp.rank <= k, and stays on the variety for every alpha."""
+        return not (self.up.any() and self.vp.any())
 
     def factors(self) -> tuple[np.ndarray, np.ndarray]:
         """Thin (L, R) with L @ R.T equal to the ambient embedding.
@@ -263,10 +262,10 @@ def retract(X: VarietyPoint, xi: ConeTangentVector, alpha: float) -> tuple[Varie
     Works on the rank-(k+s) structured representation through a compact QR
     plus a small SVD in O((m+n)(k+s)^2); the full matrix is never formed. The
     result satisfies ||retract(X, xi, 1) - (X + xi)|| <= ||xi|| / sqrt(2).
-    On a flat direction (up or vp block zero) X + alpha * xi has rank at most
-    s + rank(perp) <= k, so nothing is truncated and the result is X + alpha
-    * xi exactly. Returns the pair (Y, ||Y - X||_F), the distance read off
-    the small middle matrix (see _combined_svd).
+    Returns the pair (Y, ||Y - X||_F). Along a flat xi (see
+    ConeTangentVector.flat) nothing is truncated, Y is X + alpha * xi and the
+    distance is alpha * ||xi||; otherwise it is read off the small middle
+    matrix (see _combined_svd).
     """
     if alpha < 0:
         raise ValueError("step size must be nonnegative")
@@ -274,22 +273,26 @@ def retract(X: VarietyPoint, xi: ConeTangentVector, alpha: float) -> tuple[Varie
     # short of the same factors would silently produce a wrong update
     if xi.base.point is not X.point:
         raise ValueError("tangent vector is not based at the given point")
-    if alpha == 0.0 or xi.is_zero():
+    xi_norm = xi.norm()
+    if alpha == 0.0 or xi_norm == 0.0:
         return X, 0.0
-    U_new, sig, V_new, distance = _combined_svd(X, xi, alpha)
+    # a flat step truncates nothing, so its length is alpha * ||xi||
+    distance = alpha * xi_norm if xi.flat else None
+    U_new, sig, V_new, distance = _combined_svd(X, xi, alpha, distance)
     return make_point(FactoredMatrix(U_new, sig, V_new), X.k), distance
 
 
-def _combined_svd(X: VarietyPoint, xi: ConeTangentVector, alpha: float):
+def _combined_svd(X: VarietyPoint, xi: ConeTangentVector, alpha: float, distance=None):
     """SVD factors of X + alpha * xi, truncated to rank at most X.k, and
-    the distance of that truncation from X.
+    the distance of that truncation from X, unless the caller passes it.
 
     X + alpha * xi is expressed over the orthonormal bases [U | QL] and
     [V | QR] obtained from compact QRs of the up/perp and vp/perp blocks, so
     only a (2s+p)-sized middle matrix B is ever decomposed. Numerically zero
-    modes are trimmed from the result. Over the same bases X is diag(sigma, 0)
-    and the truncation is B_r, the SVD of B cut to the kept modes, so the
-    distance is ||B_r - diag(sigma, 0)||_F, a small-matrix norm with no QR.
+    modes are trimmed from the result. Over the same bases X is
+    diag(sigma, 0) and the truncation is B_r, the SVD of B cut to the kept
+    modes, so the distance is ||B_r - diag(sigma, 0)||_F, a small-matrix
+    norm with no QR.
     Raises ValueError when the middle matrix overflows (its Frobenius norm is
     not finite), before the SVD, which on such input may not return.
     """
@@ -315,9 +318,11 @@ def _combined_svd(X: VarietyPoint, xi: ConeTangentVector, alpha: float):
     r = min(X.k, numerical_rank(sb))
     U_new = orthonormal_polish(np.hstack([U, QL]) @ Ub[:, :r])
     V_new = orthonormal_polish(np.hstack([V, QR_]) @ Vbt[:r].T)
-    step = (Ub[:, :r] * sb[:r]) @ Vbt[:r]
-    step[:s, :s] -= np.diag(X.point.sigma)
-    return U_new, sb[:r], V_new, float(np.linalg.norm(step))
+    if distance is None:
+        step = (Ub[:, :r] * sb[:r]) @ Vbt[:r]
+        step[:s, :s] -= np.diag(X.point.sigma)
+        distance = float(np.linalg.norm(step))
+    return U_new, sb[:r], V_new, distance
 
 
 def choose_flat_direction(G: ConeTangentVector) -> ConeTangentVector:
@@ -338,7 +343,7 @@ def choose_flat_direction(G: ConeTangentVector) -> ConeTangentVector:
 def random_point(rng: np.random.Generator, m: int, n: int, s: int, k: int) -> VarietyPoint:
     """Random rank-s point with singular values in [0.5, 2]."""
     if s == 0:
-        return zero_point(m, n, k)
+        return VarietyPoint(FactoredMatrix.zero(m, n), k)
     qu, _ = np.linalg.qr(rng.standard_normal((m, s)))
     qv, _ = np.linalg.qr(rng.standard_normal((n, s)))
     sig = np.sort(rng.uniform(0.5, 2.0, size=s))[::-1]

@@ -1,16 +1,17 @@
-"""Armijo backtracking on the variety, with descent-condition monitors.
+"""Armijo backtracking along one line, with descent-condition monitors.
 
-The step size is the largest beta^m * bar_beta satisfying the sufficient
-decrease test f(R(x, alpha*xi)) - f(x) <= c * alpha * <grad f, xi>. The
-initial trial bar_beta (see initial_step) has three parts: a closed-form
-floor rule is its lower bound, so that it never falls below the ratio
-g/||xi|| of projected-antigradient norm to direction norm, with the floor
-the caller passes (solvers.VARIANTS holds each variant's); the exact
-minimizer ||xi||^2 / <xi, Hess f xi> of the quadratic model along xi, from
-the curvature of the objective's line, is the usual start; STEP_CAP bounds
-that start above. Along an update that is exactly x + alpha * xi, an exact
-line (objectives.MaskedLine) gives every trial value, and only the accepted
-step is retracted.
+The search sees the objective only through its line (objectives.Line):
+value(alpha) is f at the trial point R(X, alpha * xi), and step() returns
+that point and its distance from X. The step size is the largest
+beta^m * bar_beta satisfying the sufficient decrease test
+f(R(x, alpha*xi)) - f(x) <= c * alpha * <grad f, xi>. The initial trial
+bar_beta (see initial_step) has three parts: a closed-form floor rule is its
+lower bound, so that it never falls below the ratio g/||xi|| of
+projected-antigradient norm to direction norm, with the floor the caller
+passes (solvers.VARIANTS holds each variant's); the exact minimizer
+||xi||^2 / <xi, Hess f xi> of the quadratic model along xi, from the
+curvature of the objective's line, is the usual start; STEP_CAP bounds that
+start above. The module imports nothing else of the package.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class ArmijoConfig:
 @dataclass(frozen=True)
 class StepOutcome:
     """Accepted Armijo step: alpha = beta**backtracks * bar_beta, and the
-    distance of X_new from X that the retractor reported for it."""
+    point X_new with its distance from X, as the line's step() gave them."""
 
     alpha: float
     backtracks: int
@@ -99,18 +100,15 @@ def initial_step(g_minus: float, xi_norm: float, floor: float, curvature: float)
     return step
 
 
-def armijo(X, xi, obj, f_x, slope, bar_beta, cfg: ArmijoConfig, retractor, line=None) -> StepOutcome:
+def armijo(line, f_x, slope, bar_beta, cfg: ArmijoConfig) -> StepOutcome:
     """Backtrack from bar_beta until sufficient decrease holds.
 
-    slope is the directional derivative <grad f(X), xi> and must be negative.
-    retractor(X, xi, alpha) returns a candidate point and its distance from
-    X; the candidate's cost is evaluated through obj.value. With an exact
-    line, valid only when the candidate is X + alpha * xi, a trial's cost is
-    line.value(alpha) instead, retractor runs once, at the accepted step,
-    and line.keep receives its point. A trial whose retraction or value
-    overflows (or produces an invalid floating-point result) counts as
-    f = inf, and a trial with a non-finite value is rejected like any other.
-    Raises LineSearchError after cfg.max_backtracks rejected trials.
+    slope is the directional derivative <grad f(X), xi> and must be negative;
+    f_x is f(X). Each trial's cost is line.value(alpha), and the accepted
+    trial's point and distance from X are line.step(). A trial whose value
+    or step overflows (or produces an invalid floating-point result) counts
+    as f = inf, and a trial with a non-finite value is rejected like any
+    other. Raises LineSearchError after cfg.max_backtracks rejected trials.
     """
     if not slope < 0.0:
         raise ValueError(f"need a descent direction (slope={slope!r})")
@@ -119,15 +117,10 @@ def armijo(X, xi, obj, f_x, slope, bar_beta, cfg: ArmijoConfig, retractor, line=
         alpha = bar_beta * cfg.beta**m
         try:
             with np.errstate(over="raise", invalid="raise"):
-                if line is None:
-                    X_new, distance = retractor(X, xi, alpha)
-                    f_new = obj.value(X_new)
-                else:
-                    f_new = line.value(alpha)
+                f_new = line.value(alpha)
                 accept = math.isfinite(f_new) and f_new - f_x <= cfg.c * alpha * slope
-                if accept and line is not None:
-                    X_new, distance = retractor(X, xi, alpha)
-                    line.keep(X_new)
+                if accept:
+                    X_new, distance = line.step()
         except FloatingPointError:
             f_new, accept = math.inf, False
         trials.append((alpha, f_new))

@@ -4,12 +4,15 @@ Each objective returns its gradient in one form the tangent-cone projection
 consumes through thin factor products alone: MatrixCompletion as values on
 the mask, QuadraticDistance as one factored matrix. Both compute the residual
 once per point: the gradient at the point whose value was taken last reuses
-its residual. line(X, xi) describes the objective along the ambient line
-X + alpha * xi: its curvature, which sets the line search's initial step,
-and, for matrix completion, its exact values. Those come from one gather of
-the direction on the mask, so a search along a flat direction, whose update
-is exactly X + alpha * xi, gathers nothing per trial, and the residual of
-its accepted point is the line's, with no gather either.
+its residual. line(X, xi) is the objective along the curve
+alpha -> retract(X, xi, alpha), the only thing the line search sees: its
+curvature sets the initial step, value(alpha) is f at a trial point, and
+step() returns the point valued last with its distance from X. A Line
+retracts each trial and evaluates it. Along a flat xi the curve is the
+ambient line X + alpha * xi, on which matrix completion is exactly
+quadratic: its MaskedLine takes every trial value from one gather of the
+direction on the mask, retracts once, at the accepted step, and files its
+residual for that point, with no gather either.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .core import (
     FactoredMatrix,
     SparseOnMask,
     frob_norm,
+    load_csv,
     load_factored,
     load_index_set,
     mask_apply,
@@ -30,58 +34,65 @@ from .core import (
     save_index_set,
     truncate,
 )
-from .geometry import ConeTangentVector, VarietyPoint
+from .geometry import ConeTangentVector, VarietyPoint, retract
 
 
 class Line:
-    """The objective along the ambient line X + alpha * xi from a point X.
+    """The objective along the curve alpha -> retract(X, xi, alpha).
 
     curvature is <xi, Hess f(X) xi>, from which the line search takes its
-    initial step. This base class knows nothing more (exact is False). An
-    objective that knows f along the line returns a subclass with exact =
-    True and two more methods: value(alpha) = f(X + alpha * xi), and keep(Y),
-    which files the residual of the last value taken as that of Y, the point
-    X + alpha * xi once the update has formed it.
+    initial step. value(alpha) retracts the trial and evaluates the
+    objective there; step() returns the pair (point, distance from X) of
+    the trial valued last.
     """
 
-    exact = False
-
-    def __init__(self, curvature: float):
+    def __init__(self, obj: "Objective", X: VarietyPoint, xi: ConeTangentVector, curvature: float):
         self.curvature = curvature
+        self._obj, self._X, self._xi = obj, X, xi
+
+    def value(self, alpha: float) -> float:
+        self._step = retract(self._X, self._xi, alpha)
+        return self._obj.value(self._step[0])
+
+    def step(self) -> tuple[VarietyPoint, float]:
+        return self._step
 
 
 class MaskedLine(Line):
-    """0.5 * ||r + alpha * v||^2 along the line, r = P(X - A) and v = P(xi).
+    """0.5 * ||r + alpha * v||^2 along a flat xi, r = P(X - A) and v = P(xi).
 
-    f is exactly quadratic on the line, so each value is one O(|mask|) vector
-    update, and keep seeds the objective's residual slot with r + alpha * v
-    (read-only) under Y's identity: the gradient and value at Y gather
-    nothing. The kept residual differs from a fresh gather at Y by the
-    roundoff of forming Y, which accumulates over the steps that keep one.
+    The curve is the ambient line X + alpha * xi and f is exactly quadratic
+    on it, so each value is one O(|mask|) vector update with no retraction.
+    step() retracts once and seeds the objective's residual slot with
+    r + alpha * v (read-only) under the new point's identity: the gradient
+    and value there gather nothing. The seeded residual differs from a
+    fresh gather by the roundoff of forming the point, which accumulates
+    over the steps that seed one.
     """
 
-    exact = True
-
-    def __init__(self, obj: "MatrixCompletion", r: np.ndarray, v: np.ndarray):
-        super().__init__(float(v @ v))
-        self._obj, self._r, self._v = obj, r, v
-        self._w = None
+    def __init__(
+        self, obj: "MatrixCompletion", X: VarietyPoint, xi: ConeTangentVector, v: np.ndarray
+    ):
+        super().__init__(obj, X, xi, float(v @ v))
+        self._r, self._v = obj._residual(X), v
 
     def value(self, alpha: float) -> float:
-        self._w = self._r + alpha * self._v
+        self._alpha, self._w = alpha, self._r + alpha * self._v
         return 0.5 * float(self._w @ self._w)
 
-    def keep(self, Y: VarietyPoint) -> None:
+    def step(self) -> tuple[VarietyPoint, float]:
+        Y, distance = retract(self._X, self._xi, self._alpha)
         self._obj._keep_residual(Y.point, self._w)
+        return Y, distance
 
 
 class Objective:
     """Interface: a differentiable cost bounded below on the ambient space.
 
-    value, gradient and line are required. line(X, xi) returns a Line along
-    X + alpha * xi for a cone tangent vector xi at X: its curvature
-    <xi, Hess f(X) xi> sets the exact-minimizer start of the line search, and
-    an exact Line (see MaskedLine) gives the search's trial values as well.
+    value, gradient and line are required. line(X, xi) returns the Line
+    along which the search backtracks from X, for a cone tangent vector xi
+    at X: its curvature <xi, Hess f(X) xi> sets the exact-minimizer start of
+    the search, and its values are the search's trial costs.
 
     Subclasses that define shape and _compute_residual(point) get _residual,
     which keeps the residual of the point evaluated last in one slot keyed by
@@ -102,7 +113,7 @@ class Objective:
         raise NotImplementedError
 
     def line(self, X: VarietyPoint, xi: ConeTangentVector) -> Line:
-        """The objective along X + alpha * xi, for a cone tangent vector xi at X."""
+        """The objective along retract(X, xi, alpha), for a cone tangent vector xi at X."""
         raise NotImplementedError
 
     def _residual(self, X: VarietyPoint):
@@ -126,7 +137,7 @@ class MatrixCompletion(Objective):
     """Half the squared masked residual: 0.5 * sum over the mask of (A - X)^2.
 
     Only the observed values of A are stored. Entries of X on the mask (the
-    residual, unless a MaskedLine kept it) and of a direction xi on it (the
+    residual, unless a MaskedLine seeded it) and of a direction xi on it (the
     line's v) are gathered from thin factors by core.mask_gather: row-wise
     dot products in O(|mask| * width) below its density crossover, one BLAS
     GEMM and one take per block of rows, O(m * n * width), from it on.
@@ -148,10 +159,14 @@ class MatrixCompletion(Objective):
         # gradient of 0.5*||P(A - X)||^2 is P(X - A), supported on the mask
         return SparseOnMask(self.mask, self._residual(X))
 
-    def line(self, X: VarietyPoint, xi: ConeTangentVector) -> MaskedLine:
-        """The exact line, v = P(xi) gathered from xi's thin factors once;
-        its curvature <xi, Hess f xi> is ||v||^2."""
-        return MaskedLine(self, self._residual(X), mask_gather(*xi.factors(), self.mask))
+    def line(self, X: VarietyPoint, xi: ConeTangentVector) -> Line:
+        """v = P(xi), gathered from xi's thin factors once, gives the curvature
+        <xi, Hess f xi> = ||v||^2; a flat xi gets the MaskedLine, whose trial
+        values come from v as well."""
+        v = mask_gather(*xi.factors(), self.mask)
+        if xi.flat:
+            return MaskedLine(self, X, xi, v)
+        return Line(self, X, xi, float(v @ v))
 
 
 class QuadraticDistance(Objective):
@@ -185,7 +200,7 @@ class QuadraticDistance(Objective):
 
     def line(self, X: VarietyPoint, xi: ConeTangentVector) -> Line:
         """The curvature <xi, Hess f xi> = ||xi||^2 alone: the Hessian is the identity."""
-        return Line(xi.norm() ** 2)
+        return Line(self, X, xi, xi.norm() ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +230,7 @@ def load_completion(dirpath):
             dims[key.strip()] = int(val)
     shape = (dims["m"], dims["n"])
     mask = load_index_set(os.path.join(dirpath, "mask.csv"), shape)
-    values = np.loadtxt(os.path.join(dirpath, "values.csv"), delimiter=",").ravel()
+    values = load_csv(os.path.join(dirpath, "values.csv")).ravel()
     problem = MatrixCompletion(SparseOnMask(mask, values))
     target_dir = os.path.join(dirpath, "target_factors")
     target = load_factored(target_dir) if os.path.isdir(target_dir) else None

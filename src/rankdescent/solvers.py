@@ -2,24 +2,14 @@
 
 Every variant follows the same loop: project the antigradient onto the
 tangent cone (the negated projection of the gradient, since the cone is
-closed under sign), apply the variant's direction rule, take an Armijo step
-from the initial step that the curvature of the objective's line gives, and
-project X + alpha * xi back onto the variety with retract. A variant is one
-entry of VARIANTS: its direction rule, which takes the cone projection
-alone, and the floor of its initial step. Stopping rules and the
-per-iteration trace are artifact plumbing; the iteration itself would
-happily run forever.
-
-A flat direction's update is exactly X + alpha * xi. When the objective's
-line is exact there (matrix completion), the line search takes every trial
-value from it and retracts once, at the accepted step, whose residual the
-line keeps: an rf iteration on a completion problem gathers only the
-direction on the mask, and the residual is gathered once per solve, at X0.
-The rule looks at the direction, not the variant: an sd step is flat too
-when its up or vp block vanishes, as at a rank-0 point, where both are
-empty, and it then takes the exact line. The trace's displacement ||X_{n+1} - X_n|| is
-alpha * ||xi|| for a flat direction and otherwise the distance that retract
-returns beside the point, read off its middle matrix.
+closed under sign), apply the variant's direction rule, and take an Armijo
+step along the objective's line (objectives.Line), the curve
+alpha -> retract(X, xi, alpha), from the initial step its curvature gives.
+The line gives the step's point, its f and its distance from X, which the
+trace records as the displacement ||X_{n+1} - X_n||. A variant is one entry
+of VARIANTS: its direction rule, which takes the cone projection alone, and
+the floor of its initial step. Stopping rules and the per-iteration trace
+are artifact plumbing; the iteration itself would happily run forever.
 """
 
 from __future__ import annotations
@@ -36,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .core import FactoredMatrix, factored_diff_norm
-from .geometry import VarietyPoint, choose_flat_direction, make_point, project_cone, retract
+from .geometry import VarietyPoint, choose_flat_direction, make_point, project_cone
 from .linesearch import ArmijoConfig, LineSearchError, armijo, initial_step
 from .objectives import Objective
 
@@ -97,22 +87,22 @@ class SolverConfig:
 
 @dataclass
 class TraceRecord:
-    """One row per iterate; alpha/backtracks/displacement describe the step
-    taken from it (zero on the terminal row). xi_norm is kept for post-hoc
-    line-search checks and is not part of the CSV schema."""
+    """One row per iterate; alpha/backtracks/displacement/wall_ms describe
+    the step taken from it (zero on the terminal row). xi_norm is kept for
+    post-hoc line-search checks and is not part of the CSV schema."""
 
     n: int
     f: float
     g_minus: float
-    alpha: float
-    backtracks: int
     rank: int
     sigma1: float
     sigmak: float
-    displacement: float | None
     rel_err_full: float | None
     rel_err_mask: float | None
-    wall_ms: float
+    alpha: float = 0.0
+    backtracks: int = 0
+    displacement: float | None = 0.0
+    wall_ms: float = 0.0
     xi_norm: float = 0.0
 
 
@@ -177,21 +167,20 @@ def solve(obj: Objective, X0, cfg: SolverConfig, metrics=None) -> SolveResult:
     """Run the configured descent variant from X0.
 
     X0 is a VarietyPoint (or a FactoredMatrix of rank at most k, which gets
-    wrapped). metrics, when given, is called as metrics(X, f) and must return
-    (rel_err_full, rel_err_mask) for the trace.
+    wrapped); the run uses cfg.k whatever X0's budget. metrics, when given,
+    is called as metrics(X, f) and must return (rel_err_full, rel_err_mask)
+    for the trace.
 
-    Each Armijo search starts at initial_step: the variant's floor rule is
-    the lower bound, and the exact minimizer ||xi||^2 / curvature of the
-    quadratic model along the direction, with the curvature of
-    obj.line(X, xi) and capped above at STEP_CAP, is the usual start. Along
-    a flat direction an exact line also gives the trial values (see
-    linesearch.armijo), whatever the variant: sd's step from a rank-0 point
-    is flat, so its f value comes from the line and can differ from a fresh
-    evaluation at roundoff level.
+    Each Armijo search runs along obj.line(X, xi) and starts at
+    initial_step: the variant's floor rule is the lower bound, and the exact
+    minimizer ||xi||^2 / curvature of the quadratic model along the
+    direction, capped above at STEP_CAP, is the usual start. The line sets
+    how trials are valued: a MaskedLine's f can differ from a fresh
+    evaluation at its point at roundoff level.
 
     The iteration stops on exact stationarity of the projected antigradient,
     on the relative g tolerance, on a persistent stall of f, or at max_iters;
-    the trace always ends with a terminal row for the final iterate. A line
+    the trace has one row per iterate, the terminal one included. A line
     search that fails while every trial stays within tol_f * max(1, f) of f
     also ends the run as stalled (f is flat to roundoff there, as at an exact
     fit of a fully observed problem); any other LineSearchError propagates.
@@ -199,98 +188,69 @@ def solve(obj: Objective, X0, cfg: SolverConfig, metrics=None) -> SolveResult:
     result's IterateHistory before its iteration starts, outside wall_ms.
     Deterministic for deterministic objectives.
     """
-    if isinstance(X0, FactoredMatrix):
-        X0 = make_point(X0, cfg.k)
-    if X0.k != cfg.k:
-        X0 = VarietyPoint(X0.point, cfg.k)
+    X = make_point(X0, cfg.k) if isinstance(X0, FactoredMatrix) else X0
+    if X.k != cfg.k:
+        X = VarietyPoint(X.point, cfg.k)
     armijo_cfg = cfg.armijo_config()
     direction, floor = VARIANTS[cfg.variant]
 
-    X = X0
     f_x = obj.value(X)
-    g_ref = None
     stall = 0
-    steps = 0
     records: list[TraceRecord] = []
     iterates = IterateHistory(cfg.k) if cfg.record_iterates else None
+    status = None
 
-    def base_record(g_minus):
-        rel_full, rel_mask = metrics(X, f_x) if metrics is not None else (None, None)
-        sig = X.point.sigma
-        return TraceRecord(
-            n=steps,
-            f=f_x,
-            g_minus=g_minus,
-            alpha=0.0,
-            backtracks=0,
-            rank=X.s,
-            sigma1=float(sig[0]) if X.s else 0.0,
-            sigmak=float(sig[cfg.k - 1]) if X.s >= cfg.k else 0.0,
-            displacement=0.0,
-            rel_err_full=rel_full,
-            rel_err_mask=rel_mask,
-            wall_ms=0.0,
-        )
-
-    while True:
+    while status is None:
         if iterates is not None:
             iterates.append(X)
         t0 = time.perf_counter()
         G, g_minus = project_cone(X, obj.gradient(X))
-        rec = base_record(g_minus)
+        rel_full, rel_mask = metrics(X, f_x) if metrics is not None else (None, None)
+        sig = X.point.sigma
+        rec = TraceRecord(
+            n=len(records),
+            f=f_x,
+            g_minus=g_minus,
+            rank=X.s,
+            sigma1=float(sig[0]) if X.s else 0.0,
+            sigmak=float(sig[cfg.k - 1]) if X.s >= cfg.k else 0.0,
+            rel_err_full=rel_full,
+            rel_err_mask=rel_mask,
+        )
+        records.append(rec)
 
         if g_minus == 0.0:
             # stationary: the projected antigradient vanishes, do not move
-            records.append(rec)
             status = SolveStatus.STATIONARY
-            break
-        if g_ref is None:
-            g_ref = g_minus
-        if g_minus <= cfg.tol_g * g_ref:
-            records.append(rec)
+        elif g_minus <= cfg.tol_g * records[0].g_minus:
             status = SolveStatus.CONVERGED_G
-            break
-        if stall >= 3:
-            records.append(rec)
+        elif stall >= 3:
             status = SolveStatus.STALLED_F
-            break
-        if steps >= cfg.max_iters:
-            records.append(rec)
+        elif rec.n >= cfg.max_iters:
             status = SolveStatus.MAX_ITERS
-            break
-
-        xi = direction(-G)
-        xi_norm = xi.norm()
-        # for projection-derived directions <grad, xi> = -||xi||^2 exactly
-        slope = -(xi_norm**2)
-        # flat: retract returns X + alpha * xi without truncating
-        flat = not (xi.up.any() and xi.vp.any())
-        line = obj.line(X, xi)
-        bar_beta = initial_step(g_minus, xi_norm, floor, line.curvature)
-        exact = line if flat and line.exact else None
-        try:
-            out = armijo(X, xi, obj, f_x, slope, bar_beta, armijo_cfg, retract, exact)
-        except LineSearchError as err:
-            # no trial moved f beyond the stall tolerance: f is flat to
-            # roundoff here, as at an exact fit, so the run has stalled
-            flat = cfg.tol_f * max(1.0, f_x)
-            if not all(abs(f - f_x) <= flat for _, f in err.trials):
-                raise
-            records.append(rec)
-            status = SolveStatus.STALLED_F
-            break
-
-        rec.alpha = out.alpha
-        rec.backtracks = out.backtracks
-        rec.xi_norm = xi_norm
-        rec.displacement = out.alpha * xi_norm if flat else out.distance
-        rec.wall_ms = (time.perf_counter() - t0) * 1e3
-        records.append(rec)
-
-        stall = stall + 1 if -out.decrease <= cfg.tol_f * max(1.0, f_x) else 0
-        X = out.X_new
-        f_x = out.f_new
-        steps += 1
+        else:
+            xi = direction(-G)
+            xi_norm = xi.norm()
+            line = obj.line(X, xi)
+            bar_beta = initial_step(g_minus, xi_norm, floor, line.curvature)
+            try:
+                # for projection-derived directions <grad, xi> = -||xi||^2 exactly
+                out = armijo(line, f_x, -(xi_norm**2), bar_beta, armijo_cfg)
+            except LineSearchError as err:
+                # no trial moved f beyond the stall tolerance: f is flat to
+                # roundoff here, as at an exact fit, so the run has stalled
+                tol = cfg.tol_f * max(1.0, f_x)
+                if not all(abs(f - f_x) <= tol for _, f in err.trials):
+                    raise
+                status = SolveStatus.STALLED_F
+            else:
+                rec.alpha = out.alpha
+                rec.backtracks = out.backtracks
+                rec.xi_norm = xi_norm
+                rec.displacement = out.distance
+                rec.wall_ms = (time.perf_counter() - t0) * 1e3
+                stall = stall + 1 if -out.decrease <= cfg.tol_f * max(1.0, f_x) else 0
+                X, f_x = out.X_new, out.f_new
 
     return SolveResult(X_star=X, status=status, trace=records, iterates=iterates)
 

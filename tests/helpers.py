@@ -16,6 +16,11 @@ def ambient_dense(F) -> np.ndarray:
     return np.asarray(F, dtype=float)
 
 
+def zero_point(m: int, n: int, k: int) -> VarietyPoint:
+    """The zero matrix as a point of the rank-at-most-k variety."""
+    return VarietyPoint(FactoredMatrix.zero(m, n), k)
+
+
 def zero_tangent(X: VarietyPoint) -> ConeTangentVector:
     """The zero element of the tangent cone at X."""
     m, n = X.shape
@@ -111,3 +116,31 @@ def read_trace_csv(path) -> list[TraceRecord]:
                 )
             )
     return records
+
+
+class CurveLine:
+    """A line for linesearch.armijo along curve(alpha) -> (point, distance).
+
+    Without a model, value(alpha) runs the curve and returns f at its point,
+    as objectives.Line retracts each trial. With a model, value(alpha) is
+    model(alpha) and the curve runs only in step(), as in
+    objectives.MaskedLine. step() returns the pair of the trial valued last;
+    stepped and points record the alpha and the point of each step.
+    """
+
+    def __init__(self, f, curve, model=None):
+        self.f, self.curve, self.model = f, curve, model
+        self.stepped, self.points = [], []
+
+    def value(self, alpha):
+        self.alpha = alpha
+        if self.model is not None:
+            return self.model(alpha)
+        self.pair = self.curve(alpha)
+        return self.f(self.pair[0])
+
+    def step(self):
+        pair = self.curve(self.alpha) if self.model is not None else self.pair
+        self.stepped.append(self.alpha)
+        self.points.append(pair[0])
+        return pair

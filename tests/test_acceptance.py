@@ -39,7 +39,7 @@ from rankdescent.solvers import (
     rate_fit,
     solve,
 )
-from helpers import ambient_dense, partial_directions, random_cone_vector, random_instance
+from helpers import CurveLine, ambient_dense, partial_directions, random_cone_vector, random_instance
 
 
 def verdict(num, clauses):
@@ -290,8 +290,8 @@ def test_criterion_6_line_search_contracts(quad_run, fig1_runs, fig2_runs):
                 angle_ok = False
 
     # closed-form backtracking examples reproduce exactly
-    def affine(p, d, al):
-        return p + al * d, al * float(np.linalg.norm(d))
+    def affine(p, d):
+        return lambda al: (p + al * d, al * float(np.linalg.norm(d)))
 
     rng = np.random.default_rng(99)
     a = rng.standard_normal(6)
@@ -299,13 +299,13 @@ def test_criterion_6_line_search_contracts(quad_run, fig1_runs, fig2_runs):
     xi = a - x
     obj = SimpleNamespace(value=lambda y: 0.5 * float(np.sum((y - a) ** 2)))
     out1 = armijo(
-        x, xi, obj, obj.value(x), -float(np.sum(xi**2)), 1.0,
-        ArmijoConfig(c=1e-4), affine,
+        CurveLine(obj.value, affine(x, xi)), obj.value(x), -float(np.sum(xi**2)), 1.0,
+        ArmijoConfig(c=1e-4),
     )
     scalar_obj = SimpleNamespace(value=lambda y: 0.5 * float(y**2))
     out2 = armijo(
-        1.0, -1.0, scalar_obj, 0.5, -1.0, 1.0,
-        ArmijoConfig(beta=0.5, c=0.9), affine,
+        CurveLine(scalar_obj.value, affine(1.0, -1.0)), 0.5, -1.0, 1.0,
+        ArmijoConfig(beta=0.5, c=0.9),
     )
     verdict(6, [
         (sufficient_ok, "sufficient decrease holds post hoc on criteria 2-4"),

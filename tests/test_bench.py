@@ -20,9 +20,10 @@ from rankdescent.bench import (
     write_kv,
 )
 from rankdescent.core import IndexSet, SparseOnMask, truncate
-from rankdescent.geometry import VarietyPoint, make_point, zero_point
+from rankdescent.geometry import VarietyPoint, make_point
 from rankdescent.objectives import MatrixCompletion
 from rankdescent.solvers import SolverConfig
+from helpers import zero_point
 
 
 class TestOmegaSize:

@@ -89,6 +89,20 @@ class TestRun:
         assert code == 0
         assert (tmp_path / "o" / "sd_summary.txt").exists()
 
+    def test_config_comments_and_blank_lines_are_skipped(self, tmp_path):
+        from rankdescent.bench import read_kv
+
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(
+            "# a small spec\n\nn = 30\nrank = 2\n   # indented comment\n"
+            "budget = 3\n\nseed = 4\nmax_iters = 7\n"
+        )
+        code = run_cli("run", "--config", str(cfg), "--alg", "sd", "--out", str(tmp_path / "o"))
+        assert code == 0
+        summary = read_kv(tmp_path / "o" / "sd_summary.txt")
+        assert (summary["spec.n"], summary["spec.r"], summary["spec.k"]) == ("30", "2", "3")
+        assert (summary["spec.seed"], summary["iters"]) == ("4", "7")
+
     def test_infeasible_run_exits_2(self, tmp_path):
         code = run_cli(
             "run", "--n", "10", "--rank", "10", "--budget", "10", "--os", "2",
@@ -244,6 +258,29 @@ class TestErrors:
         code = run_cli("errors", "--problem", str(prob), "--point", str(pt))
         assert_input_error(capsys, code, 4, "errors", "values not aligned with mask")
 
+    @pytest.mark.parametrize(
+        "mask, values, needle",
+        [
+            ("1\n2\n", None, "two columns"),
+            ("", "", "zero observation"),
+            (None, "zeros", "zero observation"),
+        ],
+    )
+    def test_unusable_mask_or_observation_exits_4(self, tmp_path, capsys, mask, values, needle):
+        # a one-column mask, an empty one and an all-zero observation are
+        # input errors: one stderr line, no traceback or numpy warning
+        prob, pt = self._problem_and_point(tmp_path)
+        if mask is not None:
+            (prob / "mask.csv").write_text(mask)
+        if values == "zeros":
+            count = len((prob / "values.csv").read_text().splitlines())
+            values = "0\n" * count
+        if values is not None:
+            (prob / "values.csv").write_text(values)
+        capsys.readouterr()
+        code = run_cli("errors", "--problem", str(prob), "--point", str(pt))
+        assert_input_error(capsys, code, 4, "errors", needle)
+
     def test_missing_target_exits_4(self, tmp_path, capsys):
         prob, pt = self._problem_and_point(tmp_path)
         for name in ("U.csv", "sigma.csv", "V.csv"):
@@ -270,6 +307,15 @@ class TestRateFit:
         code = run_cli("ratefit", "--distances", str(path))
         assert code == 0
         assert "unavailable" in capsys.readouterr().out
+
+    def test_empty_distances_file_is_insufficient(self, tmp_path, capsys):
+        # no data is too short a trace, not a numpy warning
+        path = tmp_path / "d.csv"
+        np.savetxt(path, np.ones(0), delimiter=",")
+        code = run_cli("ratefit", "--distances", str(path))
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "unavailable" in captured.out and captured.err == ""
 
     @pytest.mark.parametrize("content", [None, "1.0\nabc\n0.5\n", "1.0\ninf\n0.5\n"])
     def test_invalid_distances_exit_4(self, tmp_path, capsys, content):

@@ -552,3 +552,17 @@ class TestIO:
         save_index_set(path, mask)
         back = load_index_set(path, (6, 7))
         assert back == mask
+
+    def test_empty_index_set_roundtrip(self, tmp_path):
+        mask = IndexSet((6, 7), [], [])
+        path = tmp_path / "mask.csv"
+        save_index_set(path, mask)
+        back = load_index_set(path, (6, 7))
+        assert back == mask and len(back) == 0
+
+    @pytest.mark.parametrize("content", ["1\n2\n", "1,2,3\n"])
+    def test_index_set_of_another_shape_rejected(self, tmp_path, content):
+        path = tmp_path / "mask.csv"
+        path.write_text(content)
+        with pytest.raises(ValueError, match="two columns"):
+            load_index_set(path, (6, 7))

@@ -13,9 +13,8 @@ from rankdescent.geometry import (
     project_tangent_space,
     random_point,
     retract,
-    zero_point,
 )
-from helpers import partial_directions, random_cone_vector, random_instance, zero_tangent
+from helpers import partial_directions, random_cone_vector, random_instance, zero_point, zero_tangent
 
 
 def tangent_projector_oracle(X, F):
@@ -69,7 +68,7 @@ class TestConeProjection:
     def test_zero_input(self):
         X = random_point(np.random.default_rng(4), 5, 4, 1, 3)
         G, g = project_cone(X, np.zeros((5, 4)))
-        assert g == 0.0 and G.is_zero()
+        assert g == 0.0 and G.norm() == 0.0
 
     def test_cone_at_zero_point(self):
         # at X = 0 the cone is all rank <= k matrices: best rank-1 of diag(3,1)
@@ -316,6 +315,23 @@ class TestRetraction:
 
 
 class TestRetractFlatDirections:
+    def test_flat_flag_and_distance(self):
+        # the partial projections are flat, the full one is not while both
+        # its up and vp blocks carry mass; a flat step's distance is
+        # alpha * ||xi|| and matches the dense one
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            X, F = random_instance(rng)
+            G, _ = project_cone(X, F)
+            if 0 < X.s < min(X.shape):
+                assert not G.flat
+            for gi in partial_directions(X, F, G):
+                assert gi.flat
+                Y, distance = retract(X, gi, 0.7)
+                assert distance == 0.7 * gi.norm()
+                dense = np.linalg.norm(Y.dense() - X.dense())
+                assert distance == pytest.approx(dense, rel=1e-10, abs=1e-12)
+
     def test_exactness_and_rank(self):
         # along a flat direction X + alpha * xi has rank at most s + perp
         # rank <= k, so retract truncates nothing and returns it exactly
@@ -358,7 +374,7 @@ class TestPartialDirections:
         rng = np.random.default_rng(18)
         X = random_point(rng, 4, 4, 2, 3)
         g1, g2 = partial_directions(X, np.zeros((4, 4)))
-        assert g1.is_zero() and g2.is_zero()
+        assert g1.norm() == 0.0 and g2.norm() == 0.0
 
     def test_core_only_input(self):
         rng = np.random.default_rng(19)

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from helpers import CurveLine
 from rankdescent.linesearch import (
     ArmijoConfig,
     LineSearchError,
@@ -14,10 +15,6 @@ from rankdescent.linesearch import (
     descent_monitors,
     initial_step,
 )
-
-
-def vector_retractor(x, xi, alpha):
-    return x + alpha * xi, alpha * float(np.linalg.norm(xi))
 
 
 class TestInitialStep:
@@ -58,6 +55,11 @@ class TestInitialStep:
             assert initial_step(2.0, 2.0, math.sqrt(2.0), curvature) == math.sqrt(2.0)
 
 
+def affine(x, xi):
+    """The curve alpha -> (x + alpha * xi, alpha * ||xi||)."""
+    return lambda alpha: (x + alpha * xi, alpha * float(np.linalg.norm(xi)))
+
+
 class TestArmijo:
     def test_flat_quadratic_full_step(self):
         # f(x) = 0.5||x - a||^2, xi = a - x: alpha = 1 accepted immediately
@@ -65,10 +67,12 @@ class TestArmijo:
         a = rng.standard_normal(5)
         x = rng.standard_normal(5)
         xi = a - x
-        obj = SimpleNamespace(value=lambda y: 0.5 * float(np.sum((y - a) ** 2)))
-        f_x = obj.value(x)
+
+        def f(y):
+            return 0.5 * float(np.sum((y - a) ** 2))
+
         slope = -float(np.sum(xi**2))
-        out = armijo(x, xi, obj, f_x, slope, 1.0, ArmijoConfig(c=1e-4), vector_retractor)
+        out = armijo(CurveLine(f, affine(x, xi)), f(x), slope, 1.0, ArmijoConfig(c=1e-4))
         assert out.alpha == 1.0
         assert out.backtracks == 0
         assert out.decrease == pytest.approx(0.5 * slope, rel=1e-12)
@@ -76,19 +80,15 @@ class TestArmijo:
     def test_scalar_three_backtracks(self):
         # f(x) = x^2/2 at x0 = 1 with xi = -1, c = 0.9: condition is a <= 0.2,
         # so the grid 1, 1/2, 1/4, 1/8 accepts exactly at 0.125
-        obj = SimpleNamespace(value=lambda y: 0.5 * float(y**2))
-        out = armijo(
-            1.0, -1.0, obj, 0.5, -1.0, 1.0,
-            ArmijoConfig(beta=0.5, c=0.9), vector_retractor,
-        )
+        line = CurveLine(lambda y: 0.5 * float(y**2), affine(1.0, -1.0))
+        out = armijo(line, 0.5, -1.0, 1.0, ArmijoConfig(beta=0.5, c=0.9))
         assert out.alpha == 0.125
         assert out.backtracks == 3
-        # the distance is the retractor's for the accepted trial
+        # the distance is the curve's for the accepted trial
         assert out.distance == 0.125
 
     def test_first_trial_accepted_keeps_bar_beta(self):
-        obj = SimpleNamespace(value=lambda y: float(y))
-        out = armijo(10.0, -1.0, obj, 10.0, -1.0, 2.5, ArmijoConfig(), vector_retractor)
+        out = armijo(CurveLine(float, affine(10.0, -1.0)), 10.0, -1.0, 2.5, ArmijoConfig())
         assert out.alpha == 2.5
         assert out.backtracks == 0
 
@@ -96,68 +96,51 @@ class TestArmijo:
         # f(y) = y^2/2 from x0 = 1 along xi = -1: the square overflows at the
         # first trial 1e300, is finite but too large at 1e150, and the third
         # trial 1e300 * 1e-300 lands on the minimizer 0
-        obj = SimpleNamespace(value=lambda y: 0.5 * float(np.square(y)))
-        out = armijo(
-            np.float64(1.0), -1.0, obj, 0.5, -1.0, 1e300,
-            ArmijoConfig(beta=1e-150), vector_retractor,
-        )
+        line = CurveLine(lambda y: 0.5 * float(np.square(y)), affine(np.float64(1.0), -1.0))
+        out = armijo(line, 0.5, -1.0, 1e300, ArmijoConfig(beta=1e-150))
         assert out.backtracks == 2
         assert out.alpha == pytest.approx(1.0, rel=1e-12)
         assert out.f_new == pytest.approx(0.0, abs=1e-24)
 
     def test_exact_line_retracts_only_accepted_step(self):
         # the scalar example with f(x0 + alpha * xi) = (1 - alpha)^2 / 2 from
-        # an exact line: trials never retract or call obj.value, and the
-        # accepted point is retracted once and handed to the line
-        kept, retracted = [], []
-        line = SimpleNamespace(value=lambda a: 0.5 * (1.0 - a) ** 2, keep=kept.append)
-
-        def retractor(x, xi, alpha):
-            retracted.append(alpha)
-            return vector_retractor(x, xi, alpha)
-
-        out = armijo(
-            1.0, -1.0, SimpleNamespace(value=None), 0.5, -1.0, 1.0,
-            ArmijoConfig(beta=0.5, c=0.9), retractor, line,
-        )
+        # an exact model, as a MaskedLine has: trials never run the curve,
+        # and the accepted trial's point is formed once, by the line's step
+        line = CurveLine(None, affine(1.0, -1.0), model=lambda a: 0.5 * (1.0 - a) ** 2)
+        out = armijo(line, 0.5, -1.0, 1.0, ArmijoConfig(beta=0.5, c=0.9))
         assert (out.alpha, out.backtracks, out.f_new) == (0.125, 3, 0.5 * 0.875**2)
-        assert retracted == [0.125]
-        assert kept == [out.X_new] == [0.875]
+        assert line.stepped == [0.125]
+        assert line.points == [out.X_new] == [0.875]
         assert out.distance == 0.125
 
     def test_exact_line_step_whose_retraction_overflows_is_rejected(self):
-        # the line accepts every trial, but the retraction overflows at
-        # alpha = 1 and 1/2: those trials count as f = inf and the search
-        # backtracks to 1/4 instead of raising
-        kept = []
-        line = SimpleNamespace(value=lambda a: 0.5 * (1.0 - a) ** 2, keep=kept.append)
+        # the exact model accepts every trial, but the step's retraction
+        # overflows at alpha = 1 and 1/2: those trials count as f = inf and
+        # the search backtracks to 1/4 instead of raising
+        def curve(alpha):
+            return 1.0 + np.exp(np.float64(2000.0 * alpha)), alpha
 
-        def retractor(x, xi, alpha):
-            return x + np.exp(np.float64(2000.0 * alpha)), alpha
-
-        out = armijo(1.0, -1.0, None, 0.5, -1.0, 1.0, ArmijoConfig(), retractor, line)
+        line = CurveLine(None, curve, model=lambda a: 0.5 * (1.0 - a) ** 2)
+        out = armijo(line, 0.5, -1.0, 1.0, ArmijoConfig())
         assert (out.alpha, out.backtracks, out.f_new) == (0.25, 2, 0.5 * 0.75**2)
-        assert kept == [out.X_new]
+        assert line.points == [out.X_new]
         assert out.distance == 0.25
 
     def test_non_finite_values_exhaust_to_error(self):
-        obj = SimpleNamespace(value=lambda y: -math.inf)
         cfg = ArmijoConfig(max_backtracks=3)
         with pytest.raises(LineSearchError) as err:
-            armijo(0.0, 1.0, obj, 0.0, -1.0, 1.0, cfg, vector_retractor)
+            armijo(CurveLine(lambda y: -math.inf, affine(0.0, 1.0)), 0.0, -1.0, 1.0, cfg)
         assert [f for _, f in err.value.trials] == [-math.inf] * 4
 
     def test_nonnegative_slope_rejected(self):
-        obj = SimpleNamespace(value=lambda y: float(y))
         with pytest.raises(ValueError):
-            armijo(0.0, 1.0, obj, 0.0, 0.0, 1.0, ArmijoConfig(), vector_retractor)
+            armijo(CurveLine(float, affine(0.0, 1.0)), 0.0, 0.0, 1.0, ArmijoConfig())
 
     def test_exhaustion_raises_with_trials(self):
         # claimed slope is negative but f increases: every trial fails
-        obj = SimpleNamespace(value=lambda y: float(abs(y)))
         cfg = ArmijoConfig(max_backtracks=5)
         with pytest.raises(LineSearchError) as err:
-            armijo(0.0, 1.0, obj, 0.0, -1.0, 1.0, cfg, vector_retractor)
+            armijo(CurveLine(lambda y: float(abs(y)), affine(0.0, 1.0)), 0.0, -1.0, 1.0, cfg)
         assert len(err.value.trials) == 6
 
     def test_accepted_step_satisfies_inequality(self):
@@ -166,13 +149,16 @@ class TestArmijo:
             a = rng.standard_normal(4)
             x = rng.standard_normal(4)
             xi = a - x + 0.1 * rng.standard_normal(4)
-            obj = SimpleNamespace(value=lambda y: 0.5 * float(np.sum((y - a) ** 2)))
+
+            def f(y):
+                return 0.5 * float(np.sum((y - a) ** 2))
+
             slope = float(xi @ (x - a))
             if slope >= 0:
                 continue
-            f_x = obj.value(x)
+            f_x = f(x)
             cfg = ArmijoConfig()
-            out = armijo(x, xi, obj, f_x, slope, 1.5, cfg, vector_retractor)
+            out = armijo(CurveLine(f, affine(x, xi)), f_x, slope, 1.5, cfg)
             assert out.f_new - f_x <= cfg.c * out.alpha * slope + 1e-12
             assert out.alpha == 1.5 * cfg.beta**out.backtracks
 

@@ -14,11 +14,12 @@ from rankdescent.geometry import (
     make_point,
     random_point,
     retract,
-    zero_point,
 )
-from helpers import ambient_dense, random_cone_vector
+from helpers import ambient_dense, random_cone_vector, zero_point
 from rankdescent import objectives
 from rankdescent.objectives import (
+    Line,
+    MaskedLine,
     MatrixCompletion,
     QuadraticDistance,
     load_completion,
@@ -90,29 +91,31 @@ class TestMatrixCompletion:
                 assert self.obj.line(X, xi).curvature == pytest.approx(expected, rel=1e-12)
 
     def test_line_values_match_dense_oracle(self):
-        # f along X + alpha * xi is 0.5 * ||P(X + alpha * xi - A)||^2 for any
-        # cone vector; the line takes it from P(X - A) and P(xi)
+        # along a flat xi the curve is X + alpha * xi, where f is
+        # 0.5 * ||P(X + alpha * xi - A)||^2; the line takes it from P(X - A)
+        # and P(xi)
         on_mask = (self.mask.rows, self.mask.cols)
         for s, k in ((3, 3), (2, 5), (0, 2)):
             X = random_point(self.rng, 10, 8, s, k)
-            xi = random_cone_vector(self.rng, X)
+            xi = choose_flat_direction(random_cone_vector(self.rng, X))
             self.obj.gradient(X)
             line = self.obj.line(X, xi)
-            assert line.exact
+            assert isinstance(line, MaskedLine)
             for alpha in (0.0, 0.3, 2.0):
                 res = (X.dense() + alpha * xi.dense() - self.A_dense)[on_mask]
                 assert line.value(alpha) == pytest.approx(0.5 * float(res @ res), rel=1e-12)
 
     def test_kept_line_residual_seeds_the_slot(self, monkeypatch):
-        # a flat step's update is X + alpha * xi: keep files the line's
+        # a flat step's update is X + alpha * xi: step files the line's
         # residual under the new point, whose gradient and value gather nothing
         X = random_point(self.rng, 10, 8, 3, 3)
         xi = choose_flat_direction(random_cone_vector(self.rng, X))
         self.obj.value(X)
         line = self.obj.line(X, xi)
         f = line.value(0.4)
-        Y, _ = retract(X, xi, 0.4)
-        line.keep(Y)
+        Y, distance = line.step()
+        Z, expected = retract(X, xi, 0.4)
+        assert np.array_equal(Y.dense(), Z.dense()) and distance == expected
         gathers = []
         real = objectives.mask_apply
         monkeypatch.setattr(
@@ -124,6 +127,20 @@ class TestMatrixCompletion:
         assert not g.values.flags.writeable
         fresh = MatrixCompletion(self.data).gradient(Y).values
         assert np.allclose(g.values, fresh, rtol=0, atol=1e-13)
+
+    def test_line_along_a_non_flat_direction_retracts_each_trial(self):
+        # sd's full projection leaves the ambient line: each value is f at
+        # the retracted trial, and step returns that trial with its distance
+        X = random_point(self.rng, 10, 8, 2, 4)
+        xi = random_cone_vector(self.rng, X)
+        assert not xi.flat
+        line = self.obj.line(X, xi)
+        assert type(line) is Line
+        for alpha in (0.3, 2.0):
+            Y, distance = retract(X, xi, alpha)
+            assert line.value(alpha) == MatrixCompletion(self.data).value(Y)
+            Z, d = line.step()
+            assert np.array_equal(Z.dense(), Y.dense()) and d == distance
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
@@ -186,7 +203,7 @@ class TestQuadraticDistance:
                 Xd, D = X.dense(), xi.dense()
                 expected = dense_value(Xd + D) - 2.0 * dense_value(Xd) + dense_value(Xd - D)
                 assert obj.line(X, xi).curvature == pytest.approx(expected, rel=1e-10)
-                assert not obj.line(X, xi).exact
+                assert type(obj.line(X, xi)) is Line
 
     def test_diag_example(self):
         A = truncate(np.diag([3.0, 1.0]), 2)

@@ -13,7 +13,6 @@ from rankdescent.geometry import (
     project_cone,
     random_point,
     retract,
-    zero_point,
 )
 from rankdescent.linesearch import angle_check, descent_monitors, initial_step
 from rankdescent.objectives import MatrixCompletion, QuadraticDistance
@@ -25,7 +24,7 @@ from rankdescent.solvers import (
     solve,
     write_trace_csv,
 )
-from helpers import random_instance, read_trace_csv
+from helpers import random_instance, read_trace_csv, zero_point
 
 
 def quadratic_setup(seed, m=12, n=10, r=5, k=3):
@@ -48,6 +47,17 @@ class TestSolveBasics:
         assert res.status is SolveStatus.STATIONARY
         assert len(res.trace) == 1
         assert res.trace[0].g_minus == 0.0
+
+    def test_start_with_another_budget_runs_with_cfg_k(self):
+        # X0's own budget 3 gives way to cfg.k = 5: the run matches one from
+        # the same matrix with budget 5, and its rank grows past 3
+        obj, _, X0 = quadratic_setup(6, r=5, k=3)
+        cfg = SolverConfig(k=5, max_iters=20, record_iterates=True)
+        res = solve(obj, X0, cfg)
+        ref = solve(obj, VarietyPoint(X0.point, 5), cfg)
+        assert [r.f for r in res.trace] == [r.f for r in ref.trace]
+        assert res.X_star.k == res.iterates.k == res.iterates[0].k == 5
+        assert max(r.rank for r in res.trace) > 3
 
     def test_quadratic_oracle_convergence(self):
         # with k = rank(A) the unique global minimizer is A itself
@@ -477,7 +487,7 @@ class TestCompletionRun:
 
     def test_one_gather_per_trial_point(self, monkeypatch):
         # sd gathers P(X) at X0 and at each line-search trial; rf gathers it
-        # at X0 alone, since its trials are values of the exact line and the
+        # at X0 alone, since its trials are values of the MaskedLine and the
         # accepted point keeps the line's residual. Both gather P(xi) once per
         # iteration, for the line, and the gradient never gathers.
         from rankdescent import objectives
