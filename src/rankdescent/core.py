@@ -510,9 +510,9 @@ def save_factored(dirpath, F: FactoredMatrix) -> None:
 def load_factored(dirpath) -> FactoredMatrix:
     import os
 
-    U = np.loadtxt(os.path.join(dirpath, "U.csv"), delimiter=",", ndmin=2)
-    sigma = np.loadtxt(os.path.join(dirpath, "sigma.csv"), delimiter=",").ravel()
-    V = np.loadtxt(os.path.join(dirpath, "V.csv"), delimiter=",", ndmin=2)
+    U = load_csv(os.path.join(dirpath, "U.csv"))
+    sigma = load_column(os.path.join(dirpath, "sigma.csv"))
+    V = load_csv(os.path.join(dirpath, "V.csv"))
     return FactoredMatrix(U, sigma, V)
 
 
@@ -522,19 +522,28 @@ def save_index_set(path, mask: IndexSet) -> None:
     )
 
 
-def load_csv(path, **kwargs) -> np.ndarray:
-    """np.loadtxt of a comma-separated file. A file with no data, which is
-    what np.savetxt writes for an empty array, reads as an empty array
-    without numpy's warning."""
+def load_csv(path, dtype=float) -> np.ndarray:
+    """np.loadtxt of a comma-separated file as a 2-D array, one row per line.
+    A file with no data, which is what np.savetxt writes for an empty array,
+    reads as an empty array without numpy's warning."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        return np.loadtxt(path, delimiter=",", **kwargs)
+        return np.loadtxt(path, delimiter=",", dtype=dtype, ndmin=2)
+
+
+def load_column(path) -> np.ndarray:
+    """A one-column file (np.savetxt of a vector) as a vector; an empty file
+    reads as an empty one. Raises ValueError on a file of more columns."""
+    a = load_csv(path)
+    if a.shape[1] > 1:
+        raise ValueError(f"{path} needs one column, got {a.shape[1]}")
+    return a.reshape(-1)
 
 
 def load_index_set(path, dims) -> IndexSet:
     """Read a mask that save_index_set wrote: one row,col line per pair,
     none for the empty mask. Raises ValueError on any other shape."""
-    pairs = load_csv(path, dtype=np.int64, ndmin=2)
+    pairs = load_csv(path, np.int64)
     if pairs.size == 0:
         pairs = pairs.reshape(0, 2)
     if pairs.shape[1] != 2:

@@ -5,13 +5,11 @@ value(alpha) is f at the trial point R(X, alpha * xi), and step() returns
 that point and its distance from X. The step size is the largest
 beta^m * bar_beta satisfying the sufficient decrease test
 f(R(x, alpha*xi)) - f(x) <= c * alpha * <grad f, xi>. The initial trial
-bar_beta (see initial_step) has three parts: a closed-form floor rule is its
-lower bound, so that it never falls below the ratio g/||xi|| of
-projected-antigradient norm to direction norm, with the floor the caller
-passes (solvers.VARIANTS holds each variant's); the exact minimizer
-||xi||^2 / <xi, Hess f xi> of the quadratic model along xi, from the
-curvature of the objective's line, is the usual start; STEP_CAP bounds that
-start above. The module imports nothing else of the package.
+bar_beta (see initial_step) is the exact minimizer ||xi||^2 / <xi, Hess f xi>
+of the quadratic model along xi, from the curvature of the objective's line,
+capped above by STEP_CAP and bounded below by the ratio g/||xi|| of
+projected-antigradient norm to direction norm. The module imports nothing
+else of the package.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ class ArmijoConfig:
     beta: backtracking factor in (0, 1).
     c: sufficient-decrease constant in (0, 1).
     max_backtracks: hard cap on rejected trials (0.5**60 ~ 1e-18 underflow guard).
-    The floor of the initial trial step is the variant's, in solvers.VARIANTS.
     """
 
     beta: float = 0.5
@@ -63,7 +60,6 @@ class StepOutcome:
     backtracks: int
     f_new: float
     X_new: object
-    decrease: float
     distance: float
 
 
@@ -79,22 +75,20 @@ class LineSearchError(RuntimeError):
         self.trials = trials
 
 
-def initial_step(g_minus: float, xi_norm: float, floor: float, curvature: float) -> float:
-    """Initial trial step max(floor, g_minus / xi_norm, min(STEP_CAP, exact)).
+def initial_step(g_minus: float, xi_norm: float, curvature: float) -> float:
+    """Initial trial step max(g_minus / xi_norm, min(STEP_CAP, exact)).
 
-    The floor rule max(floor, g_minus / xi_norm) is the lower bound: with
-    floor 1 for the full cone projection (where the ratio is exactly 1) and
-    floor sqrt(2) for the flat directions (where the ratio is at most
-    sqrt(2)), the trial step never falls below g_minus / xi_norm. The
+    The ratio g_minus / xi_norm is the lower bound (exactly 1 for the full
+    cone projection, between 1 and sqrt(2) for the flat directions). The
     curvature <xi, Hess f xi> along the direction is required: when it is
     positive and finite, the exact minimizer exact = xi_norm**2 / curvature
     of the quadratic model along xi is the usual start, capped above at
-    STEP_CAP; when it is zero, negative, infinite or NaN the floor rule alone
+    STEP_CAP; when it is zero, negative, infinite or NaN the ratio alone
     applies.
     """
     if xi_norm <= 0.0:
         raise ValueError("direction norm must be positive (handle stationarity first)")
-    step = max(floor, g_minus / xi_norm)
+    step = g_minus / xi_norm
     if 0.0 < curvature < math.inf:
         step = max(step, min(STEP_CAP, xi_norm**2 / curvature))
     return step
@@ -125,7 +119,7 @@ def armijo(line, f_x, slope, bar_beta, cfg: ArmijoConfig) -> StepOutcome:
             f_new, accept = math.inf, False
         trials.append((alpha, f_new))
         if accept:
-            return StepOutcome(alpha, m, f_new, X_new, f_new - f_x, distance)
+            return StepOutcome(alpha, m, f_new, X_new, distance)
     raise LineSearchError(
         f"no sufficient decrease within {cfg.max_backtracks} backtracks", trials
     )

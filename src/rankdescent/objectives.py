@@ -25,7 +25,7 @@ from .core import (
     FactoredMatrix,
     SparseOnMask,
     frob_norm,
-    load_csv,
+    load_column,
     load_factored,
     load_index_set,
     mask_apply,
@@ -230,7 +230,7 @@ def load_completion(dirpath):
             dims[key.strip()] = int(val)
     shape = (dims["m"], dims["n"])
     mask = load_index_set(os.path.join(dirpath, "mask.csv"), shape)
-    values = load_csv(os.path.join(dirpath, "values.csv")).ravel()
+    values = load_column(os.path.join(dirpath, "values.csv"))
     problem = MatrixCompletion(SparseOnMask(mask, values))
     target_dir = os.path.join(dirpath, "target_factors")
     target = load_factored(target_dir) if os.path.isdir(target_dir) else None

@@ -7,9 +7,9 @@ step along the objective's line (objectives.Line), the curve
 alpha -> retract(X, xi, alpha), from the initial step its curvature gives.
 The line gives the step's point, its f and its distance from X, which the
 trace records as the displacement ||X_{n+1} - X_n||. A variant is one entry
-of VARIANTS: its direction rule, which takes the cone projection alone, and
-the floor of its initial step. Stopping rules and the per-iteration trace
-are artifact plumbing; the iteration itself would happily run forever.
+of VARIANTS: its direction rule, which takes the cone projection alone.
+Stopping rules and the per-iteration trace are artifact plumbing; the
+iteration itself would happily run forever.
 """
 
 from __future__ import annotations
@@ -30,16 +30,14 @@ from .geometry import VarietyPoint, choose_flat_direction, make_point, project_c
 from .linesearch import ArmijoConfig, LineSearchError, armijo, initial_step
 from .objectives import Objective
 
-# name -> (direction rule applied to the projected antigradient, floor of the
-# initial step). The floor is the largest ratio g_minus / ||xi|| the rule
-# allows, so the initial step never falls below it.
+# name -> direction rule applied to the projected antigradient
 VARIANTS = {
     # projected steepest descent: the full projection, retracted by truncation
-    "sd": (lambda G: G, 1.0),
+    "sd": lambda G: G,
     # retraction-free: the larger flat partial projection, whose update stays
     # on the variety without truncation. The name is looked up at call time,
     # so a wrapper installed on this module sees every call.
-    "rf": (lambda G: choose_flat_direction(G), math.sqrt(2.0)),
+    "rf": lambda G: choose_flat_direction(G),
 }
 
 
@@ -60,10 +58,8 @@ class SolverConfig:
     search fails with no trial moving f by more than that; both tolerances
     must be positive and finite. record_iterates keeps every iterate, the
     start included, in the result's IterateHistory, which holds them on disk.
-    The line search uses ArmijoConfig's defaults. Its initial trial step is
-    bounded below by the variant's floor, which solve reads from VARIANTS (1
-    for sd, sqrt(2) for rf); the exact-curvature step is its usual value and
-    linesearch.STEP_CAP its upper bound (see linesearch.initial_step).
+    The line search uses ArmijoConfig's defaults, and its initial trial step
+    is linesearch.initial_step.
     """
 
     k: int
@@ -172,11 +168,10 @@ def solve(obj: Objective, X0, cfg: SolverConfig, metrics=None) -> SolveResult:
     for the trace.
 
     Each Armijo search runs along obj.line(X, xi) and starts at
-    initial_step: the variant's floor rule is the lower bound, and the exact
-    minimizer ||xi||^2 / curvature of the quadratic model along the
-    direction, capped above at STEP_CAP, is the usual start. The line sets
-    how trials are valued: a MaskedLine's f can differ from a fresh
-    evaluation at its point at roundoff level.
+    initial_step: the exact minimizer ||xi||^2 / curvature of the quadratic
+    model along the direction, capped above at STEP_CAP and bounded below by
+    g_minus / ||xi||. The line sets how trials are valued: a MaskedLine's f
+    can differ from a fresh evaluation at its point at roundoff level.
 
     The iteration stops on exact stationarity of the projected antigradient,
     on the relative g tolerance, on a persistent stall of f, or at max_iters;
@@ -192,7 +187,7 @@ def solve(obj: Objective, X0, cfg: SolverConfig, metrics=None) -> SolveResult:
     if X.k != cfg.k:
         X = VarietyPoint(X.point, cfg.k)
     armijo_cfg = cfg.armijo_config()
-    direction, floor = VARIANTS[cfg.variant]
+    direction = VARIANTS[cfg.variant]
 
     f_x = obj.value(X)
     stall = 0
@@ -232,7 +227,7 @@ def solve(obj: Objective, X0, cfg: SolverConfig, metrics=None) -> SolveResult:
             xi = direction(-G)
             xi_norm = xi.norm()
             line = obj.line(X, xi)
-            bar_beta = initial_step(g_minus, xi_norm, floor, line.curvature)
+            bar_beta = initial_step(g_minus, xi_norm, line.curvature)
             try:
                 # for projection-derived directions <grad, xi> = -||xi||^2 exactly
                 out = armijo(line, f_x, -(xi_norm**2), bar_beta, armijo_cfg)
@@ -249,7 +244,7 @@ def solve(obj: Objective, X0, cfg: SolverConfig, metrics=None) -> SolveResult:
                 rec.xi_norm = xi_norm
                 rec.displacement = out.distance
                 rec.wall_ms = (time.perf_counter() - t0) * 1e3
-                stall = stall + 1 if -out.decrease <= cfg.tol_f * max(1.0, f_x) else 0
+                stall = stall + 1 if f_x - out.f_new <= cfg.tol_f * max(1.0, f_x) else 0
                 X, f_x = out.X_new, out.f_new
 
     return SolveResult(X_star=X, status=status, trace=records, iterates=iterates)

@@ -281,6 +281,15 @@ class TestErrors:
         code = run_cli("errors", "--problem", str(prob), "--point", str(pt))
         assert_input_error(capsys, code, 4, "errors", needle)
 
+    def test_empty_point_factors_exit_4_with_one_line(self, tmp_path, capsys):
+        # empty U/sigma/V files: the factor mismatch alone, no numpy warning
+        prob, pt = self._problem_and_point(tmp_path)
+        for name in ("U.csv", "sigma.csv", "V.csv"):
+            (pt / name).write_text("")
+        capsys.readouterr()
+        code = run_cli("errors", "--problem", str(prob), "--point", str(pt))
+        assert_input_error(capsys, code, 4, "errors")
+
     def test_missing_target_exits_4(self, tmp_path, capsys):
         prob, pt = self._problem_and_point(tmp_path)
         for name in ("U.csv", "sigma.csv", "V.csv"):
@@ -324,6 +333,13 @@ class TestRateFit:
         if content is not None:
             path.write_text(content)
         assert_input_error(capsys, run_cli("ratefit", "--distances", str(path)), 4, "ratefit")
+
+    def test_two_column_distances_exit_4(self, tmp_path, capsys):
+        # a second column is not flattened into one interleaved trace
+        path = tmp_path / "d.csv"
+        np.savetxt(path, np.column_stack([2.0 ** -np.arange(40), 3.0 ** -np.arange(40)]), delimiter=",")
+        code = run_cli("ratefit", "--distances", str(path))
+        assert_input_error(capsys, code, 4, "ratefit", "one column")
 
     @pytest.mark.parametrize("tail", ["-1", "0", "2"])
     def test_tail_outside_unit_interval_exits_4(self, tmp_path, capsys, tail):

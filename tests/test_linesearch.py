@@ -18,41 +18,46 @@ from rankdescent.linesearch import (
 
 
 class TestInitialStep:
+    # the ratio g / ||xi|| is the step's floor: the lower bound it never
+    # falls below, whatever the curvature
     def test_floor_when_ratio_is_one(self):
-        assert initial_step(2.0, 2.0, 1.0, 0.0) == 1.0
+        assert initial_step(2.0, 2.0, 0.0) == 1.0
 
     def test_ratio_dominates(self):
-        assert initial_step(2.0, 1.0, 1.0, 0.0) == 2.0
+        assert initial_step(2.0, 1.0, 0.0) == 2.0
 
     def test_zero_direction_rejected(self):
         with pytest.raises(ValueError):
-            initial_step(1.0, 0.0, 1.0, 0.0)
+            initial_step(1.0, 0.0, 0.0)
 
-    def test_flat_direction_floor_suffices(self):
-        # ||xi||^2 >= g^2/2 implies g/||xi|| <= sqrt(2), so the sqrt(2) floor
-        # always meets the required lower bound g/||xi||
+    def test_flat_direction_step_meets_ratio(self):
+        # a flat direction has g/sqrt(2) <= ||xi|| <= g, so its ratio lies in
+        # [1, sqrt(2)]; the step meets it whether or not the curvature is
+        # usable and however short the exact step is
         rng = np.random.default_rng(0)
         for _ in range(200):
             g = rng.uniform(0.1, 10.0)
             xi = rng.uniform(g / math.sqrt(2.0), g)
-            step = initial_step(g, xi, math.sqrt(2.0), 0.0)
-            assert step >= g / xi - 1e-15
+            for curvature in (0.0, 10.0 * xi**2):
+                step = initial_step(g, xi, curvature)
+                assert step >= g / xi - 1e-15
 
     def test_exact_curvature_step(self):
-        # ||xi||^2 / curvature = 4 / 0.5 = 8 beats the floor rule's 1
-        assert initial_step(2.0, 2.0, 1.0, curvature=0.5) == 8.0
+        # ||xi||^2 / curvature = 4 / 0.5 = 8 beats the ratio's 1
+        assert initial_step(2.0, 2.0, curvature=0.5) == 8.0
 
     def test_floor_bounds_exact_step_below(self):
-        # exact step 4 / 8 = 0.5 falls under the floor rule, which wins
-        assert initial_step(2.0, 2.0, 1.0, curvature=8.0) == 1.0
-        assert initial_step(3.0, 1.0, 1.0, curvature=2.0) == 3.0
+        # exact step 4 / 8 = 0.5 falls under the ratio 1, which wins
+        assert initial_step(2.0, 2.0, curvature=8.0) == 1.0
+        assert initial_step(3.0, 1.0, curvature=2.0) == 3.0
 
     def test_cap_bounds_exact_step_above(self):
-        assert initial_step(2.0, 2.0, 1.0, curvature=1e-300) == STEP_CAP
+        assert initial_step(2.0, 2.0, curvature=1e-300) == STEP_CAP
 
-    def test_unusable_curvature_falls_back_to_floor(self):
+    def test_unusable_curvature_falls_back_to_ratio(self):
         for curvature in (0.0, -1.0, math.inf, math.nan):
-            assert initial_step(2.0, 2.0, math.sqrt(2.0), curvature) == math.sqrt(2.0)
+            assert initial_step(2.0, 2.0, curvature) == 1.0
+            assert initial_step(3.0, 2.5, curvature) == 1.2
 
 
 def affine(x, xi):
@@ -75,7 +80,7 @@ class TestArmijo:
         out = armijo(CurveLine(f, affine(x, xi)), f(x), slope, 1.0, ArmijoConfig(c=1e-4))
         assert out.alpha == 1.0
         assert out.backtracks == 0
-        assert out.decrease == pytest.approx(0.5 * slope, rel=1e-12)
+        assert out.f_new - f(x) == pytest.approx(0.5 * slope, rel=1e-12)
 
     def test_scalar_three_backtracks(self):
         # f(x) = x^2/2 at x0 = 1 with xi = -1, c = 0.9: condition is a <= 0.2,

@@ -320,3 +320,13 @@ class TestSerialization:
         back, tgt = load_completion(tmp_path / "p2")
         assert tgt is None
         assert np.array_equal(back.data.values, [1.0, 2.0])
+
+    def test_two_column_values_rejected(self, tmp_path):
+        # four values on two lines match a four-entry mask once flattened,
+        # but values.csv holds one value per line
+        mask = IndexSet((3, 3), [0, 1, 2, 2], [1, 2, 0, 1])
+        problem = MatrixCompletion(SparseOnMask(mask, [1.0, 2.0, 3.0, 4.0]))
+        save_completion(tmp_path / "p", problem)
+        (tmp_path / "p" / "values.csv").write_text("1,2\n3,4\n")
+        with pytest.raises(ValueError, match="one column"):
+            load_completion(tmp_path / "p")

@@ -122,6 +122,23 @@ class TestSolveBasics:
                 assert all(r.rank <= 8 for r in res.trace)
                 assert res.trace[-1].f <= 1e-12 * res.trace[0].f
 
+    def test_rf_takes_the_exact_step_on_the_quadratic(self):
+        # along a flat direction the quadratic's exact step is 1, which the
+        # initial step takes: rf from rank-2 starts reaches 1e-8 within a few
+        # iterations instead of overshooting by a fixed factor every time
+        rng = np.random.default_rng(5)
+        for _ in range(6):
+            A = truncate(rng.standard_normal((80, 4)) @ rng.standard_normal((4, 60)), 4)
+            X0 = random_point(rng, 80, 60, 2, 4)
+            a_norm = float(np.linalg.norm(A.sigma))
+
+            def metrics(X, f, A=A, a_norm=a_norm):
+                return factored_diff_norm(X.point, A) / a_norm, None
+
+            cfg = SolverConfig(k=4, variant="rf", max_iters=10)
+            res = solve(QuadraticDistance(A), X0, cfg, metrics=metrics)
+            assert min(r.rel_err_full for r in res.trace) <= 1e-8
+
 
 class TestSolverConfig:
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
@@ -474,15 +491,18 @@ class TestCompletionRun:
         spec = CompletionSpec(40, 3, 3, 3, 22)
         problem, _ = gen_problem(spec)
         X0 = initial_guess(problem, 3)
-        for variant, floor in (("sd", 1.0), ("rf", math.sqrt(2.0))):
+        for variant in ("sd", "rf"):
             res = solve(problem, X0, SolverConfig(k=3, variant=variant, max_iters=1))
             G, g = project_cone(X0, problem.gradient(X0))
             xi = -G if variant == "sd" else choose_flat_direction(-G)
             curvature = problem.line(X0, xi).curvature
-            # under full sampling the exact step would be 1; on the mask it is longer
-            assert xi.norm() ** 2 / curvature > floor
+            # under full sampling the exact step would be 1; on the mask it
+            # is longer, and longer than the lower bound g / ||xi||
+            exact = xi.norm() ** 2 / curvature
+            assert exact > g / xi.norm()
             rec = res.trace[0]
-            bar_beta = initial_step(g, xi.norm(), floor, curvature)
+            bar_beta = initial_step(g, xi.norm(), curvature)
+            assert bar_beta == exact
             assert rec.alpha == bar_beta * 0.5**rec.backtracks
 
     def test_one_gather_per_trial_point(self, monkeypatch):
