@@ -152,7 +152,7 @@ PRESETS = {
 
 SUMMARY_KEYS = (
     "spec.n", "spec.r", "spec.k", "spec.os", "spec.seed",
-    "alg", "status", "iters", "final_f", "final_g_minus", "final_rel_full",
+    "alg", "status", "iters", "backtracks", "final_f", "final_g_minus", "final_rel_full",
     "final_rel_mask", "min_sigma_k", "a1_min_ratio", "rate_model", "rate_param",
 )
 
@@ -250,6 +250,7 @@ def _summary(spec: CompletionSpec, alg: str, result: SolveResult | None, fit) ->
         {
             "status": result.status.value,
             "iters": len(trace) - 1,
+            "backtracks": sum(r.backtracks for r in trace),
             "final_f": final.f,
             "final_g_minus": final.g_minus,
             "final_rel_full": "" if final.rel_err_full is None else final.rel_err_full,

@@ -5,11 +5,14 @@ value(alpha) is f at the trial point R(X, alpha * xi), and step() returns
 that point and its distance from X. The step size is the largest
 beta^m * bar_beta satisfying the sufficient decrease test
 f(R(x, alpha*xi)) - f(x) <= c * alpha * <grad f, xi>. The initial trial
-bar_beta (see initial_step) is the exact minimizer ||xi||^2 / <xi, Hess f xi>
-of the quadratic model along xi, from the curvature of the objective's line,
-capped above by STEP_CAP and bounded below by the ratio g/||xi|| of
-projected-antigradient norm to direction norm. The module imports nothing
-else of the package.
+bar_beta (see initial_step) is the minimizer ||xi||^2 / curvature of the
+quadratic model along xi, capped above by STEP_CAP and bounded below by the
+ratio g/||xi|| of projected-antigradient norm to direction norm. The
+curvature is either the exact <xi, Hess f xi> of the objective's line or
+kappa * ||xi||^2, kappa the secant curvature of the step before
+(secant_curvature); the solver alternates the two. Either way every start
+lies in [g/||xi||, STEP_CAP], and the search stays monotone. The module
+imports nothing else of the package.
 """
 
 from __future__ import annotations
@@ -76,15 +79,16 @@ class LineSearchError(RuntimeError):
 
 
 def initial_step(g_minus: float, xi_norm: float, curvature: float) -> float:
-    """Initial trial step max(g_minus / xi_norm, min(STEP_CAP, exact)).
+    """Initial trial step max(g_minus / xi_norm, min(STEP_CAP, model)).
 
     The ratio g_minus / xi_norm is the lower bound (exactly 1 for the full
     cone projection, between 1 and sqrt(2) for the flat directions). The
-    curvature <xi, Hess f xi> along the direction is required: when it is
-    positive and finite, the exact minimizer exact = xi_norm**2 / curvature
-    of the quadratic model along xi is the usual start, capped above at
-    STEP_CAP; when it is zero, negative, infinite or NaN the ratio alone
-    applies.
+    curvature along the direction is required: the exact <xi, Hess f xi>,
+    or a secant estimate of it such as kappa * xi_norm**2 (see
+    secant_curvature). When it is positive and finite, the minimizer
+    model = xi_norm**2 / curvature of the quadratic model along xi is the
+    usual start, capped above at STEP_CAP; when it is zero, negative,
+    infinite or NaN the ratio alone applies.
     """
     if xi_norm <= 0.0:
         raise ValueError("direction norm must be positive (handle stationarity first)")
@@ -92,6 +96,19 @@ def initial_step(g_minus: float, xi_norm: float, curvature: float) -> float:
     if 0.0 < curvature < math.inf:
         step = max(step, min(STEP_CAP, xi_norm**2 / curvature))
     return step
+
+
+def secant_curvature(f_x: float, f_new: float, alpha: float, slope: float, xi_norm: float) -> float:
+    """Curvature per unit squared norm of the step from f_x to f_new at alpha.
+
+    kappa = 2 * (f_new - f_x - alpha * slope) / (alpha * xi_norm)**2 is the
+    second derivative, over ||xi||^2, of the parabola with value f_x and
+    slope `slope` at 0 and value f_new at alpha: <xi, Hess f xi> / ||xi||^2
+    where f is quadratic along the step. NaN when alpha * xi_norm squares to
+    zero.
+    """
+    dx2 = (alpha * xi_norm) * (alpha * xi_norm)
+    return 2.0 * (f_new - f_x - alpha * slope) / dx2 if dx2 > 0.0 else math.nan
 
 
 def armijo(line, f_x, slope, bar_beta, cfg: ArmijoConfig) -> StepOutcome:

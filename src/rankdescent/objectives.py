@@ -6,18 +6,21 @@ the mask, QuadraticDistance as one factored matrix. Both compute the residual
 once per point: the gradient at the point whose value was taken last reuses
 its residual. line(X, xi) is the objective along the curve
 alpha -> retract(X, xi, alpha), the only thing the line search sees: its
-curvature sets the initial step, value(alpha) is f at a trial point, and
-step() returns the point valued last with its distance from X. A Line
-retracts each trial and evaluates it. Along a flat xi the curve is the
+curvature, computed on its first read, sets the initial step when the
+solver asks for it, value(alpha) is f at a trial point, and step() returns
+the point valued last with its distance from X. A Line retracts each trial
+and evaluates it; on a completion problem it gathers the direction on the
+mask only if its curvature is read. Along a flat xi the curve is the
 ambient line X + alpha * xi, on which matrix completion is exactly
 quadratic: its MaskedLine takes every trial value from one gather of the
-direction on the mask, retracts once, at the accepted step, and files its
-residual for that point, with no gather either.
+direction on the mask, made at once, retracts once, at the accepted step,
+and files its residual for that point, with no gather either.
 """
 
 from __future__ import annotations
 
 import os
+from functools import cached_property
 
 import numpy as np
 
@@ -40,15 +43,21 @@ from .geometry import ConeTangentVector, VarietyPoint, retract
 class Line:
     """The objective along the curve alpha -> retract(X, xi, alpha).
 
-    curvature is <xi, Hess f(X) xi>, from which the line search takes its
-    initial step. value(alpha) retracts the trial and evaluates the
-    objective there; step() returns the pair (point, distance from X) of
-    the trial valued last.
+    curvature is <xi, Hess f(X) xi>, from which the line search may take its
+    initial step; it is computed on its first read, by calling the function
+    of no arguments the line was made with, so a search that starts
+    elsewhere pays nothing for it. value(alpha) retracts the trial and
+    evaluates the objective there; step() returns the pair (point, distance
+    from X) of the trial valued last.
     """
 
-    def __init__(self, obj: "Objective", X: VarietyPoint, xi: ConeTangentVector, curvature: float):
-        self.curvature = curvature
+    def __init__(self, obj: "Objective", X: VarietyPoint, xi: ConeTangentVector, curvature):
+        self._curvature = curvature
         self._obj, self._X, self._xi = obj, X, xi
+
+    @cached_property
+    def curvature(self) -> float:
+        return self._curvature()
 
     def value(self, alpha: float) -> float:
         self._step = retract(self._X, self._xi, alpha)
@@ -73,7 +82,7 @@ class MaskedLine(Line):
     def __init__(
         self, obj: "MatrixCompletion", X: VarietyPoint, xi: ConeTangentVector, v: np.ndarray
     ):
-        super().__init__(obj, X, xi, float(v @ v))
+        super().__init__(obj, X, xi, lambda: float(v @ v))
         self._r, self._v = obj._residual(X), v
 
     def value(self, alpha: float) -> float:
@@ -91,8 +100,9 @@ class Objective:
 
     value, gradient and line are required. line(X, xi) returns the Line
     along which the search backtracks from X, for a cone tangent vector xi
-    at X: its curvature <xi, Hess f(X) xi> sets the exact-minimizer start of
-    the search, and its values are the search's trial costs.
+    at X: its curvature <xi, Hess f(X) xi>, read on the solver's even
+    iterations (solvers.solve), sets the exact-minimizer start of the
+    search, and its values are the search's trial costs.
 
     Subclasses that define shape and _compute_residual(point) get _residual,
     which keeps the residual of the point evaluated last in one slot keyed by
@@ -160,13 +170,18 @@ class MatrixCompletion(Objective):
         return SparseOnMask(self.mask, self._residual(X))
 
     def line(self, X: VarietyPoint, xi: ConeTangentVector) -> Line:
-        """v = P(xi), gathered from xi's thin factors once, gives the curvature
-        <xi, Hess f xi> = ||v||^2; a flat xi gets the MaskedLine, whose trial
-        values come from v as well."""
-        v = mask_gather(*xi.factors(), self.mask)
+        """v = P(xi), gathered from xi's thin factors, gives the curvature
+        <xi, Hess f xi> = ||v||^2. A flat xi gets the MaskedLine, whose trial
+        values come from v as well, so it gathers v at once; any other Line
+        gathers it on the first read of its curvature, if any."""
         if xi.flat:
-            return MaskedLine(self, X, xi, v)
-        return Line(self, X, xi, float(v @ v))
+            return MaskedLine(self, X, xi, mask_gather(*xi.factors(), self.mask))
+
+        def curvature():
+            v = mask_gather(*xi.factors(), self.mask)
+            return float(v @ v)
+
+        return Line(self, X, xi, curvature)
 
 
 class QuadraticDistance(Objective):
@@ -200,7 +215,7 @@ class QuadraticDistance(Objective):
 
     def line(self, X: VarietyPoint, xi: ConeTangentVector) -> Line:
         """The curvature <xi, Hess f xi> = ||xi||^2 alone: the Hessian is the identity."""
-        return Line(self, X, xi, xi.norm() ** 2)
+        return Line(self, X, xi, lambda: xi.norm() ** 2)
 
 
 # ---------------------------------------------------------------------------

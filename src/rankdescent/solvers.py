@@ -4,7 +4,8 @@ Every variant follows the same loop: project the antigradient onto the
 tangent cone (the negated projection of the gradient, since the cone is
 closed under sign), apply the variant's direction rule, and take an Armijo
 step along the objective's line (objectives.Line), the curve
-alpha -> retract(X, xi, alpha), from the initial step its curvature gives.
+alpha -> retract(X, xi, alpha), from the initial step of a curvature that
+alternates between the line's exact one and the secant of the step before.
 The line gives the step's point, its f and its distance from X, which the
 trace records as the displacement ||X_{n+1} - X_n||. A variant is one entry
 of VARIANTS: its direction rule, which takes the cone projection alone.
@@ -27,7 +28,7 @@ import numpy as np
 
 from .core import FactoredMatrix, factored_diff_norm
 from .geometry import VarietyPoint, choose_flat_direction, make_point, project_cone
-from .linesearch import ArmijoConfig, LineSearchError, armijo, initial_step
+from .linesearch import ArmijoConfig, LineSearchError, armijo, initial_step, secant_curvature
 from .objectives import Objective
 
 # name -> direction rule applied to the projected antigradient
@@ -59,7 +60,8 @@ class SolverConfig:
     must be positive and finite. record_iterates keeps every iterate, the
     start included, in the result's IterateHistory, which holds them on disk.
     The line search uses ArmijoConfig's defaults, and its initial trial step
-    is linesearch.initial_step.
+    is linesearch.initial_step, from the curvature solve chooses: exact on
+    even iterations, secant on odd ones.
     """
 
     k: int
@@ -168,10 +170,19 @@ def solve(obj: Objective, X0, cfg: SolverConfig, metrics=None) -> SolveResult:
     for the trace.
 
     Each Armijo search runs along obj.line(X, xi) and starts at
-    initial_step: the exact minimizer ||xi||^2 / curvature of the quadratic
-    model along the direction, capped above at STEP_CAP and bounded below by
-    g_minus / ||xi||. The line sets how trials are valued: a MaskedLine's f
-    can differ from a fresh evaluation at its point at roundoff level.
+    initial_step: the minimizer ||xi||^2 / curvature of the quadratic model
+    along the direction, capped above at STEP_CAP and bounded below by
+    g_minus / ||xi||. On even iterations (0, 2, ...) the curvature is the
+    line's exact <xi, Hess f xi>. On odd ones it is kappa * ||xi||^2, kappa
+    the secant curvature per unit squared norm of the step just accepted
+    (linesearch.secant_curvature), which costs no evaluation; a kappa that
+    is not positive and finite gives way to the exact curvature. This
+    alternates Cauchy and Barzilai-Borwein steps (Raydan and Svaiter,
+    Comput. Optim. Appl. 2002); the search stays monotone Armijo, so the
+    descent contracts are untouched. Along a flat direction both objectives
+    are exactly quadratic, so there the secant equals the exact curvature to
+    roundoff. The line sets how trials are valued: a MaskedLine's f can
+    differ from a fresh evaluation at its point at roundoff level.
 
     The iteration stops on exact stationarity of the projected antigradient,
     on the relative g tolerance, on a persistent stall of f, or at max_iters;
@@ -190,6 +201,7 @@ def solve(obj: Objective, X0, cfg: SolverConfig, metrics=None) -> SolveResult:
     direction = VARIANTS[cfg.variant]
 
     f_x = obj.value(X)
+    kappa = math.nan  # secant curvature per unit squared norm of the last step
     stall = 0
     records: list[TraceRecord] = []
     iterates = IterateHistory(cfg.k) if cfg.record_iterates else None
@@ -227,10 +239,16 @@ def solve(obj: Objective, X0, cfg: SolverConfig, metrics=None) -> SolveResult:
             xi = direction(-G)
             xi_norm = xi.norm()
             line = obj.line(X, xi)
-            bar_beta = initial_step(g_minus, xi_norm, line.curvature)
+            # odd iterations start from the last step's secant curvature, even
+            # ones (and an unusable secant) from the line's exact curvature
+            curvature = kappa * xi_norm**2 if rec.n % 2 else math.nan
+            if not 0.0 < curvature < math.inf:
+                curvature = line.curvature
+            bar_beta = initial_step(g_minus, xi_norm, curvature)
+            # for projection-derived directions <grad, xi> = -||xi||^2 exactly
+            slope = -(xi_norm**2)
             try:
-                # for projection-derived directions <grad, xi> = -||xi||^2 exactly
-                out = armijo(line, f_x, -(xi_norm**2), bar_beta, armijo_cfg)
+                out = armijo(line, f_x, slope, bar_beta, armijo_cfg)
             except LineSearchError as err:
                 # no trial moved f beyond the stall tolerance: f is flat to
                 # roundoff here, as at an exact fit, so the run has stalled
@@ -245,6 +263,7 @@ def solve(obj: Objective, X0, cfg: SolverConfig, metrics=None) -> SolveResult:
                 rec.displacement = out.distance
                 rec.wall_ms = (time.perf_counter() - t0) * 1e3
                 stall = stall + 1 if f_x - out.f_new <= cfg.tol_f * max(1.0, f_x) else 0
+                kappa = secant_curvature(f_x, out.f_new, out.alpha, slope, xi_norm)
                 X, f_x = out.X_new, out.f_new
 
     return SolveResult(X_star=X, status=status, trace=records, iterates=iterates)

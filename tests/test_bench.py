@@ -195,6 +195,17 @@ class TestRunExperiment:
             fs = [r.f for r in run.result.trace]
             assert all(b <= a for a, b in zip(fs, fs[1:]))
 
+    def test_summary_counts_the_trace_backtracks(self, tmp_path):
+        # fig1-small's secant starts overshoot now and then, so sd backtracks
+        spec = PRESETS["fig1-small"]
+        cfg = SolverConfig(k=spec.k, max_iters=40)
+        report = run_experiment(spec, ("sd", "rf"), cfg, out_dir=tmp_path, timing=False)
+        for alg in ("sd", "rf"):
+            trace = report.runs[alg].result.trace
+            written = read_kv(tmp_path / f"{alg}_summary.txt")["backtracks"]
+            assert int(written) == sum(r.backtracks for r in trace)
+        assert int(read_kv(tmp_path / "sd_summary.txt")["backtracks"]) > 0
+
     def test_byte_identical_without_timing(self, tmp_path):
         spec = CompletionSpec(30, 2, 2, 3, 12)
         cfg = SolverConfig(k=2, max_iters=60, record_iterates=True)
@@ -262,6 +273,7 @@ class TestErrorCapture:
         assert report.runs["sd"].error is not None
         assert report.runs["rf"].error is None  # second algorithm still ran
         assert report.runs["sd"].summary["status"] == ""
+        assert report.runs["sd"].summary["backtracks"] == ""
         assert read_kv(tmp_path / "rf_summary.txt")["status"] == report.runs["rf"].result.status.value
         assert calls == ["sd", "rf"]
 

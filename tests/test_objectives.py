@@ -12,9 +12,11 @@ from rankdescent.geometry import (
     VarietyPoint,
     choose_flat_direction,
     make_point,
+    project_cone,
     random_point,
     retract,
 )
+from rankdescent.linesearch import secant_curvature
 from helpers import ambient_dense, random_cone_vector, zero_point
 from rankdescent import objectives
 from rankdescent.objectives import (
@@ -105,6 +107,20 @@ class TestMatrixCompletion:
                 res = (X.dense() + alpha * xi.dense() - self.A_dense)[on_mask]
                 assert line.value(alpha) == pytest.approx(0.5 * float(res @ res), rel=1e-12)
 
+    def test_masked_line_secant_is_its_exact_curvature(self):
+        # f is exactly quadratic along a flat direction, so the secant
+        # curvature of any step along the MaskedLine is ||v||^2 / ||xi||^2
+        for s, k in ((3, 3), (2, 5), (0, 2)):
+            X = random_point(self.rng, 10, 8, s, k)
+            G, _ = project_cone(X, self.obj.gradient(X))
+            xi = choose_flat_direction(-G)
+            line = self.obj.line(X, xi)
+            assert isinstance(line, MaskedLine)
+            f_x, xi_norm = self.obj.value(X), xi.norm()
+            for alpha in (0.3, 1.0, 2.0):
+                kappa = secant_curvature(f_x, line.value(alpha), alpha, -(xi_norm**2), xi_norm)
+                assert kappa == pytest.approx(line.curvature / xi_norm**2, rel=1e-12)
+
     def test_kept_line_residual_seeds_the_slot(self, monkeypatch):
         # a flat step's update is X + alpha * xi: step files the line's
         # residual under the new point, whose gradient and value gather nothing
@@ -141,6 +157,24 @@ class TestMatrixCompletion:
             assert line.value(alpha) == MatrixCompletion(self.data).value(Y)
             Z, d = line.step()
             assert np.array_equal(Z.dense(), Y.dense()) and d == distance
+
+    def test_non_flat_line_gathers_its_direction_on_the_first_curvature_read(self, monkeypatch):
+        # a search that starts from a secant never reads the curvature, and
+        # the line then gathers nothing; a read gathers P(xi) once
+        X = random_point(self.rng, 10, 8, 2, 4)
+        xi = random_cone_vector(self.rng, X)
+        gathers = []
+        real = objectives.mask_gather
+        monkeypatch.setattr(
+            objectives, "mask_gather", lambda L, R, mask: gathers.append(L) or real(L, R, mask)
+        )
+        line = self.obj.line(X, xi)
+        line.value(0.5)
+        assert not gathers
+        dense = xi.dense()[self.mask.rows, self.mask.cols]
+        assert line.curvature == pytest.approx(float(dense @ dense), rel=1e-12)
+        assert line.curvature == line.curvature
+        assert len(gathers) == 1
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):

@@ -14,8 +14,8 @@ from rankdescent.geometry import (
     random_point,
     retract,
 )
-from rankdescent.linesearch import angle_check, descent_monitors, initial_step
-from rankdescent.objectives import MatrixCompletion, QuadraticDistance
+from rankdescent.linesearch import angle_check, descent_monitors, initial_step, secant_curvature
+from rankdescent.objectives import Line, MatrixCompletion, Objective, QuadraticDistance
 from rankdescent.solvers import (
     SolveStatus,
     SolverConfig,
@@ -33,6 +33,20 @@ def quadratic_setup(seed, m=12, n=10, r=5, k=3):
     obj = QuadraticDistance(A)
     X0 = random_point(rng, m, n, k, k)
     return obj, A, X0
+
+
+def completion_run(run):
+    """(spec, problem, X0) of a preset run, or of "rank-deficient": a rank-2
+    target under budget 6, from a rank-1 start (s < k)."""
+    from rankdescent.bench import PRESETS, CompletionSpec, gen_problem, initial_guess
+
+    if run == "rank-deficient":
+        spec, start_rank = CompletionSpec(200, 2, 6, 3, 5), 1
+    else:
+        spec = PRESETS[run]
+        start_rank = spec.k
+    problem, _ = gen_problem(spec)
+    return spec, problem, VarietyPoint(initial_guess(problem, start_rank).point, spec.k)
 
 
 class TestSolveBasics:
@@ -241,21 +255,15 @@ class TestStepFunctions:
             exact = factored_diff_norm(res.iterates[i + 1].point, res.iterates[i].point)
             assert rec.displacement == pytest.approx(exact, rel=1e-12)
 
-    @pytest.mark.parametrize("run", ["fig1-small", "rank-deficient"])
+    @pytest.mark.parametrize("run", ["fig2-small", "rank-deficient"])
     def test_sd_displacement_matches_factored_distance(self, monkeypatch, run):
         # sd's displacement is read off the retraction's middle matrix, with
         # no factored distance taken in solve; it agrees with the factored
-        # distance between consecutive iterates
+        # distance between consecutive iterates. fig2-small (r < k) does not
+        # stall within 200 steps
         from rankdescent import solvers
-        from rankdescent.bench import PRESETS, CompletionSpec, gen_problem, initial_guess
 
-        if run == "fig1-small":
-            spec, start_rank = PRESETS["fig1-small"], 8
-        else:
-            # a rank-2 target under budget 6, from a rank-1 start (s < k)
-            spec, start_rank = CompletionSpec(200, 2, 6, 3, 5), 1
-        problem, _ = gen_problem(spec)
-        X0 = VarietyPoint(initial_guess(problem, start_rank).point, spec.k)
+        spec, problem, X0 = completion_run(run)
         monkeypatch.setattr(solvers, "factored_diff_norm", None)  # a call would fail
         res = solve(problem, X0, SolverConfig(k=spec.k, max_iters=200, record_iterates=True))
         monkeypatch.undo()
@@ -374,6 +382,21 @@ class TestContracts:
                 -rec.xi_norm**2, rec.g_minus, rec.xi_norm, 1 / math.sqrt(2.0)
             )
 
+    @pytest.mark.parametrize("run", ["fig1-small", "rank-deficient"])
+    def test_completion_runs_keep_the_descent_contracts(self, run):
+        # the secant start changes only the first trial of odd steps: every
+        # step keeps the primary descent ratio and the angle condition of its
+        # variant, omega = 1 for sd and 1/sqrt(2) for rf
+        spec, problem, X0 = completion_run(run)
+        for variant, omega in (("sd", 1.0), ("rf", 1 / math.sqrt(2.0))):
+            res = solve(problem, X0, SolverConfig(k=spec.k, variant=variant, max_iters=300))
+            assert sum(r.backtracks for r in res.trace) > 0  # the secant overshot
+            report = descent_monitors(res.trace, omega=omega)
+            assert report.min_a1_ratio is not None
+            assert report.a1_violations == []
+            for rec in res.trace[:-1]:
+                assert angle_check(-rec.xi_norm**2, rec.g_minus, rec.xi_norm, omega)
+
     def test_sufficient_decrease_post_hoc(self):
         obj, _, X0 = quadratic_setup(12)
         res = solve(obj, X0, SolverConfig(k=3, max_iters=200))
@@ -381,6 +404,83 @@ class TestContracts:
         for rec, nxt in zip(res.trace, res.trace[1:]):
             slope = -rec.xi_norm**2
             assert nxt.f - rec.f <= c * rec.alpha * slope + 1e-12
+
+
+class ScriptedLine(Line):
+    """Stays at X; values a trial as value(f, alpha, slope), f the objective's
+    current value and slope = -||xi||^2."""
+
+    def __init__(self, obj, X, xi, curvature, value):
+        super().__init__(obj, X, xi, curvature)
+        self._slope, self._value = -(xi.norm() ** 2), value
+
+    def value(self, alpha):
+        self._alpha, self._f = alpha, self._value(self._obj.f, alpha, self._slope)
+        return self._f
+
+    def step(self):
+        self._obj.f = self._f
+        return self._X, self._alpha * self._xi.norm()
+
+
+class ScriptedObjective(Objective):
+    """f = 1 at the start and a fixed gradient G. The first line values its
+    trials by first(f, alpha, slope), every later one accepts its first trial
+    at f - 1. A line's curvature is 0.25 * ||xi||^2, an exact start of 4, and
+    reads records the index of each line whose curvature was read."""
+
+    def __init__(self, G, first):
+        self.G, self.first = G, first
+        self.f, self.lines, self.reads = 1.0, 0, []
+
+    def value(self, X):
+        return self.f
+
+    def gradient(self, X):
+        return self.G
+
+    def line(self, X, xi):
+        n, self.lines = self.lines, self.lines + 1
+
+        def curvature():
+            self.reads.append(n)
+            return 0.25 * xi.norm() ** 2
+
+        return ScriptedLine(self, X, xi, curvature, self.first if n == 0 else lambda f, a, s: f - 1.0)
+
+
+class TestSecantStart:
+    @pytest.mark.parametrize(
+        "case, scale, first",
+        [
+            # decrease 0.9 of the linear model's: kappa = 0.2 / alpha > 0
+            ("positive", 1.0, lambda f, a, s: f + 0.9 * a * s),
+            # decrease twice the linear model's: kappa < 0
+            ("negative", 1.0, lambda f, a, s: f + 2.0 * a * s),
+            # accepted after 49 backtracks at alpha * ||xi|| ~ 1e-164, whose
+            # square underflows: kappa is NaN
+            ("nan", 1e-150, lambda f, a, s: math.inf if a > 1e-14 else f - 1.0),
+        ],
+        ids=["positive", "negative", "nan"],
+    )
+    def test_unusable_secant_falls_back_to_the_exact_curvature(self, case, scale, first):
+        rng = np.random.default_rng(4)
+        X0 = random_point(rng, 8, 6, 2, 2)
+        G = truncate(rng.standard_normal((8, 6)), 6)
+        obj = ScriptedObjective(FactoredMatrix(G.U, scale * G.sigma, G.V), first)
+        res = solve(obj, X0, SolverConfig(k=2, max_iters=2))
+        rec, nxt = res.trace[0], res.trace[1]
+        assert rec.alpha == 4.0 * 0.5**rec.backtracks
+        kappa = secant_curvature(rec.f, nxt.f, rec.alpha, -rec.xi_norm**2, rec.xi_norm)
+        assert nxt.backtracks == 0
+        if case == "positive":
+            assert obj.reads == [0]
+            assert nxt.alpha == initial_step(nxt.g_minus, nxt.xi_norm, kappa * nxt.xi_norm**2)
+            assert nxt.alpha == pytest.approx(20.0, rel=1e-12)
+        else:
+            assert kappa <= 0.0 if case == "negative" else math.isnan(kappa)
+            assert obj.reads == [0, 1]
+            assert nxt.alpha == initial_step(nxt.g_minus, nxt.xi_norm, 0.25 * nxt.xi_norm**2) == 4.0
 
 
 class TestFailurePropagation:
@@ -486,15 +586,21 @@ class TestCompletionRun:
         assert res.trace[-1].f <= 1e-13 * res.trace[0].f
 
     def test_line_search_starts_at_exact_curvature_step(self):
+        # iteration 0 starts at the exact-curvature step, iteration 1 at the
+        # step of the secant curvature kappa * ||xi||^2 of step 0
         from rankdescent.bench import CompletionSpec, gen_problem, initial_guess
 
         spec = CompletionSpec(40, 3, 3, 3, 22)
         problem, _ = gen_problem(spec)
         X0 = initial_guess(problem, 3)
+
+        def direction(X):
+            G, g = project_cone(X, problem.gradient(X))
+            return (-G if variant == "sd" else choose_flat_direction(-G)), g
+
         for variant in ("sd", "rf"):
-            res = solve(problem, X0, SolverConfig(k=3, variant=variant, max_iters=1))
-            G, g = project_cone(X0, problem.gradient(X0))
-            xi = -G if variant == "sd" else choose_flat_direction(-G)
+            res = solve(problem, X0, SolverConfig(k=3, variant=variant, max_iters=2))
+            xi, g = direction(X0)
             curvature = problem.line(X0, xi).curvature
             # under full sampling the exact step would be 1; on the mask it
             # is longer, and longer than the lower bound g / ||xi||
@@ -505,23 +611,40 @@ class TestCompletionRun:
             assert bar_beta == exact
             assert rec.alpha == bar_beta * 0.5**rec.backtracks
 
+            # X1 as the two-step run reached it, its residual in the slot
+            X1 = solve(problem, X0, SolverConfig(k=3, variant=variant, max_iters=1)).X_star
+            xi, g = direction(X1)
+            nxt = res.trace[1]
+            assert nxt.xi_norm == xi.norm()
+            kappa = secant_curvature(rec.f, nxt.f, rec.alpha, -rec.xi_norm**2, rec.xi_norm)
+            bar_beta = initial_step(g, xi.norm(), kappa * xi.norm() ** 2)
+            assert nxt.alpha == bar_beta * 0.5**nxt.backtracks
+
     def test_one_gather_per_trial_point(self, monkeypatch):
         # sd gathers P(X) at X0 and at each line-search trial; rf gathers it
         # at X0 alone, since its trials are values of the MaskedLine and the
-        # accepted point keeps the line's residual. Both gather P(xi) once per
-        # iteration, for the line, and the gradient never gathers.
+        # accepted point keeps the line's residual. sd gathers P(xi) only for
+        # the exact curvature of its even steps, its odd ones starting from
+        # the secant; rf gathers it on every step, for its MaskedLine. The
+        # gradient never gathers.
         from rankdescent import objectives
         from rankdescent.bench import PRESETS, gen_problem, initial_guess
 
-        gathers, lines = [], []
+        gathers, lines, iterates = [], [], []
         real = objectives.mask_apply
         monkeypatch.setattr(
             objectives, "mask_apply", lambda X, mask: gathers.append(X) or real(X, mask)
         )
         real_gather = objectives.mask_gather
         monkeypatch.setattr(
-            objectives, "mask_gather", lambda L, R, mask: lines.append(L) or real_gather(L, R, mask)
+            objectives,
+            "mask_gather",
+            lambda L, R, mask: lines.append(len(iterates) - 1) or real_gather(L, R, mask),
         )
+
+        def metrics(X, f):
+            iterates.append(X)
+            return 0.0, 0.0
         real_gradient = MatrixCompletion.gradient
 
         def gradient(self, X):
@@ -537,11 +660,14 @@ class TestCompletionRun:
         for variant in ("sd", "rf"):
             gathers.clear()
             lines.clear()
-            res = solve(problem, X0, SolverConfig(k=spec.k, variant=variant, max_iters=30))
+            iterates.clear()
+            cfg = SolverConfig(k=spec.k, variant=variant, max_iters=30)
+            res = solve(problem, X0, cfg, metrics=metrics)
             steps = res.trace[:-1]
+            assert len(steps) == 30
             trials = sum(r.backtracks + 1 for r in steps)
             assert len(gathers) == (trials + 1 if variant == "sd" else 1)
-            assert len(lines) == len(steps) == 30
+            assert lines == list(range(0, 30, 2) if variant == "sd" else range(30))
 
     def test_sd_flat_step_from_zero_takes_the_exact_line(self, monkeypatch):
         # at a rank-0 point up and vp are empty, so sd's first step is flat:
