@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 
 from .bench import (
     CompletionSpec,
@@ -34,20 +35,35 @@ from .geometry import make_point
 from .objectives import load_completion, save_completion
 from .solvers import SolverConfig, VARIANTS, rate_fit
 
-# keys a `run --config` file may set: spec flag names, then solver settings
-CONFIG_KEYS = ("n", "rank", "budget", "os", "seed", "max_iters", "tol_g", "tol_f")
+# (field, name, type, help) of each setting `run` takes from a flag or a
+# `--config` key: the CompletionSpec fields, then the SolverConfig ones. name
+# is the config key and, with "-" for "_", the flag.
+SPEC_SETTINGS = (
+    ("n", "n", int, "matrix size (square)"),
+    ("r", "rank", int, "true rank of the target"),
+    ("k", "budget", int, "optimization rank budget k"),
+    ("os_rate", "os", float, "oversampling rate"),
+    ("seed", "seed", int, "RNG seed"),
+)
+SOLVER_SETTINGS = (
+    ("max_iters", "max_iters", int, "iteration cap"),
+    ("tol_g", "tol_g", float, "relative projected-antigradient tolerance"),
+    ("tol_f", "tol_f", float, "stall tolerance on the decrease of f"),
+)
+CONFIG_KEYS = tuple(name for _, name, _, _ in SPEC_SETTINGS + SOLVER_SETTINGS)
+# the spec fields that have a default; n, rank and budget have none
+SPEC_DEFAULTS = {"os_rate": 3.0, "seed": 42}
 
 
-def _add_spec_flags(p: argparse.ArgumentParser, require: bool) -> None:
-    # for `run` the flags default to None so presets/config stay overridable
-    p.add_argument("--n", type=int, required=require, help="matrix size (square)")
-    p.add_argument("--rank", type=int, required=require, help="true rank of the target")
-    p.add_argument("--budget", type=int, required=require, help="optimization rank budget k")
-    p.add_argument(
-        "--os", dest="os_rate", type=float, default=3.0 if require else None,
-        help="oversampling rate",
-    )
-    p.add_argument("--seed", type=int, default=42 if require else None, help="RNG seed")
+def _add_flags(p: argparse.ArgumentParser, settings, defaults=None) -> None:
+    # without defaults (for `run`) every flag defaults to None, so presets and
+    # config stay overridable; with them (for `gen`) a flag without one is required
+    for field, name, cast, text in settings:
+        default = defaults.get(field) if defaults is not None else None
+        p.add_argument(
+            "--" + name.replace("_", "-"), dest=field, metavar=name.upper(), type=cast,
+            default=default, required=defaults is not None and default is None, help=text,
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,18 +71,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate and serialize a completion problem")
-    _add_spec_flags(gen, require=True)
+    _add_flags(gen, SPEC_SETTINGS, SPEC_DEFAULTS)
     gen.add_argument("--out", required=True, help="output directory")
 
     run = sub.add_parser("run", help="run the solvers on a preset or explicit spec")
     run.add_argument("--preset", choices=sorted(PRESETS), help="named experiment preset")
-    _add_spec_flags(run, require=False)
+    _add_flags(run, SPEC_SETTINGS)
     run.add_argument("--alg", choices=[*VARIANTS, "both"], default="both")
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--config", help="key = value file with spec/solver fields")
-    run.add_argument("--max-iters", type=int, default=None)
-    run.add_argument("--tol-g", type=float, default=None)
-    run.add_argument("--tol-f", type=float, default=None)
+    _add_flags(run, SOLVER_SETTINGS)
     run.add_argument("--no-timing", action="store_true", help="zero the wall_ms column (reproducible output)")
 
     err = sub.add_parser("errors", help="relative errors of a stored point on a stored problem")
@@ -80,40 +94,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _settings(args, config: dict, settings, fields: dict) -> dict:
+    """fields, each set from its config key if present, then from its flag if given."""
+    for field, name, cast, _ in settings:
+        if name in config:
+            fields[field] = cast(config[name])
+        if getattr(args, field) is not None:
+            fields[field] = getattr(args, field)
+    return fields
+
+
 def _spec_from_args(args, config: dict) -> CompletionSpec:
     # precedence: explicit flags > config file > preset > defaults
     if args.preset:
-        base = PRESETS[args.preset]
-        fields = {
-            "n": base.n, "r": base.r, "k": base.k,
-            "os_rate": base.os_rate, "seed": base.seed,
-        }
+        fields = asdict(PRESETS[args.preset])
     else:
-        fields = {"n": None, "r": None, "k": None, "os_rate": 3.0, "seed": 42}
-    for key, name in (("n", "n"), ("r", "rank"), ("k", "budget"), ("os_rate", "os"), ("seed", "seed")):
-        if name in config:
-            cast = float if key == "os_rate" else int
-            fields[key] = cast(config[name])
-    for key, value in (
-        ("n", args.n), ("r", args.rank), ("k", args.budget),
-        ("os_rate", args.os_rate), ("seed", args.seed),
-    ):
-        if value is not None:
-            fields[key] = value
+        fields = {field: SPEC_DEFAULTS.get(field) for field, _, _, _ in SPEC_SETTINGS}
+    fields = _settings(args, config, SPEC_SETTINGS, fields)
     if None in (fields["n"], fields["r"], fields["k"]):
         raise ValueError("need --preset or all of --n/--rank/--budget")
     return CompletionSpec(**fields)
 
 
 def _solver_cfg(args, config: dict, k: int) -> SolverConfig:
-    kwargs = {"k": k, "record_iterates": True}
-    for key, cast in (("max_iters", int), ("tol_g", float), ("tol_f", float)):
-        if key in config:
-            kwargs[key] = cast(config[key])
-        cli_val = getattr(args, key)
-        if cli_val is not None:
-            kwargs[key] = cli_val
-    return SolverConfig(**kwargs)
+    return SolverConfig(k=k, record_iterates=True, **_settings(args, config, SOLVER_SETTINGS, {}))
 
 
 def _input_error(command: str, err: Exception, code: int) -> int:
@@ -124,7 +128,7 @@ def _input_error(command: str, err: Exception, code: int) -> int:
 
 def cmd_gen(args) -> int:
     try:
-        spec = CompletionSpec(n=args.n, r=args.rank, k=args.budget, os_rate=args.os_rate, seed=args.seed)
+        spec = CompletionSpec(**_settings(args, {}, SPEC_SETTINGS, {}))
         size = omega_size(spec)
         os.makedirs(args.out, exist_ok=True)
     except (OSError, ValueError) as err:

@@ -13,7 +13,9 @@ budget gives the tangent cone of the rank-at-most-k variety. This module
 computes orthogonal projections onto tangent space and tangent cone, the
 projected-antigradient norm, the metric-projection (truncated SVD)
 retraction, and the flat direction: the larger of the two partial
-projections, along which X + alpha * xi never leaves the variety.
+projections, along which X + alpha * xi never leaves the variety. A cone
+tangent vector carries its base point, so the retraction retract(xi, alpha)
+is a map on the tangent bundle: it reads X from xi.base.
 
 The tangent cone is closed under sign, so the projection of the
 antigradient is the negated projection of the gradient: callers project the
@@ -86,12 +88,14 @@ def make_point(F: FactoredMatrix, k: int) -> VarietyPoint:
 
 @dataclass(frozen=True, eq=False)
 class ConeTangentVector:
-    """Element of the tangent cone at a VarietyPoint, stored blockwise.
+    """Element of the tangent cone at the VarietyPoint base, stored blockwise.
 
     core is s-by-s, up is m-by-s with U.T @ up = 0, vp is n-by-s with
     V.T @ vp = 0, and perp is a FactoredMatrix of rank at most k - s whose
     factors are orthogonal to U and V (rank 0 when omitted). The ambient
-    embedding is U @ core @ V.T + up @ V.T + U @ vp.T + perp.
+    embedding is U @ core @ V.T + up @ V.T + U @ vp.T + perp. The blocks are
+    coefficients over base's factors, so retract and Objective.line take
+    the point from base and from nowhere else.
     """
 
     base: VarietyPoint
@@ -256,46 +260,30 @@ def g_lower_bound(X: VarietyPoint, F) -> float:
     return float(np.sqrt((X.k - s) / min(m - s, n - s)) * frob_norm(F))
 
 
-def retract(X: VarietyPoint, xi: ConeTangentVector, alpha: float) -> tuple[VarietyPoint, float]:
-    """Best rank-at-most-k approximation of X + alpha * xi.
-
-    Works on the rank-(k+s) structured representation through a compact QR
-    plus a small SVD in O((m+n)(k+s)^2); the full matrix is never formed. The
-    result satisfies ||retract(X, xi, 1) - (X + xi)|| <= ||xi|| / sqrt(2).
-    Returns the pair (Y, ||Y - X||_F). Along a flat xi (see
-    ConeTangentVector.flat) nothing is truncated, Y is X + alpha * xi and the
-    distance is alpha * ||xi||; otherwise it is read off the small middle
-    matrix (see _combined_svd).
-    """
-    if alpha < 0:
-        raise ValueError("step size must be nonnegative")
-    # the blocks are coefficients relative to the base factors, so anything
-    # short of the same factors would silently produce a wrong update
-    if xi.base.point is not X.point:
-        raise ValueError("tangent vector is not based at the given point")
-    xi_norm = xi.norm()
-    if alpha == 0.0 or xi_norm == 0.0:
-        return X, 0.0
-    # a flat step truncates nothing, so its length is alpha * ||xi||
-    distance = alpha * xi_norm if xi.flat else None
-    U_new, sig, V_new, distance = _combined_svd(X, xi, alpha, distance)
-    return make_point(FactoredMatrix(U_new, sig, V_new), X.k), distance
-
-
-def _combined_svd(X: VarietyPoint, xi: ConeTangentVector, alpha: float, distance=None):
-    """SVD factors of X + alpha * xi, truncated to rank at most X.k, and
-    the distance of that truncation from X, unless the caller passes it.
+def retract(xi: ConeTangentVector, alpha: float) -> tuple[VarietyPoint, float]:
+    """Best rank-at-most-k approximation of X + alpha * xi, X = xi.base.
 
     X + alpha * xi is expressed over the orthonormal bases [U | QL] and
     [V | QR] obtained from compact QRs of the up/perp and vp/perp blocks, so
-    only a (2s+p)-sized middle matrix B is ever decomposed. Numerically zero
-    modes are trimmed from the result. Over the same bases X is
-    diag(sigma, 0) and the truncation is B_r, the SVD of B cut to the kept
+    only a (2s+p)-sized middle matrix B is ever decomposed, in
+    O((m+n)(k+s)^2); the full matrix is never formed. Numerically zero modes
+    are trimmed from the result, which satisfies
+    ||retract(xi, 1) - (X + xi)|| <= ||xi|| / sqrt(2).
+    Returns the pair (Y, ||Y - X||_F). Along a flat xi (see
+    ConeTangentVector.flat) nothing is truncated, Y is X + alpha * xi and the
+    distance is alpha * ||xi||. Otherwise it is read off B: over the same
+    bases X is diag(sigma, 0) and Y is B_r, the SVD of B cut to the kept
     modes, so the distance is ||B_r - diag(sigma, 0)||_F, a small-matrix
     norm with no QR.
-    Raises ValueError when the middle matrix overflows (its Frobenius norm is
-    not finite), before the SVD, which on such input may not return.
+    Raises ValueError when B overflows (its Frobenius norm is not finite),
+    before the SVD, which on such input may not return.
     """
+    if alpha < 0:
+        raise ValueError("step size must be nonnegative")
+    X = xi.base
+    xi_norm = xi.norm()
+    if alpha == 0.0 or xi_norm == 0.0:
+        return X, 0.0
     U, V = X.point.U, X.point.V
     s = X.s
     QL, RL = np.linalg.qr(project_out(np.hstack([xi.up, xi.perp.U]), U))
@@ -318,11 +306,13 @@ def _combined_svd(X: VarietyPoint, xi: ConeTangentVector, alpha: float, distance
     r = min(X.k, numerical_rank(sb))
     U_new = orthonormal_polish(np.hstack([U, QL]) @ Ub[:, :r])
     V_new = orthonormal_polish(np.hstack([V, QR_]) @ Vbt[:r].T)
-    if distance is None:
+    if xi.flat:
+        distance = alpha * xi_norm
+    else:
         step = (Ub[:, :r] * sb[:r]) @ Vbt[:r]
         step[:s, :s] -= np.diag(X.point.sigma)
         distance = float(np.linalg.norm(step))
-    return U_new, sb[:r], V_new, distance
+    return VarietyPoint(FactoredMatrix(U_new, sb[:r], V_new), X.k), distance
 
 
 def choose_flat_direction(G: ConeTangentVector) -> ConeTangentVector:

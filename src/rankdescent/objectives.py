@@ -4,17 +4,18 @@ Each objective returns its gradient in one form the tangent-cone projection
 consumes through thin factor products alone: MatrixCompletion as values on
 the mask, QuadraticDistance as one factored matrix. Both compute the residual
 once per point: the gradient at the point whose value was taken last reuses
-its residual. line(X, xi) is the objective along the curve
-alpha -> retract(X, xi, alpha), the only thing the line search sees: its
-curvature, computed on its first read, sets the initial step when the
-solver asks for it, value(alpha) is f at a trial point, and step() returns
-the point valued last with its distance from X. A Line retracts each trial
-and evaluates it; on a completion problem it gathers the direction on the
-mask only if its curvature is read. Along a flat xi the curve is the
-ambient line X + alpha * xi, on which matrix completion is exactly
-quadratic: its MaskedLine takes every trial value from one gather of the
-direction on the mask, made at once, retracts once, at the accepted step,
-and files its residual for that point, with no gather either.
+its residual. line(xi) is the objective along the curve
+alpha -> retract(xi, alpha) from the base point X of xi, the only thing the
+line search sees: its curvature, computed on its first read, sets the
+initial step when the solver asks for it, value(alpha) is f at a trial
+point, and step() returns the point valued last with its distance from X.
+A Line retracts each trial and evaluates it; on a completion problem it
+gathers the direction on the mask only if its curvature is read. Along a
+flat xi the curve is the ambient line X + alpha * xi, on which matrix
+completion is exactly quadratic: its MaskedLine takes every trial value
+from one gather of the direction on the mask, made at once, retracts once,
+at the accepted step, and files its residual for that point, with no
+gather either.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .geometry import ConeTangentVector, VarietyPoint, retract
 
 
 class Line:
-    """The objective along the curve alpha -> retract(X, xi, alpha).
+    """The objective along the curve alpha -> retract(xi, alpha), from X = xi.base.
 
     curvature is <xi, Hess f(X) xi>, from which the line search may take its
     initial step; it is computed on its first read, by calling the function
@@ -51,16 +52,16 @@ class Line:
     from X) of the trial valued last.
     """
 
-    def __init__(self, obj: "Objective", X: VarietyPoint, xi: ConeTangentVector, curvature):
+    def __init__(self, obj: "Objective", xi: ConeTangentVector, curvature):
         self._curvature = curvature
-        self._obj, self._X, self._xi = obj, X, xi
+        self._obj, self._xi = obj, xi
 
     @cached_property
     def curvature(self) -> float:
         return self._curvature()
 
     def value(self, alpha: float) -> float:
-        self._step = retract(self._X, self._xi, alpha)
+        self._step = retract(self._xi, alpha)
         return self._obj.value(self._step[0])
 
     def step(self) -> tuple[VarietyPoint, float]:
@@ -79,18 +80,16 @@ class MaskedLine(Line):
     over the steps that seed one.
     """
 
-    def __init__(
-        self, obj: "MatrixCompletion", X: VarietyPoint, xi: ConeTangentVector, v: np.ndarray
-    ):
-        super().__init__(obj, X, xi, lambda: float(v @ v))
-        self._r, self._v = obj._residual(X), v
+    def __init__(self, obj: "MatrixCompletion", xi: ConeTangentVector, v: np.ndarray):
+        super().__init__(obj, xi, lambda: float(v @ v))
+        self._r, self._v = obj._residual(xi.base), v
 
     def value(self, alpha: float) -> float:
         self._alpha, self._w = alpha, self._r + alpha * self._v
         return 0.5 * float(self._w @ self._w)
 
     def step(self) -> tuple[VarietyPoint, float]:
-        Y, distance = retract(self._X, self._xi, self._alpha)
+        Y, distance = retract(self._xi, self._alpha)
         self._obj._keep_residual(Y.point, self._w)
         return Y, distance
 
@@ -98,9 +97,9 @@ class MaskedLine(Line):
 class Objective:
     """Interface: a differentiable cost bounded below on the ambient space.
 
-    value, gradient and line are required. line(X, xi) returns the Line
-    along which the search backtracks from X, for a cone tangent vector xi
-    at X: its curvature <xi, Hess f(X) xi>, read on the solver's even
+    value, gradient and line are required. line(xi) returns the Line along
+    which the search backtracks from X = xi.base, for a cone tangent vector
+    xi at X: its curvature <xi, Hess f(X) xi>, read on the solver's even
     iterations (solvers.solve), sets the exact-minimizer start of the
     search, and its values are the search's trial costs.
 
@@ -122,8 +121,8 @@ class Objective:
         """Ambient gradient at X in structured form."""
         raise NotImplementedError
 
-    def line(self, X: VarietyPoint, xi: ConeTangentVector) -> Line:
-        """The objective along retract(X, xi, alpha), for a cone tangent vector xi at X."""
+    def line(self, xi: ConeTangentVector) -> Line:
+        """The objective along retract(xi, alpha), for a cone tangent vector xi."""
         raise NotImplementedError
 
     def _residual(self, X: VarietyPoint):
@@ -169,19 +168,19 @@ class MatrixCompletion(Objective):
         # gradient of 0.5*||P(A - X)||^2 is P(X - A), supported on the mask
         return SparseOnMask(self.mask, self._residual(X))
 
-    def line(self, X: VarietyPoint, xi: ConeTangentVector) -> Line:
+    def line(self, xi: ConeTangentVector) -> Line:
         """v = P(xi), gathered from xi's thin factors, gives the curvature
         <xi, Hess f xi> = ||v||^2. A flat xi gets the MaskedLine, whose trial
         values come from v as well, so it gathers v at once; any other Line
         gathers it on the first read of its curvature, if any."""
         if xi.flat:
-            return MaskedLine(self, X, xi, mask_gather(*xi.factors(), self.mask))
+            return MaskedLine(self, xi, mask_gather(*xi.factors(), self.mask))
 
         def curvature():
             v = mask_gather(*xi.factors(), self.mask)
             return float(v @ v)
 
-        return Line(self, X, xi, curvature)
+        return Line(self, xi, curvature)
 
 
 class QuadraticDistance(Objective):
@@ -213,9 +212,9 @@ class QuadraticDistance(Objective):
     def gradient(self, X: VarietyPoint) -> FactoredMatrix:
         return self._residual(X)
 
-    def line(self, X: VarietyPoint, xi: ConeTangentVector) -> Line:
+    def line(self, xi: ConeTangentVector) -> Line:
         """The curvature <xi, Hess f xi> = ||xi||^2 alone: the Hessian is the identity."""
-        return Line(self, X, xi, lambda: xi.norm() ** 2)
+        return Line(self, xi, lambda: xi.norm() ** 2)
 
 
 # ---------------------------------------------------------------------------

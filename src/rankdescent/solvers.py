@@ -4,8 +4,9 @@ Every variant follows the same loop: project the antigradient onto the
 tangent cone (the negated projection of the gradient, since the cone is
 closed under sign), apply the variant's direction rule, and take an Armijo
 step along the objective's line (objectives.Line), the curve
-alpha -> retract(X, xi, alpha), from the initial step of a curvature that
-alternates between the line's exact one and the secant of the step before.
+alpha -> retract(xi, alpha) from the direction's base point X, starting at
+the initial step of a curvature that alternates between the line's exact
+one and the secant of the step before.
 The line gives the step's point, its f and its distance from X, which the
 trace records as the displacement ||X_{n+1} - X_n||. A variant is one entry
 of VARIANTS: its direction rule, which takes the cone projection alone.
@@ -169,7 +170,7 @@ def solve(obj: Objective, X0, cfg: SolverConfig, metrics=None) -> SolveResult:
     is called as metrics(X, f) and must return (rel_err_full, rel_err_mask)
     for the trace.
 
-    Each Armijo search runs along obj.line(X, xi) and starts at
+    Each Armijo search runs along obj.line(xi) and starts at
     initial_step: the minimizer ||xi||^2 / curvature of the quadratic model
     along the direction, capped above at STEP_CAP and bounded below by
     g_minus / ||xi||. On even iterations (0, 2, ...) the curvature is the
@@ -238,7 +239,7 @@ def solve(obj: Objective, X0, cfg: SolverConfig, metrics=None) -> SolveResult:
         else:
             xi = direction(-G)
             xi_norm = xi.norm()
-            line = obj.line(X, xi)
+            line = obj.line(xi)
             # odd iterations start from the last step's secant curvature, even
             # ones (and an unusable secant) from the line's exact curvature
             curvature = kappa * xi_norm**2 if rec.n % 2 else math.nan

@@ -202,7 +202,7 @@ def test_criterion_5_geometry_invariants():
                 lower_ok = False
         # (c) retraction stability
         xi = random_cone_vector(rng, X)
-        R, _ = retract(X, xi, 1.0)
+        R, _ = retract(xi, 1.0)
         err = np.linalg.norm(R.dense() - (X.dense() + xi.dense()))
         if err > xi.norm() / math.sqrt(2.0) + 1e-12:
             retract_ok = False

@@ -189,6 +189,36 @@ class TestRun:
         assert summary["spec.n"] == "30"
         assert summary["spec.os"] == "3.0"
 
+    @pytest.mark.parametrize("flags", [False, True])
+    def test_flag_beats_config_beats_preset(self, tmp_path, flags):
+        # the config file shrinks fig1-small (n = 300, seed = 42) and sets a
+        # solver key; flags, when given, override the config's seed and
+        # max_iters in turn
+        from rankdescent.bench import read_kv
+
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("n = 30\nrank = 2\nbudget = 2\nseed = 5\nmax_iters = 7\n")
+        argv = ["run", "--preset", "fig1-small", "--config", str(cfg)]
+        if flags:
+            argv += ["--seed", "9", "--max-iters", "4"]
+        code = run_cli(*argv, "--alg", "sd", "--out", str(tmp_path / "o"), "--no-timing")
+        assert code == 0
+        summary = read_kv(tmp_path / "o" / "sd_summary.txt")
+        assert summary["spec.n"] == "30"
+        assert (summary["spec.seed"], summary["iters"]) == (("9", "4") if flags else ("5", "7"))
+
+    def test_variants_run_together_write_what_each_writes_alone(self, tmp_path):
+        # run_experiment hands one objective, with its one-point residual
+        # slot, to every variant; no variant may see another's state there
+        spec = ("--n", "40", "--rank", "2", "--budget", "4", "--seed", "3", "--max-iters", "60")
+        for alg in ("both", "sd", "rf"):
+            code = run_cli("run", *spec, "--alg", alg, "--out", str(tmp_path / alg), "--no-timing")
+            assert code == 0
+        for alg in ("sd", "rf"):
+            for kind in ("trace.csv", "distances.csv", "summary.txt"):
+                name = f"{alg}_{kind}"
+                assert (tmp_path / "both" / name).read_bytes() == (tmp_path / alg / name).read_bytes(), name
+
     def test_solver_failure_exits_3(self, tmp_path, monkeypatch):
         from rankdescent import bench
         from rankdescent.linesearch import LineSearchError

@@ -90,7 +90,7 @@ class TestMatrixCompletion:
                 assert xi.perp.rank == k - s
                 dense = xi.dense()[self.mask.rows, self.mask.cols]
                 expected = float(dense @ dense)
-                assert self.obj.line(X, xi).curvature == pytest.approx(expected, rel=1e-12)
+                assert self.obj.line(xi).curvature == pytest.approx(expected, rel=1e-12)
 
     def test_line_values_match_dense_oracle(self):
         # along a flat xi the curve is X + alpha * xi, where f is
@@ -101,7 +101,7 @@ class TestMatrixCompletion:
             X = random_point(self.rng, 10, 8, s, k)
             xi = choose_flat_direction(random_cone_vector(self.rng, X))
             self.obj.gradient(X)
-            line = self.obj.line(X, xi)
+            line = self.obj.line(xi)
             assert isinstance(line, MaskedLine)
             for alpha in (0.0, 0.3, 2.0):
                 res = (X.dense() + alpha * xi.dense() - self.A_dense)[on_mask]
@@ -114,7 +114,7 @@ class TestMatrixCompletion:
             X = random_point(self.rng, 10, 8, s, k)
             G, _ = project_cone(X, self.obj.gradient(X))
             xi = choose_flat_direction(-G)
-            line = self.obj.line(X, xi)
+            line = self.obj.line(xi)
             assert isinstance(line, MaskedLine)
             f_x, xi_norm = self.obj.value(X), xi.norm()
             for alpha in (0.3, 1.0, 2.0):
@@ -127,10 +127,10 @@ class TestMatrixCompletion:
         X = random_point(self.rng, 10, 8, 3, 3)
         xi = choose_flat_direction(random_cone_vector(self.rng, X))
         self.obj.value(X)
-        line = self.obj.line(X, xi)
+        line = self.obj.line(xi)
         f = line.value(0.4)
         Y, distance = line.step()
-        Z, expected = retract(X, xi, 0.4)
+        Z, expected = retract(xi, 0.4)
         assert np.array_equal(Y.dense(), Z.dense()) and distance == expected
         gathers = []
         real = objectives.mask_apply
@@ -150,10 +150,10 @@ class TestMatrixCompletion:
         X = random_point(self.rng, 10, 8, 2, 4)
         xi = random_cone_vector(self.rng, X)
         assert not xi.flat
-        line = self.obj.line(X, xi)
+        line = self.obj.line(xi)
         assert type(line) is Line
         for alpha in (0.3, 2.0):
-            Y, distance = retract(X, xi, alpha)
+            Y, distance = retract(xi, alpha)
             assert line.value(alpha) == MatrixCompletion(self.data).value(Y)
             Z, d = line.step()
             assert np.array_equal(Z.dense(), Y.dense()) and d == distance
@@ -168,7 +168,7 @@ class TestMatrixCompletion:
         monkeypatch.setattr(
             objectives, "mask_gather", lambda L, R, mask: gathers.append(L) or real(L, R, mask)
         )
-        line = self.obj.line(X, xi)
+        line = self.obj.line(xi)
         line.value(0.5)
         assert not gathers
         dense = xi.dense()[self.mask.rows, self.mask.cols]
@@ -236,8 +236,8 @@ class TestQuadraticDistance:
                 assert xi.perp.rank == k - s
                 Xd, D = X.dense(), xi.dense()
                 expected = dense_value(Xd + D) - 2.0 * dense_value(Xd) + dense_value(Xd - D)
-                assert obj.line(X, xi).curvature == pytest.approx(expected, rel=1e-10)
-                assert type(obj.line(X, xi)) is Line
+                assert obj.line(xi).curvature == pytest.approx(expected, rel=1e-10)
+                assert type(obj.line(xi)) is Line
 
     def test_diag_example(self):
         A = truncate(np.diag([3.0, 1.0]), 2)

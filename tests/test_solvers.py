@@ -233,7 +233,7 @@ class TestStepFunctions:
         U, V = X.point.U, X.point.V
         grad = U @ rng.standard_normal((3, 3)) @ V.T
         direction = choose_flat_direction(-project_cone(X, grad)[0])
-        Y, _ = retract(X, direction, 0.7)
+        Y, _ = retract(direction, 0.7)
         assert np.allclose(Y.point.U @ Y.point.U.T, U @ U.T, atol=1e-10)
         assert np.allclose(Y.point.V @ Y.point.V.T, V @ V.T, atol=1e-10)
 
@@ -410,8 +410,8 @@ class ScriptedLine(Line):
     """Stays at X; values a trial as value(f, alpha, slope), f the objective's
     current value and slope = -||xi||^2."""
 
-    def __init__(self, obj, X, xi, curvature, value):
-        super().__init__(obj, X, xi, curvature)
+    def __init__(self, obj, xi, curvature, value):
+        super().__init__(obj, xi, curvature)
         self._slope, self._value = -(xi.norm() ** 2), value
 
     def value(self, alpha):
@@ -420,7 +420,7 @@ class ScriptedLine(Line):
 
     def step(self):
         self._obj.f = self._f
-        return self._X, self._alpha * self._xi.norm()
+        return self._xi.base, self._alpha * self._xi.norm()
 
 
 class ScriptedObjective(Objective):
@@ -439,14 +439,14 @@ class ScriptedObjective(Objective):
     def gradient(self, X):
         return self.G
 
-    def line(self, X, xi):
+    def line(self, xi):
         n, self.lines = self.lines, self.lines + 1
 
         def curvature():
             self.reads.append(n)
             return 0.25 * xi.norm() ** 2
 
-        return ScriptedLine(self, X, xi, curvature, self.first if n == 0 else lambda f, a, s: f - 1.0)
+        return ScriptedLine(self, xi, curvature, self.first if n == 0 else lambda f, a, s: f - 1.0)
 
 
 class TestSecantStart:
@@ -601,7 +601,7 @@ class TestCompletionRun:
         for variant in ("sd", "rf"):
             res = solve(problem, X0, SolverConfig(k=3, variant=variant, max_iters=2))
             xi, g = direction(X0)
-            curvature = problem.line(X0, xi).curvature
+            curvature = problem.line(xi).curvature
             # under full sampling the exact step would be 1; on the mask it
             # is longer, and longer than the lower bound g / ||xi||
             exact = xi.norm() ** 2 / curvature
