@@ -120,8 +120,9 @@ def rel_errors(X: VarietyPoint, target: FactoredMatrix, problem: MatrixCompletio
     """(relative error on all entries, relative error on the visible set).
 
     The full error is core.factored_diff_norm(target, X): X's factors are
-    projected against the target's fixed orthonormal factors, and only the
-    remainder is orthogonalized. The masked error uses sqrt(2 f(X)) / ||P(A)||.
+    projected against the target's fixed orthonormal factors, and the norms
+    of the three orthogonal blocks of the difference are summed, with no
+    QR. The masked error uses sqrt(2 f(X)) / ||P(A)||.
     Raises ValueError when either denominator is zero: a zero target, or an
     observation (empty or all zero) with ||P(A)|| = 0.
     """

@@ -388,26 +388,29 @@ def factored_diff_norm(A: FactoredMatrix, B: FactoredMatrix) -> float:
     B.U = A.U @ C_U + W_U with C_U = A.U.T @ B.U. One projection leaves W_U
     orthogonal to A.U only to the roundoff of C_U, so it is projected a
     second time and the correction added to C_U ("twice is enough", Kahan
-    and Parlett). Then W_U = Q_U @ R_U by one compact QR of that m-by-rank(B)
-    remainder, and over the orthonormal bases [A.U | Q_U] and [A.V | Q_V]
-    A - B is the small ([C_U; R_U] * B.sigma) @ [C_V; R_V].T minus
-    diag(A.sigma) in its leading block, whose norm is taken. Only B's factors
-    are orthogonalized, where a joint QR of [A.U | B.U] would take twice the
-    width. It is accurate to roundoff in the norm itself, unlike the Gram
-    identity, which loses half the digits once the difference is small.
+    and Parlett). Over A's bases A - B splits into three mutually orthogonal
+    blocks, P_U (A - B) P_V, P_U (A - B) (I - P_V) and (I - P_U) (A - B),
+    with P_U = A.U @ A.U.T and P_V = A.V @ A.V.T. Their norms are those of
+    the small diag(A.sigma) - C_U @ diag(B.sigma) @ C_V.T, of the thin
+    W_V @ (C_U * B.sigma).T and of W_U * B.sigma, since A.U and B.V have
+    orthonormal columns. No factor is orthogonalized. It is accurate to
+    roundoff in the norm itself, unlike the Gram identity, which loses half
+    the digits once the difference is small.
     """
     if A.shape != B.shape:
         raise ValueError("shape mismatch between factored matrices")
-    K = []
+    C, W = [], []
     for QA, QB in ((A.U, B.U), (A.V, B.V)):
-        C = QA.T @ QB
-        W = QB - QA @ C
-        D = QA.T @ W
-        W -= QA @ D
-        K.append(np.vstack([C + D, np.linalg.qr(W, mode="r")]))
-    M = (K[0] * B.sigma) @ K[1].T
-    M[: A.rank, : A.rank] -= np.diag(A.sigma)
-    return float(np.linalg.norm(M))
+        c = QA.T @ QB
+        w = QB - QA @ c
+        d = QA.T @ w
+        w -= QA @ d
+        C.append(c + d)
+        W.append(w)
+    CS = C[0] * B.sigma
+    M = np.diag(A.sigma) - CS @ C[1].T
+    blocks = (M, W[1] @ CS.T, W[0] * B.sigma)
+    return float(np.linalg.norm([np.linalg.norm(b) for b in blocks]))
 
 
 # Bytes of mask_gather's temporaries: the flat block of each GEMM (rows of

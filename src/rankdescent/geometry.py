@@ -15,7 +15,9 @@ projected-antigradient norm, the metric-projection (truncated SVD)
 retraction, and the flat direction: the larger of the two partial
 projections, along which X + alpha * xi never leaves the variety. A cone
 tangent vector carries its base point, so the retraction retract(xi, alpha)
-is a map on the tangent bundle: it reads X from xi.base.
+is a map on the tangent bundle: it reads X from xi.base. A flat step
+changes one side of X only, so its retraction takes one QR, of that side's
+new factor; any other step takes two, one per side.
 
 The tangent cone is closed under sign, so the projection of the
 antigradient is the negated projection of the gradient: callers project the
@@ -31,6 +33,7 @@ never densifies a masked or factored matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -126,6 +129,11 @@ class ConeTangentVector:
         _check_perp(V, self.perp.V, "perp.V")
 
     def norm(self) -> float:
+        """||xi||_F from the four blocks, summed on the first call only."""
+        return self._norm
+
+    @cached_property
+    def _norm(self) -> float:
         sq = (
             np.sum(self.core**2)
             + np.sum(self.up**2)
@@ -263,20 +271,21 @@ def g_lower_bound(X: VarietyPoint, F) -> float:
 def retract(xi: ConeTangentVector, alpha: float) -> tuple[VarietyPoint, float]:
     """Best rank-at-most-k approximation of X + alpha * xi, X = xi.base.
 
+    Returns the pair (Y, ||Y - X||_F); the full matrix is never formed.
+    Along a flat xi (see ConeTangentVector.flat) nothing is truncated: Y is
+    X + alpha * xi, factored over the side that does not change by
+    _flat_step with one QR, and the distance is alpha * ||xi||. Otherwise
     X + alpha * xi is expressed over the orthonormal bases [U | QL] and
     [V | QR] obtained from compact QRs of the up/perp and vp/perp blocks, so
     only a (2s+p)-sized middle matrix B is ever decomposed, in
-    O((m+n)(k+s)^2); the full matrix is never formed. Numerically zero modes
-    are trimmed from the result, which satisfies
+    O((m+n)(k+s)^2). Y is B_r, the SVD of B cut to the kept modes, and over
+    the same bases X is diag(sigma, 0), so the distance is
+    ||B_r - diag(sigma, 0)||_F, a small-matrix norm with no QR. Numerically
+    zero modes are trimmed from the result, which satisfies
     ||retract(xi, 1) - (X + xi)|| <= ||xi|| / sqrt(2).
-    Returns the pair (Y, ||Y - X||_F). Along a flat xi (see
-    ConeTangentVector.flat) nothing is truncated, Y is X + alpha * xi and the
-    distance is alpha * ||xi||. Otherwise it is read off B: over the same
-    bases X is diag(sigma, 0) and Y is B_r, the SVD of B cut to the kept
-    modes, so the distance is ||B_r - diag(sigma, 0)||_F, a small-matrix
-    norm with no QR.
-    Raises ValueError when B overflows (its Frobenius norm is not finite),
-    before the SVD, which on such input may not return.
+    Raises ValueError when the matrix to be decomposed overflows (its
+    Frobenius norm is not finite), before any QR or SVD, which on such input
+    may not return.
     """
     if alpha < 0:
         raise ValueError("step size must be nonnegative")
@@ -284,6 +293,8 @@ def retract(xi: ConeTangentVector, alpha: float) -> tuple[VarietyPoint, float]:
     xi_norm = xi.norm()
     if alpha == 0.0 or xi_norm == 0.0:
         return X, 0.0
+    if xi.flat:
+        return _flat_step(xi, alpha), alpha * xi_norm
     U, V = X.point.U, X.point.V
     s = X.s
     QL, RL = np.linalg.qr(project_out(np.hstack([xi.up, xi.perp.U]), U))
@@ -299,20 +310,51 @@ def retract(xi: ConeTangentVector, alpha: float) -> tuple[VarietyPoint, float]:
         alpha * (RL[:, s:] * xi.perp.sigma) @ RR[:, s:].T,
     ])
     B = np.vstack([top, bottom])
-    if not np.isfinite(np.linalg.norm(B)):
-        raise ValueError("non-finite middle matrix in the rank update")
+    _check_finite(B)
 
     Ub, sb, Vbt = np.linalg.svd(B, full_matrices=False)
     r = min(X.k, numerical_rank(sb))
     U_new = orthonormal_polish(np.hstack([U, QL]) @ Ub[:, :r])
     V_new = orthonormal_polish(np.hstack([V, QR_]) @ Vbt[:r].T)
-    if xi.flat:
-        distance = alpha * xi_norm
+    step = (Ub[:, :r] * sb[:r]) @ Vbt[:r]
+    step[:s, :s] -= np.diag(X.point.sigma)
+    return VarietyPoint(FactoredMatrix(U_new, sb[:r], V_new), X.k), float(np.linalg.norm(step))
+
+
+def _flat_step(xi: ConeTangentVector, alpha: float) -> VarietyPoint:
+    """X + alpha * xi for a flat xi, with one QR of the side that changes.
+
+    With up = 0, X + alpha * xi = [U | perp.U] @ N.T for
+    N = [V * sigma + alpha * (V @ core.T + vp) | alpha * perp.V * perp.sigma];
+    with vp = 0 the same holds with the sides swapped. [U | perp.U] is
+    already orthonormal, so only N is factored: N = Q @ R by a compact QR,
+    and the SVD of the (s+p)-square R gives X + alpha * xi =
+    ([U | perp.U] @ Vb) diag(sb) (Q @ Ub).T. alpha multiplies only finite
+    terms, so an overflowing step leaves inf, never NaN, in N.
+    """
+    X, perp = xi.base, xi.perp
+    U, sigma, V = X.point.U, X.point.sigma, X.point.V
+    columns_fixed = not xi.up.any()
+    if columns_fixed:
+        fixed = np.hstack([U, perp.U])
+        N = np.hstack([V * sigma + alpha * (V @ xi.core.T + xi.vp), alpha * (perp.V * perp.sigma)])
     else:
-        step = (Ub[:, :r] * sb[:r]) @ Vbt[:r]
-        step[:s, :s] -= np.diag(X.point.sigma)
-        distance = float(np.linalg.norm(step))
-    return VarietyPoint(FactoredMatrix(U_new, sb[:r], V_new), X.k), distance
+        fixed = np.hstack([V, perp.V])
+        N = np.hstack([U * sigma + alpha * (U @ xi.core + xi.up), alpha * (perp.U * perp.sigma)])
+    _check_finite(N)
+    Q, R = np.linalg.qr(N)
+    Ub, sb, Vbt = np.linalg.svd(R)
+    r = numerical_rank(sb)
+    moved = orthonormal_polish(Q @ Ub[:, :r])
+    fixed = orthonormal_polish(fixed @ Vbt[:r].T)
+    U_new, V_new = (fixed, moved) if columns_fixed else (moved, fixed)
+    return VarietyPoint(FactoredMatrix(U_new, sb[:r], V_new), X.k)
+
+
+def _check_finite(M: np.ndarray) -> None:
+    """Raise ValueError unless the Frobenius norm of M is finite."""
+    if not np.isfinite(np.linalg.norm(M)):
+        raise ValueError("non-finite matrix in the rank update")
 
 
 def choose_flat_direction(G: ConeTangentVector) -> ConeTangentVector:

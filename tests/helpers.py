@@ -28,6 +28,20 @@ def zero_tangent(X: VarietyPoint) -> ConeTangentVector:
     return ConeTangentVector(X, np.zeros((s, s)), np.zeros((m, s)), np.zeros((n, s)))
 
 
+def count_qr_calls(monkeypatch) -> list:
+    """Wrap np.linalg.qr for the test; each call appends its input's shape
+    to the returned list."""
+    calls = []
+    qr = np.linalg.qr
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    return calls
+
+
 def partial_directions(X: VarietyPoint, F, projection: ConeTangentVector | None = None):
     """The two single-sided cone directions for an ambient matrix F.
 

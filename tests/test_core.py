@@ -30,7 +30,7 @@ from rankdescent.core import (
     svd,
     truncate,
 )
-from helpers import ambient_dense
+from helpers import ambient_dense, count_qr_calls
 
 
 class TestSvd:
@@ -227,6 +227,13 @@ class TestTruncate:
         assert out.stdout.strip() == "False"
 
 
+# (m, n, rank of A, rank of B): unequal ranks, rank 0 on either side,
+# m != n and rank min(m, n)
+RANKS_AND_SHAPES = [
+    (9, 6, 4, 2), (9, 6, 2, 4), (6, 9, 0, 3), (6, 9, 3, 0), (6, 9, 0, 0), (9, 6, 6, 6), (6, 9, 6, 3), (7, 7, 7, 7),
+]
+
+
 class TestNorms:
     def test_frob_norm_diag(self):
         assert frob_norm(np.diag([3.0, 4.0])) == pytest.approx(5.0, abs=1e-14)
@@ -277,12 +284,8 @@ class TestNorms:
         for X, Y in ((A, B), (B, A)):
             assert abs(factored_diff_norm(X, Y) - ref) <= 1e-14 * a_norm
 
-    @pytest.mark.parametrize(
-        "m, n, ra, rb",
-        [(9, 6, 4, 2), (9, 6, 2, 4), (6, 9, 0, 3), (6, 9, 3, 0), (6, 9, 0, 0), (9, 6, 6, 6), (6, 9, 6, 3), (7, 7, 7, 7)],
-    )
+    @pytest.mark.parametrize("m, n, ra, rb", RANKS_AND_SHAPES)
     def test_ranks_and_shapes_match_long_double_reference(self, m, n, ra, rb):
-        # unequal ranks, rank 0 on either side, m != n and rank min(m, n)
         rng = np.random.default_rng(1000 * m + 10 * ra + rb)
         A = truncate(rng.standard_normal((m, n)), ra)
         B = truncate(rng.standard_normal((m, n)), rb)
@@ -292,6 +295,17 @@ class TestNorms:
             assert abs(factored_diff_norm(X, Y) - ref) <= 1e-14 * scale
         if ra == rb == 0:
             assert factored_diff_norm(A, B) == 0.0
+
+    @pytest.mark.parametrize("m, n, ra, rb", RANKS_AND_SHAPES + [(40, 30, 5, 5), (30, 45, 7, 7)])
+    def test_takes_no_qr(self, monkeypatch, m, n, ra, rb):
+        # the three block norms come from the projected remainders as they are
+        rng = np.random.default_rng(m + n + ra + rb)
+        A = truncate(rng.standard_normal((m, n)), ra)
+        B = truncate(rng.standard_normal((m, n)), rb)
+        calls = count_qr_calls(monkeypatch)
+        for X, Y in ((A, B), (B, A)):
+            factored_diff_norm(X, Y)
+        assert calls == []
 
     @pytest.mark.parametrize("m, n, k", [(50, 40, 6), (40, 50, 40), (2000, 300, 20)])
     def test_self_distance_is_roundoff(self, m, n, k):

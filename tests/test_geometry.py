@@ -14,7 +14,7 @@ from rankdescent.geometry import (
     random_point,
     retract,
 )
-from helpers import partial_directions, random_cone_vector, random_instance, zero_point, zero_tangent
+from helpers import count_qr_calls, partial_directions, random_cone_vector, random_instance, zero_point, zero_tangent
 
 
 def tangent_projector_oracle(X, F):
@@ -349,16 +349,33 @@ class TestRetractFlatDirections:
                     sv = np.linalg.svd(target, compute_uv=False)
                     assert (sv > 1e-10 * max(sv[0], 1e-300)).sum() <= bound
 
+    @pytest.mark.parametrize("s", [5, 3])
+    def test_one_qr_per_flat_step(self, monkeypatch, s):
+        # a flat step orthogonalizes only the side it changes, a full one
+        # both; at s = 3 < k = 5 the direction carries a rank-2 perp block
+        rng = np.random.default_rng(25 + s)
+        X = random_point(rng, 30, 20, s, 5)
+        xi = random_cone_vector(rng, X)
+        g1, g2 = partial_directions(X, None, xi)
+        assert xi.perp.rank == 5 - s and not xi.flat and g1.flat and g2.flat
+        calls = count_qr_calls(monkeypatch)
+        for direction, qrs in ((g1, 1), (g2, 1), (xi, 2)):
+            calls.clear()
+            retract(direction, 0.5)
+            assert len(calls) == qrs
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflowing_step_raises_promptly(self):
-        # the middle matrix of X + alpha * xi overflows; its SVD may not
-        # return, so the update refuses it up front. Under the line search's
-        # errstate the overflow surfaces as FloatingPointError instead.
+        # the matrix that retract decomposes overflows: the middle matrix of
+        # xi, the changed side's factor of g1 (zero up) and of g2 (zero vp).
+        # Its QR or SVD may not return, so the update refuses it up front.
+        # Under the line search's errstate the overflow surfaces as
+        # FloatingPointError instead.
         rng = np.random.default_rng(18)
         X = random_point(rng, 30, 20, 3, 5)
         xi = random_cone_vector(rng, X)
-        g1, _ = partial_directions(X, None, xi)
-        for direction in (xi, g1):
+        g1, g2 = partial_directions(X, None, xi)
+        for direction in (xi, g1, g2):
             for alpha in (1e307, 1e308):
                 start = time.perf_counter()
                 with pytest.raises(ValueError, match="non-finite"):
