@@ -1,4 +1,5 @@
-"""Benchmark harness: completion problem generation, presets, metrics, runs.
+"""Benchmark harness: completion problem generation, presets, metrics, runs,
+and every file format of the package (the "Files" section below).
 
 Problems are square rank-r matrices A = U V^T with standard-normal factors,
 observed on a uniformly sampled index set of size
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import math
 import os
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -21,6 +23,7 @@ import numpy as np
 from .core import (
     FactoredMatrix,
     IndexSet,
+    SparseOnMask,
     factored_diff_norm,
     mask_apply,
     orthonormal_polish,
@@ -36,7 +39,6 @@ from .solvers import (
     iterate_distances,
     rate_fit,
     solve,
-    write_trace_csv,
 )
 
 
@@ -225,7 +227,7 @@ def run_experiment(
             if dists is not None:
                 np.savetxt(
                     os.path.join(out_dir, f"{alg}_distances.csv"),
-                    dists, delimiter=",", fmt="%.17g",
+                    dists, delimiter=",", fmt=_FLOAT_FMT,
                 )
             write_kv(os.path.join(out_dir, f"{alg}_summary.txt"), summary)
     return report
@@ -266,8 +268,28 @@ def _summary(spec: CompletionSpec, alg: str, result: SolveResult | None, fit) ->
 
 
 # ---------------------------------------------------------------------------
-# Flat key = value files, used for summaries and experiment configs alike.
+# Files: every on-disk format of the package.
+# - key = value files (write_kv, read_kv): one pair per line; reading skips
+#   blank lines and lines starting with "#". A run's summaries, the configs
+#   of rankbench run --config and a problem's dims.txt.
+# - float CSVs: np.savetxt with _FLOAT_FMT, whose 17 significant digits
+#   round-trip every float64: observed values, factors and distances.
+# - a factored matrix (save_factored, load_factored): a directory of U.csv,
+#   sigma.csv (one column) and V.csv.
+# - a mask (save_index_set, load_index_set): one 0-based row,col line per pair.
+# - a completion problem (save_completion, load_completion): a directory of
+#   dims.txt (m and n), mask.csv, values.csv (one column, in mask order) and,
+#   when known, the target's factors in target_factors/.
+# - a trace (write_trace_csv): a TRACE_COLUMNS header, then one row per
+#   iterate, floats as repr and None as an empty field.
 # ---------------------------------------------------------------------------
+
+_FLOAT_FMT = "%.17g"
+
+TRACE_COLUMNS = (
+    "n,f,g_minus,alpha,backtracks,rank,sigma1,sigmak,"
+    "displacement,rel_err_full,rel_err_mask,wall_ms"
+)
 
 
 def write_kv(path, mapping: dict) -> None:
@@ -286,3 +308,93 @@ def read_kv(path) -> dict:
             key, _, value = line.partition("=")
             out[key.strip()] = value.strip()
     return out
+
+
+def load_csv(path, dtype=float) -> np.ndarray:
+    """np.loadtxt of a comma-separated file as a 2-D array, one row per line.
+    A file with no data, which is what np.savetxt writes for an empty array,
+    reads as an empty array without numpy's warning."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(path, delimiter=",", dtype=dtype, ndmin=2)
+
+
+def load_column(path) -> np.ndarray:
+    """A one-column file (np.savetxt of a vector) as a vector; an empty file
+    reads as an empty one. Raises ValueError on a file of more columns."""
+    a = load_csv(path)
+    if a.shape[1] > 1:
+        raise ValueError(f"{path} needs one column, got {a.shape[1]}")
+    return a.reshape(-1)
+
+
+def save_factored(dirpath, F: FactoredMatrix) -> None:
+    if F.rank == 0:
+        raise ValueError("rank-0 factored matrices are not serialized")
+    os.makedirs(dirpath, exist_ok=True)
+    for name, a in (("U", F.U), ("sigma", F.sigma), ("V", F.V)):
+        np.savetxt(os.path.join(dirpath, f"{name}.csv"), a, delimiter=",", fmt=_FLOAT_FMT)
+
+
+def load_factored(dirpath) -> FactoredMatrix:
+    U = load_csv(os.path.join(dirpath, "U.csv"))
+    sigma = load_column(os.path.join(dirpath, "sigma.csv"))
+    V = load_csv(os.path.join(dirpath, "V.csv"))
+    return FactoredMatrix(U, sigma, V)
+
+
+def save_index_set(path, mask: IndexSet) -> None:
+    np.savetxt(
+        path, np.column_stack([mask.rows, mask.cols]), delimiter=",", fmt="%d"
+    )
+
+
+def load_index_set(path, dims) -> IndexSet:
+    """Read a mask that save_index_set wrote: one row,col line per pair,
+    none for the empty mask. Raises ValueError on any other shape."""
+    pairs = load_csv(path, np.int64)
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    if pairs.shape[1] != 2:
+        raise ValueError(f"mask file needs two columns (row, col), got {pairs.shape[1]}")
+    return IndexSet(dims, pairs[:, 0], pairs[:, 1])
+
+
+def save_completion(dirpath, problem: MatrixCompletion, target: FactoredMatrix | None = None) -> None:
+    os.makedirs(dirpath, exist_ok=True)
+    m, n = problem.shape
+    write_kv(os.path.join(dirpath, "dims.txt"), {"m": m, "n": n})
+    save_index_set(os.path.join(dirpath, "mask.csv"), problem.mask)
+    np.savetxt(os.path.join(dirpath, "values.csv"), problem.data.values, delimiter=",", fmt=_FLOAT_FMT)
+    if target is not None:
+        save_factored(os.path.join(dirpath, "target_factors"), target)
+
+
+def load_completion(dirpath):
+    """Returns (MatrixCompletion, target FactoredMatrix or None)."""
+    dims = read_kv(os.path.join(dirpath, "dims.txt"))
+    shape = (int(dims["m"]), int(dims["n"]))
+    mask = load_index_set(os.path.join(dirpath, "mask.csv"), shape)
+    values = load_column(os.path.join(dirpath, "values.csv"))
+    problem = MatrixCompletion(SparseOnMask(mask, values))
+    target_dir = os.path.join(dirpath, "target_factors")
+    target = load_factored(target_dir) if os.path.isdir(target_dir) else None
+    return problem, target
+
+
+def _fmt(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, int):
+        return str(value)
+    return repr(float(value))
+
+
+def write_trace_csv(path, records, timing: bool = True) -> None:
+    """Stream a trace in TRACE_COLUMNS order, one row per iteration."""
+    columns = TRACE_COLUMNS.split(",")
+    with open(path, "w") as fh:
+        fh.write(TRACE_COLUMNS + "\n")
+        for r in records:
+            values = (0.0 if c == "wall_ms" and not timing else getattr(r, c) for c in columns)
+            fh.write(",".join(map(_fmt, values)) + "\n")

@@ -5,12 +5,13 @@ infeasible problem spec, an invalid solver setting, a `--config` file it
 cannot read or parse or with a key outside CONFIG_KEYS, or an `--out` it
 cannot create as a directory (an existing file, or a path under one); 3 on
 solver failure; 4 when `errors` cannot use its problem or point directory
-(a missing file, a mask file that is not two columns, a values or sigma
-file of more than one column, a values/mask length mismatch, an observation
-of zero norm, no target factors, factors that do not form a point of the
-problem's shape), or `ratefit` its distances file (missing, non-numeric,
-non-finite or of more than one column) or a `--tail` outside (0, 1]. Codes 2
-and 4 come with a one-line message on stderr.
+(a missing file, a dims.txt without an integer m or n, a mask file that
+is not two columns, a values or sigma file of more than one column, a
+values/mask length mismatch, an observation of zero norm, no target
+factors, factors that do not form a point of the problem's shape), or
+`ratefit` its distances file (missing, non-numeric, non-finite or of more
+than one column) or a `--tail` outside (0, 1]. Codes 2 and 4 come with a
+one-line message on stderr.
 """
 
 from __future__ import annotations
@@ -24,15 +25,17 @@ from .bench import (
     CompletionSpec,
     PRESETS,
     gen_problem,
+    load_column,
+    load_completion,
+    load_factored,
     missing_percent,
     omega_size,
     read_kv,
     rel_errors,
     run_experiment,
+    save_completion,
 )
-from .core import load_column, load_factored
 from .geometry import make_point
-from .objectives import load_completion, save_completion
 from .solvers import SolverConfig, VARIANTS, rate_fit
 
 # (field, name, type, help) of each setting `run` takes from a flag or a

@@ -20,12 +20,12 @@ for L @ R.T, with optional bases projected out of both sides; it densifies
 no structured kind below full rank (a masked matrix goes through ARPACK via
 scipy.sparse.linalg.svds on its CSR view, a pair through thin QRs).
 
-All containers are immutable values after construction; operations are pure.
+All containers are immutable values after construction; operations are pure,
+and none reads or writes a file (bench owns every file format).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -489,66 +489,3 @@ def mask_apply(X, mask: IndexSet) -> SparseOnMask:
     if X.shape != mask.dims:
         raise ValueError("dimension mismatch in mask_apply")
     return SparseOnMask(mask, X[mask.rows, mask.cols])
-
-
-# ---------------------------------------------------------------------------
-# File formats: factored matrices as a directory of three CSVs (U, sigma, V),
-# index sets as two-column 0-based integer CSV.
-# ---------------------------------------------------------------------------
-
-_FLOAT_FMT = "%.17g"
-
-
-def save_factored(dirpath, F: FactoredMatrix) -> None:
-    import os
-
-    if F.rank == 0:
-        raise ValueError("rank-0 factored matrices are not serialized")
-    os.makedirs(dirpath, exist_ok=True)
-    np.savetxt(os.path.join(dirpath, "U.csv"), F.U, delimiter=",", fmt=_FLOAT_FMT)
-    np.savetxt(os.path.join(dirpath, "sigma.csv"), F.sigma, delimiter=",", fmt=_FLOAT_FMT)
-    np.savetxt(os.path.join(dirpath, "V.csv"), F.V, delimiter=",", fmt=_FLOAT_FMT)
-
-
-def load_factored(dirpath) -> FactoredMatrix:
-    import os
-
-    U = load_csv(os.path.join(dirpath, "U.csv"))
-    sigma = load_column(os.path.join(dirpath, "sigma.csv"))
-    V = load_csv(os.path.join(dirpath, "V.csv"))
-    return FactoredMatrix(U, sigma, V)
-
-
-def save_index_set(path, mask: IndexSet) -> None:
-    np.savetxt(
-        path, np.column_stack([mask.rows, mask.cols]), delimiter=",", fmt="%d"
-    )
-
-
-def load_csv(path, dtype=float) -> np.ndarray:
-    """np.loadtxt of a comma-separated file as a 2-D array, one row per line.
-    A file with no data, which is what np.savetxt writes for an empty array,
-    reads as an empty array without numpy's warning."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        return np.loadtxt(path, delimiter=",", dtype=dtype, ndmin=2)
-
-
-def load_column(path) -> np.ndarray:
-    """A one-column file (np.savetxt of a vector) as a vector; an empty file
-    reads as an empty one. Raises ValueError on a file of more columns."""
-    a = load_csv(path)
-    if a.shape[1] > 1:
-        raise ValueError(f"{path} needs one column, got {a.shape[1]}")
-    return a.reshape(-1)
-
-
-def load_index_set(path, dims) -> IndexSet:
-    """Read a mask that save_index_set wrote: one row,col line per pair,
-    none for the empty mask. Raises ValueError on any other shape."""
-    pairs = load_csv(path, np.int64)
-    if pairs.size == 0:
-        pairs = pairs.reshape(0, 2)
-    if pairs.shape[1] != 2:
-        raise ValueError(f"mask file needs two columns (row, col), got {pairs.shape[1]}")
-    return IndexSet(dims, pairs[:, 0], pairs[:, 1])

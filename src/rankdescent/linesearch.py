@@ -184,7 +184,7 @@ class MonitorReport:
         return min(ratios) if ratios else None
 
 
-def descent_monitors(trace, omega: float = 1.0, c: float = 1e-4) -> MonitorReport:
+def descent_monitors(trace, omega: float = 1.0, c: float = ArmijoConfig.c) -> MonitorReport:
     """Compute the descent ratios along a recorded trace.
 
     trace is a sequence of records with attributes f, g_minus and
@@ -200,7 +200,7 @@ def descent_monitors(trace, omega: float = 1.0, c: float = 1e-4) -> MonitorRepor
         rec, nxt = trace[n], trace[n + 1]
         g = rec.g_minus
         d = rec.displacement
-        if g == 0.0 or d is None or d == 0.0:
+        if g == 0.0 or d == 0.0:
             entries.append(MonitorEntry(n, stationary=True))
             continue
         entries.append(

@@ -15,12 +15,12 @@ flat xi the curve is the ambient line X + alpha * xi, on which matrix
 completion is exactly quadratic: its MaskedLine takes every trial value
 from one gather of the direction on the mask, made at once, retracts once,
 at the accepted step, and files its residual for that point, with no
-gather either.
+gather either. A completion problem's directory is read and written by
+bench, which owns every file format.
 """
 
 from __future__ import annotations
 
-import os
 from functools import cached_property
 
 import numpy as np
@@ -29,13 +29,8 @@ from .core import (
     FactoredMatrix,
     SparseOnMask,
     frob_norm,
-    load_column,
-    load_factored,
-    load_index_set,
     mask_apply,
     mask_gather,
-    save_factored,
-    save_index_set,
     truncate,
 )
 from .geometry import ConeTangentVector, VarietyPoint, retract
@@ -215,37 +210,3 @@ class QuadraticDistance(Objective):
     def line(self, xi: ConeTangentVector) -> Line:
         """The curvature <xi, Hess f xi> = ||xi||^2 alone: the Hessian is the identity."""
         return Line(self, xi, lambda: xi.norm() ** 2)
-
-
-# ---------------------------------------------------------------------------
-# Serialization: a completion problem is a directory with a dims header, the
-# mask as two-column integer CSV, the observed values as one-column CSV, and
-# (when available) the target's factors for full-error evaluation.
-# ---------------------------------------------------------------------------
-
-
-def save_completion(dirpath, problem: MatrixCompletion, target: FactoredMatrix | None = None) -> None:
-    os.makedirs(dirpath, exist_ok=True)
-    m, n = problem.shape
-    with open(os.path.join(dirpath, "dims.txt"), "w") as fh:
-        fh.write(f"m = {m}\nn = {n}\n")
-    save_index_set(os.path.join(dirpath, "mask.csv"), problem.mask)
-    np.savetxt(os.path.join(dirpath, "values.csv"), problem.data.values, delimiter=",", fmt="%.17g")
-    if target is not None:
-        save_factored(os.path.join(dirpath, "target_factors"), target)
-
-
-def load_completion(dirpath):
-    """Returns (MatrixCompletion, target FactoredMatrix or None)."""
-    dims = {}
-    with open(os.path.join(dirpath, "dims.txt")) as fh:
-        for line in fh:
-            key, _, val = line.partition("=")
-            dims[key.strip()] = int(val)
-    shape = (dims["m"], dims["n"])
-    mask = load_index_set(os.path.join(dirpath, "mask.csv"), shape)
-    values = load_column(os.path.join(dirpath, "values.csv"))
-    problem = MatrixCompletion(SparseOnMask(mask, values))
-    target_dir = os.path.join(dirpath, "target_factors")
-    target = load_factored(target_dir) if os.path.isdir(target_dir) else None
-    return problem, target

@@ -11,7 +11,9 @@ The line gives the step's point, its f and its distance from X, which the
 trace records as the displacement ||X_{n+1} - X_n||. A variant is one entry
 of VARIANTS: its direction rule, which takes the cone projection alone.
 Stopping rules and the per-iteration trace are artifact plumbing; the
-iteration itself would happily run forever.
+iteration itself would happily run forever. No file format lives here:
+bench writes the trace as CSV, and IterateHistory's unnamed temporary file
+is in-process storage that no other program reads.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ class SolverConfig:
 class TraceRecord:
     """One row per iterate; alpha/backtracks/displacement/wall_ms describe
     the step taken from it (zero on the terminal row). xi_norm is kept for
-    post-hoc line-search checks and is not part of the CSV schema."""
+    post-hoc line-search checks and is not a column of bench.TRACE_COLUMNS."""
 
     n: int
     f: float
@@ -100,15 +102,9 @@ class TraceRecord:
     rel_err_mask: float | None
     alpha: float = 0.0
     backtracks: int = 0
-    displacement: float | None = 0.0
+    displacement: float = 0.0
     wall_ms: float = 0.0
     xi_norm: float = 0.0
-
-
-TRACE_COLUMNS = (
-    "n,f,g_minus,alpha,backtracks,rank,sigma1,sigmak,"
-    "displacement,rel_err_full,rel_err_mask,wall_ms"
-)
 
 
 class IterateHistory(Sequence):
@@ -271,26 +267,8 @@ def solve(obj: Objective, X0, cfg: SolverConfig, metrics=None) -> SolveResult:
 
 
 # ---------------------------------------------------------------------------
-# Trace CSV and rate diagnostics
+# Rate diagnostics
 # ---------------------------------------------------------------------------
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, int):
-        return str(value)
-    return repr(float(value))
-
-
-def write_trace_csv(path, records, timing: bool = True) -> None:
-    """Stream a trace in TRACE_COLUMNS order, one row per iteration."""
-    columns = TRACE_COLUMNS.split(",")
-    with open(path, "w") as fh:
-        fh.write(TRACE_COLUMNS + "\n")
-        for r in records:
-            values = (0.0 if c == "wall_ms" and not timing else getattr(r, c) for c in columns)
-            fh.write(",".join(map(_fmt, values)) + "\n")
 
 
 def iterate_distances(iterates) -> np.ndarray:

@@ -6,7 +6,8 @@ import numpy as np
 
 from rankdescent.core import FactoredMatrix, SparseOnMask, project_out
 from rankdescent.geometry import ConeTangentVector, VarietyPoint, project_cone, random_point
-from rankdescent.solvers import TRACE_COLUMNS, TraceRecord
+from rankdescent.bench import TRACE_COLUMNS
+from rankdescent.solvers import TraceRecord
 
 
 def ambient_dense(F) -> np.ndarray:
@@ -101,7 +102,7 @@ def random_instance(rng, max_m=8, max_n=6, s=None):
 
 
 def read_trace_csv(path) -> list[TraceRecord]:
-    """Parse a trace written by solvers.write_trace_csv."""
+    """Parse a trace written by bench.write_trace_csv."""
 
     def opt(x):
         return None if x == "" else float(x)
@@ -123,7 +124,7 @@ def read_trace_csv(path) -> list[TraceRecord]:
                     rank=int(parts[5]),
                     sigma1=float(parts[6]),
                     sigmak=float(parts[7]),
-                    displacement=opt(parts[8]),
+                    displacement=float(parts[8]),
                     rel_err_full=opt(parts[9]),
                     rel_err_mask=opt(parts[10]),
                     wall_ms=float(parts[11]),

@@ -19,7 +19,7 @@ from rankdescent.bench import (
     run_experiment,
     write_kv,
 )
-from rankdescent.core import IndexSet, SparseOnMask, truncate
+from rankdescent.core import FactoredMatrix, IndexSet, SparseOnMask, truncate
 from rankdescent.geometry import VarietyPoint, make_point
 from rankdescent.objectives import MatrixCompletion
 from rankdescent.solvers import SolverConfig
@@ -164,6 +164,11 @@ class TestRelErrors:
         rel_full, rel_mask = rel_errors(X, self.target, self.problem)
         assert rel_full == 1.0
         assert rel_mask == 1.0
+
+    def test_zero_target_rejected(self):
+        X = VarietyPoint(self.target, 2)
+        with pytest.raises(ValueError, match="zero target"):
+            rel_errors(X, FactoredMatrix.zero(30, 30), self.problem)
 
     def test_mask_error_identity(self):
         # definition ||P(A - X)|| / ||P A|| equals sqrt(2 f) / ||P A||

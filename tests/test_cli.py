@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from rankdescent.cli import main
-from rankdescent.core import save_factored, truncate
+from rankdescent.bench import save_factored
+from rankdescent.core import truncate
 from helpers import read_trace_csv
 
 
@@ -279,6 +280,25 @@ class TestErrors:
         capsys.readouterr()
         code = run_cli("errors", "--problem", str(prob), "--point", str(pt))
         assert_input_error(capsys, code, 4, "errors", "dims.txt")
+
+    def test_dims_reads_like_a_config(self, tmp_path, capsys):
+        # dims.txt is a key = value file: comments and blank lines are skipped
+        prob, pt = self._problem_and_point(tmp_path)
+        capsys.readouterr()
+        assert run_cli("errors", "--problem", str(prob), "--point", str(pt)) == 0
+        untouched = capsys.readouterr().out
+        (prob / "dims.txt").write_text("# hand-edited\nm = 20\n\nn = 20\n")
+        assert run_cli("errors", "--problem", str(prob), "--point", str(pt)) == 0
+        assert capsys.readouterr().out == untouched
+
+    @pytest.mark.parametrize("dims, needle", [("m = 20\n", "'n'"), ("m = 20\nn = 20.5\n", "20.5")])
+    def test_unusable_dims_exits_4(self, tmp_path, capsys, dims, needle):
+        # a missing key and a non-integer value
+        prob, pt = self._problem_and_point(tmp_path)
+        (prob / "dims.txt").write_text(dims)
+        capsys.readouterr()
+        code = run_cli("errors", "--problem", str(prob), "--point", str(pt))
+        assert_input_error(capsys, code, 4, "errors", needle)
 
     def test_values_mask_mismatch_exits_4(self, tmp_path, capsys):
         prob, pt = self._problem_and_point(tmp_path)

@@ -18,18 +18,15 @@ from rankdescent.core import (
     ambient_rmatmul,
     factored_diff_norm,
     frob_norm,
-    load_factored,
-    load_index_set,
     GATHER_BLAS_DENSITY,
     GATHER_BYTES,
     mask_apply,
     mask_gather,
     numerical_rank,
-    save_factored,
-    save_index_set,
     svd,
     truncate,
 )
+from rankdescent.bench import load_factored, load_index_set, save_factored, save_index_set
 from helpers import ambient_dense, count_qr_calls
 
 
@@ -560,6 +557,11 @@ class TestIO:
         assert np.array_equal(F.sigma, G.sigma)
         assert np.array_equal(F.V, G.V)
 
+    def test_rank_zero_not_saved(self, tmp_path):
+        with pytest.raises(ValueError, match="rank-0"):
+            save_factored(tmp_path / "f", FactoredMatrix.zero(3, 3))
+        assert not (tmp_path / "f").exists()
+
     def test_index_set_roundtrip(self, tmp_path):
         mask = IndexSet((6, 7), [0, 2, 5], [3, 0, 6])
         path = tmp_path / "mask.csv"
@@ -580,3 +582,30 @@ class TestIO:
         path.write_text(content)
         with pytest.raises(ValueError, match="two columns"):
             load_index_set(path, (6, 7))
+
+
+@pytest.mark.parametrize(
+    "make, match",
+    [
+        pytest.param(lambda: truncate(np.zeros(3), 1), "2-D", id="truncate-1d"),
+        pytest.param(lambda: IndexSet((0, 3), [], []), "positive", id="indexset-dims"),
+        pytest.param(lambda: IndexSet((3, 3), [0, 1], [0]), "equal length", id="indexset-lengths"),
+        pytest.param(
+            lambda: SparseOnMask(IndexSet((2, 2), [0], [1]), [np.nan]), "non-finite", id="sparse-nan"
+        ),
+        pytest.param(
+            lambda: FactoredMatrix(np.eye(2), [1.0, -0.5], np.eye(2)), "nonnegative", id="sigma-negative"
+        ),
+        pytest.param(
+            lambda: FactoredMatrix(np.eye(2), [np.inf, 1.0], np.eye(2)), "finite", id="sigma-inf"
+        ),
+        pytest.param(
+            lambda: mask_apply(FactoredMatrix.zero(3, 3), IndexSet((2, 2), [0], [0])),
+            "dimension mismatch",
+            id="mask-apply-factored-shape",
+        ),
+    ],
+)
+def test_invalid_input_rejected(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()

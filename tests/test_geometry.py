@@ -5,6 +5,7 @@ import pytest
 
 from rankdescent.core import FactoredMatrix, IndexSet, SparseOnMask, truncate
 from rankdescent.geometry import (
+    ConeTangentVector,
     VarietyPoint,
     choose_flat_direction,
     g_lower_bound,
@@ -14,7 +15,15 @@ from rankdescent.geometry import (
     random_point,
     retract,
 )
-from helpers import count_qr_calls, partial_directions, random_cone_vector, random_instance, zero_point, zero_tangent
+from helpers import (
+    count_qr_calls,
+    partial_directions,
+    random_cone_vector,
+    random_instance,
+    random_perp,
+    zero_point,
+    zero_tangent,
+)
 
 
 def tangent_projector_oracle(X, F):
@@ -519,3 +528,22 @@ class TestVarietyPoint:
         with pytest.raises(ValueError):
             VarietyPoint(F, 2)
         assert make_point(F, 2).s == 1
+
+
+@pytest.mark.parametrize(
+    "block, make, match",
+    [
+        pytest.param("up", lambda X: X.point.U, "up is not orthogonal", id="up-along-U"),
+        pytest.param(
+            "perp", lambda X: random_perp(np.random.default_rng(1), X, 2), "rank budget", id="perp-rank"
+        ),
+        pytest.param("perp", lambda X: truncate(np.ones((4, 4)), 1), "shape", id="perp-shape"),
+    ],
+)
+def test_cone_tangent_vector_rejects_invalid_blocks(block, make, match):
+    # base of rank s = 2 with budget k = 3 in 5 x 4: a perp has rank at most 1
+    X = random_point(np.random.default_rng(0), 5, 4, 2, 3)
+    blocks = {"core": np.zeros((2, 2)), "up": np.zeros((5, 2)), "vp": np.zeros((4, 2)), "perp": None}
+    blocks[block] = make(X)
+    with pytest.raises(ValueError, match=match):
+        ConeTangentVector(X, **blocks)

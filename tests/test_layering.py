@@ -3,8 +3,9 @@
 The modules form one chain, core -> geometry -> objectives -> solvers ->
 bench -> cli: each imports only modules before it. linesearch imports no
 module of the package, so armijo stays a one-dimensional search that any
-layer from solvers on may use. And the package carries no API that only
-tests call: every definition is named somewhere else in it.
+layer from solvers on may use. Every file format lives in bench: no module
+before it, nor linesearch, reads or writes a file. And the package carries
+no API that only tests call: every definition is named somewhere else in it.
 """
 
 import ast
@@ -25,6 +26,12 @@ UNNAMED = {
     "angle_check": "the paper's angle condition on a direction, checked by the tests",
     "a1_violations": "the paper's primary descent ratio contract, checked by the tests",
     "random_point": "a test fixture, until it moves to the tests' helpers",
+}
+# calls that read or write a file, which only bench and cli make
+FILE_CALLS = {"open", "np.savetxt", "np.loadtxt", "os.makedirs", "tempfile.TemporaryFile"}
+# (module, call) pairs allowed all the same, each with its reason
+FILE_CALLS_ALLOWED = {
+    ("solvers", "tempfile.TemporaryFile"): "IterateHistory's unnamed file, read by no other program",
 }
 
 
@@ -48,6 +55,22 @@ def package_imports(path: Path) -> set[str]:
                 if parts[0] == "rankdescent":
                     out.add(parts[1] if len(parts) > 1 else "__init__")
     return out
+
+
+def dotted_calls(path: Path) -> set[str]:
+    """The dotted names (open, np.savetxt, ...) that the source at path calls."""
+
+    def dotted(node):
+        if isinstance(node, ast.Name):
+            return node.id
+        if isinstance(node, ast.Attribute):
+            base = dotted(node.value)
+            return base and f"{base}.{node.attr}"
+        return None
+
+    tree = ast.parse(path.read_text())
+    calls = (dotted(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call))
+    return {name for name in calls if name}
 
 
 def test_every_module_has_a_place():
@@ -77,6 +100,24 @@ def test_import_reader_sees_every_form(tmp_path):
         "import numpy as np\n"
     )
     assert package_imports(tmp_path / "probe.py") == {"core", "geometry", "objectives", "solvers"}
+
+
+@pytest.mark.parametrize("name", CHAIN[: CHAIN.index("bench")] + STANDALONE)
+def test_file_formats_live_in_bench(name):
+    allowed = {call for module, call in FILE_CALLS_ALLOWED if module == name}
+    assert dotted_calls(PACKAGE / f"{name}.py") & FILE_CALLS <= allowed
+
+
+def test_call_reader_sees_every_form(tmp_path):
+    (tmp_path / "probe.py").write_text(
+        "import numpy as np\n"
+        "with open('f') as fh:\n"
+        "    np.savetxt(fh, np.zeros(2))\n"
+        "def f():\n"
+        "    return os.path.join('a', 'b')\n"
+        "g()()\n"
+    )
+    assert dotted_calls(tmp_path / "probe.py") == {"open", "np.savetxt", "np.zeros", "os.path.join", "g"}
 
 
 def test_every_definition_is_named_elsewhere_in_the_package():

@@ -24,9 +24,8 @@ from rankdescent.objectives import (
     MaskedLine,
     MatrixCompletion,
     QuadraticDistance,
-    load_completion,
-    save_completion,
 )
+from rankdescent.bench import load_completion, save_completion
 
 
 def dense_mc_value(A_vals, mask, X):

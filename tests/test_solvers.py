@@ -22,8 +22,8 @@ from rankdescent.solvers import (
     iterate_distances,
     rate_fit,
     solve,
-    write_trace_csv,
 )
+from rankdescent.bench import write_trace_csv
 from helpers import random_instance, read_trace_csv, zero_point
 
 
@@ -162,6 +162,10 @@ class TestSolverConfig:
             SolverConfig(k=3, tol_g=tol)
         with pytest.raises(ValueError, match="positive and finite"):
             SolverConfig(k=3, tol_f=tol)
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ValueError, match="unknown variant"):
+            SolverConfig(k=2, variant="cg")
 
 
 class TestStepFunctions:
