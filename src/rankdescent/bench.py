@@ -118,15 +118,20 @@ def initial_guess(problem: MatrixCompletion, k: int) -> VarietyPoint:
     return make_point(truncate(problem.data, k), k)
 
 
-def rel_errors(X: VarietyPoint, target: FactoredMatrix, problem: MatrixCompletion):
-    """(relative error on all entries, relative error on the visible set).
+def rel_errors(target: FactoredMatrix, problem: MatrixCompletion):
+    """The relative errors of points against one problem, as a function
+    errors(X, f=None) -> (relative error on all entries, relative error on
+    the visible set), fit to be solve's metrics callback.
 
     The full error is core.factored_diff_norm(target, X): X's factors are
     projected against the target's fixed orthonormal factors, and the norms
     of the three orthogonal blocks of the difference are summed, with no
-    QR. The masked error uses sqrt(2 f(X)) / ||P(A)||.
-    Raises ValueError when either denominator is zero: a zero target, or an
-    observation (empty or all zero) with ||P(A)|| = 0.
+    QR. The masked error uses sqrt(2 f(X)) / ||P(A)||, with f(X) read as
+    problem.value(X), which is the residual slot's value at the point solve
+    has just valued; errors ignores solve's f. Both denominators, ||A|| and
+    ||P(A)||, are taken and checked here, once: ValueError when either is
+    zero, a zero target or an observation (empty or all zero) with
+    ||P(A)|| = 0.
     """
     a_norm = float(np.linalg.norm(target.sigma))
     if a_norm == 0.0:
@@ -134,9 +139,13 @@ def rel_errors(X: VarietyPoint, target: FactoredMatrix, problem: MatrixCompletio
     p_norm = float(np.linalg.norm(problem.data.values))
     if p_norm == 0.0:
         raise ValueError("relative masked error undefined for a zero observation")
-    rel_full = factored_diff_norm(target, X.point) / a_norm
-    rel_mask = math.sqrt(2.0 * problem.value(X)) / p_norm
-    return rel_full, rel_mask
+
+    def errors(X: VarietyPoint, f=None):
+        rel_full = factored_diff_norm(target, X.point) / a_norm
+        rel_mask = math.sqrt(2.0 * problem.value(X)) / p_norm
+        return rel_full, rel_mask
+
+    return errors
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +210,7 @@ def run_experiment(
     problem, target = gen_problem(spec)
     base_cfg = solver_cfg or SolverConfig(k=spec.k, record_iterates=True)
     X0 = initial_guess(problem, base_cfg.k)
-
-    def metrics(X, f):
-        # problem.value(X) is the value solve has just taken at X
-        return rel_errors(X, target, problem)
-
+    metrics = rel_errors(target, problem)
     report = ExperimentReport(spec=spec)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)

@@ -8,10 +8,10 @@ solver failure; 4 when `errors` cannot use its problem or point directory
 (a missing file, a dims.txt without an integer m or n, a mask file that
 is not two columns, a values or sigma file of more than one column, a
 values/mask length mismatch, an observation of zero norm, no target
-factors, factors that do not form a point of the problem's shape), or
-`ratefit` its distances file (missing, non-numeric, non-finite or of more
-than one column) or a `--tail` outside (0, 1]. Codes 2 and 4 come with a
-one-line message on stderr.
+factors or a zero target, factors that do not form a point of the
+problem's shape), or `ratefit` its distances file (missing, non-numeric,
+non-finite or of more than one column) or a `--tail` outside (0, 1].
+Codes 2 and 4 come with a one-line message on stderr.
 """
 
 from __future__ import annotations
@@ -177,7 +177,8 @@ def cmd_errors(args) -> int:
         if target is None:
             raise ValueError("problem directory carries no target factors")
         fm = load_factored(args.point)
-        rel_full, rel_mask = rel_errors(make_point(fm, k=fm.rank), target, problem)
+        X = make_point(fm, k=fm.rank)
+        rel_full, rel_mask = rel_errors(target, problem)(X)
     except (OSError, ValueError, KeyError) as err:
         return _input_error("errors", err, 4)
     print(f"rel_full = {rel_full:.12e}")

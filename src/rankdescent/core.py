@@ -45,30 +45,48 @@ def _as_dense(a) -> np.ndarray:
     return a
 
 
+def _as_indices(a) -> np.ndarray:
+    """a as a flat int64 array. Integer arrays pass; a float array passes
+    only if every entry is a whole number (an empty list comes as float64).
+    A boolean array, or any other dtype, raises ValueError."""
+    a = np.asarray(a).ravel()
+    if a.dtype.kind == "f":
+        if not (np.isfinite(a).all() and (a == np.trunc(a)).all()):
+            raise ValueError("indices must be whole numbers")
+    elif a.dtype.kind not in "iu":
+        raise ValueError(f"indices must be integers, got dtype {a.dtype}")
+    return a.astype(np.int64, copy=False)
+
+
 class IndexSet:
     """Sampling set of distinct (i, j) coordinates in an m-by-n grid.
 
-    Pairs are 0-based and kept canonically sorted in row-major order.
+    Pairs are 0-based and kept in canonical row-major order: one stable
+    argsort of the key rows * n + cols puts them there. Timsort finds a key
+    that is already sorted as one run, so the sort is linear on the
+    row-major order in which bench.gen_problem and bench.load_index_set
+    pass their pairs, and such input comes back as given. The sorted key
+    also finds duplicates, which sit side by side in it.
     """
 
     def __init__(self, dims, rows, cols):
         m, n = int(dims[0]), int(dims[1])
         if m <= 0 or n <= 0:
             raise ValueError("dims must be positive")
-        rows = np.asarray(rows, dtype=np.int64).ravel()
-        cols = np.asarray(cols, dtype=np.int64).ravel()
+        rows, cols = _as_indices(rows), _as_indices(cols)
         if rows.shape != cols.shape:
             raise ValueError("rows and cols must have equal length")
         if rows.size:
             if rows.min() < 0 or rows.max() >= m or cols.min() < 0 or cols.max() >= n:
                 raise ValueError("index out of bounds")
-        order = np.lexsort((cols, rows))
-        rows, cols = rows[order], cols[order]
-        if np.any(np.diff(rows * n + cols) == 0):
+        key = rows * n + cols
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        if np.any(key[1:] == key[:-1]):
             raise ValueError("duplicate index pairs")
         self.dims = (m, n)
-        self.rows = rows
-        self.cols = cols
+        self.rows = rows[order]
+        self.cols = cols[order]
 
     @cached_property
     def csr_pattern(self) -> tuple[np.ndarray, np.ndarray]:
@@ -326,20 +344,23 @@ def _masked_truncate(A: SparseOnMask, r: int, U, V) -> FactoredMatrix:
     function of the input. ARPACK needs r < min(m, n); at r = min(m, n) the
     output is as large as A, so A is densified. ARPACK fails on a zero
     operator, and B maps the random start vector to zero only if B = 0
-    (almost surely). scipy.sparse.linalg is imported here, so that callers
-    which never truncate a masked matrix do not load it.
+    (almost surely). The transposed view csr.T (a CSC matrix on the same
+    arrays) is taken once per call, not once per product with B.T.
+    scipy.sparse.linalg is imported here, so that callers which never
+    truncate a masked matrix do not load it.
     """
     m, n = A.shape
     r = min(r, m - _width(U), n - _width(V))  # bound on rank(B)
     if r == min(m, n):
         return truncate(A.dense(), r, U, V)
     csr = A.csr
+    csr_t = csr.T
 
     def mv(x):  # B @ x
         return project_out(csr @ project_out(x, V), U)
 
     def rmv(y):  # B.T @ y
-        return project_out(csr.T @ project_out(y, U), V)
+        return project_out(csr_t @ project_out(y, U), V)
 
     v0 = np.random.default_rng(0).standard_normal(min(m, n))  # svds starts on the smaller side
     if r == 0 or not np.any(mv(v0) if m >= n else rmv(v0)):

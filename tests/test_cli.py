@@ -349,6 +349,13 @@ class TestErrors:
         code = run_cli("errors", "--problem", str(prob), "--point", str(pt))
         assert_input_error(capsys, code, 4, "errors", "no target factors")
 
+    def test_zero_target_exits_4(self, tmp_path, capsys):
+        prob, pt = self._problem_and_point(tmp_path)
+        (prob / "target_factors" / "sigma.csv").write_text("0\n0\n")
+        capsys.readouterr()
+        code = run_cli("errors", "--problem", str(prob), "--point", str(pt))
+        assert_input_error(capsys, code, 4, "errors", "relative error undefined for a zero target")
+
 
 class TestRateFit:
     def test_exponential_trace(self, tmp_path, capsys):

@@ -473,6 +473,46 @@ class TestIndexSet:
         with pytest.raises(ValueError):
             IndexSet((2, 2), [0, 2], [0, 0])
 
+    @staticmethod
+    def _canonical(m=40, n=30, size=500, seed=3):
+        lin = np.sort(np.random.default_rng(seed).choice(m * n, size=size, replace=False))
+        return (m, n), lin // n, lin % n
+
+    def test_canonical_input_kept_bitwise(self):
+        dims, rows, cols = self._canonical()
+        s = IndexSet(dims, rows, cols)
+        for got, given in ((s.rows, rows), (s.cols, cols)):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, given)
+
+    @pytest.mark.parametrize("order", ["shuffled", "reversed"])
+    def test_any_order_gives_the_canonical_pairs(self, order):
+        dims, rows, cols = self._canonical()
+        perm = np.random.default_rng(4).permutation(rows.size) if order == "shuffled" else slice(None, None, -1)
+        s = IndexSet(dims, rows[perm], cols[perm])
+        assert np.array_equal(s.rows, rows) and np.array_equal(s.cols, cols)
+
+    @pytest.mark.parametrize("order", ["canonical", "shuffled"])
+    def test_duplicates_rejected_in_any_order(self, order):
+        # canonical: the copy of pair p sits right after it; shuffled: the
+        # two copies end up at the two ends of the input
+        dims, rows, cols = self._canonical()
+        p = 250
+        rows, cols = np.insert(rows, p + 1, rows[p]), np.insert(cols, p + 1, cols[p])
+        if order == "shuffled":
+            perm = np.random.default_rng(5).permutation(rows.size)
+            perm = np.concatenate(([p], perm[(perm != p) & (perm != p + 1)], [p + 1]))
+            rows, cols = rows[perm], cols[perm]
+        with pytest.raises(ValueError, match="duplicate"):
+            IndexSet(dims, rows, cols)
+
+    def test_empty_and_single_entry(self):
+        empty = IndexSet((3, 4), [], [])
+        assert len(empty) == 0 and empty.rows.dtype == np.int64
+        for rows, cols in (([2], [1]), ([2.0], [1.0])):
+            one = IndexSet((3, 4), rows, cols)
+            assert list(one.rows) == [2] and list(one.cols) == [1]
+
 
 class TestSparseOnMask:
     @pytest.mark.parametrize(
@@ -590,6 +630,13 @@ class TestIO:
         pytest.param(lambda: truncate(np.zeros(3), 1), "2-D", id="truncate-1d"),
         pytest.param(lambda: IndexSet((0, 3), [], []), "positive", id="indexset-dims"),
         pytest.param(lambda: IndexSet((3, 3), [0, 1], [0]), "equal length", id="indexset-lengths"),
+        pytest.param(
+            lambda: IndexSet((3, 3), [0.5, 2.9], [1.7, 0.2]), "whole numbers", id="indexset-fractional"
+        ),
+        pytest.param(lambda: IndexSet((3, 3), [np.nan], [0]), "whole numbers", id="indexset-nan"),
+        pytest.param(
+            lambda: IndexSet((3, 3), np.array([True, False]), [0, 1]), "integers", id="indexset-bool"
+        ),
         pytest.param(
             lambda: SparseOnMask(IndexSet((2, 2), [0], [1]), [np.nan]), "non-finite", id="sparse-nan"
         ),
