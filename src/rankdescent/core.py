@@ -13,12 +13,13 @@ whose two paths split at the sampling density GATHER_BLAS_DENSITY: below
 it, a row-wise dot product per entry, O(|mask| * width); at or above it, one
 BLAS GEMM per block of consecutive rows, O(m * n * width), and one take of
 the block's entries. Both bound their temporaries by GATHER_BYTES.
-Gradients are of one of three kinds: masked for completion, factored for
-the quadratic distance, dense in tests. truncate is the one
-truncated-SVD primitive for all three and for a thin pair (L, R) standing
-for L @ R.T, with optional bases projected out of both sides; it densifies
-no structured kind below full rank (a masked matrix goes through ARPACK via
-scipy.sparse.linalg.svds on its CSR view, a pair through thin QRs).
+Gradients are of one of three kinds: masked for completion, a thin pair
+(L, R) standing for L @ R.T for the quadratic distance, dense in tests; a
+FactoredMatrix enters every product as the pair (U * sigma, V). truncate is
+the one truncated-SVD primitive for all of them, with optional bases
+projected out of both sides; it densifies no structured kind below full
+rank (a masked matrix goes through ARPACK via scipy.sparse.linalg.svds on
+its CSR view, a pair through thin QRs).
 
 All containers are immutable values after construction; operations are pure,
 and none reads or writes a file (bench owns every file format).
@@ -237,19 +238,30 @@ class FactoredMatrix:
         return f"FactoredMatrix(shape={self.shape}, rank={self.rank})"
 
 
+def ambient_shape(A) -> tuple[int, int]:
+    """(m, n) of a dense, factored or masked matrix or of a thin pair (L, R)."""
+    return (A[0].shape[0], A[1].shape[0]) if isinstance(A, tuple) else A.shape
+
+
 def ambient_matmul(F, W) -> np.ndarray:
-    """F @ W for a dense, factored or masked ambient matrix F and thin dense W."""
+    """F @ W for a dense, masked or thin-pair ambient F and thin dense W: a
+    pair (L, R) gives L @ (R.T @ W), a FactoredMatrix goes as (U * sigma, V)."""
     if isinstance(F, FactoredMatrix):
-        return F.U @ (F.sigma[:, None] * (F.V.T @ W))
+        F = (F.U * F.sigma, F.V)
+    if isinstance(F, tuple):
+        return F[0] @ (F[1].T @ W)
     if isinstance(F, SparseOnMask):
         return F.csr @ W
     return F @ W
 
 
 def ambient_rmatmul(F, W) -> np.ndarray:
-    """F.T @ W for a dense, factored or masked ambient matrix F and thin dense W."""
+    """F.T @ W for a dense, masked or thin-pair ambient F and thin dense W: a
+    pair (L, R) gives R @ (L.T @ W), a FactoredMatrix goes as (U * sigma, V)."""
     if isinstance(F, FactoredMatrix):
-        return F.V @ (F.sigma[:, None] * (F.U.T @ W))
+        F = (F.U * F.sigma, F.V)
+    if isinstance(F, tuple):
+        return F[1] @ (F[0].T @ W)
     if isinstance(F, SparseOnMask):
         return F.csr.T @ W
     return F.T @ W
@@ -295,14 +307,12 @@ def truncate(A, r: int, U=None, V=None) -> FactoredMatrix:
     if isinstance(A, FactoredMatrix) and (_width(U) or _width(V)):
         A = (A.U * A.sigma, A.V)
     if isinstance(A, tuple):
-        L, R = (_as_dense(W) for W in A)
+        L, R = A = tuple(_as_dense(W) for W in A)
         if L.shape[1] != R.shape[1]:
             raise ValueError("thin factors differ in width")
-        shape = (L.shape[0], R.shape[0])
-    else:
-        if not isinstance(A, (FactoredMatrix, SparseOnMask)):
-            A = _as_dense(A)
-        shape = A.shape
+    elif not isinstance(A, (FactoredMatrix, SparseOnMask)):
+        A = _as_dense(A)
+    shape = ambient_shape(A)
     if not 0 <= r <= min(shape):
         raise ValueError(f"rank {r} out of range for shape {shape}")
     if isinstance(A, tuple):
@@ -393,7 +403,10 @@ def orthonormal_polish(W: np.ndarray) -> np.ndarray:
 
 
 def frob_norm(A) -> float:
-    """Frobenius norm of a dense, factored or masked matrix."""
+    """Frobenius norm of a dense, factored or masked matrix or of a thin pair,
+    the latter exact through truncate's QRs, not the Gram identity."""
+    if isinstance(A, tuple):
+        return float(np.linalg.norm(truncate(A, min(ambient_shape(A))).sigma))
     if isinstance(A, FactoredMatrix):
         return float(np.linalg.norm(A.sigma))
     if isinstance(A, SparseOnMask):

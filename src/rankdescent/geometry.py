@@ -21,13 +21,13 @@ new factor; any other step takes two, one per side.
 
 The tangent cone is closed under sign, so the projection of the
 antigradient is the negated projection of the gradient: callers project the
-gradient in whichever form the objective returns it (masked, factored or
-dense) and negate the result blockwise.
+gradient in whichever form the objective returns it (masked, a thin pair
+(L, R) standing for L @ R.T, or dense) and negate the result blockwise.
 
 Large structured matrices are only touched through products with thin
 factors, the best rank-(k-s) approximation of the remainder included:
 core.truncate projects the base spaces out of the gradient's own form and
-never densifies a masked or factored matrix.
+never densifies a masked matrix or a pair.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .core import (
     FactoredMatrix,
     ambient_matmul,
     ambient_rmatmul,
+    ambient_shape,
     frob_norm,
     numerical_rank,
     orthonormal_polish,
@@ -192,10 +193,10 @@ def project_tangent_space(X: VarietyPoint, F) -> ConeTangentVector:
     """Orthogonal projection of an ambient matrix onto the tangent space at X.
 
     Blockwise: core = U.T F V, up = (I - U U.T) F V, vp = (I - V V.T) F.T U.
-    The input may be dense, factored or masked; only products with the thin
-    factors U and V are taken.
+    The input may be dense, factored, masked or a thin pair; only products
+    with the thin factors U and V are taken.
     """
-    if F.shape != X.shape:
+    if ambient_shape(F) != X.shape:
         raise ValueError("dimension mismatch in project_tangent_space")
     U, V = X.point.U, X.point.V
     FV = ambient_matmul(F, V)
@@ -227,14 +228,15 @@ def _perp_truncation(X: VarietyPoint, F, budget: int) -> FactoredMatrix:
 
     core.truncate takes F in the form the objective returns it, with U and V
     projected out: a masked F goes through ARPACK via
-    scipy.sparse.linalg.svds on its CSR view, a factored one through QRs of
-    its projected thin factors, so neither is densified unless the result is
-    as large as F. The factors of the truncation are re-orthogonalized
-    against the base spaces afterwards so the block-orthogonality invariants
-    hold despite roundoff. That projection leaves the columns of each side
-    slightly non-orthonormal, so truncate takes the pair (W_l * sigma, W_r)
-    back to an SVD triple. Remainder modes at roundoff level relative to
-    ||F|| count as zero: they are projection noise, not signal.
+    scipy.sparse.linalg.svds on its CSR view, a thin pair (the quadratic
+    gradient) through QRs of its projected factors, so neither is densified
+    unless the result is as large as F. The factors of the truncation are
+    re-orthogonalized against the base spaces afterwards so the
+    block-orthogonality invariants hold despite roundoff. That projection
+    leaves the columns of each side slightly non-orthonormal, so truncate
+    takes the pair (W_l * sigma, W_r) back to an SVD triple. Remainder modes
+    at roundoff level relative to ||F|| count as zero: they are projection
+    noise, not signal; a pair's ||F|| (core.frob_norm) takes two more QRs.
     """
     U, V = X.point.U, X.point.V
     P = truncate(F, budget, U, V)

@@ -2,21 +2,21 @@
 
 Each objective returns its gradient in one form the tangent-cone projection
 consumes through thin factor products alone: MatrixCompletion as values on
-the mask, QuadraticDistance as one factored matrix. Both compute the residual
-once per point: the gradient at the point whose value was taken last reuses
-its residual. line(xi) is the objective along the curve
-alpha -> retract(xi, alpha) from the base point X of xi, the only thing the
-line search sees: its curvature, computed on its first read, sets the
-initial step when the solver asks for it, value(alpha) is f at a trial
-point, and step() returns the point valued last with its distance from X.
-A Line retracts each trial and evaluates it; on a completion problem it
-gathers the direction on the mask only if its curvature is read. Along a
-flat xi the curve is the ambient line X + alpha * xi, on which matrix
-completion is exactly quadratic: its MaskedLine takes every trial value
-from one gather of the direction on the mask, made at once, retracts once,
-at the accepted step, and files its residual for that point, with no
-gather either. A completion problem's directory is read and written by
-bench, which owns every file format.
+the mask, QuadraticDistance as the thin pair of its joint factors, with no
+QR or SVD. Both compute the residual once per point: the gradient at the
+point whose value was taken last reuses its residual. line(xi) is the
+objective along the curve alpha -> retract(xi, alpha) from the base point X
+of xi, the only thing the line search sees: its curvature, computed on its
+first read, sets the initial step when the solver asks for it, value(alpha)
+is f at a trial point, and step() returns the point valued last with its
+distance from X. A Line retracts each trial and evaluates it; on a
+completion problem it gathers the direction on the mask only if its
+curvature is read. Along a flat xi the curve is the ambient line X + alpha *
+xi, on which matrix completion is exactly quadratic: its MaskedLine takes
+every trial value from one gather of the direction on the mask, made at
+once, retracts once, at the accepted step, and files its residual for that
+point, with no gather either. A completion problem's directory is read and
+written by bench, which owns every file format.
 """
 
 from __future__ import annotations
@@ -25,14 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (
-    FactoredMatrix,
-    SparseOnMask,
-    frob_norm,
-    mask_apply,
-    mask_gather,
-    truncate,
-)
+from .core import FactoredMatrix, SparseOnMask, factored_diff_norm, mask_apply, mask_gather
 from .geometry import ConeTangentVector, VarietyPoint, retract
 
 
@@ -130,10 +123,10 @@ class Objective:
         return r
 
     def _keep_residual(self, point: FactoredMatrix, r) -> None:
-        """File r as the residual of point in the slot. An array residual is
-        made read-only; a FactoredMatrix one is immutable already."""
-        if isinstance(r, np.ndarray):
-            r.flags.writeable = False
+        """File r as the residual of point in the slot, its arrays made
+        read-only: r itself, or the pair of a (pair, distance) residual."""
+        for a in r[0] if isinstance(r, tuple) else (r,):
+            a.flags.writeable = False
         self._last = (point, r)
 
 
@@ -181,31 +174,32 @@ class MatrixCompletion(Objective):
 class QuadraticDistance(Objective):
     """Half the squared Frobenius distance to a fixed factored target.
 
-    The residual X - A is one FactoredMatrix, core.truncate of the thin pair
-    ([X.U * sigma | -A.U * tau], [X.V | A.V]) at full rank: the value is
-    0.5 * ||sigma_res||^2 and the gradient is the residual itself. A point
-    whose factors equal the target's bitwise has the exact zero residual,
-    which the QRs of the pair would only give to roundoff.
+    The residual is the pair ((L, R), d): the thin pair L =
+    [X.U * sigma | -A.U * tau], R = [X.V | A.V] with L @ R.T = X - A, and
+    d = ||X - A|| from core.factored_diff_norm, with no QR. The value is
+    0.5 * d^2 and the gradient is the pair, which the cone projection takes
+    through thin products. A point whose factors equal the target's bitwise
+    has the exact zero residual, a zero-width pair with d = 0.
     """
 
     def __init__(self, target: FactoredMatrix):
         self.target = target
         self.shape = target.shape
 
-    def _compute_residual(self, point: FactoredMatrix) -> FactoredMatrix:
+    def _compute_residual(self, point: FactoredMatrix):
         T = self.target
         pairs = ((point.sigma, T.sigma), (point.U, T.U), (point.V, T.V))
         if all(np.array_equal(a, b) for a, b in pairs):
-            return FactoredMatrix.zero(*self.shape)
+            return (np.zeros((self.shape[0], 0)), np.zeros((self.shape[1], 0))), 0.0
         L = np.hstack([point.U * point.sigma, -(T.U * T.sigma)])
         R = np.hstack([point.V, T.V])
-        return truncate((L, R), min(self.shape))
+        return (L, R), factored_diff_norm(T, point)
 
     def value(self, X: VarietyPoint) -> float:
-        return 0.5 * frob_norm(self._residual(X)) ** 2
+        return 0.5 * self._residual(X)[1] ** 2
 
-    def gradient(self, X: VarietyPoint) -> FactoredMatrix:
-        return self._residual(X)
+    def gradient(self, X: VarietyPoint) -> tuple[np.ndarray, np.ndarray]:
+        return self._residual(X)[0]
 
     def line(self, xi: ConeTangentVector) -> Line:
         """The curvature <xi, Hess f xi> = ||xi||^2 alone: the Hessian is the identity."""

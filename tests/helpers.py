@@ -11,7 +11,9 @@ from rankdescent.solvers import TraceRecord
 
 
 def ambient_dense(F) -> np.ndarray:
-    """Densify a dense, factored or masked ambient matrix."""
+    """Densify a dense, factored or masked ambient matrix or a thin pair (L, R)."""
+    if isinstance(F, tuple):
+        return F[0] @ F[1].T
     if isinstance(F, (FactoredMatrix, SparseOnMask)):
         return F.dense()
     return np.asarray(F, dtype=float)
@@ -29,18 +31,28 @@ def zero_tangent(X: VarietyPoint) -> ConeTangentVector:
     return ConeTangentVector(X, np.zeros((s, s)), np.zeros((m, s)), np.zeros((n, s)))
 
 
-def count_qr_calls(monkeypatch) -> list:
-    """Wrap np.linalg.qr for the test; each call appends its input's shape
-    to the returned list."""
+def _count_linalg_calls(monkeypatch, name: str) -> list:
+    """Wrap np.linalg.<name> for the test; each call appends its input's
+    shape to the returned list."""
     calls = []
-    qr = np.linalg.qr
+    real = getattr(np.linalg, name)
 
     def counted(a, *args, **kwargs):
         calls.append(np.shape(a))
-        return qr(a, *args, **kwargs)
+        return real(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "qr", counted)
+    monkeypatch.setattr(np.linalg, name, counted)
     return calls
+
+
+def count_qr_calls(monkeypatch) -> list:
+    """The shapes of the np.linalg.qr calls made from here on in the test."""
+    return _count_linalg_calls(monkeypatch, "qr")
+
+
+def count_svd_calls(monkeypatch) -> list:
+    """The shapes of the np.linalg.svd calls made from here on in the test."""
+    return _count_linalg_calls(monkeypatch, "svd")
 
 
 def partial_directions(X: VarietyPoint, F, projection: ConeTangentVector | None = None):

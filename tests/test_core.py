@@ -261,6 +261,24 @@ class TestNorms:
         assert np.allclose(D.dense(), FA.dense() - FB.dense(), atol=1e-13)
         assert factored_diff_norm(FA, FB) == pytest.approx(frob_norm(D), rel=1e-14)
 
+    @pytest.mark.parametrize("m, n, w", [(9, 6, 3), (6, 9, 4), (5, 4, 7), (6, 5, 0)])
+    def test_frob_norm_of_a_pair(self, m, n, w):
+        # w = 7 is wider than min(m, n); w = 0 is the zero pair
+        rng = np.random.default_rng(m * n + w)
+        L, R = rng.standard_normal((m, w)), rng.standard_normal((n, w))
+        assert frob_norm((L, R)) == pytest.approx(np.linalg.norm(L @ R.T), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("scale", [1e-4, 1e-8, 1e-12])
+    def test_frob_norm_of_a_small_pair_difference(self, scale):
+        # [A | -B] @ [V | V].T for B = A + scale * P: the error stays at the
+        # roundoff of the factors, where the Gram identity loses half the
+        # digits of the difference (about 1e-8 relative at scale 1e-8)
+        rng = np.random.default_rng(int(-np.log10(scale)))
+        A, P, V = rng.standard_normal((8, 3)), rng.standard_normal((8, 3)), rng.standard_normal((6, 3))
+        pair = (np.hstack([A, -(A + scale * P)]), np.hstack([V, V]))
+        ref = scale * np.linalg.norm(P @ V.T)
+        assert abs(frob_norm(pair) - ref) <= 1e-14 * np.linalg.norm(A) * np.linalg.norm(V)
+
     @staticmethod
     def long_double_diff_norm(A, B) -> float:
         """||A - B||_F densified from the factors in extended precision."""
@@ -585,6 +603,17 @@ class TestAmbient:
             assert np.array_equal(ambient_dense(X), D)
             assert np.allclose(ambient_matmul(X, W), D @ W, atol=1e-12)
             assert np.allclose(ambient_rmatmul(X, W2), D.T @ W2, atol=1e-12)
+
+    @pytest.mark.parametrize("m, n, w", [(5, 4, 2), (4, 5, 3), (5, 4, 7), (3, 6, 0)])
+    def test_products_of_a_pair_match_dense(self, m, n, w):
+        # w = 7 is wider than min(m, n); w = 0 is the zero pair
+        rng = np.random.default_rng(m + n + w)
+        L, R = rng.standard_normal((m, w)), rng.standard_normal((n, w))
+        W, W2 = rng.standard_normal((n, 3)), rng.standard_normal((m, 2))
+        D = L @ R.T
+        assert np.array_equal(ambient_dense((L, R)), D)
+        assert np.allclose(ambient_matmul((L, R), W), D @ W, rtol=0, atol=1e-12)
+        assert np.allclose(ambient_rmatmul((L, R), W2), D.T @ W2, rtol=0, atol=1e-12)
 
 
 class TestIO:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from rankdescent.core import (
-    FactoredMatrix,
     IndexSet,
     SparseOnMask,
     frob_norm,
@@ -17,7 +16,7 @@ from rankdescent.geometry import (
     retract,
 )
 from rankdescent.linesearch import secant_curvature
-from helpers import ambient_dense, random_cone_vector, zero_point
+from helpers import ambient_dense, count_qr_calls, count_svd_calls, random_cone_vector, zero_point
 from rankdescent import objectives
 from rankdescent.objectives import (
     Line,
@@ -251,44 +250,74 @@ class TestQuadraticDistance:
         g = QuadraticDistance(A).gradient(X)
         assert np.allclose(ambient_dense(g), X.dense() - A.dense(), atol=1e-13)
 
-    @pytest.mark.parametrize("m, n, r, s", [(12, 10, 4, 3), (6, 5, 4, 3), (5, 7, 5, 4)])
+    # (m, n, rank of the target, rank of X): s + r > min(m, n) in the last
+    # two cases, where the joint factors are wider than the matrix
+    SHAPES = [(12, 10, 4, 3), (6, 5, 4, 3), (5, 7, 5, 4)]
+
+    @pytest.mark.parametrize("m, n, r, s", SHAPES)
     def test_gradient_is_one_factored_matrix(self, m, n, r, s):
-        # s + r > min(m, n) in the last two cases: the joint QRs are square
+        # the gradient is the thin pair of the joint factors, L @ R.T = X - A
         rng = np.random.default_rng(m + n + r + s)
         A = truncate(rng.standard_normal((m, n)), r)
         X = random_point(rng, m, n, s, max(r, s))
         obj = QuadraticDistance(A)
-        g = obj.gradient(X)
-        assert isinstance(g, FactoredMatrix)
-        assert g.rank <= min(m, n, r + s)
+        L, R = obj.gradient(X)
+        assert L.shape == (m, s + r) and R.shape == (n, s + r)
+        assert not (L.flags.writeable or R.flags.writeable)
         D = X.dense() - A.dense()
-        assert np.allclose(g.dense(), D, atol=1e-13 * np.linalg.norm(D))
+        assert np.allclose(L @ R.T, D, atol=1e-13 * np.linalg.norm(D))
         assert obj.value(X) == pytest.approx(0.5 * np.sum(D**2), rel=1e-12)
+
+    @pytest.mark.parametrize("m, n, r, s", SHAPES)
+    def test_cone_projection_of_the_pair_matches_dense(self, m, n, r, s):
+        # at s = k (tangent space only) and at s < k (perp block included)
+        rng = np.random.default_rng(10 * (m + n + r + s))
+        A = truncate(rng.standard_normal((m, n)), r)
+        for k in (s, min(m, n, s + 2)):
+            X = random_point(rng, m, n, s, k)
+            G, g = project_cone(X, QuadraticDistance(A).gradient(X))
+            E, e = project_cone(X, X.dense() - A.dense())
+            assert G.perp.rank == E.perp.rank == min(k - s, m - s, n - s)
+            scale = np.linalg.norm(E.dense())
+            assert np.abs(G.dense() - E.dense()).max() <= 1e-12 * scale
+            assert g == pytest.approx(e, rel=1e-12)
+
+    def test_no_qr_and_no_svd_at_full_rank(self, monkeypatch):
+        # at s = k the value is factored_diff_norm's and the cone projection
+        # is the tangent space's thin products: no factorization at all
+        rng = np.random.default_rng(11)
+        A = truncate(rng.standard_normal((30, 20)), 5)
+        X = random_point(rng, 30, 20, 5, 5)
+        qrs, svds = count_qr_calls(monkeypatch), count_svd_calls(monkeypatch)
+        obj = QuadraticDistance(A)
+        obj.value(X)
+        project_cone(X, obj.gradient(X))
+        assert qrs == [] and svds == []
 
     def test_exact_zero_at_identical_factors(self):
         rng = np.random.default_rng(3)
         A = truncate(rng.standard_normal((8, 7)), 3)
         obj = QuadraticDistance(A)
         X = VarietyPoint(truncate(A, 3), 3)
-        g = obj.gradient(X)
-        assert g.rank == 0 and g.shape == A.shape
+        L, R = obj.gradient(X)
+        assert L.shape == (8, 0) and R.shape == (7, 0)
         assert obj.value(X) == 0.0
 
     def test_one_residual_per_point(self, monkeypatch):
         calls = []
-        real = objectives.truncate
+        real = objectives.factored_diff_norm
         monkeypatch.setattr(
-            objectives, "truncate", lambda A, r: calls.append(A) or real(A, r)
+            objectives, "factored_diff_norm", lambda A, B: calls.append(B) or real(A, B)
         )
         rng = np.random.default_rng(5)
         obj = QuadraticDistance(truncate(rng.standard_normal((9, 8)), 4))
         X = random_point(rng, 9, 8, 3, 4)
         f = obj.value(X)
-        g = obj.gradient(X)
-        assert len(calls) == 1
+        L, R = obj.gradient(X)
+        assert calls == [X.point]
         fresh = QuadraticDistance(obj.target)
         assert f == fresh.value(X)
-        assert np.array_equal(g.dense(), fresh.gradient(X).dense())
+        assert all(map(np.array_equal, (L, R), fresh.gradient(X)))
 
 
 class TestFiniteDifferences:

@@ -499,8 +499,8 @@ class TestFailurePropagation:
 
         class LyingGradient(QuadraticDistance):
             def gradient(self, X):
-                g = super().gradient(X)
-                return FactoredMatrix(-g.U, g.sigma, g.V)  # A - X: wrong sign
+                L, R = super().gradient(X)
+                return -L, R  # A - X: wrong sign
 
         X0 = random_point(rng, 6, 5, 2, 2)
         with pytest.raises(LineSearchError) as err:
