@@ -14,12 +14,11 @@ it, a row-wise dot product per entry, O(|mask| * width); at or above it, one
 BLAS GEMM per block of consecutive rows, O(m * n * width), and one take of
 the block's entries. Both bound their temporaries by GATHER_BYTES.
 Gradients are of one of three kinds: masked for completion, a thin pair
-(L, R) standing for L @ R.T for the quadratic distance, dense in tests; a
-FactoredMatrix enters every product as the pair (U * sigma, V). truncate is
-the one truncated-SVD primitive for all of them, with optional bases
-projected out of both sides; it densifies no structured kind below full
-rank (a masked matrix goes through ARPACK via scipy.sparse.linalg.svds on
-its CSR view, a pair through thin QRs).
+(L, R) standing for L @ R.T for the quadratic distance, dense in tests.
+truncate is the one truncated-SVD primitive for all of them, with optional
+bases projected out of both sides; it densifies no structured kind below
+full rank (a masked matrix goes through ARPACK via scipy.sparse.linalg.svds
+on its CSR view, a pair through thin QRs).
 
 All containers are immutable values after construction; operations are pure,
 and none reads or writes a file (bench owns every file format).
@@ -130,14 +129,6 @@ class IndexSet:
     def __len__(self) -> int:
         return self.rows.size
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IndexSet)
-            and self.dims == other.dims
-            and np.array_equal(self.rows, other.rows)
-            and np.array_equal(self.cols, other.cols)
-        )
-
     def __repr__(self) -> str:
         return f"IndexSet(dims={self.dims}, size={len(self)})"
 
@@ -239,15 +230,21 @@ class FactoredMatrix:
 
 
 def ambient_shape(A) -> tuple[int, int]:
-    """(m, n) of a dense, factored or masked matrix or of a thin pair (L, R)."""
+    """(m, n) of a dense or masked matrix or of a thin pair (L, R)."""
     return (A[0].shape[0], A[1].shape[0]) if isinstance(A, tuple) else A.shape
+
+
+def _as_pair(A) -> tuple[np.ndarray, np.ndarray]:
+    """A thin pair (L, R) as two 2-D float arrays of equal width."""
+    L, R = (_as_dense(W) for W in A)
+    if L.shape[1] != R.shape[1]:
+        raise ValueError("thin factors differ in width")
+    return L, R
 
 
 def ambient_matmul(F, W) -> np.ndarray:
     """F @ W for a dense, masked or thin-pair ambient F and thin dense W: a
-    pair (L, R) gives L @ (R.T @ W), a FactoredMatrix goes as (U * sigma, V)."""
-    if isinstance(F, FactoredMatrix):
-        F = (F.U * F.sigma, F.V)
+    pair (L, R) gives L @ (R.T @ W)."""
     if isinstance(F, tuple):
         return F[0] @ (F[1].T @ W)
     if isinstance(F, SparseOnMask):
@@ -257,9 +254,7 @@ def ambient_matmul(F, W) -> np.ndarray:
 
 def ambient_rmatmul(F, W) -> np.ndarray:
     """F.T @ W for a dense, masked or thin-pair ambient F and thin dense W: a
-    pair (L, R) gives R @ (L.T @ W), a FactoredMatrix goes as (U * sigma, V)."""
-    if isinstance(F, FactoredMatrix):
-        F = (F.U * F.sigma, F.V)
+    pair (L, R) gives R @ (L.T @ W)."""
     if isinstance(F, tuple):
         return F[1] @ (F[0].T @ W)
     if isinstance(F, SparseOnMask):
@@ -285,32 +280,25 @@ def truncate(A, r: int, U=None, V=None) -> FactoredMatrix:
     (I - U U.T) A (I - V V.T).
 
     U and V are optional column-orthonormal bases projected out of the column
-    and row spaces (None projects nothing). A is dense, factored, masked, or
-    a thin pair (L, R) of equal width standing for L @ R.T, and no
-    structured kind is densified below r = min(m, n):
+    and row spaces (None projects nothing). A is dense, masked, or a thin
+    pair (L, R) of equal width standing for L @ R.T, and no structured kind
+    is densified below r = min(m, n):
 
     - dense: the projected matrix goes through LAPACK's SVD, and ties between
       equal singular values keep its ordering (the first r columns);
     - pair: the projected L and R go through compact QRs and an SVD of the
       small R_L @ R_R.T, exact in O((m+n) width^2);
-    - factored: the stored triple is sliced, or with bases to project out
-      taken as the pair (U * sigma, V);
     - masked: ARPACK via scipy.sparse.linalg.svds (_masked_truncate), whose
       products go through the CSR view; at r = min(m, n) the result is as
       large as A, and A is densified.
 
-    A pair gives at most min(r, width) triples, a factored A min(r, rank), a
-    masked one min(r, d) with d the smaller of the two complements'
-    dimensions (none when the projected A is zero), a dense one r; trailing
-    singular values may be zero.
+    A pair gives at most min(r, width) triples, a masked A min(r, d) with d
+    the smaller of the two complements' dimensions (none when the projected
+    A is zero), a dense one r; trailing singular values may be zero.
     """
-    if isinstance(A, FactoredMatrix) and (_width(U) or _width(V)):
-        A = (A.U * A.sigma, A.V)
     if isinstance(A, tuple):
-        L, R = A = tuple(_as_dense(W) for W in A)
-        if L.shape[1] != R.shape[1]:
-            raise ValueError("thin factors differ in width")
-    elif not isinstance(A, (FactoredMatrix, SparseOnMask)):
+        L, R = A = _as_pair(A)
+    elif not isinstance(A, SparseOnMask):
         A = _as_dense(A)
     shape = ambient_shape(A)
     if not 0 <= r <= min(shape):
@@ -325,9 +313,6 @@ def truncate(A, r: int, U=None, V=None) -> FactoredMatrix:
         return FactoredMatrix(QL @ Ub[:, :q], sb[:q], QR @ Vb[:, :q])
     if isinstance(A, SparseOnMask):
         return _masked_truncate(A, r, U, V)
-    if isinstance(A, FactoredMatrix):
-        q = min(r, A.rank)
-        return FactoredMatrix(A.U[:, :q], A.sigma[:q], A.V[:, :q])
     A = project_out(A, U)
     if _width(V):
         A = A - (A @ V) @ V.T
@@ -403,12 +388,15 @@ def orthonormal_polish(W: np.ndarray) -> np.ndarray:
 
 
 def frob_norm(A) -> float:
-    """Frobenius norm of a dense, factored or masked matrix or of a thin pair,
-    the latter exact through truncate's QRs, not the Gram identity."""
+    """Frobenius norm of a dense or masked matrix or of a thin pair (L, R),
+    a pair's as ||L @ R_R.T|| after one compact QR R = Q @ R_R (Q has
+    orthonormal columns), not by the Gram identity; non-finite factors raise
+    ValueError before the QR."""
     if isinstance(A, tuple):
-        return float(np.linalg.norm(truncate(A, min(ambient_shape(A))).sigma))
-    if isinstance(A, FactoredMatrix):
-        return float(np.linalg.norm(A.sigma))
+        L, R = _as_pair(A)
+        if not (np.isfinite(L).all() and np.isfinite(R).all()):
+            raise ValueError("non-finite entries in input matrix")
+        return float(np.linalg.norm(L @ np.linalg.qr(R, mode="r").T))
     if isinstance(A, SparseOnMask):
         return float(np.linalg.norm(A.values))
     return float(np.linalg.norm(_as_dense(A)))

@@ -193,8 +193,8 @@ def project_tangent_space(X: VarietyPoint, F) -> ConeTangentVector:
     """Orthogonal projection of an ambient matrix onto the tangent space at X.
 
     Blockwise: core = U.T F V, up = (I - U U.T) F V, vp = (I - V V.T) F.T U.
-    The input may be dense, factored, masked or a thin pair; only products
-    with the thin factors U and V are taken.
+    The input may be dense, masked or a thin pair; only products with the
+    thin factors U and V are taken.
     """
     if ambient_shape(F) != X.shape:
         raise ValueError("dimension mismatch in project_tangent_space")
@@ -236,7 +236,7 @@ def _perp_truncation(X: VarietyPoint, F, budget: int) -> FactoredMatrix:
     leaves the columns of each side slightly non-orthonormal, so truncate
     takes the pair (W_l * sigma, W_r) back to an SVD triple. Remainder modes
     at roundoff level relative to ||F|| count as zero: they are projection
-    noise, not signal; a pair's ||F|| (core.frob_norm) takes two more QRs.
+    noise, not signal; a pair's ||F|| (core.frob_norm) takes one more QR.
     """
     U, V = X.point.U, X.point.V
     P = truncate(F, budget, U, V)

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from rankdescent.core import FactoredMatrix, SparseOnMask, project_out
+from rankdescent.core import FactoredMatrix, IndexSet, SparseOnMask, project_out
 from rankdescent.geometry import ConeTangentVector, VarietyPoint, project_cone, random_point
 from rankdescent.bench import TRACE_COLUMNS
 from rankdescent.solvers import TraceRecord
@@ -17,6 +17,11 @@ def ambient_dense(F) -> np.ndarray:
     if isinstance(F, (FactoredMatrix, SparseOnMask)):
         return F.dense()
     return np.asarray(F, dtype=float)
+
+
+def same_index_set(a: IndexSet, b: IndexSet) -> bool:
+    """Whether two index sets hold the same dims and the same pairs."""
+    return a.dims == b.dims and np.array_equal(a.rows, b.rows) and np.array_equal(a.cols, b.cols)
 
 
 def zero_point(m: int, n: int, k: int) -> VarietyPoint:

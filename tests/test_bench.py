@@ -24,7 +24,7 @@ from rankdescent.core import FactoredMatrix, IndexSet, SparseOnMask, truncate
 from rankdescent.geometry import VarietyPoint, make_point
 from rankdescent.objectives import MatrixCompletion
 from rankdescent.solvers import SolverConfig
-from helpers import zero_point
+from helpers import same_index_set, zero_point
 
 
 class TestOmegaSize:
@@ -77,7 +77,7 @@ class TestGenProblem:
         p2, t2 = gen_problem(spec)
         assert np.array_equal(p1.data.values, p2.data.values)
         assert np.array_equal(t1.U, t2.U)
-        assert p1.mask == p2.mask
+        assert same_index_set(p1.mask, p2.mask)
 
     def test_mask_sampling_uniform(self):
         # 1e4 resamples of a 10x10 grid with |mask| = 20: per-cell inclusion

@@ -166,7 +166,7 @@ class TestConeProjection:
             X = random_point(rng, m, n, s, k)
             F = truncate(rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n)), rank)
             D = F.dense()
-            G, _ = project_cone(X, F)
+            G, _ = project_cone(X, (F.U * F.sigma, F.V))
             oracle = self._perp_oracle(X, D)
             assert np.linalg.norm(G.perp.dense() - oracle) <= 1e-12 * np.linalg.norm(D)
 

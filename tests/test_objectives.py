@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rankdescent.core import (
+    FactoredMatrix,
     IndexSet,
     SparseOnMask,
     frob_norm,
@@ -10,13 +11,21 @@ from rankdescent.core import (
 from rankdescent.geometry import (
     VarietyPoint,
     choose_flat_direction,
+    g_lower_bound,
     make_point,
     project_cone,
     random_point,
     retract,
 )
 from rankdescent.linesearch import secant_curvature
-from helpers import ambient_dense, count_qr_calls, count_svd_calls, random_cone_vector, zero_point
+from helpers import (
+    ambient_dense,
+    count_qr_calls,
+    count_svd_calls,
+    random_cone_vector,
+    same_index_set,
+    zero_point,
+)
 from rankdescent import objectives
 from rankdescent.objectives import (
     Line,
@@ -212,7 +221,7 @@ class TestQuadraticDistance:
         obj = QuadraticDistance(A)
         X = VarietyPoint(A, 3)
         # Gram-identity evaluation carries roundoff at the scale of ||A||^2
-        assert obj.value(X) <= 1e-13 * frob_norm(A) ** 2
+        assert obj.value(X) <= 1e-13 * np.linalg.norm(A.sigma) ** 2
         g = obj.gradient(X)
         assert frob_norm(ambient_dense(g)) <= 1e-12
 
@@ -294,11 +303,37 @@ class TestQuadraticDistance:
         project_cone(X, obj.gradient(X))
         assert qrs == [] and svds == []
 
+    def test_five_qrs_and_two_svds_at_a_deficient_point(self, monkeypatch):
+        # at s < k the cone projection truncates the pair with the base
+        # spaces projected out (2 QRs, 1 SVD), takes its scale ||F|| (1 QR)
+        # and re-truncates the re-orthogonalized factors (2 QRs, 1 SVD)
+        rng = np.random.default_rng(12)
+        A = truncate(rng.standard_normal((50, 6)) @ rng.standard_normal((6, 40)), 6)
+        X = random_point(rng, 50, 40, 3, 6)
+        qrs, svds = count_qr_calls(monkeypatch), count_svd_calls(monkeypatch)
+        obj = QuadraticDistance(A)
+        obj.value(X)
+        project_cone(X, obj.gradient(X))
+        assert len(qrs) == 5 and len(svds) == 2
+
+    @pytest.mark.parametrize("m, n, r, s, k", [(30, 20, 6, 2, 6), (20, 30, 3, 2, 7), (25, 25, 4, 0, 8)])
+    def test_pair_gradient_meets_the_lower_bound(self, m, n, r, s, k):
+        # r < k in the last two: the target alone cannot fill the budget
+        rng = np.random.default_rng(m + 2 * n + r + s + k)
+        A = truncate(rng.standard_normal((m, r)) @ rng.standard_normal((r, n)), r)
+        X = random_point(rng, m, n, s, k)
+        L, R = QuadraticDistance(A).gradient(X)
+        expect = np.sqrt((k - s) / min(m - s, n - s)) * np.linalg.norm(L @ R.T)
+        bound = g_lower_bound(X, (L, R))
+        assert bound == pytest.approx(expect, rel=1e-13, abs=0)
+        _, g = project_cone(X, (L, R))
+        assert g >= bound
+
     def test_exact_zero_at_identical_factors(self):
         rng = np.random.default_rng(3)
         A = truncate(rng.standard_normal((8, 7)), 3)
         obj = QuadraticDistance(A)
-        X = VarietyPoint(truncate(A, 3), 3)
+        X = VarietyPoint(FactoredMatrix(A.U.copy(), A.sigma.copy(), A.V.copy()), 3)
         L, R = obj.gradient(X)
         assert L.shape == (8, 0) and R.shape == (7, 0)
         assert obj.value(X) == 0.0
@@ -371,7 +406,7 @@ class TestSerialization:
         save_completion(tmp_path / "prob", problem, target)
         back, tgt = load_completion(tmp_path / "prob")
         assert back.shape == (6, 6)
-        assert back.mask == mask
+        assert same_index_set(back.mask, mask)
         assert np.array_equal(back.data.values, vals)
         assert np.array_equal(tgt.sigma, target.sigma)
 

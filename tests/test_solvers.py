@@ -56,7 +56,7 @@ class TestSolveBasics:
         rng = np.random.default_rng(0)
         A = truncate(rng.standard_normal((8, 7)), 3)  # rank 3 = k
         obj = QuadraticDistance(A)
-        X0 = VarietyPoint(truncate(A, 3), 3)
+        X0 = VarietyPoint(FactoredMatrix(A.U.copy(), A.sigma.copy(), A.V.copy()), 3)
         res = solve(obj, X0, SolverConfig(k=3, max_iters=50))
         assert res.status is SolveStatus.STATIONARY
         assert len(res.trace) == 1
@@ -275,7 +275,7 @@ class TestStepFunctions:
         prev = res.iterates[0]
         for rec, nxt in zip(res.trace[:-1], res.iterates[1:]):
             exact = factored_diff_norm(nxt.point, prev.point)
-            assert abs(rec.displacement - exact) <= 1e-12 * frob_norm(prev.point)
+            assert abs(rec.displacement - exact) <= 1e-12 * np.linalg.norm(prev.point.sigma)
             prev = nxt
 
 
@@ -471,7 +471,7 @@ class TestSecantStart:
         rng = np.random.default_rng(4)
         X0 = random_point(rng, 8, 6, 2, 2)
         G = truncate(rng.standard_normal((8, 6)), 6)
-        obj = ScriptedObjective(FactoredMatrix(G.U, scale * G.sigma, G.V), first)
+        obj = ScriptedObjective((G.U * (scale * G.sigma), G.V), first)
         res = solve(obj, X0, SolverConfig(k=2, max_iters=2))
         rec, nxt = res.trace[0], res.trace[1]
         assert rec.alpha == 4.0 * 0.5**rec.backtracks
