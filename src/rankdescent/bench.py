@@ -25,7 +25,7 @@ from .core import (
     IndexSet,
     SparseOnMask,
     factored_diff_norm,
-    mask_apply,
+    mask_gather,
     orthonormal_polish,
     truncate,
 )
@@ -104,7 +104,8 @@ def gen_problem(spec: CompletionSpec):
 
     T = truncate((Uf, Vf), spec.r)
     target = FactoredMatrix(orthonormal_polish(T.U), T.sigma, orthonormal_polish(T.V))
-    return MatrixCompletion(mask_apply(target, mask)), target
+    values = mask_gather(target.U * target.sigma, target.V, mask)
+    return MatrixCompletion(SparseOnMask(mask, values)), target
 
 
 def initial_guess(problem: MatrixCompletion, k: int) -> VarietyPoint:

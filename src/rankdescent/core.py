@@ -495,19 +495,3 @@ def mask_gather(L: np.ndarray, R: np.ndarray, mask: IndexSet) -> np.ndarray:
         )
     return out
 
-
-def mask_apply(X, mask: IndexSet) -> SparseOnMask:
-    """Restrict X to a mask: values[p] = X[i_p, j_p].
-
-    For a FactoredMatrix the entries are gathered from the sigma-scaled
-    factors by mask_gather (row-wise or by row-blocked GEMM, by density),
-    without densifying.
-    """
-    if isinstance(X, FactoredMatrix):
-        if X.shape != mask.dims:
-            raise ValueError("dimension mismatch in mask_apply")
-        return SparseOnMask(mask, mask_gather(X.U * X.sigma, X.V, mask))
-    X = _as_dense(X)
-    if X.shape != mask.dims:
-        raise ValueError("dimension mismatch in mask_apply")
-    return SparseOnMask(mask, X[mask.rows, mask.cols])

@@ -17,7 +17,8 @@ projections, along which X + alpha * xi never leaves the variety. A cone
 tangent vector carries its base point, so the retraction retract(xi, alpha)
 is a map on the tangent bundle: it reads X from xi.base. A flat step
 changes one side of X only, so its retraction takes one QR, of that side's
-new factor; any other step takes two, one per side.
+new factor; any other step takes two, one per side. Both then take one SVD
+of a small middle matrix.
 
 The tangent cone is closed under sign, so the projection of the
 antigradient is the negated projection of the gradient: callers project the
@@ -273,21 +274,29 @@ def g_lower_bound(X: VarietyPoint, F) -> float:
 def retract(xi: ConeTangentVector, alpha: float) -> tuple[VarietyPoint, float]:
     """Best rank-at-most-k approximation of X + alpha * xi, X = xi.base.
 
-    Returns the pair (Y, ||Y - X||_F); the full matrix is never formed.
-    Along a flat xi (see ConeTangentVector.flat) nothing is truncated: Y is
-    X + alpha * xi, factored over the side that does not change by
-    _flat_step with one QR, and the distance is alpha * ||xi||. Otherwise
-    X + alpha * xi is expressed over the orthonormal bases [U | QL] and
-    [V | QR] obtained from compact QRs of the up/perp and vp/perp blocks, so
-    only a (2s+p)-sized middle matrix B is ever decomposed, in
-    O((m+n)(k+s)^2). Y is B_r, the SVD of B cut to the kept modes, and over
-    the same bases X is diag(sigma, 0), so the distance is
-    ||B_r - diag(sigma, 0)||_F, a small-matrix norm with no QR. Numerically
-    zero modes are trimmed from the result, which satisfies
+    Returns the pair (Y, ||Y - X||_F); the full matrix is never formed. Both
+    kinds of step write X + alpha * xi as left @ M @ right.T over
+    orthonormal bases and share one tail: the SVD of the small M, a cut at
+    min(k, numerical rank), and orthonormal_polish of both new factors.
+
+    - Along a flat xi (see ConeTangentVector.flat) nothing is truncated.
+      With vp = 0, right = [V | perp.V] does not change, and one compact QR
+      of N = [U * sigma + alpha * (U @ core + up) | alpha * perp.U *
+      perp.sigma] gives left @ M. An up = 0 step is the vp = 0 step of the
+      transposed problem (U and V, up and vp, perp.U and perp.V swapped,
+      core transposed), whose factors come back swapped. alpha multiplies
+      only finite terms, so an overflowing step leaves inf, never NaN, in
+      N. Y is X + alpha * xi, and the distance is alpha * ||xi||.
+    - Any other step takes left = [U | QL] and right = [V | QR] from compact
+      QRs of the up/perp and vp/perp blocks, so M is a (2s+p)-sized middle
+      matrix B, in O((m+n)(k+s)^2). Over the same bases X is
+      diag(sigma, 0), so the distance is ||B_r - diag(sigma, 0)||_F, B_r
+      the SVD of B cut to the kept modes: a small-matrix norm with no QR.
+
+    Numerically zero modes are trimmed from the result, which satisfies
     ||retract(xi, 1) - (X + xi)|| <= ||xi|| / sqrt(2).
-    Raises ValueError when the matrix to be decomposed overflows (its
-    Frobenius norm is not finite), before any QR or SVD, which on such input
-    may not return.
+    Raises ValueError when N or B overflows (its Frobenius norm is not
+    finite), before the QR or SVD that on such input may not return.
     """
     if alpha < 0:
         raise ValueError("step size must be nonnegative")
@@ -295,62 +304,41 @@ def retract(xi: ConeTangentVector, alpha: float) -> tuple[VarietyPoint, float]:
     xi_norm = xi.norm()
     if alpha == 0.0 or xi_norm == 0.0:
         return X, 0.0
-    if xi.flat:
-        return _flat_step(xi, alpha), alpha * xi_norm
-    U, V = X.point.U, X.point.V
+    U, sigma, V, perp = X.point.U, X.point.sigma, X.point.V, xi.perp
     s = X.s
-    QL, RL = np.linalg.qr(project_out(np.hstack([xi.up, xi.perp.U]), U))
-    QR_, RR = np.linalg.qr(project_out(np.hstack([xi.vp, xi.perp.V]), V))
-
-    # middle matrix over the bases [U | QL] x [V | QR_]
-    top = np.hstack([
-        np.diag(X.point.sigma) + alpha * xi.core,
-        alpha * RR[:, :s].T,
-    ])
-    bottom = np.hstack([
-        alpha * RL[:, :s],
-        alpha * (RL[:, s:] * xi.perp.sigma) @ RR[:, s:].T,
-    ])
-    B = np.vstack([top, bottom])
-    _check_finite(B)
-
-    Ub, sb, Vbt = np.linalg.svd(B, full_matrices=False)
-    r = min(X.k, numerical_rank(sb))
-    U_new = orthonormal_polish(np.hstack([U, QL]) @ Ub[:, :r])
-    V_new = orthonormal_polish(np.hstack([V, QR_]) @ Vbt[:r].T)
-    step = (Ub[:, :r] * sb[:r]) @ Vbt[:r]
-    step[:s, :s] -= np.diag(X.point.sigma)
-    return VarietyPoint(FactoredMatrix(U_new, sb[:r], V_new), X.k), float(np.linalg.norm(step))
-
-
-def _flat_step(xi: ConeTangentVector, alpha: float) -> VarietyPoint:
-    """X + alpha * xi for a flat xi, with one QR of the side that changes.
-
-    With up = 0, X + alpha * xi = [U | perp.U] @ N.T for
-    N = [V * sigma + alpha * (V @ core.T + vp) | alpha * perp.V * perp.sigma];
-    with vp = 0 the same holds with the sides swapped. [U | perp.U] is
-    already orthonormal, so only N is factored: N = Q @ R by a compact QR,
-    and the SVD of the (s+p)-square R gives X + alpha * xi =
-    ([U | perp.U] @ Vb) diag(sb) (Q @ Ub).T. alpha multiplies only finite
-    terms, so an overflowing step leaves inf, never NaN, in N.
-    """
-    X, perp = xi.base, xi.perp
-    U, sigma, V = X.point.U, X.point.sigma, X.point.V
-    columns_fixed = not xi.up.any()
-    if columns_fixed:
-        fixed = np.hstack([U, perp.U])
-        N = np.hstack([V * sigma + alpha * (V @ xi.core.T + xi.vp), alpha * (perp.V * perp.sigma)])
+    flat = xi.flat
+    swap = flat and not xi.up.any()
+    if flat:
+        up, core, pU, pV = xi.up, xi.core, perp.U, perp.V
+        if swap:
+            U, V, up, core, pU, pV = V, U, xi.vp, core.T, pV, pU
+        N = np.hstack([U * sigma + alpha * (U @ core + up), alpha * (pU * perp.sigma)])
+        _check_finite(N)
+        left, M = np.linalg.qr(N)
+        right = np.hstack([V, pV])
     else:
-        fixed = np.hstack([V, perp.V])
-        N = np.hstack([U * sigma + alpha * (U @ xi.core + xi.up), alpha * (perp.U * perp.sigma)])
-    _check_finite(N)
-    Q, R = np.linalg.qr(N)
-    Ub, sb, Vbt = np.linalg.svd(R)
-    r = numerical_rank(sb)
-    moved = orthonormal_polish(Q @ Ub[:, :r])
-    fixed = orthonormal_polish(fixed @ Vbt[:r].T)
-    U_new, V_new = (fixed, moved) if columns_fixed else (moved, fixed)
-    return VarietyPoint(FactoredMatrix(U_new, sb[:r], V_new), X.k)
+        QL, RL = np.linalg.qr(project_out(np.hstack([xi.up, perp.U]), U))
+        QR_, RR = np.linalg.qr(project_out(np.hstack([xi.vp, perp.V]), V))
+        M = np.block([
+            [np.diag(sigma) + alpha * xi.core, alpha * RR[:, :s].T],
+            [alpha * RL[:, :s], alpha * (RL[:, s:] * perp.sigma) @ RR[:, s:].T],
+        ])
+        _check_finite(M)
+        left, right = np.hstack([U, QL]), np.hstack([V, QR_])
+
+    Ub, sb, Vbt = np.linalg.svd(M, full_matrices=False)
+    r = min(X.k, numerical_rank(sb))
+    U_new = orthonormal_polish(left @ Ub[:, :r])
+    V_new = orthonormal_polish(right @ Vbt[:r].T)
+    if flat:
+        distance = alpha * xi_norm
+    else:
+        step = (Ub[:, :r] * sb[:r]) @ Vbt[:r]
+        step[:s, :s] -= np.diag(sigma)
+        distance = float(np.linalg.norm(step))
+    if swap:
+        U_new, V_new = V_new, U_new
+    return VarietyPoint(FactoredMatrix(U_new, sb[:r], V_new), X.k), distance
 
 
 def _check_finite(M: np.ndarray) -> None:

@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import FactoredMatrix, SparseOnMask, factored_diff_norm, mask_apply, mask_gather
+from .core import FactoredMatrix, SparseOnMask, factored_diff_norm, mask_gather
 from .geometry import ConeTangentVector, VarietyPoint, retract
 
 
@@ -146,7 +146,7 @@ class MatrixCompletion(Objective):
         self.shape = data.shape
 
     def _compute_residual(self, point: FactoredMatrix) -> np.ndarray:
-        return mask_apply(point, self.mask).values - self.data.values
+        return mask_gather(point.U * point.sigma, point.V, self.mask) - self.data.values
 
     def value(self, X: VarietyPoint) -> float:
         r = self._residual(X)

@@ -30,7 +30,7 @@ from enum import Enum
 import numpy as np
 
 from .core import FactoredMatrix, factored_diff_norm
-from .geometry import VarietyPoint, choose_flat_direction, make_point, project_cone
+from .geometry import VarietyPoint, choose_flat_direction, project_cone
 from .linesearch import ArmijoConfig, LineSearchError, armijo, initial_step, secant_curvature
 from .objectives import Objective
 
@@ -114,10 +114,10 @@ class IterateHistory(Sequence):
     only an index of (offset, m, n, s) stays in memory, since the rank s can
     change between iterates. An item is read back into fresh arrays, bitwise
     equal to those appended, as a validated FactoredMatrix wrapped with the
-    solve's budget k; iteration reads one iterate at a time, and a slice is
-    a list of its iterates, read one after another. The file is not
-    memory-mapped, so iterates read and dropped are not held by the process,
-    and it is closed when the history is garbage-collected.
+    solve's budget k; iteration reads one iterate at a time. It takes no
+    slices. The file is not memory-mapped, so iterates read and dropped are
+    not held by the process, and it is closed when the history is
+    garbage-collected.
     """
 
     def __init__(self, k: int):
@@ -136,8 +136,6 @@ class IterateHistory(Sequence):
         return len(self._index)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
         offset, m, n, s = self._index[i]
         buf = np.empty((m + 1 + n) * s)
         self._file.seek(offset)
@@ -158,13 +156,12 @@ class SolveResult:
     iterates: IterateHistory | None = None
 
 
-def solve(obj: Objective, X0, cfg: SolverConfig, metrics=None) -> SolveResult:
+def solve(obj: Objective, X0: VarietyPoint, cfg: SolverConfig, metrics=None) -> SolveResult:
     """Run the configured descent variant from X0.
 
-    X0 is a VarietyPoint (or a FactoredMatrix of rank at most k, which gets
-    wrapped); the run uses cfg.k whatever X0's budget. metrics, when given,
-    is called as metrics(X, f) and must return (rel_err_full, rel_err_mask)
-    for the trace.
+    X0 is a VarietyPoint; the run uses cfg.k whatever X0's budget.
+    metrics, when given, is called as metrics(X, f) and must return
+    (rel_err_full, rel_err_mask) for the trace.
 
     Each Armijo search runs along obj.line(xi) and starts at
     initial_step: the minimizer ||xi||^2 / curvature of the quadratic model
@@ -191,9 +188,7 @@ def solve(obj: Objective, X0, cfg: SolverConfig, metrics=None) -> SolveResult:
     result's IterateHistory before its iteration starts, outside wall_ms.
     Deterministic for deterministic objectives.
     """
-    X = make_point(X0, cfg.k) if isinstance(X0, FactoredMatrix) else X0
-    if X.k != cfg.k:
-        X = VarietyPoint(X.point, cfg.k)
+    X = X0 if X0.k == cfg.k else VarietyPoint(X0.point, cfg.k)
     armijo_cfg = cfg.armijo_config()
     direction = VARIANTS[cfg.variant]
 

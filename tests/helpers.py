@@ -6,6 +6,7 @@ import numpy as np
 
 from rankdescent.core import FactoredMatrix, IndexSet, SparseOnMask, project_out
 from rankdescent.geometry import ConeTangentVector, VarietyPoint, project_cone, random_point
+from rankdescent.objectives import MatrixCompletion
 from rankdescent.bench import TRACE_COLUMNS
 from rankdescent.solvers import TraceRecord
 
@@ -58,6 +59,20 @@ def count_qr_calls(monkeypatch) -> list:
 def count_svd_calls(monkeypatch) -> list:
     """The shapes of the np.linalg.svd calls made from here on in the test."""
     return _count_linalg_calls(monkeypatch, "svd")
+
+
+def count_residual_gathers(monkeypatch) -> list:
+    """The points whose masked residual MatrixCompletion gathers from here on
+    in the test, one per _compute_residual call."""
+    points = []
+    real = MatrixCompletion._compute_residual
+
+    def counted(obj, point):
+        points.append(point)
+        return real(obj, point)
+
+    monkeypatch.setattr(MatrixCompletion, "_compute_residual", counted)
+    return points
 
 
 def partial_directions(X: VarietyPoint, F, projection: ConeTangentVector | None = None):

@@ -20,7 +20,6 @@ from rankdescent.core import (
     frob_norm,
     GATHER_BLAS_DENSITY,
     GATHER_BYTES,
-    mask_apply,
     mask_gather,
     numerical_rank,
     svd,
@@ -184,7 +183,8 @@ class TestTruncate:
         rng = np.random.default_rng(5)
         for m, n in ((7, 5), (5, 7), (6, 6)):
             D = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.6)
-            A = mask_apply(D, IndexSet((m, n), *np.nonzero(rng.random((m, n)) < 0.8)))
+            mask = IndexSet((m, n), *np.nonzero(rng.random((m, n)) < 0.8))
+            A = SparseOnMask(mask, D[mask.rows, mask.cols])
             r = min(m, n)
             T, E = truncate(A, r), truncate(A.dense(), r)
             assert np.allclose(T.sigma, E.sigma, rtol=0, atol=1e-13)
@@ -242,7 +242,7 @@ class TestNorms:
         FA = truncate(A, 3)
         FB = truncate(B, 2)
         mask = IndexSet((6, 5), *np.nonzero(rng.random((6, 5)) < 0.4))
-        SB = mask_apply(B, mask)
+        SB = SparseOnMask(mask, B[mask.rows, mask.cols])
         for X in ((FA.U * FA.sigma, FA.V), SB, B):
             D = ambient_dense(X)
             assert frob_norm(X) == pytest.approx(np.linalg.norm(D), rel=1e-13)
@@ -349,15 +349,11 @@ class TestNorms:
 
 
 class TestMaskApply:
+    # a factored matrix's entries on a mask are the gather of its pair (U * sigma, V)
     def test_empty_values_on_factored(self):
         X = truncate(np.eye(3), 2)
         mask = IndexSet((3, 3), [], [])
-        assert len(mask_apply(X, mask).values) == 0
-
-    def test_direct_lookup(self):
-        mask = IndexSet((2, 2), [0], [0])
-        out = mask_apply(np.diag([4.0, 0.0]), mask)
-        assert np.allclose(out.values, [4.0])
+        assert len(mask_gather(X.U * X.sigma, X.V, mask)) == 0
 
     def test_factored_matches_dense(self):
         rng = np.random.default_rng(8)
@@ -365,13 +361,9 @@ class TestMaskApply:
             A = rng.standard_normal((7, 6))
             F = truncate(A, 3)
             mask = IndexSet((7, 6), *np.nonzero(rng.random((7, 6)) < 0.5))
-            a = mask_apply(F, mask).values
-            b = mask_apply(F.dense(), mask).values
+            a = mask_gather(F.U * F.sigma, F.V, mask)
+            b = F.dense()[mask.rows, mask.cols]
             assert np.max(np.abs(a - b), initial=0.0) <= 1e-13 * max(1.0, np.abs(b).max(initial=0.0))
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            mask_apply(np.eye(3), IndexSet((2, 2), [0], [0]))
 
     def test_chunked_gather_matches_dense(self):
         # a full 150x500 mask spans two row blocks of mask_gather, the last one partial
@@ -381,7 +373,7 @@ class TestMaskApply:
         rows, cols = np.nonzero(np.ones((m, n)))
         mask = IndexSet((m, n), rows, cols)
         F = truncate(rng.standard_normal((m, 6)) @ rng.standard_normal((6, n)), 6)
-        a = mask_apply(F, mask).values
+        a = mask_gather(F.U * F.sigma, F.V, mask)
         b = F.dense()[mask.rows, mask.cols]
         assert np.max(np.abs(a - b)) <= 1e-13 * np.abs(b).max()
         L, R = rng.standard_normal((m, 4)), rng.standard_normal((n, 4))
@@ -456,7 +448,8 @@ class TestMaskGather:
         m, n = 60, 80
         mask = random_mask(rng, m, n, self.DENSITIES[blas])
         assert (len(mask) >= GATHER_BLAS_DENSITY * m * n) is blas
-        values = mask_apply(FactoredMatrix.zero(m, n), mask).values
+        Z = FactoredMatrix.zero(m, n)
+        values = mask_gather(Z.U * Z.sigma, Z.V, mask)
         assert values.shape == (len(mask),) and not values.any()
 
     @pytest.mark.parametrize("blas", [False, True])
@@ -607,7 +600,7 @@ class TestAmbient:
         A = rng.standard_normal((5, 4))
         F = truncate(rng.standard_normal((5, 4)), 2)
         mask = IndexSet((5, 4), *np.nonzero(rng.random((5, 4)) < 0.5))
-        S = mask_apply(rng.standard_normal((5, 4)), mask)
+        S = SparseOnMask(mask, rng.standard_normal((5, 4))[mask.rows, mask.cols])
         W = rng.standard_normal((4, 3))
         W2 = rng.standard_normal((5, 2))
         for X, D in ((A, A), ((F.U * F.sigma, F.V), F.dense()), (S, S.dense())):
@@ -691,7 +684,7 @@ class TestIO:
             lambda: FactoredMatrix(np.eye(2), [np.inf, 1.0], np.eye(2)), "finite", id="sigma-inf"
         ),
         pytest.param(
-            lambda: mask_apply(FactoredMatrix.zero(3, 3), IndexSet((2, 2), [0], [0])),
+            lambda: mask_gather(np.zeros((3, 0)), np.zeros((3, 0)), IndexSet((2, 2), [0], [0])),
             "dimension mismatch",
             id="mask-apply-factored-shape",
         ),

@@ -17,6 +17,7 @@ from rankdescent.geometry import (
 )
 from helpers import (
     count_qr_calls,
+    count_svd_calls,
     partial_directions,
     random_cone_vector,
     random_instance,
@@ -361,17 +362,39 @@ class TestRetractFlatDirections:
     @pytest.mark.parametrize("s", [5, 3])
     def test_one_qr_per_flat_step(self, monkeypatch, s):
         # a flat step orthogonalizes only the side it changes, a full one
-        # both; at s = 3 < k = 5 the direction carries a rank-2 perp block
+        # both, and either kind takes one SVD; at s = 3 < k = 5 the
+        # direction carries a rank-2 perp block
         rng = np.random.default_rng(25 + s)
         X = random_point(rng, 30, 20, s, 5)
         xi = random_cone_vector(rng, X)
         g1, g2 = partial_directions(X, None, xi)
         assert xi.perp.rank == 5 - s and not xi.flat and g1.flat and g2.flat
         calls = count_qr_calls(monkeypatch)
+        svds = count_svd_calls(monkeypatch)
         for direction, qrs in ((g1, 1), (g2, 1), (xi, 2)):
             calls.clear()
+            svds.clear()
             retract(direction, 0.5)
-            assert len(calls) == qrs
+            assert len(calls) == qrs and len(svds) == 1
+
+    @pytest.mark.parametrize("s", [5, 3])
+    def test_zero_up_step_is_the_transposed_zero_vp_step(self, s):
+        # an up = 0 step is the vp = 0 step of the transposed point and
+        # direction (U and V, up and vp, perp's factors swapped, core
+        # transposed), with its factors swapped back: bitwise, at s = k and
+        # at s = 3 < k = 5 with a rank-2 perp block
+        rng = np.random.default_rng(40 + s)
+        X = random_point(rng, 30, 20, s, 5)
+        g1, _ = partial_directions(X, None, random_cone_vector(rng, X))
+        assert not g1.up.any() and g1.vp.any() and g1.perp.rank == 5 - s
+        F, P = X.point, g1.perp
+        Xt = VarietyPoint(FactoredMatrix(F.V, F.sigma, F.U), X.k)
+        gt = ConeTangentVector(Xt, g1.core.T, g1.vp, g1.up, FactoredMatrix(P.V, P.sigma, P.U))
+        for alpha in (0.3, 2.0):
+            Y, distance = retract(g1, alpha)
+            Yt, distance_t = retract(gt, alpha)
+            assert np.array_equal(Y.point.U, Yt.point.V) and np.array_equal(Y.point.V, Yt.point.U)
+            assert np.array_equal(Y.point.sigma, Yt.point.sigma) and distance == distance_t
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflowing_step_raises_promptly(self):

@@ -6,10 +6,12 @@ module of the package, so armijo stays a one-dimensional search that any
 layer from solvers on may use. Every file format lives in bench: no module
 before it, nor linesearch, reads or writes a file. And the package carries
 no API that only tests call: every definition is named somewhere else in
-its code, docstrings and comments aside.
+its code, docstrings and comments aside. Every package name that the
+benchmark's code (perfbench/) uses exists.
 """
 
 import ast
+import importlib
 import io
 import re
 import tokenize
@@ -21,6 +23,7 @@ import pytest
 import rankdescent
 
 PACKAGE = Path(rankdescent.__file__).parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 CHAIN = ("core", "geometry", "objectives", "solvers", "bench", "cli")
 STANDALONE = ("linesearch",)
 # definitions that no other line of the package names, each with its reason
@@ -149,3 +152,67 @@ def test_every_definition_is_named_elsewhere_in_the_package():
         and not re.fullmatch(r"__\w+__", node.name)
     )
     assert {name for name, n in defined.items() if words[name] <= n} == set(UNNAMED)
+
+
+def benchmark_names(path: Path) -> set[str]:
+    """The package names that the source at path uses, qualified: every name
+    imported from rankdescent or one of its modules, every attribute read
+    off a module so imported, and every vars(<module>)["name"]. String
+    arguments (span names, soft probes) do not count."""
+    tree = ast.parse(path.read_text())
+    modules, out = {}, set()  # local name -> imported package module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "rankdescent":
+            for alias in node.names:
+                qualified = f"{node.module}.{alias.name}"
+                try:
+                    importlib.import_module(qualified)
+                except ImportError:
+                    out.add(qualified)
+                else:
+                    modules[alias.asname or alias.name] = qualified
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules:
+                out.add(f"{modules[node.value.id]}.{node.attr}")
+        elif isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant):
+            for name, module in modules.items():
+                if ast.unparse(node.value) == f"vars({name})":
+                    out.add(f"{module}.{node.slice.value}")
+    return out
+
+
+def test_benchmark_reader_sees_every_form(tmp_path):
+    (tmp_path / "probe.py").write_text(
+        "from rankdescent import bench, core as c\n"
+        "from rankdescent.solvers import solve\n"
+        "bench.PRESETS\n"
+        "c.truncate(x)\n"
+        "vars(bench)['gen_problem']\n"
+        "wrap(c, 'mask_gather', 'core.mask_gather')\n"
+    )
+    assert benchmark_names(tmp_path / "probe.py") == {
+        "rankdescent.solvers.solve",
+        "rankdescent.bench.PRESETS",
+        "rankdescent.core.truncate",
+        "rankdescent.bench.gen_problem",
+    }
+
+
+def test_benchmark_entry_points_exist():
+    # perfbench drives the package through these names; losing one makes it
+    # fail before it times anything
+    found = set().union(*(benchmark_names(p) for p in sorted(PERFBENCH.glob("*.py"))))
+    assert {
+        "rankdescent.bench.solve",
+        "rankdescent.bench.gen_problem",
+        "rankdescent.bench.initial_guess",
+        "rankdescent.core.truncate",
+        "rankdescent.geometry.random_point",
+    } <= found
+    missing = set()
+    for qualified in found:
+        module, name = qualified.rsplit(".", 1)
+        if not hasattr(importlib.import_module(module), name):
+            missing.add(qualified)
+    assert missing == set()

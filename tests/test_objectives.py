@@ -21,6 +21,7 @@ from rankdescent.linesearch import secant_curvature
 from helpers import (
     ambient_dense,
     count_qr_calls,
+    count_residual_gathers,
     count_svd_calls,
     random_cone_vector,
     same_index_set,
@@ -139,11 +140,7 @@ class TestMatrixCompletion:
         Y, distance = line.step()
         Z, expected = retract(xi, 0.4)
         assert np.array_equal(Y.dense(), Z.dense()) and distance == expected
-        gathers = []
-        real = objectives.mask_apply
-        monkeypatch.setattr(
-            objectives, "mask_apply", lambda X, mask: gathers.append(X) or real(X, mask)
-        )
+        gathers = count_residual_gathers(monkeypatch)
         g = self.obj.gradient(Y)
         assert self.obj.value(Y) == f
         assert not gathers
@@ -167,7 +164,8 @@ class TestMatrixCompletion:
 
     def test_non_flat_line_gathers_its_direction_on_the_first_curvature_read(self, monkeypatch):
         # a search that starts from a secant never reads the curvature, and
-        # the line then gathers nothing; a read gathers P(xi) once
+        # the line then gathers no direction, only each trial's residual; a
+        # read gathers P(xi) once
         X = random_point(self.rng, 10, 8, 2, 4)
         xi = random_cone_vector(self.rng, X)
         gathers = []
@@ -175,24 +173,35 @@ class TestMatrixCompletion:
         monkeypatch.setattr(
             objectives, "mask_gather", lambda L, R, mask: gathers.append(L) or real(L, R, mask)
         )
+        residuals = count_residual_gathers(monkeypatch)
         line = self.obj.line(xi)
         line.value(0.5)
-        assert not gathers
+        assert len(gathers) == len(residuals) == 1
         dense = xi.dense()[self.mask.rows, self.mask.cols]
         assert line.curvature == pytest.approx(float(dense @ dense), rel=1e-12)
         assert line.curvature == line.curvature
-        assert len(gathers) == 1
+        assert len(gathers) == 2 and len(residuals) == 1
+
+    def test_non_flat_trial_builds_no_masked_matrix(self, monkeypatch):
+        # a trial's value takes the residual's entries alone; only the
+        # gradient wraps them in a SparseOnMask
+        X = random_point(self.rng, 10, 8, 2, 4)
+        xi = random_cone_vector(self.rng, X)
+        assert not xi.flat
+        line = self.obj.line(xi)
+        built = []
+        real = SparseOnMask.__init__
+        monkeypatch.setattr(SparseOnMask, "__init__", lambda S, *args: built.append(S) or real(S, *args))
+        for alpha in (0.3, 2.0):
+            line.value(alpha)
+        assert not built
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             self.obj.value(zero_point(8, 10, 2))
 
     def test_gradient_reuses_residual_of_last_value(self, monkeypatch):
-        gathers = []
-        real = objectives.mask_apply
-        monkeypatch.setattr(
-            objectives, "mask_apply", lambda X, mask: gathers.append(X) or real(X, mask)
-        )
+        gathers = count_residual_gathers(monkeypatch)
         X = random_point(self.rng, 10, 8, 3, 3)
         f = self.obj.value(X)
         g = self.obj.gradient(X)
