@@ -127,12 +127,11 @@ def rel_errors(target: FactoredMatrix, problem: MatrixCompletion):
     The full error is core.factored_diff_norm(target, X): X's factors are
     projected against the target's fixed orthonormal factors, and the norms
     of the three orthogonal blocks of the difference are summed, with no
-    QR. The masked error uses sqrt(2 f(X)) / ||P(A)||, with f(X) read as
-    problem.value(X), which is the residual slot's value at the point solve
-    has just valued; errors ignores solve's f. Both denominators, ||A|| and
-    ||P(A)||, are taken and checked here, once: ValueError when either is
-    zero, a zero target or an observation (empty or all zero) with
-    ||P(A)|| = 0.
+    QR. The masked error is sqrt(2 f) / ||P(A)||, with f the value at X
+    that solve passes, or problem.value(X) when errors is called without
+    one. Both denominators, ||A|| and ||P(A)||, are taken and checked here,
+    once: ValueError when either is zero, a zero target or an observation
+    (empty or all zero) with ||P(A)|| = 0.
     """
     a_norm = float(np.linalg.norm(target.sigma))
     if a_norm == 0.0:
@@ -143,7 +142,7 @@ def rel_errors(target: FactoredMatrix, problem: MatrixCompletion):
 
     def errors(X: VarietyPoint, f=None):
         rel_full = factored_diff_norm(target, X.point) / a_norm
-        rel_mask = math.sqrt(2.0 * problem.value(X)) / p_norm
+        rel_mask = math.sqrt(2.0 * (problem.value(X) if f is None else f)) / p_norm
         return rel_full, rel_mask
 
     return errors
@@ -206,7 +205,7 @@ def run_experiment(
     not kept while the next algorithm runs. Solver failures go into
     the report instead of aborting the remaining algorithms. With timing off
     the wall_ms column is zeroed, which makes every emitted file a pure
-    function of the spec.
+    function of the spec at a fixed BLAS thread count (see solvers.solve).
     """
     problem, target = gen_problem(spec)
     base_cfg = solver_cfg or SolverConfig(k=spec.k, record_iterates=True)

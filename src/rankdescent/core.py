@@ -216,9 +216,6 @@ class FactoredMatrix:
     def rank(self) -> int:
         return self.sigma.size
 
-    def dense(self) -> np.ndarray:
-        return (self.U * self.sigma) @ self.V.T
-
     @classmethod
     @cache
     def zero(cls, m: int, n: int) -> "FactoredMatrix":

@@ -79,9 +79,6 @@ class VarietyPoint:
     def s(self) -> int:
         return self.point.rank
 
-    def dense(self) -> np.ndarray:
-        return self.point.dense()
-
 
 def make_point(F: FactoredMatrix, k: int) -> VarietyPoint:
     """Wrap F as a VarietyPoint, trimming modes at or below RANK_TOL * sigma_1."""
@@ -176,10 +173,6 @@ class ConeTangentVector:
         L.append(self.perp.U * self.perp.sigma)
         R.append(self.perp.V)
         return np.hstack(L), np.hstack(R)
-
-    def dense(self) -> np.ndarray:
-        U, V = self.base.point.U, self.base.point.V
-        return U @ self.core @ V.T + self.up @ V.T + U @ self.vp.T + self.perp.dense()
 
 
 def _check_perp(B: np.ndarray, W: np.ndarray, name: str) -> None:

@@ -186,7 +186,9 @@ def solve(obj: Objective, X0: VarietyPoint, cfg: SolverConfig, metrics=None) -> 
     fit of a fully observed problem); any other LineSearchError propagates.
     With cfg.record_iterates each iterate, X0 included, is written to the
     result's IterateHistory before its iteration starts, outside wall_ms.
-    Deterministic for deterministic objectives.
+    Deterministic for deterministic objectives at a fixed BLAS thread count.
+    The BLAS sums in an order set by its threads and the iteration amplifies
+    that roundoff, so traces taken at two thread counts differ.
     """
     X = X0 if X0.k == cfg.k else VarietyPoint(X0.point, cfg.k)
     armijo_cfg = cfg.armijo_config()

@@ -1,4 +1,5 @@
-"""Shared constructors and dense views for the tests."""
+"""Shared constructors and dense views for the tests: ambient_dense is the
+one dense view of every matrix kind of the package."""
 
 from dataclasses import replace
 
@@ -12,10 +13,20 @@ from rankdescent.solvers import TraceRecord
 
 
 def ambient_dense(F) -> np.ndarray:
-    """Densify a dense, factored or masked ambient matrix or a thin pair (L, R)."""
+    """Densify a dense, factored or masked ambient matrix, a thin pair (L, R),
+    a variety point or a cone tangent vector. A tangent vector goes by its
+    blocks, U @ core @ V.T + up @ V.T + U @ vp.T + perp, not by factors(),
+    so tests may check factors() against it."""
     if isinstance(F, tuple):
         return F[0] @ F[1].T
-    if isinstance(F, (FactoredMatrix, SparseOnMask)):
+    if isinstance(F, VarietyPoint):
+        F = F.point
+    if isinstance(F, FactoredMatrix):
+        return (F.U * F.sigma) @ F.V.T
+    if isinstance(F, ConeTangentVector):
+        U, V = F.base.point.U, F.base.point.V
+        return U @ F.core @ V.T + F.up @ V.T + U @ F.vp.T + ambient_dense(F.perp)
+    if isinstance(F, SparseOnMask):
         return F.dense()
     return np.asarray(F, dtype=float)
 

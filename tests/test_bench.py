@@ -24,7 +24,7 @@ from rankdescent.core import FactoredMatrix, IndexSet, SparseOnMask, truncate
 from rankdescent.geometry import VarietyPoint, make_point
 from rankdescent.objectives import MatrixCompletion
 from rankdescent.solvers import SolverConfig
-from helpers import same_index_set, zero_point
+from helpers import ambient_dense, same_index_set, zero_point
 
 
 class TestOmegaSize:
@@ -66,7 +66,7 @@ class TestGenProblem:
     def test_data_matches_target_on_mask(self):
         spec = CompletionSpec(40, 2, 2, 3, 8)
         problem, target = gen_problem(spec)
-        dense = target.dense()
+        dense = ambient_dense(target)
         assert np.allclose(
             problem.data.values, dense[problem.mask.rows, problem.mask.cols], atol=1e-12
         )
@@ -97,8 +97,8 @@ class TestInitialGuess:
         spec = CompletionSpec(20, 20, 20, 1, 1)  # |mask| = n^2
         problem, target = gen_problem(spec)
         X0 = initial_guess(problem, 4)
-        oracle = truncate(target.dense(), 4)
-        assert np.allclose(X0.dense(), oracle.dense(), atol=1e-10)
+        oracle = truncate(ambient_dense(target), 4)
+        assert np.allclose(ambient_dense(X0), ambient_dense(oracle), atol=1e-10)
 
     def test_rank_bounded(self):
         spec = CompletionSpec(30, 3, 3, 3, 2)
@@ -109,13 +109,13 @@ class TestInitialGuess:
         spec = CompletionSpec(25, 2, 2, 3, 3)
         problem, _ = gen_problem(spec)
         X0 = initial_guess(problem, 2)
-        oracle = truncate(problem.data.dense(), 2)
-        assert np.allclose(X0.dense(), oracle.dense(), atol=1e-12)
+        oracle = truncate(ambient_dense(problem.data), 2)
+        assert np.allclose(ambient_dense(X0), ambient_dense(oracle), atol=1e-12)
 
     @staticmethod
     def _rel_to_dense(problem, k):
-        oracle = truncate(problem.data.dense(), k).dense()
-        return np.linalg.norm(initial_guess(problem, k).dense() - oracle) / np.linalg.norm(oracle)
+        oracle = ambient_dense(truncate(ambient_dense(problem.data), k))
+        return np.linalg.norm(ambient_dense(initial_guess(problem, k)) - oracle) / np.linalg.norm(oracle)
 
     def test_matches_dense_truncation_on_preset_seeds(self):
         for seed in (42, 43, 44):
@@ -191,13 +191,26 @@ class TestRelErrors:
         rng = np.random.default_rng(5)
         X = make_point(truncate(rng.standard_normal((30, 30)), 2), 2)
         _, rel_mask = rel_errors(self.target, self.problem)(X)
-        dense = X.dense()
+        dense = ambient_dense(X)
         num = np.linalg.norm(
             self.problem.data.values
             - dense[self.problem.mask.rows, self.problem.mask.cols]
         )
         direct = num / np.linalg.norm(self.problem.data.values)
         assert rel_mask == pytest.approx(direct, rel=1e-12)
+
+    def test_masked_error_reads_the_f_passed(self, monkeypatch):
+        # with f given, the masked error is sqrt(2 f) / ||P A|| and X is not
+        # valued; without it, problem.value(X) gives f
+        errors = rel_errors(self.target, self.problem)
+        X = zero_point(30, 30, 2)
+        p_norm = np.linalg.norm(self.problem.data.values)
+        valued = []
+        monkeypatch.setattr(self.problem, "value", lambda Y: valued.append(Y) or 0.5 * p_norm**2)
+        assert errors(X, 0.0) == (1.0, 0.0)
+        assert valued == []
+        assert errors(X) == (1.0, 1.0)
+        assert valued == [X]
 
 
 class TestRunExperiment:

@@ -58,25 +58,25 @@ class TestTruncate:
     def test_diag_rank_one(self):
         # full-SVD enumeration oracle: best rank-1 keeps the larger value
         T = truncate(np.diag([3.0, 1.0]), 1)
-        assert np.allclose(T.dense(), np.diag([3.0, 0.0]), atol=1e-14)
+        assert np.allclose(ambient_dense(T), np.diag([3.0, 0.0]), atol=1e-14)
 
     def test_noop_when_r_ge_rank(self):
         rng = np.random.default_rng(1)
         A = rng.standard_normal((4, 3)) @ rng.standard_normal((3, 4))
         T = truncate(A, 3)
-        assert np.linalg.norm(T.dense() - A) <= 1e-12 * np.linalg.norm(A)
+        assert np.linalg.norm(ambient_dense(T) - A) <= 1e-12 * np.linalg.norm(A)
 
     def test_identity_distance_one(self):
         # both rank-1 truncations of I_2 are optimal; sigma_2 forces distance 1
         T = truncate(np.eye(2), 1)
-        assert abs(np.linalg.norm(T.dense() - np.eye(2)) - 1.0) <= 1e-12
+        assert abs(np.linalg.norm(ambient_dense(T) - np.eye(2)) - 1.0) <= 1e-12
 
     def test_residual_is_sigma_tail(self):
         rng = np.random.default_rng(2)
         A = rng.standard_normal((6, 5))
         _, s, _ = svd(A)
         for r in range(6):
-            resid = np.linalg.norm(truncate(A, r).dense() - A)
+            resid = np.linalg.norm(ambient_dense(truncate(A, r)) - A)
             expect = np.sqrt(np.sum(s[r:] ** 2))
             assert abs(resid - expect) <= 1e-12 * max(1.0, expect)
 
@@ -96,7 +96,7 @@ class TestTruncate:
         scale = max(1.0, oracle.sigma[0]) if oracle.rank else 1.0
         assert np.abs(T.sigma - oracle.sigma[:q]).max(initial=0.0) <= 1e-12 * scale
         assert np.all(oracle.sigma[q:] <= 1e-12 * scale)
-        assert np.allclose(T.dense(), oracle.dense(), atol=1e-12 * scale)
+        assert np.allclose(ambient_dense(T), ambient_dense(oracle), atol=1e-12 * scale)
 
     def test_pair_matches_dense(self):
         rng = np.random.default_rng(7)
@@ -127,7 +127,7 @@ class TestTruncate:
         T = truncate((L, R), 4)
         self._assert_matches_dense(T, L, R, 4)
         assert T.sigma[2:].max() <= 1e-13 * T.sigma[0]
-        assert np.allclose(truncate((L, R), 2).dense(), L @ R.T, atol=1e-12)
+        assert np.allclose(ambient_dense(truncate((L, R), 2)), L @ R.T, atol=1e-12)
 
     def test_pair_width_zero_gives_rank_zero(self):
         T = truncate((np.zeros((6, 0)), np.zeros((5, 0))), 3)
@@ -138,7 +138,7 @@ class TestTruncate:
         L, R = rng.standard_normal((8, 2)), rng.standard_normal((6, 2))
         T = truncate((L, R), 5)
         assert T.rank == 2
-        assert np.allclose(T.dense(), L @ R.T, atol=1e-12)
+        assert np.allclose(ambient_dense(T), L @ R.T, atol=1e-12)
         with pytest.raises(ValueError):
             truncate((L, R), 7)
 
@@ -148,7 +148,7 @@ class TestTruncate:
         A = rng.standard_normal((4, 4))
         N = 10**5
         for r in (1, 2, 3):
-            best = np.linalg.norm(truncate(A, r).dense() - A)
+            best = np.linalg.norm(ambient_dense(truncate(A, r)) - A)
             B = rng.standard_normal((N, 4, r))
             C = rng.standard_normal((N, r, 4))
             resid = np.linalg.norm(B @ C - A, axis=(1, 2))
@@ -186,9 +186,9 @@ class TestTruncate:
             mask = IndexSet((m, n), *np.nonzero(rng.random((m, n)) < 0.8))
             A = SparseOnMask(mask, D[mask.rows, mask.cols])
             r = min(m, n)
-            T, E = truncate(A, r), truncate(A.dense(), r)
+            T, E = truncate(A, r), truncate(ambient_dense(A), r)
             assert np.allclose(T.sigma, E.sigma, rtol=0, atol=1e-13)
-            assert np.allclose(T.dense(), A.dense(), rtol=0, atol=1e-13)
+            assert np.allclose(ambient_dense(T), ambient_dense(A), rtol=0, atol=1e-13)
 
     def test_quadratic_solve_leaves_sparse_linalg_unloaded(self):
         # only the masked path imports scipy.sparse.linalg, so a run that
@@ -246,12 +246,12 @@ class TestNorms:
         for X in ((FA.U * FA.sigma, FA.V), SB, B):
             D = ambient_dense(X)
             assert frob_norm(X) == pytest.approx(np.linalg.norm(D), rel=1e-13)
-        diff = np.linalg.norm(FA.dense() - FB.dense())
+        diff = np.linalg.norm(ambient_dense(FA) - ambient_dense(FB))
         assert factored_diff_norm(FA, FB) == pytest.approx(diff, rel=1e-13)
         # the difference as one thin pair of joint factors
         pair = (np.hstack([FA.U * FA.sigma, -(FB.U * FB.sigma)]), np.hstack([FA.V, FB.V]))
         D = truncate(pair, 5)
-        assert np.allclose(D.dense(), FA.dense() - FB.dense(), atol=1e-13)
+        assert np.allclose(ambient_dense(D), ambient_dense(FA) - ambient_dense(FB), atol=1e-13)
         assert factored_diff_norm(FA, FB) == pytest.approx(frob_norm(pair), rel=1e-14)
 
     @pytest.mark.parametrize("m, n, w", [(9, 6, 3), (6, 9, 4), (5, 4, 7), (6, 5, 0)])
@@ -362,7 +362,7 @@ class TestMaskApply:
             F = truncate(A, 3)
             mask = IndexSet((7, 6), *np.nonzero(rng.random((7, 6)) < 0.5))
             a = mask_gather(F.U * F.sigma, F.V, mask)
-            b = F.dense()[mask.rows, mask.cols]
+            b = ambient_dense(F)[mask.rows, mask.cols]
             assert np.max(np.abs(a - b), initial=0.0) <= 1e-13 * max(1.0, np.abs(b).max(initial=0.0))
 
     def test_chunked_gather_matches_dense(self):
@@ -374,7 +374,7 @@ class TestMaskApply:
         mask = IndexSet((m, n), rows, cols)
         F = truncate(rng.standard_normal((m, 6)) @ rng.standard_normal((6, n)), 6)
         a = mask_gather(F.U * F.sigma, F.V, mask)
-        b = F.dense()[mask.rows, mask.cols]
+        b = ambient_dense(F)[mask.rows, mask.cols]
         assert np.max(np.abs(a - b)) <= 1e-13 * np.abs(b).max()
         L, R = rng.standard_normal((m, 4)), rng.standard_normal((n, 4))
         g = mask_gather(L, R, mask)
@@ -583,7 +583,7 @@ class TestFactoredMatrix:
     def test_zero_rank(self):
         Z = FactoredMatrix.zero(3, 4)
         assert Z.rank == 0
-        assert np.all(Z.dense() == 0)
+        assert np.all(ambient_dense(Z) == 0)
 
     def test_zero_is_shared_per_shape(self):
         # one validated instance per shape; its arrays are empty, so sharing
@@ -603,7 +603,7 @@ class TestAmbient:
         S = SparseOnMask(mask, rng.standard_normal((5, 4))[mask.rows, mask.cols])
         W = rng.standard_normal((4, 3))
         W2 = rng.standard_normal((5, 2))
-        for X, D in ((A, A), ((F.U * F.sigma, F.V), F.dense()), (S, S.dense())):
+        for X, D in ((A, A), ((F.U * F.sigma, F.V), ambient_dense(F)), (S, ambient_dense(S))):
             assert np.array_equal(ambient_dense(X), D)
             assert np.allclose(ambient_matmul(X, W), D @ W, atol=1e-12)
             assert np.allclose(ambient_rmatmul(X, W2), D.T @ W2, atol=1e-12)

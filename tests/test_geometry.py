@@ -16,6 +16,7 @@ from rankdescent.geometry import (
     retract,
 )
 from helpers import (
+    ambient_dense,
     count_qr_calls,
     count_svd_calls,
     partial_directions,
@@ -37,7 +38,7 @@ def tangent_projector_oracle(X, F):
 
 def cone_projection_oracle(X, F):
     T = tangent_projector_oracle(X, F)
-    rest = truncate(F - T, X.k - X.s).dense()
+    rest = ambient_dense(truncate(F - T, X.k - X.s))
     return T + rest
 
 
@@ -51,22 +52,22 @@ class TestTangentSpace:
         # X = e1 e1^T in 2x2, F = I -> projector formula gives diag(1, 0)
         X = VarietyPoint(FactoredMatrix(np.eye(2)[:, :1], [1.0], np.eye(2)[:, :1]), 1)
         xi = project_tangent_space(X, np.eye(2))
-        assert np.allclose(xi.dense(), np.diag([1.0, 0.0]), atol=1e-14)
+        assert np.allclose(ambient_dense(xi), np.diag([1.0, 0.0]), atol=1e-14)
 
     def test_matches_projector_formula(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             X, F = random_instance(rng)
             xi = project_tangent_space(X, F)
-            assert np.allclose(xi.dense(), tangent_projector_oracle(X, F), atol=1e-12)
+            assert np.allclose(ambient_dense(xi), tangent_projector_oracle(X, F), atol=1e-12)
 
     def test_idempotent(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             X, F = random_instance(rng)
             once = project_tangent_space(X, F)
-            twice = project_tangent_space(X, once.dense())
-            assert np.max(np.abs(once.dense() - twice.dense())) <= 1e-13 * (1 + np.abs(F).max())
+            twice = project_tangent_space(X, ambient_dense(once))
+            assert np.max(np.abs(ambient_dense(once) - ambient_dense(twice))) <= 1e-13 * (1 + np.abs(F).max())
 
     def test_dim_mismatch(self):
         X = random_point(np.random.default_rng(3), 4, 3, 2, 3)
@@ -84,7 +85,7 @@ class TestConeProjection:
         # at X = 0 the cone is all rank <= k matrices: best rank-1 of diag(3,1)
         X = zero_point(2, 2, 1)
         G, g = project_cone(X, np.diag([3.0, 1.0]))
-        assert np.allclose(G.dense(), np.diag([3.0, 0.0]), atol=1e-13)
+        assert np.allclose(ambient_dense(G), np.diag([3.0, 0.0]), atol=1e-13)
         assert g == pytest.approx(3.0, rel=1e-13)
 
     def test_full_rank_reduces_to_tangent(self):
@@ -93,7 +94,7 @@ class TestConeProjection:
         assert X.s == X.k
         G, g = project_cone(X, F)
         assert G.perp.rank == 0
-        assert np.allclose(G.dense(), tangent_projector_oracle(X, F), atol=1e-12)
+        assert np.allclose(ambient_dense(G), tangent_projector_oracle(X, F), atol=1e-12)
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(6)
@@ -101,7 +102,7 @@ class TestConeProjection:
             X, F = random_instance(rng)
             G, g = project_cone(X, F)
             oracle = cone_projection_oracle(X, F)
-            assert np.allclose(G.dense(), oracle, atol=1e-11)
+            assert np.allclose(ambient_dense(G), oracle, atol=1e-11)
             assert g == pytest.approx(np.linalg.norm(oracle), rel=1e-11, abs=1e-13)
 
     def test_negation_commutes_with_projection(self):
@@ -123,7 +124,7 @@ class TestConeProjection:
             assert N.perp.rank == H.perp.rank
             if N.perp is not None:
                 scale = max(1.0, np.linalg.norm(F))
-                assert np.allclose(N.perp.dense(), H.perp.dense(), rtol=0, atol=1e-12 * scale)
+                assert np.allclose(ambient_dense(N.perp), ambient_dense(H.perp), rtol=0, atol=1e-12 * scale)
         assert seen > 50
 
     def test_negation_keeps_a_zero_perp_and_negates_a_nonzero_one(self):
@@ -136,8 +137,8 @@ class TestConeProjection:
         G = random_cone_vector(rng, X)
         N = -G
         assert N.perp.rank == G.perp.rank == 2
-        assert np.array_equal(N.perp.dense(), -G.perp.dense())
-        assert np.array_equal(N.dense(), -G.dense())
+        assert np.array_equal(ambient_dense(N.perp), -ambient_dense(G.perp))
+        assert np.array_equal(ambient_dense(N), -ambient_dense(G))
 
     @staticmethod
     def _perp_oracle(X, D):
@@ -145,7 +146,7 @@ class TestConeProjection:
         U, V = X.point.U, X.point.V
         rest = D - U @ (U.T @ D)
         rest = rest - (rest @ V) @ V.T
-        return truncate(rest, X.k - X.s).dense()
+        return ambient_dense(truncate(rest, X.k - X.s))
 
     def test_masked_perp_matches_dense_formula(self):
         rng = np.random.default_rng(23)
@@ -153,12 +154,12 @@ class TestConeProjection:
             X = random_point(rng, m, n, s, k)
             mask = IndexSet((m, n), *np.nonzero(rng.random((m, n)) < 0.5))
             F = SparseOnMask(mask, rng.standard_normal(len(mask)))
-            D = F.dense()
+            D = ambient_dense(F)
             G, _ = project_cone(X, F)
             oracle = self._perp_oracle(X, D)
-            assert np.linalg.norm(G.perp.dense() - oracle) <= 1e-10 * np.linalg.norm(oracle)
+            assert np.linalg.norm(ambient_dense(G.perp) - oracle) <= 1e-10 * np.linalg.norm(oracle)
             dense_G, _ = project_cone(X, D)
-            assert np.linalg.norm(G.dense() - dense_G.dense()) <= 1e-10 * np.linalg.norm(D)
+            assert np.linalg.norm(ambient_dense(G) - ambient_dense(dense_G)) <= 1e-10 * np.linalg.norm(D)
 
     def test_factored_perp_matches_dense_formula(self):
         # the last three have s + rank(F) > min(m, n)
@@ -166,10 +167,10 @@ class TestConeProjection:
         for m, n, s, k, rank in ((30, 25, 3, 8, 6), (7, 6, 3, 6, 5), (6, 7, 2, 5, 6), (9, 9, 4, 7, 9)):
             X = random_point(rng, m, n, s, k)
             F = truncate(rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n)), rank)
-            D = F.dense()
+            D = ambient_dense(F)
             G, _ = project_cone(X, (F.U * F.sigma, F.V))
             oracle = self._perp_oracle(X, D)
-            assert np.linalg.norm(G.perp.dense() - oracle) <= 1e-12 * np.linalg.norm(D)
+            assert np.linalg.norm(ambient_dense(G.perp) - oracle) <= 1e-12 * np.linalg.norm(D)
 
     def test_pythagoras(self):
         rng = np.random.default_rng(7)
@@ -177,7 +178,7 @@ class TestConeProjection:
             X, F = random_instance(rng)
             G, g = project_cone(X, F)
             lhs = g**2
-            rhs = np.linalg.norm(F) ** 2 - np.linalg.norm(F - G.dense()) ** 2
+            rhs = np.linalg.norm(F) ** 2 - np.linalg.norm(F - ambient_dense(G)) ** 2
             assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-11)
 
     def test_lower_bound_formula(self):
@@ -216,7 +217,7 @@ class TestConeProjection:
             X = random_point(rng, 3, 4, s, 2)
             F = rng.standard_normal((3, 4))
             G, _ = project_cone(X, F)
-            best = np.linalg.norm(F - G.dense())
+            best = np.linalg.norm(F - ambient_dense(G))
             U, V = X.point.U, X.point.V
             # batch of random cone elements: tangent block + rank-(k-s) perp
             tangent = np.zeros((N, 3, 4))
@@ -267,9 +268,9 @@ class TestRetraction:
         xi = ConeTangentVector(
             X, np.zeros((1, 1)), np.array([[0.0], [1.0]]), np.array([[0.0], [1.0]])
         )
-        assert np.allclose(xi.dense(), np.array([[0.0, 1.0], [1.0, 0.0]]), atol=1e-14)
+        assert np.allclose(ambient_dense(xi), np.array([[0.0, 1.0], [1.0, 0.0]]), atol=1e-14)
         R, _ = retract(xi, 1.0)
-        err = np.linalg.norm(R.dense() - (X.dense() + xi.dense()))
+        err = np.linalg.norm(ambient_dense(R) - (ambient_dense(X) + ambient_dense(xi)))
         assert err == pytest.approx(np.sqrt(2.0) - 1.0, rel=1e-12)
         assert err <= (1 / np.sqrt(2.0)) * xi.norm() + 1e-12
 
@@ -280,8 +281,8 @@ class TestRetraction:
             xi = random_cone_vector(rng, X)
             alpha = float(rng.uniform(0.0, 2.0))
             R, _ = retract(xi, alpha)
-            oracle = truncate(X.dense() + alpha * xi.dense(), X.k).dense()
-            assert np.allclose(R.dense(), oracle, atol=1e-12 * (1 + np.abs(oracle).max()))
+            oracle = ambient_dense(truncate(ambient_dense(X) + alpha * ambient_dense(xi), X.k))
+            assert np.allclose(ambient_dense(R), oracle, atol=1e-12 * (1 + np.abs(oracle).max()))
 
     def test_distance_matches_dense(self):
         # retract reads ||Y - X|| off the small middle matrix, at s = k and
@@ -292,7 +293,7 @@ class TestRetraction:
             xi = random_cone_vector(rng, X)
             alpha = float(rng.uniform(0.0, 2.0))
             Y, distance = retract(xi, alpha)
-            dense = np.linalg.norm(Y.dense() - X.dense())
+            dense = np.linalg.norm(ambient_dense(Y) - ambient_dense(X))
             assert distance == pytest.approx(dense, rel=1e-10, abs=1e-12)
 
     def test_stability_bound(self):
@@ -301,7 +302,7 @@ class TestRetraction:
             X, _ = random_instance(rng)
             xi = random_cone_vector(rng, X)
             R, _ = retract(xi, 1.0)
-            err = np.linalg.norm(R.dense() - (X.dense() + xi.dense()))
+            err = np.linalg.norm(ambient_dense(R) - (ambient_dense(X) + ambient_dense(xi)))
             assert err <= xi.norm() / np.sqrt(2.0) + 1e-12
 
     def test_first_order_property(self):
@@ -318,7 +319,7 @@ class TestRetraction:
             ratios = []
             for j in range(1, 11):
                 a = 2.0**-j
-                err = np.linalg.norm(retract(xi, a)[0].dense() - (X.dense() + a * xi.dense()))
+                err = np.linalg.norm(ambient_dense(retract(xi, a)[0]) - (ambient_dense(X) + a * ambient_dense(xi)))
                 ratios.append(err / a)
             ratios = np.array(ratios)
             assert np.all(np.diff(ratios) <= 1e-9 + 1e-6 * ratios[:-1])
@@ -339,7 +340,7 @@ class TestRetractFlatDirections:
                 assert gi.flat
                 Y, distance = retract(gi, 0.7)
                 assert distance == 0.7 * gi.norm()
-                dense = np.linalg.norm(Y.dense() - X.dense())
+                dense = np.linalg.norm(ambient_dense(Y) - ambient_dense(X))
                 assert distance == pytest.approx(dense, rel=1e-10, abs=1e-12)
 
     def test_exactness_and_rank(self):
@@ -353,8 +354,8 @@ class TestRetractFlatDirections:
                 bound = X.s + gi.perp.rank
                 for alpha in (0.1, 1.0, 10.0):
                     Y, _ = retract(gi, alpha)
-                    target = X.dense() + alpha * gi.dense()
-                    assert np.allclose(Y.dense(), target, atol=1e-11 * (1 + np.abs(target).max()))
+                    target = ambient_dense(X) + alpha * ambient_dense(gi)
+                    assert np.allclose(ambient_dense(Y), target, atol=1e-11 * (1 + np.abs(target).max()))
                     assert Y.s <= bound
                     sv = np.linalg.svd(target, compute_uv=False)
                     assert (sv > 1e-10 * max(sv[0], 1e-300)).sum() <= bound
@@ -431,8 +432,8 @@ class TestPartialDirections:
         U, V = X.point.U, X.point.V
         F = U @ rng.standard_normal((2, 2)) @ V.T
         g1, g2 = partial_directions(X, F)
-        assert np.allclose(g1.dense(), F, atol=1e-12)
-        assert np.allclose(g2.dense(), F, atol=1e-12)
+        assert np.allclose(ambient_dense(g1), F, atol=1e-12)
+        assert np.allclose(ambient_dense(g2), F, atol=1e-12)
 
     def test_norm_split(self):
         rng = np.random.default_rng(20)
@@ -443,7 +444,7 @@ class TestPartialDirections:
         assert g1.norm() ** 2 + np.sum(G.up**2) == pytest.approx(g**2, rel=1e-12)
         assert g2.norm() ** 2 + np.sum(G.vp**2) == pytest.approx(g**2, rel=1e-12)
         for gi in (g1, g2):
-            sv = np.linalg.svd(X.dense() + gi.dense(), compute_uv=False)
+            sv = np.linalg.svd(ambient_dense(X) + ambient_dense(gi), compute_uv=False)
             assert (sv > 1e-10 * sv[0]).sum() <= 2
 
     def test_flat_factors_have_width_s(self):
@@ -458,7 +459,7 @@ class TestPartialDirections:
             for gi, width in ((G, 2 * s), *((g, s) for g in partial_directions(X, F, G))):
                 L, R = gi.factors()
                 assert L.shape[1] == R.shape[1] == width + gi.perp.rank
-                D = gi.dense()
+                D = ambient_dense(gi)
                 assert np.max(np.abs(L @ R.T - D), initial=0.0) <= 1e-13 * (1 + np.abs(D).max())
 
 
@@ -505,7 +506,7 @@ class TestChooseFlat:
         G, _ = project_cone(X, F)
         xi = choose_flat_direction(G)
         assert not xi.up.any()
-        assert np.allclose(xi.dense(), G.dense(), atol=1e-12)
+        assert np.allclose(ambient_dense(xi), ambient_dense(G), atol=1e-12)
 
     def test_angle_condition_randomized(self):
         rng = np.random.default_rng(23)
@@ -517,7 +518,7 @@ class TestChooseFlat:
             xi = choose_flat_direction(G)
             n = xi.norm()
             # treating F as the antigradient: <F, xi> >= (1/sqrt(2)) g ||xi||
-            inner = np.vdot(F, xi.dense())
+            inner = np.vdot(F, ambient_dense(xi))
             assert inner >= (1 / np.sqrt(2.0)) * g * n - 1e-12 * max(1.0, g * n)
             assert n**2 >= 0.5 * g**2 - 1e-12
 
@@ -534,11 +535,11 @@ class TestMediumScale:
             G, g = project_cone(X, F)
             oracle = cone_projection_oracle(X, F)
             scale = np.abs(oracle).max() + 1.0
-            assert np.allclose(G.dense(), oracle, atol=1e-11 * scale)
+            assert np.allclose(ambient_dense(G), oracle, atol=1e-11 * scale)
             xi = random_cone_vector(rng, X)
             R, _ = retract(xi, 0.7)
-            dense = truncate(X.dense() + 0.7 * xi.dense(), 10).dense()
-            assert np.allclose(R.dense(), dense, atol=1e-11 * (np.abs(dense).max() + 1.0))
+            dense = ambient_dense(truncate(ambient_dense(X) + 0.7 * ambient_dense(xi), 10))
+            assert np.allclose(ambient_dense(R), dense, atol=1e-11 * (np.abs(dense).max() + 1.0))
 
 
 class TestVarietyPoint:

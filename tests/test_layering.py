@@ -7,7 +7,9 @@ layer from solvers on may use. Every file format lives in bench: no module
 before it, nor linesearch, reads or writes a file. And the package carries
 no API that only tests call: every definition is named somewhere else in
 its code, docstrings and comments aside. Every package name that the
-benchmark's code (perfbench/) uses exists.
+benchmark's code (perfbench/) uses exists. The tests' dense reference of
+the methods (tests/reference.py) takes nothing of the package but the line
+search's scalar rules.
 """
 
 import ast
@@ -24,6 +26,7 @@ import rankdescent
 
 PACKAGE = Path(rankdescent.__file__).parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+REFERENCE = Path(__file__).resolve().parent / "reference.py"
 CHAIN = ("core", "geometry", "objectives", "solvers", "bench", "cli")
 STANDALONE = ("linesearch",)
 # definitions that no other line of the package names, each with its reason
@@ -94,6 +97,12 @@ def test_chain_imports_only_earlier_modules(name):
 @pytest.mark.parametrize("name", STANDALONE)
 def test_standalone_module_imports_nothing_of_the_package(name):
     assert package_imports(PACKAGE / f"{name}.py") == set()
+
+
+def test_reference_imports_only_the_line_search():
+    # so the reference never calls the projection, retraction or line code
+    # that it checks
+    assert package_imports(REFERENCE) <= {"linesearch"}
 
 
 def test_import_reader_sees_every_form(tmp_path):

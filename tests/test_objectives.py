@@ -61,7 +61,7 @@ class TestMatrixCompletion:
         X0 = zero_point(2, 2, 1)
         assert obj.value(X0) == pytest.approx(8.0)  # 0.5 * 4^2
         g = obj.gradient(X0)
-        assert np.allclose(g.dense(), [[-4.0, 0.0], [0.0, 0.0]])
+        assert np.allclose(ambient_dense(g), [[-4.0, 0.0], [0.0, 0.0]])
 
     def test_value_ignores_offmask_entries(self):
         mask = IndexSet((3, 3), [0], [0])
@@ -86,8 +86,8 @@ class TestMatrixCompletion:
         g = self.obj.gradient(X)
         on_mask = np.zeros((10, 8), dtype=bool)
         on_mask[self.mask.rows, self.mask.cols] = True
-        expect = np.where(on_mask, X.dense() - self.A_dense, 0.0)
-        assert np.allclose(g.dense(), expect, atol=1e-12)
+        expect = np.where(on_mask, ambient_dense(X) - self.A_dense, 0.0)
+        assert np.allclose(ambient_dense(g), expect, atol=1e-12)
 
     def test_curvature_matches_dense_oracle(self):
         # <xi, Hess f xi> = ||P(xi)||^2, at s = k and at s < k with a perp block
@@ -96,7 +96,7 @@ class TestMatrixCompletion:
             for _ in range(5):
                 xi = random_cone_vector(self.rng, X)
                 assert xi.perp.rank == k - s
-                dense = xi.dense()[self.mask.rows, self.mask.cols]
+                dense = ambient_dense(xi)[self.mask.rows, self.mask.cols]
                 expected = float(dense @ dense)
                 assert self.obj.line(xi).curvature == pytest.approx(expected, rel=1e-12)
 
@@ -112,7 +112,7 @@ class TestMatrixCompletion:
             line = self.obj.line(xi)
             assert isinstance(line, MaskedLine)
             for alpha in (0.0, 0.3, 2.0):
-                res = (X.dense() + alpha * xi.dense() - self.A_dense)[on_mask]
+                res = (ambient_dense(X) + alpha * ambient_dense(xi) - self.A_dense)[on_mask]
                 assert line.value(alpha) == pytest.approx(0.5 * float(res @ res), rel=1e-12)
 
     def test_masked_line_secant_is_its_exact_curvature(self):
@@ -139,7 +139,7 @@ class TestMatrixCompletion:
         f = line.value(0.4)
         Y, distance = line.step()
         Z, expected = retract(xi, 0.4)
-        assert np.array_equal(Y.dense(), Z.dense()) and distance == expected
+        assert np.array_equal(ambient_dense(Y), ambient_dense(Z)) and distance == expected
         gathers = count_residual_gathers(monkeypatch)
         g = self.obj.gradient(Y)
         assert self.obj.value(Y) == f
@@ -160,7 +160,7 @@ class TestMatrixCompletion:
             Y, distance = retract(xi, alpha)
             assert line.value(alpha) == MatrixCompletion(self.data).value(Y)
             Z, d = line.step()
-            assert np.array_equal(Z.dense(), Y.dense()) and d == distance
+            assert np.array_equal(ambient_dense(Z), ambient_dense(Y)) and d == distance
 
     def test_non_flat_line_gathers_its_direction_on_the_first_curvature_read(self, monkeypatch):
         # a search that starts from a secant never reads the curvature, and
@@ -177,7 +177,7 @@ class TestMatrixCompletion:
         line = self.obj.line(xi)
         line.value(0.5)
         assert len(gathers) == len(residuals) == 1
-        dense = xi.dense()[self.mask.rows, self.mask.cols]
+        dense = ambient_dense(xi)[self.mask.rows, self.mask.cols]
         assert line.curvature == pytest.approx(float(dense @ dense), rel=1e-12)
         assert line.curvature == line.curvature
         assert len(gathers) == 2 and len(residuals) == 1
@@ -243,14 +243,14 @@ class TestQuadraticDistance:
         obj = QuadraticDistance(A)
 
         def dense_value(Y):
-            return 0.5 * np.sum((Y - A.dense()) ** 2)
+            return 0.5 * np.sum((Y - ambient_dense(A)) ** 2)
 
         for s, k in ((3, 3), (2, 5), (0, 2)):
             X = random_point(rng, 10, 8, s, k)
             for _ in range(5):
                 xi = random_cone_vector(rng, X)
                 assert xi.perp.rank == k - s
-                Xd, D = X.dense(), xi.dense()
+                Xd, D = ambient_dense(X), ambient_dense(xi)
                 expected = dense_value(Xd + D) - 2.0 * dense_value(Xd) + dense_value(Xd - D)
                 assert obj.line(xi).curvature == pytest.approx(expected, rel=1e-10)
                 assert type(obj.line(xi)) is Line
@@ -266,7 +266,7 @@ class TestQuadraticDistance:
         A = truncate(rng.standard_normal((6, 5)), 4)
         X = random_point(rng, 6, 5, 2, 4)
         g = QuadraticDistance(A).gradient(X)
-        assert np.allclose(ambient_dense(g), X.dense() - A.dense(), atol=1e-13)
+        assert np.allclose(ambient_dense(g), ambient_dense(X) - ambient_dense(A), atol=1e-13)
 
     # (m, n, rank of the target, rank of X): s + r > min(m, n) in the last
     # two cases, where the joint factors are wider than the matrix
@@ -282,7 +282,7 @@ class TestQuadraticDistance:
         L, R = obj.gradient(X)
         assert L.shape == (m, s + r) and R.shape == (n, s + r)
         assert not (L.flags.writeable or R.flags.writeable)
-        D = X.dense() - A.dense()
+        D = ambient_dense(X) - ambient_dense(A)
         assert np.allclose(L @ R.T, D, atol=1e-13 * np.linalg.norm(D))
         assert obj.value(X) == pytest.approx(0.5 * np.sum(D**2), rel=1e-12)
 
@@ -294,10 +294,10 @@ class TestQuadraticDistance:
         for k in (s, min(m, n, s + 2)):
             X = random_point(rng, m, n, s, k)
             G, g = project_cone(X, QuadraticDistance(A).gradient(X))
-            E, e = project_cone(X, X.dense() - A.dense())
+            E, e = project_cone(X, ambient_dense(X) - ambient_dense(A))
             assert G.perp.rank == E.perp.rank == min(k - s, m - s, n - s)
-            scale = np.linalg.norm(E.dense())
-            assert np.abs(G.dense() - E.dense()).max() <= 1e-12 * scale
+            scale = np.linalg.norm(ambient_dense(E))
+            assert np.abs(ambient_dense(G) - ambient_dense(E)).max() <= 1e-12 * scale
             assert g == pytest.approx(e, rel=1e-12)
 
     def test_no_qr_and_no_svd_at_full_rank(self, monkeypatch):
@@ -371,7 +371,7 @@ class TestFiniteDifferences:
 
     def _check(self, obj, X, f_dense, rng):
         g = ambient_dense(obj.gradient(X))
-        Xd = X.dense()
+        Xd = ambient_dense(X)
         for _ in range(100):
             D = rng.standard_normal(Xd.shape)
             fd = (f_dense(Xd + self.H * D) - f_dense(Xd - self.H * D)) / (2 * self.H)
@@ -388,7 +388,7 @@ class TestFiniteDifferences:
         def f_dense(Y):
             return 0.5 * np.sum((vals - Y[mask.rows, mask.cols]) ** 2)
 
-        assert obj.value(X) == pytest.approx(f_dense(X.dense()), rel=1e-12)
+        assert obj.value(X) == pytest.approx(f_dense(ambient_dense(X)), rel=1e-12)
         self._check(obj, X, f_dense, rng)
 
     def test_quadratic_gradient(self):
@@ -396,12 +396,12 @@ class TestFiniteDifferences:
         A = truncate(rng.standard_normal((10, 8)), 5)
         obj = QuadraticDistance(A)
         X = random_point(rng, 10, 8, 4, 5)
-        Ad = A.dense()
+        Ad = ambient_dense(A)
 
         def f_dense(Y):
             return 0.5 * np.sum((Y - Ad) ** 2)
 
-        assert obj.value(X) == pytest.approx(f_dense(X.dense()), rel=1e-10)
+        assert obj.value(X) == pytest.approx(f_dense(ambient_dense(X)), rel=1e-10)
         self._check(obj, X, f_dense, rng)
 
 
@@ -410,7 +410,7 @@ class TestSerialization:
         rng = np.random.default_rng(5)
         mask = IndexSet((6, 6), *np.nonzero(rng.random((6, 6)) < 0.4))
         target = truncate(rng.standard_normal((6, 6)), 2)
-        vals = target.dense()[mask.rows, mask.cols]
+        vals = ambient_dense(target)[mask.rows, mask.cols]
         problem = MatrixCompletion(SparseOnMask(mask, vals))
         save_completion(tmp_path / "prob", problem, target)
         back, tgt = load_completion(tmp_path / "prob")

@@ -26,7 +26,7 @@ from rankdescent.solvers import (
     solve,
 )
 from rankdescent.bench import write_trace_csv
-from helpers import count_residual_gathers, random_instance, read_trace_csv, zero_point
+from helpers import ambient_dense, count_residual_gathers, random_instance, read_trace_csv, zero_point
 
 
 def quadratic_setup(seed, m=12, n=10, r=5, k=3):
@@ -79,7 +79,7 @@ class TestSolveBasics:
         # with k = rank(A) the unique global minimizer is A itself
         obj, A, X0 = quadratic_setup(1, r=3, k=3)
         res = solve(obj, X0, SolverConfig(k=3, max_iters=300))
-        err = np.linalg.norm(res.X_star.dense() - A.dense()) / np.linalg.norm(A.dense())
+        err = np.linalg.norm(ambient_dense(res.X_star) - ambient_dense(A)) / np.linalg.norm(ambient_dense(A))
         assert err <= 1e-8
         assert res.status in (SolveStatus.CONVERGED_G, SolveStatus.STALLED_F)
 
@@ -95,7 +95,7 @@ class TestSolveBasics:
         for variant in ("sd", "rf"):
             res = solve(obj, X0, SolverConfig(k=4, variant=variant, max_iters=40, record_iterates=True))
             for X in res.iterates:
-                sv = np.linalg.svd(X.dense(), compute_uv=False)
+                sv = np.linalg.svd(ambient_dense(X), compute_uv=False)
                 assert (sv > 1e-10 * max(sv[0], 1e-300)).sum() <= 4
 
     def test_critical_point_rank_dichotomy(self):
@@ -103,7 +103,7 @@ class TestSolveBasics:
         obj, A, X0 = quadratic_setup(4, r=5, k=3)
         res = solve(obj, X0, SolverConfig(k=3, max_iters=300))
         grad_norm = frob_norm(
-            res.X_star.dense() - A.dense()
+            ambient_dense(res.X_star) - ambient_dense(A)
         )
         g0 = res.trace[0].g_minus
         if res.status is SolveStatus.CONVERGED_G and grad_norm > 10 * 1e-12 * g0:
@@ -113,11 +113,11 @@ class TestSolveBasics:
         # starting below the budget exercises the perp part of the cone and
         # the rank-(k+s) retraction; the iterate rank climbs to k
         obj, A, _ = quadratic_setup(18, r=4, k=4)
-        X0 = make_point(truncate(A.dense(), 1), 4)
+        X0 = make_point(truncate(ambient_dense(A), 1), 4)
         res = solve(obj, X0, SolverConfig(k=4, max_iters=200, record_iterates=True))
         assert res.trace[0].rank == 1
         assert res.X_star.s == 4
-        err = np.linalg.norm(res.X_star.dense() - A.dense()) / np.linalg.norm(A.dense())
+        err = np.linalg.norm(ambient_dense(res.X_star) - ambient_dense(A)) / np.linalg.norm(ambient_dense(A))
         assert err <= 1e-8
 
     def test_rank_deficient_target_from_deficient_start(self):
@@ -173,12 +173,12 @@ class TestStepFunctions:
 
         mask = IndexSet((9, 8), mask_rows, mask_cols)
         A = truncate(rng.standard_normal((9, 8)), 3)
-        data = SparseOnMask(mask, A.dense()[mask.rows, mask.cols])
+        data = SparseOnMask(mask, ambient_dense(A)[mask.rows, mask.cols])
         obj = MatrixCompletion(data)
         X0 = zero_point(9, 8, 3)
         # the sd direction is the negated cone projection of the gradient
         direction = -project_cone(X0, obj.gradient(X0))[0]
-        oracle = truncate(data.dense(), 3)
+        oracle = truncate(ambient_dense(data), 3)
         # same subspaces: projectors onto the spans agree
         D = direction.perp
         assert np.allclose(D.U @ D.U.T, oracle.U @ oracle.U.T, atol=1e-10)
@@ -242,7 +242,7 @@ class TestStepFunctions:
         obj, _, X0 = quadratic_setup(9)
         res = solve(obj, X0, SolverConfig(k=3, max_iters=10, record_iterates=True))
         for i, rec in enumerate(res.trace[:-1]):
-            dense = np.linalg.norm(res.iterates[i + 1].dense() - res.iterates[i].dense())
+            dense = np.linalg.norm(ambient_dense(res.iterates[i + 1]) - ambient_dense(res.iterates[i]))
             assert rec.displacement == pytest.approx(dense, abs=1e-10, rel=1e-8)
 
     def test_rf_displacement_is_step_times_direction_norm(self):
