@@ -24,6 +24,7 @@ from .core import (
     FactoredMatrix,
     IndexSet,
     SparseOnMask,
+    ThinPair,
     factored_diff_norm,
     mask_gather,
     orthonormal_polish,
@@ -92,7 +93,7 @@ def gen_problem(spec: CompletionSpec):
 
     A = U V^T with n-by-r standard-normal factors; the mask is drawn
     uniformly without replacement. The target comes back as an orthonormal
-    factorization, core.truncate of the pair (U, V) with its factors
+    factorization, core.truncate of the ThinPair (U, V) with its factors
     polished, so full-error metrics stay in factored form.
     """
     size = omega_size(spec)
@@ -102,7 +103,7 @@ def gen_problem(spec: CompletionSpec):
     lin = np.sort(rng.choice(spec.n * spec.n, size=size, replace=False))
     mask = IndexSet((spec.n, spec.n), lin // spec.n, lin % spec.n)
 
-    T = truncate((Uf, Vf), spec.r)
+    T = truncate(ThinPair(Uf, Vf), spec.r)
     target = FactoredMatrix(orthonormal_polish(T.U), T.sigma, orthonormal_polish(T.V))
     values = mask_gather(target.U * target.sigma, target.V, mask)
     return MatrixCompletion(SparseOnMask(mask, values)), target
@@ -112,11 +113,10 @@ def initial_guess(problem: MatrixCompletion, k: int) -> VarietyPoint:
     """Best rank-k approximation of the antigradient at zero, P(A).
 
     Differentiating the masked half-squared residual at zero gives the
-    antigradient +P(A). core.truncate takes it on the mask (ARPACK via
-    scipy.sparse.linalg.svds through the CSR view), so P(A) is densified
-    only at k = n.
+    antigradient +P(A). core.truncate takes its CSR matrix (ARPACK via
+    scipy.sparse.linalg.svds), so P(A) is densified only at k = n.
     """
-    return make_point(truncate(problem.data, k), k)
+    return make_point(truncate(problem.data.csr, k), k)
 
 
 def rel_errors(target: FactoredMatrix, problem: MatrixCompletion):

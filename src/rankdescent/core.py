@@ -7,18 +7,19 @@ column-orthonormal U and V, so the represented matrix is
 SparseOnMask (index set plus one value per index); they are never scattered
 into dense form inside performance-relevant code paths. An IndexSet is
 row-major sorted, so it carries the CSR pattern (column indices and row
-pointers) of every matrix on it; a SparseOnMask's CSR view only adds its
+pointers) of every matrix on it; a SparseOnMask's CSR matrix only adds its
 values. Entries of a thin product L @ R.T on a mask come from mask_gather,
 whose two paths split at the sampling density GATHER_BLAS_DENSITY: below
 it, a row-wise dot product per entry, O(|mask| * width); at or above it, one
 BLAS GEMM per block of consecutive rows, O(m * n * width), and one take of
 the block's entries. Both bound their temporaries by GATHER_BYTES.
-Gradients are of one of three kinds: masked for completion, a thin pair
-(L, R) standing for L @ R.T for the quadratic distance, dense in tests.
+A gradient is a matrix operand with shape, T and @, of one of three kinds:
+the CSR matrix of a residual on the mask for completion, a ThinPair (L, R)
+standing for L @ R.T for the quadratic distance, a dense array in tests.
 truncate is the one truncated-SVD primitive for all of them, with optional
 bases projected out of both sides; it densifies no structured kind below
-full rank (a masked matrix goes through ARPACK via scipy.sparse.linalg.svds
-on its CSR view, a pair through thin QRs).
+full rank (a sparse matrix goes through ARPACK via scipy.sparse.linalg.svds,
+a pair through thin QRs).
 
 All containers are immutable values after construction; operations are pure,
 and none reads or writes a file (bench owns every file format).
@@ -152,9 +153,11 @@ class SparseOnMask:
 
     @property
     def csr(self) -> scipy.sparse.csr_matrix:
-        """CSR view used for products with thin dense factors.
+        """The CSR matrix of the values: the operand that objectives pass
+        as a masked gradient and that truncate takes for a masked matrix.
 
-        Built from the mask's fixed pattern, so only the values are new.
+        Built from the mask's fixed pattern on first use, so only the values
+        are new.
         """
         if self._csr is None:
             indices, indptr = self.mask.csr_pattern
@@ -162,11 +165,6 @@ class SparseOnMask:
                 (self.values, indices, indptr), shape=self.mask.dims
             )
         return self._csr
-
-    def dense(self) -> np.ndarray:
-        out = np.zeros(self.mask.dims)
-        out[self.mask.rows, self.mask.cols] = self.values
-        return out
 
     def __repr__(self) -> str:
         return f"SparseOnMask(shape={self.shape}, nnz={len(self.mask)})"
@@ -226,37 +224,31 @@ class FactoredMatrix:
         return f"FactoredMatrix(shape={self.shape}, rank={self.rank})"
 
 
-def ambient_shape(A) -> tuple[int, int]:
-    """(m, n) of a dense or masked matrix or of a thin pair (L, R)."""
-    return (A[0].shape[0], A[1].shape[0]) if isinstance(A, tuple) else A.shape
+@dataclass(frozen=True, eq=False)
+class ThinPair:
+    """The m-by-n matrix L @ R.T of two 2-D float factors of equal width,
+    as an operand: F @ W is L @ (R.T @ W), and F.T is the pair (R, L)."""
 
+    L: np.ndarray
+    R: np.ndarray
 
-def _as_pair(A) -> tuple[np.ndarray, np.ndarray]:
-    """A thin pair (L, R) as two 2-D float arrays of equal width."""
-    L, R = (_as_dense(W) for W in A)
-    if L.shape[1] != R.shape[1]:
-        raise ValueError("thin factors differ in width")
-    return L, R
+    def __post_init__(self):
+        L, R = _as_dense(self.L), _as_dense(self.R)
+        if L.shape[1] != R.shape[1]:
+            raise ValueError("thin factors differ in width")
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "R", R)
 
+    @property
+    def shape(self):
+        return (self.L.shape[0], self.R.shape[0])
 
-def ambient_matmul(F, W) -> np.ndarray:
-    """F @ W for a dense, masked or thin-pair ambient F and thin dense W: a
-    pair (L, R) gives L @ (R.T @ W)."""
-    if isinstance(F, tuple):
-        return F[0] @ (F[1].T @ W)
-    if isinstance(F, SparseOnMask):
-        return F.csr @ W
-    return F @ W
+    @property
+    def T(self) -> "ThinPair":
+        return ThinPair(self.R, self.L)
 
-
-def ambient_rmatmul(F, W) -> np.ndarray:
-    """F.T @ W for a dense, masked or thin-pair ambient F and thin dense W: a
-    pair (L, R) gives R @ (L.T @ W)."""
-    if isinstance(F, tuple):
-        return F[1] @ (F[0].T @ W)
-    if isinstance(F, SparseOnMask):
-        return F.csr.T @ W
-    return F.T @ W
+    def __matmul__(self, W) -> np.ndarray:
+        return self.L @ (self.R.T @ W)
 
 
 def svd(A):
@@ -277,38 +269,35 @@ def truncate(A, r: int, U=None, V=None) -> FactoredMatrix:
     (I - U U.T) A (I - V V.T).
 
     U and V are optional column-orthonormal bases projected out of the column
-    and row spaces (None projects nothing). A is dense, masked, or a thin
-    pair (L, R) of equal width standing for L @ R.T, and no structured kind
-    is densified below r = min(m, n):
+    and row spaces (None projects nothing). A is dense, a scipy sparse
+    matrix, or a ThinPair, and no structured kind is densified below
+    r = min(m, n):
 
     - dense: the projected matrix goes through LAPACK's SVD, and ties between
       equal singular values keep its ordering (the first r columns);
-    - pair: the projected L and R go through compact QRs and an SVD of the
-      small R_L @ R_R.T, exact in O((m+n) width^2);
-    - masked: ARPACK via scipy.sparse.linalg.svds (_masked_truncate), whose
-      products go through the CSR view; at r = min(m, n) the result is as
-      large as A, and A is densified.
+    - ThinPair: the projected L and R go through compact QRs and an SVD of
+      the small R_L @ R_R.T, exact in O((m+n) width^2);
+    - sparse: ARPACK via scipy.sparse.linalg.svds (_masked_truncate), whose
+      products go through A itself; at r = min(m, n) the result is as large
+      as A, and A is densified.
 
-    A pair gives at most min(r, width) triples, a masked A min(r, d) with d
+    A pair gives at most min(r, width) triples, a sparse A min(r, d) with d
     the smaller of the two complements' dimensions (none when the projected
     A is zero), a dense one r; trailing singular values may be zero.
     """
-    if isinstance(A, tuple):
-        L, R = A = _as_pair(A)
-    elif not isinstance(A, SparseOnMask):
+    if not (isinstance(A, ThinPair) or scipy.sparse.issparse(A)):
         A = _as_dense(A)
-    shape = ambient_shape(A)
-    if not 0 <= r <= min(shape):
-        raise ValueError(f"rank {r} out of range for shape {shape}")
-    if isinstance(A, tuple):
-        if r == 0 or L.shape[1] == 0:
-            return FactoredMatrix.zero(*shape)
-        QL, RL = np.linalg.qr(project_out(L, U))
-        QR, RR = np.linalg.qr(project_out(R, V))
+    if not 0 <= r <= min(A.shape):
+        raise ValueError(f"rank {r} out of range for shape {A.shape}")
+    if isinstance(A, ThinPair):
+        if r == 0 or A.L.shape[1] == 0:
+            return FactoredMatrix.zero(*A.shape)
+        QL, RL = np.linalg.qr(project_out(A.L, U))
+        QR, RR = np.linalg.qr(project_out(A.R, V))
         Ub, sb, Vb = svd(RL @ RR.T)
         q = min(r, sb.size)
         return FactoredMatrix(QL @ Ub[:, :q], sb[:q], QR @ Vb[:, :q])
-    if isinstance(A, SparseOnMask):
+    if scipy.sparse.issparse(A):
         return _masked_truncate(A, r, U, V)
     A = project_out(A, U)
     if _width(V):
@@ -326,33 +315,33 @@ def project_out(W: np.ndarray, B) -> np.ndarray:
     return W - B @ (B.T @ W) if _width(B) else W
 
 
-def _masked_truncate(A: SparseOnMask, r: int, U, V) -> FactoredMatrix:
-    """Best rank-r approximation of B = (I - U U.T) A (I - V V.T), A masked.
+def _masked_truncate(A, r: int, U, V) -> FactoredMatrix:
+    """Best rank-r approximation of B = (I - U U.T) A (I - V V.T), A sparse.
 
     ARPACK's implicitly restarted Lanczos through scipy.sparse.linalg.svds
     (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM 1998), on an
-    operator whose products go through the CSR view and thin products with
-    U and V. The start vector comes from a fixed seed, so the result is a
-    function of the input. ARPACK needs r < min(m, n); at r = min(m, n) the
-    output is as large as A, so A is densified. ARPACK fails on a zero
+    operator whose products go through A and thin products with U and V.
+    The start vector comes from a fixed seed, so the result is a function
+    of the input. ARPACK needs r < min(m, n); at r = min(m, n) the output is
+    as large as A, so A is densified by A.toarray(). ARPACK fails on a zero
     operator, and B maps the random start vector to zero only if B = 0
-    (almost surely). The transposed view csr.T (a CSC matrix on the same
-    arrays) is taken once per call, not once per product with B.T.
+    (almost surely). The transposed view A.T (a CSC matrix on the same
+    arrays, for a CSR A) is taken once per call, not once per product with
+    B.T.
     scipy.sparse.linalg is imported here, so that callers which never
-    truncate a masked matrix do not load it.
+    truncate a sparse matrix do not load it.
     """
     m, n = A.shape
     r = min(r, m - _width(U), n - _width(V))  # bound on rank(B)
     if r == min(m, n):
-        return truncate(A.dense(), r, U, V)
-    csr = A.csr
-    csr_t = csr.T
+        return truncate(A.toarray(), r, U, V)
+    A_t = A.T
 
     def mv(x):  # B @ x
-        return project_out(csr @ project_out(x, V), U)
+        return project_out(A @ project_out(x, V), U)
 
     def rmv(y):  # B.T @ y
-        return project_out(csr_t @ project_out(y, U), V)
+        return project_out(A_t @ project_out(y, U), V)
 
     v0 = np.random.default_rng(0).standard_normal(min(m, n))  # svds starts on the smaller side
     if r == 0 or not np.any(mv(v0) if m >= n else rmv(v0)):
@@ -385,17 +374,17 @@ def orthonormal_polish(W: np.ndarray) -> np.ndarray:
 
 
 def frob_norm(A) -> float:
-    """Frobenius norm of a dense or masked matrix or of a thin pair (L, R),
-    a pair's as ||L @ R_R.T|| after one compact QR R = Q @ R_R (Q has
-    orthonormal columns), not by the Gram identity; non-finite factors raise
-    ValueError before the QR."""
-    if isinstance(A, tuple):
-        L, R = _as_pair(A)
-        if not (np.isfinite(L).all() and np.isfinite(R).all()):
+    """Frobenius norm of a dense matrix, of a sparse one (from its stored
+    entries, one per position as on a mask) or of a ThinPair, a pair's as
+    ||L @ R_R.T|| after one compact QR R = Q @ R_R (Q has orthonormal
+    columns), not by the Gram identity; non-finite factors raise ValueError
+    before the QR."""
+    if isinstance(A, ThinPair):
+        if not (np.isfinite(A.L).all() and np.isfinite(A.R).all()):
             raise ValueError("non-finite entries in input matrix")
-        return float(np.linalg.norm(L @ np.linalg.qr(R, mode="r").T))
-    if isinstance(A, SparseOnMask):
-        return float(np.linalg.norm(A.values))
+        return float(np.linalg.norm(A.L @ np.linalg.qr(A.R, mode="r").T))
+    if scipy.sparse.issparse(A):
+        return float(np.linalg.norm(A.data))
     return float(np.linalg.norm(_as_dense(A)))
 
 

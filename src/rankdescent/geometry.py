@@ -22,13 +22,14 @@ of a small middle matrix.
 
 The tangent cone is closed under sign, so the projection of the
 antigradient is the negated projection of the gradient: callers project the
-gradient in whichever form the objective returns it (masked, a thin pair
-(L, R) standing for L @ R.T, or dense) and negate the result blockwise.
+gradient as the objective returns it and negate the result blockwise. A
+gradient is a matrix operand with shape, T and @: the CSR matrix on the
+mask, a core.ThinPair (L, R) standing for L @ R.T, or a dense array.
 
 Large structured matrices are only touched through products with thin
 factors, the best rank-(k-s) approximation of the remainder included:
 core.truncate projects the base spaces out of the gradient's own form and
-never densifies a masked matrix or a pair.
+never densifies a sparse matrix or a pair.
 """
 
 from __future__ import annotations
@@ -40,9 +41,7 @@ import numpy as np
 
 from .core import (
     FactoredMatrix,
-    ambient_matmul,
-    ambient_rmatmul,
-    ambient_shape,
+    ThinPair,
     frob_norm,
     numerical_rank,
     orthonormal_polish,
@@ -187,14 +186,14 @@ def project_tangent_space(X: VarietyPoint, F) -> ConeTangentVector:
     """Orthogonal projection of an ambient matrix onto the tangent space at X.
 
     Blockwise: core = U.T F V, up = (I - U U.T) F V, vp = (I - V V.T) F.T U.
-    The input may be dense, masked or a thin pair; only products with the
-    thin factors U and V are taken.
+    F is any operand with shape, T and @ (dense, sparse or a ThinPair); only
+    its products F @ V and F.T @ U with the thin factors are taken.
     """
-    if ambient_shape(F) != X.shape:
+    if F.shape != X.shape:
         raise ValueError("dimension mismatch in project_tangent_space")
     U, V = X.point.U, X.point.V
-    FV = ambient_matmul(F, V)
-    FtU = ambient_rmatmul(F, U)
+    FV = F @ V
+    FtU = F.T @ U
     core = U.T @ FV
     up = FV - U @ core
     vp = FtU - V @ core.T
@@ -220,17 +219,18 @@ def project_cone(X: VarietyPoint, F) -> tuple[ConeTangentVector, float]:
 def _perp_truncation(X: VarietyPoint, F, budget: int) -> FactoredMatrix:
     """Best rank-(budget) approximation of (I - UU.T) F (I - VV.T).
 
-    core.truncate takes F in the form the objective returns it, with U and V
-    projected out: a masked F goes through ARPACK via
-    scipy.sparse.linalg.svds on its CSR view, a thin pair (the quadratic
-    gradient) through QRs of its projected factors, so neither is densified
-    unless the result is as large as F. The factors of the truncation are
+    core.truncate takes F as the objective returns it, with U and V
+    projected out: the completion gradient's CSR matrix goes through ARPACK
+    via scipy.sparse.linalg.svds, a ThinPair (the quadratic gradient)
+    through QRs of its projected factors, so neither is densified unless the
+    result is as large as F. The factors of the truncation are
     re-orthogonalized against the base spaces afterwards so the
     block-orthogonality invariants hold despite roundoff. That projection
     leaves the columns of each side slightly non-orthonormal, so truncate
-    takes the pair (W_l * sigma, W_r) back to an SVD triple. Remainder modes
-    at roundoff level relative to ||F|| count as zero: they are projection
-    noise, not signal; a pair's ||F|| (core.frob_norm) takes one more QR.
+    takes the ThinPair (W_l * sigma, W_r) back to an SVD triple. Remainder
+    modes at roundoff level relative to ||F|| count as zero: they are
+    projection noise, not signal; a pair's ||F|| (core.frob_norm) takes one
+    more QR.
     """
     U, V = X.point.U, X.point.V
     P = truncate(F, budget, U, V)
@@ -238,7 +238,7 @@ def _perp_truncation(X: VarietyPoint, F, budget: int) -> FactoredMatrix:
     r = int(np.count_nonzero(P.sigma > RANK_TOL * scale)) if scale > 0 else 0
     WL = _reorthogonalize(P.U[:, :r], U)
     WR = _reorthogonalize(P.V[:, :r], V)
-    return truncate((WL * P.sigma[:r], WR), r)
+    return truncate(ThinPair(WL * P.sigma[:r], WR), r)
 
 
 def _reorthogonalize(W: np.ndarray, basis: np.ndarray) -> np.ndarray:

@@ -1,22 +1,23 @@
 """Cost functions over variety points: value, structured gradient, line.
 
-Each objective returns its gradient in one form the tangent-cone projection
-consumes through thin factor products alone: MatrixCompletion as values on
-the mask, QuadraticDistance as the thin pair of its joint factors, with no
-QR or SVD. Both compute the residual once per point: the gradient at the
-point whose value was taken last reuses its residual. line(xi) is the
-objective along the curve alpha -> retract(xi, alpha) from the base point X
-of xi, the only thing the line search sees: its curvature, computed on its
-first read, sets the initial step when the solver asks for it, value(alpha)
-is f at a trial point, and step() returns the point valued last with its
-distance from X. A Line retracts each trial and evaluates it; on a
-completion problem it gathers the direction on the mask only if its
-curvature is read. Along a flat xi the curve is the ambient line X + alpha *
-xi, on which matrix completion is exactly quadratic: its MaskedLine takes
-every trial value from one gather of the direction on the mask, made at
-once, retracts once, at the accepted step, and files its residual for that
-point, with no gather either. A completion problem's directory is read and
-written by bench, which owns every file format.
+Each objective returns its gradient as a matrix operand with shape, T and @,
+which the tangent-cone projection consumes through thin factor products
+alone: MatrixCompletion as the CSR matrix of its residual on the mask,
+QuadraticDistance as the ThinPair of its joint factors, with no QR or SVD.
+Both compute the residual once per point: the gradient at the point whose
+value was taken last reuses its residual. line(xi) is the objective along
+the curve alpha -> retract(xi, alpha) from the base point X of xi, the only
+thing the line search sees: its curvature, computed on its first read, sets
+the initial step when the solver asks for it, value(alpha) is f at a trial
+point, and step() returns the point valued last with its distance from X. A
+Line retracts each trial and evaluates it; on a completion problem it
+gathers the direction on the mask only if its curvature is read. Along a
+flat xi the curve is the ambient line X + alpha * xi, on which matrix
+completion is exactly quadratic: its MaskedLine takes every trial value from
+one gather of the direction on the mask, made at once, retracts once, at the
+accepted step, and files its residual for that point, with no gather either.
+A completion problem's directory is read and written by bench, which owns
+every file format.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse
 
-from .core import FactoredMatrix, SparseOnMask, factored_diff_norm, mask_gather
+from .core import FactoredMatrix, SparseOnMask, ThinPair, factored_diff_norm, mask_gather
 from .geometry import ConeTangentVector, VarietyPoint, retract
 
 
@@ -124,8 +126,8 @@ class Objective:
 
     def _keep_residual(self, point: FactoredMatrix, r) -> None:
         """File r as the residual of point in the slot, its arrays made
-        read-only: r itself, or the pair of a (pair, distance) residual."""
-        for a in r[0] if isinstance(r, tuple) else (r,):
+        read-only: r itself, or the factors of a (ThinPair, distance) residual."""
+        for a in (r[0].L, r[0].R) if isinstance(r, tuple) else (r,):
             a.flags.writeable = False
         self._last = (point, r)
 
@@ -152,9 +154,10 @@ class MatrixCompletion(Objective):
         r = self._residual(X)
         return 0.5 * float(r @ r)
 
-    def gradient(self, X: VarietyPoint) -> SparseOnMask:
-        # gradient of 0.5*||P(A - X)||^2 is P(X - A), supported on the mask
-        return SparseOnMask(self.mask, self._residual(X))
+    def gradient(self, X: VarietyPoint) -> scipy.sparse.csr_matrix:
+        # gradient of 0.5*||P(A - X)||^2 is P(X - A), supported on the mask;
+        # SparseOnMask validates the residual before its CSR matrix is built
+        return SparseOnMask(self.mask, self._residual(X)).csr
 
     def line(self, xi: ConeTangentVector) -> Line:
         """v = P(xi), gathered from xi's thin factors, gives the curvature
@@ -174,12 +177,12 @@ class MatrixCompletion(Objective):
 class QuadraticDistance(Objective):
     """Half the squared Frobenius distance to a fixed factored target.
 
-    The residual is the pair ((L, R), d): the thin pair L =
-    [X.U * sigma | -A.U * tau], R = [X.V | A.V] with L @ R.T = X - A, and
-    d = ||X - A|| from core.factored_diff_norm, with no QR. The value is
-    0.5 * d^2 and the gradient is the pair, which the cone projection takes
-    through thin products. A point whose factors equal the target's bitwise
-    has the exact zero residual, a zero-width pair with d = 0.
+    The residual is the pair (ThinPair(L, R), d): L = [X.U * sigma |
+    -A.U * tau], R = [X.V | A.V] with L @ R.T = X - A, and d = ||X - A||
+    from core.factored_diff_norm, with no QR. The value is 0.5 * d^2 and
+    the gradient is the ThinPair, which the cone projection takes through
+    thin products. A point whose factors equal the target's bitwise has the
+    exact zero residual, a zero-width pair with d = 0.
     """
 
     def __init__(self, target: FactoredMatrix):
@@ -190,15 +193,15 @@ class QuadraticDistance(Objective):
         T = self.target
         pairs = ((point.sigma, T.sigma), (point.U, T.U), (point.V, T.V))
         if all(np.array_equal(a, b) for a, b in pairs):
-            return (np.zeros((self.shape[0], 0)), np.zeros((self.shape[1], 0))), 0.0
+            return ThinPair(np.zeros((self.shape[0], 0)), np.zeros((self.shape[1], 0))), 0.0
         L = np.hstack([point.U * point.sigma, -(T.U * T.sigma)])
         R = np.hstack([point.V, T.V])
-        return (L, R), factored_diff_norm(T, point)
+        return ThinPair(L, R), factored_diff_norm(T, point)
 
     def value(self, X: VarietyPoint) -> float:
         return 0.5 * self._residual(X)[1] ** 2
 
-    def gradient(self, X: VarietyPoint) -> tuple[np.ndarray, np.ndarray]:
+    def gradient(self, X: VarietyPoint) -> ThinPair:
         return self._residual(X)[0]
 
     def line(self, xi: ConeTangentVector) -> Line:

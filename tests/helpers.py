@@ -4,8 +4,9 @@ one dense view of every matrix kind of the package."""
 from dataclasses import replace
 
 import numpy as np
+import scipy.sparse
 
-from rankdescent.core import FactoredMatrix, IndexSet, SparseOnMask, project_out
+from rankdescent.core import FactoredMatrix, IndexSet, SparseOnMask, ThinPair, project_out
 from rankdescent.geometry import ConeTangentVector, VarietyPoint, project_cone, random_point
 from rankdescent.objectives import MatrixCompletion
 from rankdescent.bench import TRACE_COLUMNS
@@ -13,12 +14,14 @@ from rankdescent.solvers import TraceRecord
 
 
 def ambient_dense(F) -> np.ndarray:
-    """Densify a dense, factored or masked ambient matrix, a thin pair (L, R),
-    a variety point or a cone tangent vector. A tangent vector goes by its
-    blocks, U @ core @ V.T + up @ V.T + U @ vp.T + perp, not by factors(),
-    so tests may check factors() against it."""
-    if isinstance(F, tuple):
-        return F[0] @ F[1].T
+    """Densify a dense, factored or masked ambient matrix, a scipy sparse
+    matrix, a ThinPair, a variety point or a cone tangent vector. A tangent
+    vector goes by its blocks, U @ core @ V.T + up @ V.T + U @ vp.T + perp,
+    not by factors(), so tests may check factors() against it."""
+    if isinstance(F, ThinPair):
+        return F.L @ F.R.T
+    if scipy.sparse.issparse(F):
+        return F.toarray()
     if isinstance(F, VarietyPoint):
         F = F.point
     if isinstance(F, FactoredMatrix):
@@ -27,7 +30,7 @@ def ambient_dense(F) -> np.ndarray:
         U, V = F.base.point.U, F.base.point.V
         return U @ F.core @ V.T + F.up @ V.T + U @ F.vp.T + ambient_dense(F.perp)
     if isinstance(F, SparseOnMask):
-        return F.dense()
+        return F.csr.toarray()
     return np.asarray(F, dtype=float)
 
 

@@ -14,8 +14,7 @@ from rankdescent.core import (
     FactoredMatrix,
     IndexSet,
     SparseOnMask,
-    ambient_matmul,
-    ambient_rmatmul,
+    ThinPair,
     factored_diff_norm,
     frob_norm,
     GATHER_BLAS_DENSITY,
@@ -103,7 +102,7 @@ class TestTruncate:
         for m, n, w in ((9, 7, 3), (7, 9, 4), (8, 8, 5)):
             L, R = rng.standard_normal((m, w)), rng.standard_normal((n, w))
             for r in range(w + 1):
-                self._assert_matches_dense(truncate((L, R), r), L, R, r)
+                self._assert_matches_dense(truncate(ThinPair(L, R), r), L, R, r)
 
     def test_pair_with_projected_bases(self):
         rng = np.random.default_rng(8)
@@ -112,7 +111,7 @@ class TestTruncate:
         V = np.linalg.qr(rng.standard_normal((8, 3)))[0]
         for r in (1, 2, 4):
             for Ub, Vb in ((U, V), (U, None), (None, V)):
-                T = truncate((L, R), r, Ub, Vb)
+                T = truncate(ThinPair(L, R), r, Ub, Vb)
                 self._assert_matches_dense(T, L, R, r, Ub, Vb)
                 if Ub is not None:
                     assert np.abs(Ub.T @ T.U).max() <= 1e-13
@@ -124,23 +123,23 @@ class TestTruncate:
         rng = np.random.default_rng(9)
         U, V, W = (rng.standard_normal((k, 2)) for k in (9, 7, 7))
         L, R = np.hstack([U, U]), np.hstack([V, W])
-        T = truncate((L, R), 4)
+        T = truncate(ThinPair(L, R), 4)
         self._assert_matches_dense(T, L, R, 4)
         assert T.sigma[2:].max() <= 1e-13 * T.sigma[0]
-        assert np.allclose(ambient_dense(truncate((L, R), 2)), L @ R.T, atol=1e-12)
+        assert np.allclose(ambient_dense(truncate(ThinPair(L, R), 2)), L @ R.T, atol=1e-12)
 
     def test_pair_width_zero_gives_rank_zero(self):
-        T = truncate((np.zeros((6, 0)), np.zeros((5, 0))), 3)
+        T = truncate(ThinPair(np.zeros((6, 0)), np.zeros((5, 0))), 3)
         assert T.shape == (6, 5) and T.rank == 0
 
     def test_pair_rank_above_width(self):
         rng = np.random.default_rng(10)
         L, R = rng.standard_normal((8, 2)), rng.standard_normal((6, 2))
-        T = truncate((L, R), 5)
+        T = truncate(ThinPair(L, R), 5)
         assert T.rank == 2
         assert np.allclose(ambient_dense(T), L @ R.T, atol=1e-12)
         with pytest.raises(ValueError):
-            truncate((L, R), 7)
+            truncate(ThinPair(L, R), 7)
 
     def test_eckart_young_against_random_sampling(self):
         # oracle sampling: no random rank-r matrix beats the truncation
@@ -167,16 +166,16 @@ class TestTruncate:
         D = np.kron(np.eye(2), B)
         expect = svd(D)[1]
         for r in (2, 3, 4):
-            T = truncate(self._fully_observed(D), r)
+            T = truncate(self._fully_observed(D).csr, r)
             assert np.abs(T.sigma - expect[:r]).max() <= 1e-12 * expect[0]
 
     def test_masked_zero_operator_gives_rank_zero(self):
         mask = IndexSet((20, 15), *np.divmod(np.arange(300), 15))
-        T = truncate(SparseOnMask(mask, np.zeros(300)), 3)
+        T = truncate(SparseOnMask(mask, np.zeros(300)).csr, 3)
         assert T.shape == (20, 15) and T.rank == 0
         # nonzero only in rows 0-2, which projecting out U = I[:, :3] removes
         values = np.where(mask.rows < 3, np.random.default_rng(0).standard_normal(300), 0.0)
-        T = truncate(SparseOnMask(mask, values), 4, np.eye(20)[:, :3], np.eye(15)[:, :2])
+        T = truncate(SparseOnMask(mask, values).csr, 4, np.eye(20)[:, :3], np.eye(15)[:, :2])
         assert T.shape == (20, 15) and T.rank == 0
 
     def test_masked_full_rank_matches_dense(self):
@@ -186,7 +185,7 @@ class TestTruncate:
             mask = IndexSet((m, n), *np.nonzero(rng.random((m, n)) < 0.8))
             A = SparseOnMask(mask, D[mask.rows, mask.cols])
             r = min(m, n)
-            T, E = truncate(A, r), truncate(ambient_dense(A), r)
+            T, E = truncate(A.csr, r), truncate(ambient_dense(A), r)
             assert np.allclose(T.sigma, E.sigma, rtol=0, atol=1e-13)
             assert np.allclose(ambient_dense(T), ambient_dense(A), rtol=0, atol=1e-13)
 
@@ -243,13 +242,13 @@ class TestNorms:
         FB = truncate(B, 2)
         mask = IndexSet((6, 5), *np.nonzero(rng.random((6, 5)) < 0.4))
         SB = SparseOnMask(mask, B[mask.rows, mask.cols])
-        for X in ((FA.U * FA.sigma, FA.V), SB, B):
+        for X in (ThinPair(FA.U * FA.sigma, FA.V), SB.csr, B):
             D = ambient_dense(X)
             assert frob_norm(X) == pytest.approx(np.linalg.norm(D), rel=1e-13)
         diff = np.linalg.norm(ambient_dense(FA) - ambient_dense(FB))
         assert factored_diff_norm(FA, FB) == pytest.approx(diff, rel=1e-13)
         # the difference as one thin pair of joint factors
-        pair = (np.hstack([FA.U * FA.sigma, -(FB.U * FB.sigma)]), np.hstack([FA.V, FB.V]))
+        pair = ThinPair(np.hstack([FA.U * FA.sigma, -(FB.U * FB.sigma)]), np.hstack([FA.V, FB.V]))
         D = truncate(pair, 5)
         assert np.allclose(ambient_dense(D), ambient_dense(FA) - ambient_dense(FB), atol=1e-13)
         assert factored_diff_norm(FA, FB) == pytest.approx(frob_norm(pair), rel=1e-14)
@@ -259,7 +258,7 @@ class TestNorms:
         # w = 7 is wider than min(m, n); w = 0 is the zero pair
         rng = np.random.default_rng(m * n + w)
         L, R = rng.standard_normal((m, w)), rng.standard_normal((n, w))
-        assert frob_norm((L, R)) == pytest.approx(np.linalg.norm(L @ R.T), rel=1e-13, abs=0)
+        assert frob_norm(ThinPair(L, R)) == pytest.approx(np.linalg.norm(L @ R.T), rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("scale", [1e-4, 1e-8, 1e-12])
     def test_frob_norm_of_a_small_pair_difference(self, scale):
@@ -268,7 +267,7 @@ class TestNorms:
         # digits of the difference (about 1e-8 relative at scale 1e-8)
         rng = np.random.default_rng(int(-np.log10(scale)))
         A, P, V = rng.standard_normal((8, 3)), rng.standard_normal((8, 3)), rng.standard_normal((6, 3))
-        pair = (np.hstack([A, -(A + scale * P)]), np.hstack([V, V]))
+        pair = ThinPair(np.hstack([A, -(A + scale * P)]), np.hstack([V, V]))
         ref = scale * np.linalg.norm(P @ V.T)
         assert abs(frob_norm(pair) - ref) <= 1e-14 * np.linalg.norm(A) * np.linalg.norm(V)
 
@@ -276,7 +275,7 @@ class TestNorms:
         rng = np.random.default_rng(12)
         L, R = rng.standard_normal((50, 9)), rng.standard_normal((40, 9))
         qr, svd_calls = count_qr_calls(monkeypatch), count_svd_calls(monkeypatch)
-        frob_norm((L, R))
+        frob_norm(ThinPair(L, R))
         assert qr == [(40, 9)] and svd_calls == []
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -287,7 +286,7 @@ class TestNorms:
         pair[side][1, 2] = bad
         qr = count_qr_calls(monkeypatch)
         with pytest.raises(ValueError, match="non-finite"):
-            frob_norm(tuple(pair))
+            frob_norm(ThinPair(*pair))
         assert qr == []
 
     @staticmethod
@@ -302,8 +301,8 @@ class TestNorms:
         # B is the best rank-k approximation of A + scale * P, so both its
         # factors and its singular values move by about scale
         rng = np.random.default_rng(int(-np.log10(scale)) * 100 + m)
-        A, P = (truncate((rng.standard_normal((m, k)), rng.standard_normal((n, k))), k) for _ in range(2))
-        B = truncate((np.hstack([A.U * A.sigma, scale * (P.U * P.sigma)]), np.hstack([A.V, P.V])), k)
+        A, P = (truncate(ThinPair(rng.standard_normal((m, k)), rng.standard_normal((n, k))), k) for _ in range(2))
+        B = truncate(ThinPair(np.hstack([A.U * A.sigma, scale * (P.U * P.sigma)]), np.hstack([A.V, P.V])), k)
         a_norm = float(np.linalg.norm(A.sigma))
         ref = self.long_double_diff_norm(A, B)
         assert 0.01 * scale * a_norm < ref < 100 * scale * a_norm
@@ -336,7 +335,7 @@ class TestNorms:
     @pytest.mark.parametrize("m, n, k", [(50, 40, 6), (40, 50, 40), (2000, 300, 20)])
     def test_self_distance_is_roundoff(self, m, n, k):
         rng = np.random.default_rng(m + n + k)
-        A = truncate((rng.standard_normal((m, k)), rng.standard_normal((n, k))), k)
+        A = truncate(ThinPair(rng.standard_normal((m, k)), rng.standard_normal((n, k))), k)
         assert factored_diff_norm(A, A) <= 1e-14 * float(np.linalg.norm(A.sigma))
 
     def test_shape_mismatch(self):
@@ -345,7 +344,7 @@ class TestNorms:
         with pytest.raises(ValueError):
             factored_diff_norm(truncate(np.ones((2, 3)), 1), truncate(np.ones((2, 4)), 1))
         with pytest.raises(ValueError):
-            truncate((np.ones((2, 1)), np.ones((3, 2))), 1)
+            truncate(ThinPair(np.ones((2, 1)), np.ones((3, 2))), 1)
 
 
 class TestMaskApply:
@@ -603,10 +602,10 @@ class TestAmbient:
         S = SparseOnMask(mask, rng.standard_normal((5, 4))[mask.rows, mask.cols])
         W = rng.standard_normal((4, 3))
         W2 = rng.standard_normal((5, 2))
-        for X, D in ((A, A), ((F.U * F.sigma, F.V), ambient_dense(F)), (S, ambient_dense(S))):
+        for X, D in ((A, A), (ThinPair(F.U * F.sigma, F.V), ambient_dense(F)), (S.csr, ambient_dense(S))):
             assert np.array_equal(ambient_dense(X), D)
-            assert np.allclose(ambient_matmul(X, W), D @ W, atol=1e-12)
-            assert np.allclose(ambient_rmatmul(X, W2), D.T @ W2, atol=1e-12)
+            assert np.allclose(X @ W, D @ W, atol=1e-12)
+            assert np.allclose(X.T @ W2, D.T @ W2, atol=1e-12)
 
     @pytest.mark.parametrize("m, n, w", [(5, 4, 2), (4, 5, 3), (5, 4, 7), (3, 6, 0)])
     def test_products_of_a_pair_match_dense(self, m, n, w):
@@ -615,9 +614,9 @@ class TestAmbient:
         L, R = rng.standard_normal((m, w)), rng.standard_normal((n, w))
         W, W2 = rng.standard_normal((n, 3)), rng.standard_normal((m, 2))
         D = L @ R.T
-        assert np.array_equal(ambient_dense((L, R)), D)
-        assert np.allclose(ambient_matmul((L, R), W), D @ W, rtol=0, atol=1e-12)
-        assert np.allclose(ambient_rmatmul((L, R), W2), D.T @ W2, rtol=0, atol=1e-12)
+        assert np.array_equal(ambient_dense(ThinPair(L, R)), D)
+        assert np.allclose(ThinPair(L, R) @ W, D @ W, rtol=0, atol=1e-12)
+        assert np.allclose(ThinPair(L, R).T @ W2, D.T @ W2, rtol=0, atol=1e-12)
 
 
 class TestIO:
@@ -662,9 +661,9 @@ class TestIO:
     [
         pytest.param(lambda: truncate(np.zeros(3), 1), "2-D", id="truncate-1d"),
         pytest.param(
-            lambda: frob_norm((np.ones((3, 2)), np.ones((4, 1)))), "differ in width", id="frob-norm-pair-widths"
+            lambda: frob_norm(ThinPair(np.ones((3, 2)), np.ones((4, 1)))), "differ in width", id="frob-norm-pair-widths"
         ),
-        pytest.param(lambda: frob_norm((np.ones(3), np.ones((4, 1)))), "2-D", id="frob-norm-pair-1d"),
+        pytest.param(lambda: frob_norm(ThinPair(np.ones(3), np.ones((4, 1)))), "2-D", id="frob-norm-pair-1d"),
         pytest.param(lambda: IndexSet((0, 3), [], []), "positive", id="indexset-dims"),
         pytest.param(lambda: IndexSet((3, 3), [0, 1], [0]), "equal length", id="indexset-lengths"),
         pytest.param(

@@ -2,8 +2,9 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse
 
-from rankdescent.core import FactoredMatrix, IndexSet, SparseOnMask, truncate
+from rankdescent.core import FactoredMatrix, IndexSet, SparseOnMask, ThinPair, truncate
 from rankdescent.geometry import (
     ConeTangentVector,
     VarietyPoint,
@@ -155,7 +156,7 @@ class TestConeProjection:
             mask = IndexSet((m, n), *np.nonzero(rng.random((m, n)) < 0.5))
             F = SparseOnMask(mask, rng.standard_normal(len(mask)))
             D = ambient_dense(F)
-            G, _ = project_cone(X, F)
+            G, _ = project_cone(X, F.csr)
             oracle = self._perp_oracle(X, D)
             assert np.linalg.norm(ambient_dense(G.perp) - oracle) <= 1e-10 * np.linalg.norm(oracle)
             dense_G, _ = project_cone(X, D)
@@ -168,7 +169,7 @@ class TestConeProjection:
             X = random_point(rng, m, n, s, k)
             F = truncate(rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n)), rank)
             D = ambient_dense(F)
-            G, _ = project_cone(X, (F.U * F.sigma, F.V))
+            G, _ = project_cone(X, ThinPair(F.U * F.sigma, F.V))
             oracle = self._perp_oracle(X, D)
             assert np.linalg.norm(ambient_dense(G.perp) - oracle) <= 1e-12 * np.linalg.norm(D)
 
@@ -242,6 +243,28 @@ class TestConeProjection:
                 tangent = tangent + L @ np.transpose(R, (0, 2, 1))
             dists = np.linalg.norm(F - tangent, axis=(1, 2))
             assert np.all(dists >= best - 1e-12)
+
+    @pytest.mark.parametrize("s, k", [(3, 3), (2, 5)])
+    def test_one_matrix_given_three_ways_projects_alike(self, s, k):
+        # a gradient is any operand with shape, T and @: the dense array, its
+        # CSR matrix and the ThinPair of its factors give one projection,
+        # through the tangent space alone at s = k and with a perp block
+        # from LAPACK, ARPACK and thin QRs respectively at s < k
+        rng = np.random.default_rng(31)
+        L, R = rng.standard_normal((12, 4)), rng.standard_normal((9, 4))
+        D = L @ R.T
+        X = random_point(rng, 12, 9, s, k)
+        forms = (D, scipy.sparse.csr_matrix(D), ThinPair(L, R))
+        (G, g), *others = (project_cone(X, F) for F in forms)
+        bound = g_lower_bound(X, D)
+        assert G.perp.rank == k - s
+        for H, h in others:
+            assert H.perp.rank == k - s
+            assert np.linalg.norm(ambient_dense(H) - ambient_dense(G)) <= 1e-12 * g
+            assert h == pytest.approx(g, rel=1e-12, abs=0)
+        for F in forms[1:]:
+            assert g_lower_bound(X, F) == pytest.approx(bound, rel=1e-12, abs=0)
+        assert (bound > 0) == (s < k)
 
 
 class TestRetraction:

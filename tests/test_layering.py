@@ -7,7 +7,8 @@ layer from solvers on may use. Every file format lives in bench: no module
 before it, nor linesearch, reads or writes a file. And the package carries
 no API that only tests call: every definition is named somewhere else in
 its code, docstrings and comments aside. Every package name that the
-benchmark's code (perfbench/) uses exists. The tests' dense reference of
+benchmark's code (perfbench/) or the equivalence check (tools/equiv.py)
+uses exists. The tests' dense reference of
 the methods (tests/reference.py) takes nothing of the package but the line
 search's scalar rules.
 """
@@ -26,6 +27,7 @@ import rankdescent
 
 PACKAGE = Path(rankdescent.__file__).parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+EQUIV = Path(__file__).resolve().parents[1] / "tools" / "equiv.py"
 REFERENCE = Path(__file__).resolve().parent / "reference.py"
 CHAIN = ("core", "geometry", "objectives", "solvers", "bench", "cli")
 STANDALONE = ("linesearch",)
@@ -209,15 +211,17 @@ def test_benchmark_reader_sees_every_form(tmp_path):
 
 
 def test_benchmark_entry_points_exist():
-    # perfbench drives the package through these names; losing one makes it
-    # fail before it times anything
-    found = set().union(*(benchmark_names(p) for p in sorted(PERFBENCH.glob("*.py"))))
+    # perfbench drives the package through these names, and tools/equiv.py
+    # through its own; losing one makes either fail before it runs anything
+    found = set().union(*(benchmark_names(p) for p in [*sorted(PERFBENCH.glob("*.py")), EQUIV]))
     assert {
         "rankdescent.bench.solve",
         "rankdescent.bench.gen_problem",
         "rankdescent.bench.initial_guess",
         "rankdescent.core.truncate",
         "rankdescent.geometry.random_point",
+        "rankdescent.geometry.VarietyPoint",
+        "rankdescent.solvers.TraceRecord",
     } <= found
     missing = set()
     for qualified in found:

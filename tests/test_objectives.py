@@ -5,6 +5,7 @@ from rankdescent.core import (
     FactoredMatrix,
     IndexSet,
     SparseOnMask,
+    ThinPair,
     frob_norm,
     truncate,
 )
@@ -144,9 +145,9 @@ class TestMatrixCompletion:
         g = self.obj.gradient(Y)
         assert self.obj.value(Y) == f
         assert not gathers
-        assert not g.values.flags.writeable
-        fresh = MatrixCompletion(self.data).gradient(Y).values
-        assert np.allclose(g.values, fresh, rtol=0, atol=1e-13)
+        assert not g.data.flags.writeable
+        fresh = MatrixCompletion(self.data).gradient(Y).data
+        assert np.allclose(g.data, fresh, rtol=0, atol=1e-13)
 
     def test_line_along_a_non_flat_direction_retracts_each_trial(self):
         # sd's full projection leaves the ambient line: each value is f at
@@ -207,8 +208,8 @@ class TestMatrixCompletion:
         g = self.obj.gradient(X)
         assert len(gathers) == 1
         fresh = MatrixCompletion(self.data).gradient(X)
-        assert np.array_equal(g.values, fresh.values)
-        assert f == 0.5 * float(fresh.values @ fresh.values)
+        assert np.array_equal(g.data, fresh.data)
+        assert f == 0.5 * float(fresh.data @ fresh.data)
 
     def test_residual_slot_keyed_by_point(self):
         # the slot holds the point evaluated last; another point's gradient
@@ -219,8 +220,8 @@ class TestMatrixCompletion:
         self.obj.value(X2)
         g1 = self.obj.gradient(X1)
         expect = MatrixCompletion(self.data).gradient(X1)
-        assert np.array_equal(g1.values, expect.values)
-        assert not np.array_equal(g1.values, MatrixCompletion(self.data).gradient(X2).values)
+        assert np.array_equal(g1.data, expect.data)
+        assert not np.array_equal(g1.data, MatrixCompletion(self.data).gradient(X2).data)
 
 
 class TestQuadraticDistance:
@@ -279,7 +280,8 @@ class TestQuadraticDistance:
         A = truncate(rng.standard_normal((m, n)), r)
         X = random_point(rng, m, n, s, max(r, s))
         obj = QuadraticDistance(A)
-        L, R = obj.gradient(X)
+        G = obj.gradient(X)
+        L, R = G.L, G.R
         assert L.shape == (m, s + r) and R.shape == (n, s + r)
         assert not (L.flags.writeable or R.flags.writeable)
         D = ambient_dense(X) - ambient_dense(A)
@@ -331,11 +333,12 @@ class TestQuadraticDistance:
         rng = np.random.default_rng(m + 2 * n + r + s + k)
         A = truncate(rng.standard_normal((m, r)) @ rng.standard_normal((r, n)), r)
         X = random_point(rng, m, n, s, k)
-        L, R = QuadraticDistance(A).gradient(X)
+        G = QuadraticDistance(A).gradient(X)
+        L, R = G.L, G.R
         expect = np.sqrt((k - s) / min(m - s, n - s)) * np.linalg.norm(L @ R.T)
-        bound = g_lower_bound(X, (L, R))
+        bound = g_lower_bound(X, ThinPair(L, R))
         assert bound == pytest.approx(expect, rel=1e-13, abs=0)
-        _, g = project_cone(X, (L, R))
+        _, g = project_cone(X, ThinPair(L, R))
         assert g >= bound
 
     def test_exact_zero_at_identical_factors(self):
@@ -343,7 +346,8 @@ class TestQuadraticDistance:
         A = truncate(rng.standard_normal((8, 7)), 3)
         obj = QuadraticDistance(A)
         X = VarietyPoint(FactoredMatrix(A.U.copy(), A.sigma.copy(), A.V.copy()), 3)
-        L, R = obj.gradient(X)
+        G = obj.gradient(X)
+        L, R = G.L, G.R
         assert L.shape == (8, 0) and R.shape == (7, 0)
         assert obj.value(X) == 0.0
 
@@ -357,11 +361,13 @@ class TestQuadraticDistance:
         obj = QuadraticDistance(truncate(rng.standard_normal((9, 8)), 4))
         X = random_point(rng, 9, 8, 3, 4)
         f = obj.value(X)
-        L, R = obj.gradient(X)
+        G = obj.gradient(X)
+        L, R = G.L, G.R
         assert calls == [X.point]
         fresh = QuadraticDistance(obj.target)
         assert f == fresh.value(X)
-        assert all(map(np.array_equal, (L, R), fresh.gradient(X)))
+        fresh_G = fresh.gradient(X)
+        assert all(map(np.array_equal, (L, R), (fresh_G.L, fresh_G.R)))
 
 
 class TestFiniteDifferences:

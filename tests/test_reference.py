@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from rankdescent.bench import CompletionSpec, gen_problem
-from rankdescent.core import FactoredMatrix, IndexSet, SparseOnMask, truncate
+from rankdescent.core import GATHER_BLAS_DENSITY, FactoredMatrix, IndexSet, SparseOnMask, truncate
 from rankdescent.geometry import VarietyPoint, make_point, project_cone
 from rankdescent.linesearch import secant_curvature
 from rankdescent.objectives import MatrixCompletion, QuadraticDistance
@@ -36,8 +36,26 @@ def completion_case(X0_rank: int, k: int):
     """The 40x40 rank-3 completion problem of gen_problem (seed 1, 693 of
     1600 entries seen), from the best rank-X0_rank fit to the data."""
     problem, _ = gen_problem(CompletionSpec(n=40, r=3, k=3, os_rate=3, seed=1))
-    X0 = make_point(truncate(problem.data, X0_rank), k)
+    X0 = make_point(truncate(problem.data.csr, X0_rank), k)
     return problem, masked_dense(problem), X0, 20
+
+
+def sparse_mask_case():
+    """The 200x200 rank-2 completion problem of gen_problem (seed 1) at
+    oversampling 1: its 1,060 entries cover 2.65% of the grid, below
+    core.GATHER_BLAS_DENSITY, so every gather on its mask takes the
+    row-wise path. From the best rank-2 fit to the data, at k = 2."""
+    problem, _ = gen_problem(CompletionSpec(n=200, r=2, k=2, os_rate=1, seed=1))
+    X0 = make_point(truncate(problem.data.csr, 2), 2)
+    return problem, masked_dense(problem), X0, 20
+
+
+def zero_start_case():
+    """completion_case's problem at k = 3 from the zero matrix: the first
+    cone projection is the ARPACK perp block of the masked gradient with
+    empty bases, and rf's first step meets its tie of two empty blocks."""
+    problem, masked, _, iters = completion_case(3, 3)
+    return problem, masked, VarietyPoint(FactoredMatrix.zero(40, 40), 3), iters
 
 
 def masked_dense(problem: MatrixCompletion):
@@ -94,6 +112,8 @@ CASES = {
     "completion-k3": lambda: completion_case(3, 3),
     "completion-k5": lambda: completion_case(5, 5),
     "deficient-start": lambda: completion_case(1, 5),
+    "sparse-mask": sparse_mask_case,
+    "zero-start": zero_start_case,
     "quadratic-tie": quadratic_tie_case,
     "negative-secant": negative_secant_case,
 }
@@ -138,6 +158,19 @@ def test_negative_secant_case_falls_back_to_the_exact_curvature():
     assert kappa < 0
     # the exact start of the second search lies clearly above the ratio g/||xi|| = 1
     assert second.backtracks == 0 and second.alpha > 1.01
+
+
+def test_sparse_mask_case_gathers_row_wise():
+    problem, _, X0, _ = sparse_mask_case()
+    assert len(problem.mask) == 1060 < GATHER_BLAS_DENSITY * 200 * 200
+    assert X0.s == 2
+
+
+def test_zero_start_case_starts_on_the_perp_block():
+    # with empty bases the whole first projection is the rank-3 perp block
+    obj, _, X0, _ = zero_start_case()
+    G, g = project_cone(X0, obj.gradient(X0))
+    assert X0.s == 0 and G.perp.rank == 3 and g == pytest.approx(np.linalg.norm(G.perp.sigma), rel=1e-15)
 
 
 def test_rf_backtracks_in_a_completion_case():

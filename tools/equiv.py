@@ -1,0 +1,231 @@
+"""Equivalence check between two revisions of rankdescent.
+
+    python tools/equiv.py BASE [HEAD] [--bitwise | --rtol X]
+
+BASE and HEAD are git revisions of this repository. Each is exported with
+`git archive` into a temporary directory, so the repository's checkout,
+branches and worktrees are left as they are. Without HEAD the working tree
+the tool lives in is compared, uncommitted changes included.
+
+In each tree, fresh Python processes with one BLAS thread (outputs depend on
+the thread count) import the package from that tree's src/ and write the
+standard set of outputs:
+
+- `rankbench run --alg both --no-timing` on fig1-small, on fig2-small with
+  --max-iters 200 and on fig1-full-k20 with --max-iters 130 (18 files);
+- `rankbench gen` of a 40x40 problem, `errors` of another problem's target
+  on it, and `ratefit` of both fig1-small distance files, with every
+  command's stdout kept;
+- `solve` on 11 quadratic-distance instances with both variants (22
+  traces): 500x400 targets of rank 12 from rank-6 starts at k = 12, four
+  each from seeds 3 and 29, built as perfbench's quad-deficient-start
+  builds them, and 60x50 targets of rank 4 from rank-2 starts at k = 8, one
+  each from seeds 1-3. A trace holds every TraceRecord field but wall_ms,
+  each as its repr.
+
+Every file of one tree is compared with its namesake in the other and
+reported as "bitwise equal", or by its first differing row and the largest
+relative difference per column. The exit status is 0 only when every
+comparison passes: byte identity (--bitwise, the default), or with --rtol X
+the same rows and fields, numbers within X relative and other fields equal.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import math
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from dataclasses import fields
+from pathlib import Path
+
+import numpy as np
+
+REPO = Path(__file__).resolve().parents[1]
+TOOLS = Path(__file__).resolve().parent
+
+RUNS = {
+    "fig1-small": ["--preset", "fig1-small"],
+    "fig2-small": ["--preset", "fig2-small", "--max-iters", "200"],
+    "fig1-full-k20": ["--preset", "fig1-full-k20", "--max-iters", "130"],
+}
+# (m, n, target rank r, start rank s, k, seed, instances)
+QUADRATIC = [(500, 400, 12, 6, 12, 3, 4), (500, 400, 12, 6, 12, 29, 4)] + [
+    (60, 50, 4, 2, 8, seed, 1) for seed in (1, 2, 3)
+]
+QUADRATIC_MAX_ITERS = 500
+
+
+def export(rev: str, dest: Path) -> Path:
+    """The tree of git revision rev, written under dest by git archive."""
+    tar = subprocess.run(["git", "-C", str(REPO), "archive", "--format=tar", rev],
+                         check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(dest, filter="data")
+    return dest
+
+
+def write_outputs(tree: Path, out: Path) -> None:
+    """Run the standard set with the package of tree/src, writing under out."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(tree / "src"), str(TOOLS)])}
+    (out / "stdout").mkdir(parents=True)
+
+    def step(name: str, *args: str) -> None:
+        done = subprocess.run([sys.executable, *args], cwd=out, env=env, capture_output=True, text=True)
+        if done.returncode:
+            raise RuntimeError(f"{name} in {tree} exited with {done.returncode}:\n{done.stderr}")
+        (out / "stdout" / f"{name}.txt").write_text(done.stdout)
+
+    def rankbench(name: str, *args: str) -> None:
+        step(name, "-m", "rankdescent.cli", *args)
+
+    for name, args in RUNS.items():
+        rankbench(f"run-{name}", "run", *args, "--alg", "both", "--no-timing", "--out", name)
+    rankbench("gen", "gen", "--n", "40", "--rank", "3", "--budget", "3", "--seed", "1", "--out", "gen")
+    rankbench("gen-point", "gen", "--n", "40", "--rank", "3", "--budget", "3", "--seed", "2", "--out", "point")
+    rankbench("errors", "errors", "--problem", "gen", "--point", "point/target_factors")
+    for alg in ("sd", "rf"):
+        rankbench(f"ratefit-{alg}", "ratefit", "--distances", f"fig1-small/{alg}_distances.csv")
+    step("quadratic", "-c", "import equiv; equiv.write_quadratic_traces('quadratic')")
+
+
+def write_quadratic_traces(out: str) -> None:
+    """Solve every QUADRATIC instance with both variants; one CSV per trace.
+
+    Runs in the process of one tree: the package comes from its src/.
+    """
+    from rankdescent.core import FactoredMatrix, factored_diff_norm, truncate
+    from rankdescent.geometry import VarietyPoint
+    from rankdescent.objectives import QuadraticDistance
+    from rankdescent.solvers import VARIANTS, SolverConfig, TraceRecord, solve
+
+    names = [f.name for f in fields(TraceRecord) if f.name != "wall_ms"]
+    Path(out).mkdir()
+    for m, n, r, s, k, seed, count in QUADRATIC:
+        rng = np.random.default_rng(seed)
+        for i in range(count):
+            A = truncate(rng.standard_normal((m, r)) @ rng.standard_normal((r, n)), r)
+            U = np.linalg.qr(rng.standard_normal((m, s)))[0]
+            V = np.linalg.qr(rng.standard_normal((n, s)))[0]
+            sigma = np.sort(rng.uniform(0.5, 2.0, size=s))[::-1]
+            X0 = VarietyPoint(FactoredMatrix(U, sigma, V), k)
+            a_norm = float(np.linalg.norm(A.sigma))
+
+            def metrics(X, f, A=A, a_norm=a_norm):
+                return factored_diff_norm(X.point, A) / a_norm, None
+
+            for variant in VARIANTS:
+                cfg = SolverConfig(k=k, variant=variant, max_iters=QUADRATIC_MAX_ITERS)
+                trace = solve(QuadraticDistance(A), X0, cfg, metrics).trace
+                rows = [",".join(names)]
+                rows += [",".join(repr(getattr(rec, name)) for name in names) for rec in trace]
+                Path(out, f"{m}x{n}-seed{seed}-{i}-{variant}.csv").write_text("\n".join(rows) + "\n")
+
+
+def _number(token: str) -> float | None:
+    try:
+        return float(token)
+    except ValueError:
+        return None
+
+
+def _rows(text: str) -> list[list[tuple[str, str]]]:
+    """Each line as its (column, field) pairs. A `key = value` line is one
+    field, named by its key. Otherwise the fields are split at commas and
+    named by the first line when none of its fields is a number (a header),
+    else by their position."""
+    lines = text.splitlines()
+    first = lines[0].split(",") if lines else []
+    header = first if len(first) > 1 and all(_number(x) is None for x in first) else None
+    rows = []
+    for line in lines:
+        key, eq, value = line.partition(" = ")
+        if eq:
+            rows.append([(key, value)])
+        else:
+            parts = line.split(",")
+            rows.append([(header[j] if header and j < len(header) else str(j), x) for j, x in enumerate(parts)])
+    return rows
+
+
+def _rel_diff(a: str, b: str) -> float:
+    """0 for equal fields, |x - y| / max(|x|, |y|) for two numbers, else inf."""
+    if a == b:
+        return 0.0
+    x, y = _number(a), _number(b)
+    if x is None or y is None or not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+def compare_file(base: bytes, head: bytes, rtol: float | None) -> tuple[bool, str]:
+    """(passes, report) for two versions of one file: bitwise equal, or the
+    first differing row (0-based, the header row included) and the largest
+    relative difference per column. With rtol None only byte identity
+    passes; else the rows and their fields must match in number, and every
+    pair of fields differ by at most rtol relative (other fields: not at
+    all)."""
+    if base == head:
+        return True, "bitwise equal"
+    rows_a, rows_b = (_rows(x.decode(errors="replace")) for x in (base, head))
+    first = next((i for i, (a, b) in enumerate(zip(rows_a, rows_b)) if a != b), min(len(rows_a), len(rows_b)))
+    worst, shaped = {}, len(rows_a) == len(rows_b)
+    for a, b in zip(rows_a, rows_b):
+        shaped = shaped and len(a) == len(b) and [c for c, _ in a] == [c for c, _ in b]
+        for (column, x), (_, y) in zip(a, b):
+            worst[column] = max(worst.get(column, 0.0), _rel_diff(x, y))
+    parts = [f"first differing row {first}"]
+    if len(rows_a) != len(rows_b):
+        parts.append(f"{len(rows_a)} rows against {len(rows_b)}")
+    if not shaped:
+        parts.append("fields do not line up")
+    diffs = ", ".join(f"{c} {d:.1e}" for c, d in worst.items() if d > 0)
+    parts.append(f"largest relative difference: {diffs or 'none'}")
+    passes = rtol is not None and shaped and all(d <= rtol for d in worst.values())
+    return passes, "; ".join(parts)
+
+
+def compare_trees(base: Path, head: Path, rtol: float | None = None) -> tuple[bool, list[str]]:
+    """(every file passes, one report line per file) for two output trees."""
+    names = sorted({p.relative_to(root).as_posix() for root in (base, head) for p in root.rglob("*") if p.is_file()})
+    ok, lines = True, []
+    for name in names:
+        a, b = base / name, head / name
+        if not (a.is_file() and b.is_file()):
+            passes, report = False, f"only in {'BASE' if a.is_file() else 'HEAD'}"
+        else:
+            passes, report = compare_file(a.read_bytes(), b.read_bytes(), rtol)
+        ok = ok and passes
+        lines.append(f"{'ok  ' if passes else 'FAIL'} {name}: {report}")
+    return ok, lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", metavar="BASE", help="git revision to compare against")
+    parser.add_argument("head", metavar="HEAD", nargs="?", help="git revision (default: the working tree)")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--bitwise", action="store_true", help="pass only on byte identity (the default)")
+    mode.add_argument("--rtol", type=float, help="pass on numbers within this relative difference")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="equiv-") as tmp:
+        tmp = Path(tmp)
+        trees = {"BASE": export(args.base, tmp / "base-tree")}
+        trees["HEAD"] = export(args.head, tmp / "head-tree") if args.head else REPO
+        for label, tree in trees.items():
+            print(f"{label}: running the standard set", flush=True)
+            write_outputs(tree, tmp / label)
+        ok, lines = compare_trees(tmp / "BASE", tmp / "HEAD", args.rtol)
+    print("\n".join(lines))
+    mode = "bitwise" if args.rtol is None else f"rtol {args.rtol:g}"
+    print(f"{sum(x.startswith('ok') for x in lines)} of {len(lines)} files pass ({mode})")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
