@@ -12,7 +12,19 @@ values. Entries of a thin product L @ R.T on a mask come from mask_gather,
 whose two paths split at the sampling density GATHER_BLAS_DENSITY: below
 it, a row-wise dot product per entry, O(|mask| * width); at or above it, one
 BLAS GEMM per block of consecutive rows, O(m * n * width), and one take of
-the block's entries. Both bound their temporaries by GATHER_BYTES.
+the block's entries. Both bound their temporaries by GATHER_BYTES per lane.
+
+Two kernels split across lanes, the calling thread plus one worker thread
+per further CPU (run_lanes): the GEMM path of mask_gather, whose lanes take
+row blocks from one shared queue, each with its own buffer, and the
+gradient's two thin products in geometry.project_tangent_space. They are
+what an iteration spends most of its time on, and their BLAS and
+sparsetools calls release the GIL. Each entry still comes from the same
+single-threaded call as on one lane, so outputs are bitwise the same at any
+lane count. Work below PARALLEL_MIN_WORK multiply-adds, where a hand-off
+costs more than it saves, stays on the caller. QRs and SVDs stay on one
+lane: two 2000-by-20 QRs at once took nearly as long as in turn.
+
 A gradient is a matrix operand with shape, T and @, of one of three kinds:
 the CSR matrix of a residual on the mask for completion, a ThinPair (L, R)
 standing for L @ R.T for the quadratic distance, a dense array in tests.
@@ -27,6 +39,9 @@ and none reads or writes a file (bench owns every file format).
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -442,6 +457,93 @@ GATHER_BYTES = 1 << 19
 # The paths tie between 3% and 4% at n = 300 and n = 1000 as well. Every
 # preset samples more (6% to 23%), the n log n floor at n = 2000 less (0.4%).
 GATHER_BLAS_DENSITY = 0.035
+# Multiply-adds of work (m n width for a GEMM-path gather, 2 nnz s for the
+# CSR products of project_tangent_space) from which run_lanes splits a
+# kernel across lanes. Handing a task to a worker costs about 0.05 ms. ms per
+# call, one lane / two lanes, one OpenBLAS thread each, on a shared 2-core
+# Xeon, best of 5 to 400:
+#   gather n, width    work     ms          pair n, |mask|, s     work     ms
+#   300, 16            1.4 Mi   0.15 / 0.18  300, 14208, 8        0.2 Mi   0.19 / 0.23
+#   300, 40            3.4 Mi   0.23 / 0.22  500, 29700, 20       1.1 Mi   0.56 / 0.55
+#   500, 16            3.8 Mi   0.37 / 0.33  1000, 118800, 20     4.5 Mi   1.97 / 1.29
+#   1000, 4            3.8 Mi   0.50 / 0.35  2000, 119700, 20     4.6 Mi   2.33 / 1.68
+#   2000, 20           76 Mi    5.12 / 3.92  2000, 238800, 20     9.1 Mi   4.36 / 2.74
+#   2000, 40           153 Mi   11.5 / 5.81
+# Below about 2 Mi two lanes lose. The n = 300 presets stay below 4 Mi
+# (gathers of width up to 2k = 16, pairs up to 0.3 Mi); the n = 2000 ones
+# reach it (gathers from width 2 on, pairs at s = k).
+PARALLEL_MIN_WORK = 1 << 22
+
+# the worker threads of run_lanes, started on first use; a forked child
+# has none of its parent's threads, so it drops the pool and starts its own
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+@cache
+def _cpus() -> int:
+    """CPUs the process may run on (`taskset -c 0` leaves one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this OS
+        return os.cpu_count() or 1
+
+
+def lanes(work: float) -> int:
+    """How many tasks run_lanes runs at once for a kernel of work
+    multiply-adds: one below PARALLEL_MIN_WORK, otherwise the calling thread
+    plus one worker thread per further CPU."""
+    return 1 if work < PARALLEL_MIN_WORK else _cpus()
+
+
+def _run_under(err: dict, task):
+    with np.errstate(**err):
+        return task()
+
+
+def run_lanes(tasks: list, work: float) -> list:
+    """Results of the zero-argument callables in tasks, in their order.
+
+    Below PARALLEL_MIN_WORK multiply-adds of work, or on one lane, the tasks
+    run in turn on the calling thread. Otherwise the caller runs tasks[0]
+    while the worker threads start the others, each under the caller's
+    np.geterr() (numpy keeps its error state per thread or per context,
+    which a pool thread does not inherit). The caller then runs itself any
+    task that no worker has started yet, so a stalled worker holds up at
+    most the task it is on, and only then waits. An exception of a task
+    re-raises here once no task is running. Tasks must be safe to run
+    concurrently and should spend their time in numpy or scipy calls that
+    release the GIL.
+    """
+    global _pool
+    if len(tasks) < 2 or lanes(work) < 2:
+        return [task() for task in tasks]
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_cpus() - 1, thread_name_prefix="rankdescent-lane")
+    err = np.geterr()
+    futures = {i: _pool.submit(_run_under, err, tasks[i]) for i in range(1, len(tasks))}
+    try:
+        results = [tasks[0]()] + [None] * len(futures)
+        for i, future in futures.items():
+            if future.cancel():
+                results[i] = tasks[i]()
+        for i, future in futures.items():
+            if not future.cancelled():
+                results[i] = future.result()
+        return results
+    finally:
+        for future in futures.values():
+            if not future.cancel():
+                future.exception()  # waits for a started task to end
 
 
 def mask_gather(L: np.ndarray, R: np.ndarray, mask: IndexSet) -> np.ndarray:
@@ -452,9 +554,11 @@ def mask_gather(L: np.ndarray, R: np.ndarray, mask: IndexSet) -> np.ndarray:
     GATHER_BYTES. From it on, each of the mask's row_blocks takes one GEMM
     L[i0:i1] @ R.T into a flat buffer of at most GATHER_BYTES, O(m * n *
     width) in all, and one take of the block's entries at the cached
-    offsets. The GEMM sums in its own order, so the two paths agree to
-    roundoff, not bitwise; each is bitwise repeatable. No finiteness check:
-    callers that need finite values validate them (SparseOnMask does).
+    offsets; from PARALLEL_MIN_WORK on, the blocks are shared out among
+    run_lanes' lanes, each with a buffer of its own. The GEMM sums in its
+    own order, so the two paths agree to roundoff, not bitwise; each is
+    bitwise repeatable, at any lane count. No finiteness check: callers that
+    need finite values validate them (SparseOnMask does).
     """
     if (L.shape[0], R.shape[0]) != mask.dims or L.shape[1] != R.shape[1]:
         raise ValueError("dimension mismatch in mask_gather")
@@ -463,12 +567,20 @@ def mask_gather(L: np.ndarray, R: np.ndarray, mask: IndexSet) -> np.ndarray:
     if len(mask) >= GATHER_BLAS_DENSITY * m * n:
         bounds, offsets = mask.row_blocks
         Rt = np.ascontiguousarray(R.T)
-        buf = np.empty(max(1, GATHER_BYTES // (8 * n)) * n)
-        for i0, i1, p0, p1 in bounds:
-            block = buf[: (i1 - i0) * n]
-            np.matmul(L[i0:i1], Rt, out=block.reshape(i1 - i0, n))
-            # the offsets lie in the block; mode="raise" would copy through a buffer
-            np.take(block, offsets[p0:p1], out=out[p0:p1], mode="clip")
+        # shared by the lanes: each next(), atomic under the GIL, hands out one block
+        blocks = iter(bounds)
+        size = max(1, GATHER_BYTES // (8 * n)) * n
+
+        def lane():
+            buf = np.empty(size)
+            for i0, i1, p0, p1 in blocks:
+                block = buf[: (i1 - i0) * n]
+                np.matmul(L[i0:i1], Rt, out=block.reshape(i1 - i0, n))
+                # the offsets lie in the block; mode="raise" would copy through a buffer
+                np.take(block, offsets[p0:p1], out=out[p0:p1], mode="clip")
+
+        work = m * n * L.shape[1]
+        run_lanes([lane] * min(lanes(work), len(bounds)), work)
         return out
     chunk = max(1, GATHER_BYTES // (16 * max(1, L.shape[1])))
     for start in range(0, len(mask), chunk):

@@ -38,6 +38,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse
 
 from .core import (
     FactoredMatrix,
@@ -47,6 +48,7 @@ from .core import (
     orthonormal_polish,
     truncate,
     project_out,
+    run_lanes,
     ORTHO_TOL,
     RANK_TOL,
 )
@@ -187,13 +189,16 @@ def project_tangent_space(X: VarietyPoint, F) -> ConeTangentVector:
 
     Blockwise: core = U.T F V, up = (I - U U.T) F V, vp = (I - V V.T) F.T U.
     F is any operand with shape, T and @ (dense, sparse or a ThinPair); only
-    its products F @ V and F.T @ U with the thin factors are taken.
+    its products F @ V and F.T @ U with the thin factors are taken. For a
+    sparse F they are two tasks of core.run_lanes, whose work is their
+    2 nnz s multiply-adds. Other kinds run them in turn here: a ThinPair's
+    @ is package code, and package functions run on the calling thread.
     """
     if F.shape != X.shape:
         raise ValueError("dimension mismatch in project_tangent_space")
     U, V = X.point.U, X.point.V
-    FV = F @ V
-    FtU = F.T @ U
+    work = 2 * F.nnz * X.s if scipy.sparse.issparse(F) else 0
+    FV, FtU = run_lanes([lambda: F @ V, lambda: F.T @ U], work)
     core = U.T @ FV
     up = FV - U @ core
     vp = FtU - V @ core.T

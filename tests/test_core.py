@@ -1,7 +1,9 @@
+import multiprocessing
 import os
 import subprocess
 import sys
 import textwrap
+import threading
 
 import numpy as np
 import pytest
@@ -19,8 +21,11 @@ from rankdescent.core import (
     frob_norm,
     GATHER_BLAS_DENSITY,
     GATHER_BYTES,
+    PARALLEL_MIN_WORK,
+    lanes,
     mask_gather,
     numerical_rank,
+    run_lanes,
     svd,
     truncate,
 )
@@ -404,6 +409,15 @@ def assert_gathers_dense(L, R, mask, blas):
     assert np.max(np.abs(g - d), initial=0.0) <= 1e-13 * np.abs(d).max(initial=0.0)
 
 
+def assert_lanes_bitwise(monkeypatch, compute):
+    # every entry comes from the same BLAS call on every lane count
+    monkeypatch.setattr(core, "PARALLEL_MIN_WORK", np.inf)
+    one = compute()
+    monkeypatch.setattr(core, "PARALLEL_MIN_WORK", 0)
+    for _ in range(3):
+        assert np.array_equal(compute(), one)
+
+
 class TestMaskGather:
     # a mask below the density crossover takes the row-wise path, above it the GEMM path
     DENSITIES = {False: GATHER_BLAS_DENSITY / 2, True: min(1.0, 4 * GATHER_BLAS_DENSITY)}
@@ -466,6 +480,206 @@ class TestMaskGather:
 
         for spec in PRESETS.values():
             assert omega_size(spec) >= GATHER_BLAS_DENSITY * spec.n**2
+
+    @pytest.mark.parametrize("m, n", [(120, 90), (90, 120), (400, 30), (30, 400), (1, 300)])
+    def test_lanes_are_bitwise_the_one_lane_gather(self, monkeypatch, m, n):
+        rng = np.random.default_rng(m * n)
+        mask = random_mask(rng, m, n, self.DENSITIES[True])
+        for width in (1, 7, 40):
+            L, R = rng.standard_normal((m, width)), rng.standard_normal((n, width))
+            assert_lanes_bitwise(monkeypatch, lambda: mask_gather(L, R, mask))
+
+    @pytest.mark.parametrize("m", [5, 21, 30])
+    def test_lanes_on_row_blocks_of_every_size(self, monkeypatch, m):
+        n, width = 40, 6
+        monkeypatch.setattr(core, "GATHER_BYTES", 8 * n * 7)
+        rng = np.random.default_rng(m)
+        empty = {0, 2, m - 1} | set(range(7, 14) if m > 14 else ())
+        mask = random_mask(rng, m, n, self.DENSITIES[True], empty_rows=empty)
+        L, R = rng.standard_normal((m, width)), rng.standard_normal((n, width))
+        assert_lanes_bitwise(monkeypatch, lambda: mask_gather(L, R, mask))
+
+    def test_huge_factors_raise_under_the_callers_errstate(self, monkeypatch):
+        # armijo values its trials inside np.errstate(over="raise"), which a
+        # worker thread must honour too
+        monkeypatch.setattr(core, "PARALLEL_MIN_WORK", 0)
+        monkeypatch.setattr(core, "GATHER_BYTES", 8 * 40 * 4)
+        rng = np.random.default_rng(8)
+        mask = random_mask(rng, 60, 40, self.DENSITIES[True])
+        L, R = np.full((60, 3), 1e200), np.full((40, 3), 1e200)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            mask_gather(L, R, mask)
+
+
+LANE_PREFIX = "rankdescent-lane"
+
+
+def lane_threads() -> list:
+    return [t for t in threading.enumerate() if t.name.startswith(LANE_PREFIX)]
+
+
+needs_two_lanes = pytest.mark.skipif(lanes(np.inf) < 2, reason="the process may run on one CPU only")
+
+
+class TestLanes:
+    @pytest.fixture
+    def forced(self, monkeypatch):
+        # lanes at any work, and gathers on n = 60 columns in blocks of 8 rows
+        monkeypatch.setattr(core, "PARALLEL_MIN_WORK", 0)
+        monkeypatch.setattr(core, "GATHER_BYTES", 8 * 60 * 8)
+
+    def test_below_the_threshold_every_task_runs_on_the_caller(self):
+        ran = run_lanes([threading.current_thread] * 3, PARALLEL_MIN_WORK - 1)
+        assert ran == [threading.current_thread()] * 3
+
+    @needs_two_lanes
+    def test_a_worker_task_runs_under_the_callers_errstate(self, forced):
+        started, ran_on = threading.Event(), []
+
+        def on_worker():
+            ran_on.append(threading.current_thread())
+            started.set()
+            return np.array(1e300) * 1e300
+
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            run_lanes([lambda: started.wait(30), on_worker], 0)
+        assert ran_on[0] is not threading.current_thread()
+
+    @needs_two_lanes
+    def test_a_worker_exception_reraises_in_the_caller(self, forced):
+        started = threading.Event()
+
+        def on_worker():
+            started.set()
+            raise KeyError("from a worker")
+
+        with pytest.raises(KeyError, match="from a worker"):
+            run_lanes([lambda: started.wait(30), on_worker], 0)
+
+    @needs_two_lanes
+    def test_the_caller_runs_a_task_no_worker_has_started(self, forced):
+        # every worker waits on a task of its own until the last task runs,
+        # which no worker is free to start, so the caller must take it
+        workers = lanes(np.inf) - 1
+        all_busy, release = threading.Barrier(workers + 1), threading.Event()
+
+        def busy():
+            all_busy.wait(30)
+            return release.wait(30)
+
+        def last():
+            release.set()
+            return threading.current_thread()
+
+        out = run_lanes([lambda: all_busy.wait(30)] + [busy] * workers + [last], 0)
+        assert out[-1] is threading.current_thread() and all(out[1:-1])
+
+    def test_more_lanes_than_cores_hand_each_block_to_one_lane(self, forced, monkeypatch):
+        # a block lost or taken twice, or a buffer shared by two lanes, would
+        # leave entries unwritten or overwritten; frequent thread switches
+        # give such races their chance
+        rng = np.random.default_rng(11)
+        mask = random_mask(rng, 300, 60, 0.3)
+        L, R = rng.standard_normal((300, 5)), rng.standard_normal((60, 5))
+        monkeypatch.setattr(core, "PARALLEL_MIN_WORK", np.inf)
+        want = mask_gather(L, R, mask)
+        monkeypatch.setattr(core, "PARALLEL_MIN_WORK", 0)
+        monkeypatch.setattr(core, "_cpus", lambda: 2 * os.cpu_count() + 1)
+        monkeypatch.setattr(core, "_pool", None)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(200):
+                assert np.array_equal(mask_gather(L, R, mask), want)
+        finally:
+            sys.setswitchinterval(interval)
+            if core._pool is not None:
+                core._pool.shutdown()
+
+    @needs_two_lanes
+    def test_worker_count_stays_below_the_lane_count(self, forced):
+        rng = np.random.default_rng(9)
+        mask = random_mask(rng, 90, 60, 0.3)
+        L, R = rng.standard_normal((90, 4)), rng.standard_normal((60, 4))
+        assert len(mask.row_blocks[0]) > lanes(np.inf)
+        for _ in range(50):
+            mask_gather(L, R, mask)
+            run_lanes([lambda: 1] * 5, 0)
+        assert 1 <= len(lane_threads()) <= lanes(np.inf) - 1
+
+    @needs_two_lanes
+    def test_worker_tasks_call_no_package_function(self, forced, monkeypatch):
+        # perfbench's tracer wraps package functions and keeps one stack of
+        # open spans, so every span must open and close on the caller's thread
+        from rankdescent import bench, solvers
+
+        package = os.path.dirname(rankdescent.__file__)
+        seen = set()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename.startswith(package):
+                seen.add(frame.f_code.co_name)
+
+        monkeypatch.setattr(core, "_pool", None)  # its workers start under the profile
+        threading.setprofile(profile)
+        try:
+            spec = bench.CompletionSpec(n=60, r=3, k=4, os_rate=3, seed=1)
+            problem, _ = bench.gen_problem(spec)
+            X0 = bench.initial_guess(problem, spec.k)
+            for variant in ("sd", "rf"):
+                solvers.solve(problem, X0, solvers.SolverConfig(k=spec.k, variant=variant, max_iters=4))
+        finally:
+            threading.setprofile(None)
+            if core._pool is not None:
+                core._pool.shutdown()
+        assert "_run_under" in seen and seen <= {"_run_under", "lane", "<lambda>"}
+
+    def test_import_starts_no_thread(self):
+        script = "import threading, rankdescent.cli; print(threading.active_count())"
+        src = os.path.dirname(os.path.dirname(rankdescent.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "1"
+
+    @needs_two_lanes
+    @pytest.mark.filterwarnings("ignore:.*use of fork\\(\\) may lead to deadlocks:DeprecationWarning")
+    def test_a_forked_child_gathers_on_lanes_of_its_own(self, forced):
+        # the parent's pool exists before the fork; the child drops it, starts
+        # its own workers and gathers the same values
+        rng = np.random.default_rng(10)
+        mask = random_mask(rng, 90, 60, 0.3)
+        L, R = rng.standard_normal((90, 4)), rng.standard_normal((60, 4))
+        want = mask_gather(L, R, mask)
+        assert lane_threads()
+
+        def child():
+            assert not lane_threads()
+            assert np.array_equal(mask_gather(L, R, mask), want)
+            assert lane_threads()
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(timeout=60)
+        if proc.exitcode is None:
+            proc.kill()
+        assert proc.exitcode == 0
+
+    def test_n300_presets_stay_on_one_lane_and_n2000_presets_take_lanes(self):
+        # a gather has width at most 2k (a cone direction's factors) and the
+        # CSR pair of project_tangent_space works 2 |mask| s with s <= k; at
+        # n = 300 two lanes slowed fig1-small's width-16 gathers
+        from rankdescent.bench import PRESETS, omega_size
+
+        for spec in PRESETS.values():
+            gather, pair = spec.n**2 * spec.k, 2 * omega_size(spec) * spec.k
+            if spec.n <= 300:
+                assert 2 * gather < PARALLEL_MIN_WORK and pair < PARALLEL_MIN_WORK
+            else:
+                assert gather >= PARALLEL_MIN_WORK and pair >= PARALLEL_MIN_WORK
+
+
 
 
 class TestNumericalRank:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+from rankdescent import core
 from rankdescent.core import FactoredMatrix, IndexSet, SparseOnMask, ThinPair, truncate
 from rankdescent.geometry import (
     ConeTangentVector,
@@ -74,6 +75,19 @@ class TestTangentSpace:
         X = random_point(np.random.default_rng(3), 4, 3, 2, 3)
         with pytest.raises(ValueError):
             project_tangent_space(X, np.zeros((3, 4)))
+
+    @pytest.mark.parametrize("m, n, s", [(80, 60, 5), (60, 80, 1), (50, 50, 0)])
+    def test_csr_products_on_lanes_are_bitwise_the_one_lane_products(self, monkeypatch, m, n, s):
+        rng = np.random.default_rng(m + s)
+        F = scipy.sparse.random(m, n, density=0.2, format="csr", random_state=rng)
+        X = random_point(rng, m, n, s, s + 1)
+        results = []
+        for threshold in (np.inf, 0):
+            monkeypatch.setattr(core, "PARALLEL_MIN_WORK", threshold)
+            results.append(project_tangent_space(X, F))
+        one, two = results
+        for block in ("core", "up", "vp"):
+            assert np.array_equal(getattr(one, block), getattr(two, block))
 
 
 class TestConeProjection:
