@@ -248,8 +248,7 @@ def _summary(spec: CompletionSpec, alg: str, result: SolveResult | None, fit) ->
         "alg": alg,
     }
     if result is None:
-        out.update({key: "" for key in SUMMARY_KEYS[6:]})
-        return out
+        return {key: out.get(key, "") for key in SUMMARY_KEYS}
     trace = result.trace
     final = trace[-1]
     monitors = descent_monitors(trace) if len(trace) >= 2 else None

@@ -4,13 +4,13 @@ Each objective returns its gradient as a matrix operand with shape, T and @,
 which the tangent-cone projection consumes through thin factor products
 alone: MatrixCompletion as the CSR matrix of its residual on the mask,
 QuadraticDistance as the ThinPair of its joint factors, with no QR or SVD.
-Both compute the residual once per point: the gradient at the point whose
-value was taken last reuses its residual. line(xi) is the objective along
-the curve alpha -> retract(xi, alpha) from the base point X of xi, the only
-thing the line search sees: its curvature, computed on its first read, sets
-the initial step when the solver asks for it, value(alpha) is f at a trial
-point, and step() returns the point valued last with its distance from X. A
-Line retracts each trial and evaluates it; on a completion problem it
+MatrixCompletion gathers its residual once per point, for the value and the
+gradient there; QuadraticDistance keeps no state. line(xi) is the objective
+along the curve alpha -> retract(xi, alpha) from the base point X of xi, the
+only thing the line search sees: its curvature, computed on its first read,
+sets the initial step when the solver asks for it, value(alpha) is f at a
+trial point, and step() returns the point valued last with its distance from
+X. A Line retracts each trial and evaluates it; on a completion problem it
 gathers the direction on the mask only if its curvature is read. Along a
 flat xi the curve is the ambient line X + alpha * xi, on which matrix
 completion is exactly quadratic: its MaskedLine takes every trial value from
@@ -63,7 +63,7 @@ class MaskedLine(Line):
 
     The curve is the ambient line X + alpha * xi and f is exactly quadratic
     on it, so each value is one O(|mask|) vector update with no retraction.
-    step() retracts once and seeds the objective's residual slot with
+    step() retracts once and seeds the completion's residual slot with
     r + alpha * v (read-only) under the new point's identity: the gradient
     and value there gather nothing. The seeded residual differs from a
     fresh gather by the roundoff of forming the point, which accumulates
@@ -92,17 +92,7 @@ class Objective:
     xi at X: its curvature <xi, Hess f(X) xi>, read on the solver's even
     iterations (solvers.solve), sets the exact-minimizer start of the
     search, and its values are the search's trial costs.
-
-    Subclasses that define shape and _compute_residual(point) get _residual,
-    which keeps the residual of the point evaluated last in one slot keyed by
-    the identity of X.point. A FactoredMatrix is immutable and the slot holds
-    a reference to it, so the key cannot be reused by another point: the
-    solver's gradient at the line search's accepted point, and the first
-    gradient after value(X0), cost no residual. The slot makes an instance
-    unsafe to share between threads.
     """
-
-    _last = (None, None)  # (point, residual)
 
     def value(self, X: VarietyPoint) -> float:
         raise NotImplementedError
@@ -115,21 +105,11 @@ class Objective:
         """The objective along retract(xi, alpha), for a cone tangent vector xi."""
         raise NotImplementedError
 
-    def _residual(self, X: VarietyPoint):
+    def _point(self, X: VarietyPoint) -> FactoredMatrix:
+        """X.point, once X's shape is checked against the problem's."""
         if X.shape != self.shape:
             raise ValueError("dimension mismatch between point and problem")
-        point, r = self._last
-        if point is not X.point:
-            r = self._compute_residual(X.point)
-            self._keep_residual(X.point, r)
-        return r
-
-    def _keep_residual(self, point: FactoredMatrix, r) -> None:
-        """File r as the residual of point in the slot, its arrays made
-        read-only: r itself, or the factors of a (ThinPair, distance) residual."""
-        for a in (r[0].L, r[0].R) if isinstance(r, tuple) else (r,):
-            a.flags.writeable = False
-        self._last = (point, r)
+        return X.point
 
 
 class MatrixCompletion(Objective):
@@ -140,7 +120,15 @@ class MatrixCompletion(Objective):
     line's v) are gathered from thin factors by core.mask_gather: row-wise
     dot products in O(|mask| * width) below its density crossover, one BLAS
     GEMM and one take per block of rows, O(m * n * width), from it on.
+
+    The residual of the point valued last is kept, read-only, in one slot
+    keyed by the identity of X.point, an immutable FactoredMatrix the slot
+    holds, so no other point reuses the key: the gradient at the search's
+    accepted point, and the first after value(X0), gather nothing. The slot
+    makes an instance unsafe to share between threads.
     """
+
+    _last = (None, None)  # (point, residual)
 
     def __init__(self, data: SparseOnMask):
         self.data = data
@@ -149,6 +137,16 @@ class MatrixCompletion(Objective):
 
     def _compute_residual(self, point: FactoredMatrix) -> np.ndarray:
         return mask_gather(point.U * point.sigma, point.V, self.mask) - self.data.values
+
+    def _residual(self, X: VarietyPoint) -> np.ndarray:
+        point = self._point(X)
+        if self._last[0] is not point:
+            self._keep_residual(point, self._compute_residual(point))
+        return self._last[1]
+
+    def _keep_residual(self, point: FactoredMatrix, r: np.ndarray) -> None:
+        r.flags.writeable = False
+        self._last = (point, r)
 
     def value(self, X: VarietyPoint) -> float:
         r = self._residual(X)
@@ -177,32 +175,32 @@ class MatrixCompletion(Objective):
 class QuadraticDistance(Objective):
     """Half the squared Frobenius distance to a fixed factored target.
 
-    The residual is the pair (ThinPair(L, R), d): L = [X.U * sigma |
-    -A.U * tau], R = [X.V | A.V] with L @ R.T = X - A, and d = ||X - A||
-    from core.factored_diff_norm, with no QR. The value is 0.5 * d^2 and
-    the gradient is the ThinPair, which the cone projection takes through
-    thin products. A point whose factors equal the target's bitwise has the
-    exact zero residual, a zero-width pair with d = 0.
+    The value is 0.5 * ||X - A||^2 by core.factored_diff_norm, with no QR;
+    the gradient is ThinPair(L, R) = X - A, L = [X.U * sigma | -A.U * tau]
+    (its target block formed once) and R = [X.V | A.V]. Factors equal to the
+    target's bitwise give the exact zero value and a zero-width pair. No
+    state is kept per point: an instance is safe to share between threads.
     """
 
     def __init__(self, target: FactoredMatrix):
         self.target = target
         self.shape = target.shape
+        self._target_left = -(target.U * target.sigma)
 
-    def _compute_residual(self, point: FactoredMatrix):
+    def _at_target(self, point: FactoredMatrix) -> bool:
         T = self.target
-        pairs = ((point.sigma, T.sigma), (point.U, T.U), (point.V, T.V))
-        if all(np.array_equal(a, b) for a, b in pairs):
-            return ThinPair(np.zeros((self.shape[0], 0)), np.zeros((self.shape[1], 0))), 0.0
-        L = np.hstack([point.U * point.sigma, -(T.U * T.sigma)])
-        R = np.hstack([point.V, T.V])
-        return ThinPair(L, R), factored_diff_norm(T, point)
+        return all(map(np.array_equal, (point.sigma, point.U, point.V), (T.sigma, T.U, T.V)))
 
     def value(self, X: VarietyPoint) -> float:
-        return 0.5 * self._residual(X)[1] ** 2
+        point = self._point(X)
+        return 0.0 if self._at_target(point) else 0.5 * factored_diff_norm(self.target, point) ** 2
 
     def gradient(self, X: VarietyPoint) -> ThinPair:
-        return self._residual(X)[0]
+        point = self._point(X)
+        if self._at_target(point):
+            return ThinPair(np.zeros((self.shape[0], 0)), np.zeros((self.shape[1], 0)))
+        L = np.hstack([point.U * point.sigma, self._target_left])
+        return ThinPair(L, np.hstack([point.V, self.target.V]))
 
     def line(self, xi: ConeTangentVector) -> Line:
         """The curvature <xi, Hess f xi> = ||xi||^2 alone: the Hessian is the identity."""

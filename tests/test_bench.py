@@ -308,6 +308,8 @@ class TestErrorCapture:
         assert report.runs["rf"].error is None  # second algorithm still ran
         assert report.runs["sd"].summary["status"] == ""
         assert report.runs["sd"].summary["backtracks"] == ""
+        assert list(report.runs["sd"].summary) == list(SUMMARY_KEYS)
+        assert report.runs["sd"].summary["spec.seed"] == 14 and report.runs["sd"].summary["alg"] == "sd"
         assert read_kv(tmp_path / "rf_summary.txt")["status"] == report.runs["rf"].result.status.value
         assert calls == ["sd", "rf"]
 

@@ -66,3 +66,16 @@ def test_a_file_on_one_side_only_fails(tmp_path):
     ok, lines = equiv.compare_trees(a, b, rtol=1.0)
     assert not ok
     assert lines == ["ok   x.csv: bitwise equal", "FAIL y.csv: only in HEAD"]
+
+
+def test_src_lines_counts_the_packages_newlines_as_wc_does(tmp_path):
+    # wc -l counts newline bytes: a last line without one is not counted;
+    # files outside src/rankdescent/*.py are not counted at all
+    root = tree(tmp_path, {
+        "src/rankdescent/a.py": "x = 1\n\ny = 2\n",
+        "src/rankdescent/b.py": '"""doc\n"""\nz = 3',
+        "src/rankdescent/notes.txt": "one\ntwo\n",
+        "src/rankdescent/sub/c.py": "w = 4\n",
+        "tools/d.py": "v = 5\n",
+    })
+    assert equiv.src_lines(root) == 3 + 2

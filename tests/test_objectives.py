@@ -283,7 +283,6 @@ class TestQuadraticDistance:
         G = obj.gradient(X)
         L, R = G.L, G.R
         assert L.shape == (m, s + r) and R.shape == (n, s + r)
-        assert not (L.flags.writeable or R.flags.writeable)
         D = ambient_dense(X) - ambient_dense(A)
         assert np.allclose(L @ R.T, D, atol=1e-13 * np.linalg.norm(D))
         assert obj.value(X) == pytest.approx(0.5 * np.sum(D**2), rel=1e-12)
@@ -368,6 +367,52 @@ class TestQuadraticDistance:
         assert f == fresh.value(X)
         fresh_G = fresh.gradient(X)
         assert all(map(np.array_equal, (L, R), (fresh_G.L, fresh_G.R)))
+
+    def test_value_builds_no_pair_and_gradient_builds_one(self, monkeypatch):
+        built = []
+
+        class CountedPair(ThinPair):
+            def __init__(self, L, R):
+                built.append(L.shape[1])
+                super().__init__(L, R)
+
+        monkeypatch.setattr(objectives, "ThinPair", CountedPair)
+        rng = np.random.default_rng(6)
+        A = truncate(rng.standard_normal((9, 8)), 4)
+        obj = QuadraticDistance(A)
+        X = random_point(rng, 9, 8, 3, 4)
+        at_target = VarietyPoint(FactoredMatrix(A.U.copy(), A.sigma.copy(), A.V.copy()), 4)
+        for point in (X, at_target):
+            obj.value(point)
+        assert built == []
+        for point in (X, at_target):
+            obj.gradient(point)
+        assert built == [3 + 4, 0]
+
+    def test_gradient_of_a_fresh_instance_is_the_one_after_value(self):
+        rng = np.random.default_rng(8)
+        A = truncate(rng.standard_normal((12, 10)), 4)
+        for s, k in ((3, 4), (4, 4), (2, 6)):
+            X = random_point(rng, 12, 10, s, k)
+            obj = QuadraticDistance(A)
+            obj.value(X)
+            after_value = obj.gradient(X)
+            fresh = QuadraticDistance(A).gradient(X)
+            assert np.array_equal(after_value.L, fresh.L) and np.array_equal(after_value.R, fresh.R)
+
+    def test_dim_mismatch(self):
+        obj = QuadraticDistance(truncate(np.ones((6, 5)), 1))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            obj.value(zero_point(5, 6, 1))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            obj.gradient(zero_point(5, 6, 1))
+
+
+def test_the_interface_keeps_no_residual_slot():
+    # the slot saves a gather per point on completion alone, which owns it
+    for name in ("_last", "_residual", "_keep_residual"):
+        assert name not in vars(objectives.Objective)
+        assert name in vars(MatrixCompletion)
 
 
 class TestFiniteDifferences:

@@ -28,6 +28,8 @@ reported as "bitwise equal", or by its first differing row and the largest
 relative difference per column. The exit status is 0 only when every
 comparison passes: byte identity (--bitwise, the default), or with --rtol X
 the same rows and fields, numbers within X relative and other fields equal.
+The report ends with the src/ line totals of both trees: the lines of
+src/rankdescent/*.py as `wc -l` counts them.
 """
 
 from __future__ import annotations
@@ -67,6 +69,11 @@ def export(rev: str, dest: Path) -> Path:
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(dest, filter="data")
     return dest
+
+
+def src_lines(tree: Path) -> int:
+    """The lines of tree/src/rankdescent/*.py as `wc -l` counts them: newlines."""
+    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "rankdescent").glob("*.py"))
 
 
 def write_outputs(tree: Path, out: Path) -> None:
@@ -221,9 +228,11 @@ def main(argv=None) -> int:
             print(f"{label}: running the standard set", flush=True)
             write_outputs(tree, tmp / label)
         ok, lines = compare_trees(tmp / "BASE", tmp / "HEAD", args.rtol)
+        base, head = (src_lines(tree) for tree in trees.values())
     print("\n".join(lines))
     mode = "bitwise" if args.rtol is None else f"rtol {args.rtol:g}"
     print(f"{sum(x.startswith('ok') for x in lines)} of {len(lines)} files pass ({mode})")
+    print(f"src/ lines: BASE {base:,}, HEAD {head:,} ({head - base:+,})")
     return 0 if ok else 1
 
 
