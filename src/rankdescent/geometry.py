@@ -228,31 +228,18 @@ def _perp_truncation(X: VarietyPoint, F, budget: int) -> FactoredMatrix:
     projected out: the completion gradient's CSR matrix goes through ARPACK
     via scipy.sparse.linalg.svds, a ThinPair (the quadratic gradient)
     through QRs of its projected factors, so neither is densified unless the
-    result is as large as F. The factors of the truncation are
-    re-orthogonalized against the base spaces afterwards so the
-    block-orthogonality invariants hold despite roundoff. That projection
-    leaves the columns of each side slightly non-orthonormal, so truncate
-    takes the ThinPair (W_l * sigma, W_r) back to an SVD triple. Remainder
-    modes at roundoff level relative to ||F|| count as zero: they are
-    projection noise, not signal; a pair's ||F|| (core.frob_norm) takes one
-    more QR.
+    result is as large as F. Remainder modes at roundoff level relative to
+    ||F|| count as zero: they are projection noise, not signal; a pair's
+    ||F|| (core.frob_norm) takes one more QR. The kept modes go through
+    truncate once more, again against U and V: its projection is the second
+    Gram-Schmidt pass that holds the block-orthogonality invariants despite
+    roundoff, and its QRs give orthonormal factors back.
     """
     U, V = X.point.U, X.point.V
     P = truncate(F, budget, U, V)
     scale = frob_norm(F)
     r = int(np.count_nonzero(P.sigma > RANK_TOL * scale)) if scale > 0 else 0
-    WL = _reorthogonalize(P.U[:, :r], U)
-    WR = _reorthogonalize(P.V[:, :r], V)
-    return truncate(ThinPair(WL * P.sigma[:r], WR), r)
-
-
-def _reorthogonalize(W: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """W's columns after two Gram-Schmidt passes against an orthonormal basis."""
-    if basis.shape[1] and W.shape[1]:
-        W = project_out(project_out(W, basis), basis)
-        if np.linalg.norm(W, axis=0).min(initial=1.0) <= 0.5:
-            raise ValueError("degenerate perp factor after re-orthogonalization")
-    return W
+    return truncate(ThinPair(P.U[:, :r] * P.sigma[:r], P.V[:, :r]), r, U, V)
 
 
 def g_lower_bound(X: VarietyPoint, F) -> float:

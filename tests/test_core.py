@@ -666,6 +666,14 @@ class TestLanes:
             proc.kill()
         assert proc.exitcode == 0
 
+    def test_cpus_without_an_affinity_mask_is_the_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        core._cpus.cache_clear()
+        try:
+            assert core._cpus() == (os.cpu_count() or 1)
+        finally:
+            core._cpus.cache_clear()
+
     def test_n300_presets_stay_on_one_lane_and_n2000_presets_take_lanes(self):
         # a gather has width at most 2k (a cone direction's factors) and the
         # CSR pair of project_tangent_space works 2 |mask| s with s <= k; at

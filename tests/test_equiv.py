@@ -32,7 +32,7 @@ def test_a_number_off_by_roundoff_fails_bitwise_and_passes_a_tolerance():
     head = TRACE.replace("0.125", "0.12500000000000003")
     ok, report = equiv.compare_file(TRACE.encode(), head.encode(), None)
     assert not ok
-    assert report == "first differing row 2; largest relative difference: f 2.2e-16"
+    assert report == "first differing row 2; largest relative difference: f 2.2e-16; column-scaled: f 1.1e-17"
     assert equiv.compare_file(TRACE.encode(), head.encode(), 1e-15)[0]
     assert not equiv.compare_file(TRACE.encode(), head.encode(), 1e-17)[0]
 
@@ -41,7 +41,17 @@ def test_a_key_value_line_is_named_by_its_key():
     head = SUMMARY.replace("1.8579032739709356e-16", "1.9e-16")
     ok, report = equiv.compare_file(SUMMARY.encode(), head.encode(), 0.1)
     assert ok
-    assert report == "first differing row 2; largest relative difference: final_f 2.2e-02"
+    assert report == "first differing row 2; largest relative difference: final_f 2.2e-02; column-scaled: final_f 2.2e-02"
+
+
+def test_a_converging_column_reads_its_roundoff_scaled_by_its_largest_value():
+    # f falls to 1e-32; a change of 1e-30 there is a relative difference of ~1
+    # per entry, and ~1e-17 of the column's largest value
+    base = "n,f\n0,1e-13\n1,1e-22\n2,1e-32\n"
+    head = base.replace("1e-32", "1.01e-30")
+    ok, report = equiv.compare_file(base.encode(), head.encode(), 1e-8)
+    assert not ok
+    assert report == "first differing row 3; largest relative difference: f 9.9e-01; column-scaled: f 1.0e-17"
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ from rankdescent.geometry import (
     random_point,
     retract,
 )
+from rankdescent.objectives import MatrixCompletion, QuadraticDistance
 from helpers import (
     ambient_dense,
     count_qr_calls,
@@ -280,6 +281,43 @@ class TestConeProjection:
             assert g_lower_bound(X, F) == pytest.approx(bound, rel=1e-12, abs=0)
         assert (bound > 0) == (s < k)
 
+    @staticmethod
+    def _perp_drift(X, F):
+        G, _ = project_cone(X, F)
+        U, V = X.point.U, X.point.V
+        drift = max(np.abs(U.T @ G.perp.U).max(initial=0.0), np.abs(V.T @ G.perp.V).max(initial=0.0))
+        return drift, G.perp.rank
+
+    def test_perp_factors_stay_orthogonal_to_the_base_near_convergence(self):
+        # rank-4 points near a rank-4 target at k = 8, so ||F|| << ||X||: the
+        # perp block's factors stay orthogonal to U and V at roundoff, not at
+        # roundoff times ||X|| / ||F||, for each kind of gradient
+        rng = np.random.default_rng(7)
+        A = truncate(rng.standard_normal((60, 4)) @ rng.standard_normal((4, 50)), 4)
+        noise = rng.standard_normal((60, 50))
+        obj, ranks = QuadraticDistance(A), []
+        for eps in 10.0 ** -np.arange(2, 14):
+            X = VarietyPoint(truncate(ambient_dense(A) + eps * noise, 4), 8)
+            G = obj.gradient(X)
+            for F in (G, ambient_dense(G), scipy.sparse.csr_matrix(ambient_dense(G))):
+                drift, rank = self._perp_drift(X, F)
+                assert drift <= 1e-14
+                ranks.append(rank)
+        assert max(ranks) == 4
+
+    def test_completion_perp_factors_stay_orthogonal_to_the_base_near_convergence(self):
+        # a 40x40 completion problem of rank 2 at s = 2 < k = 5: the CSR
+        # gradient's perp block through ARPACK
+        rng = np.random.default_rng(11)
+        B = ambient_dense(truncate(rng.standard_normal((40, 2)) @ rng.standard_normal((2, 40)), 2))
+        mask = IndexSet((40, 40), *np.nonzero(rng.random((40, 40)) < 0.5))
+        obj = MatrixCompletion(SparseOnMask(mask, B[mask.rows, mask.cols]))
+        noise = rng.standard_normal((40, 40))
+        for eps in (1e-2, 1e-6, 1e-10, 1e-13):
+            X = VarietyPoint(truncate(B + eps * noise, 2), 5)
+            drift, rank = self._perp_drift(X, obj.gradient(X))
+            assert rank > 0 and drift <= 1e-14
+
 
 class TestRetraction:
     def test_zero_step(self):
@@ -288,6 +326,17 @@ class TestRetraction:
         xi = random_cone_vector(rng, X)
         for Y, distance in (retract(xi, 0.0), retract(zero_tangent(X), 1.0)):
             assert Y is X and distance == 0.0
+
+    def test_step_onto_the_zero_matrix(self):
+        # xi = -X is flat with up = vp = 0; at alpha = 1 every mode cancels,
+        # so the retraction keeps none and polishes zero-width factors
+        rng = np.random.default_rng(13)
+        X = random_point(rng, 6, 5, 3, 4)
+        xi = ConeTangentVector(X, -np.diag(X.point.sigma), np.zeros((6, 3)), np.zeros((5, 3)))
+        assert xi.flat
+        Y, distance = retract(xi, 1.0)
+        assert Y.s == 0 and Y.point.U.shape == (6, 0) and Y.point.V.shape == (5, 0)
+        assert distance == pytest.approx(np.linalg.norm(X.point.sigma), rel=1e-15)
 
     def test_negative_step_rejected(self):
         rng = np.random.default_rng(12)

@@ -316,7 +316,8 @@ class TestQuadraticDistance:
     def test_five_qrs_and_two_svds_at_a_deficient_point(self, monkeypatch):
         # at s < k the cone projection truncates the pair with the base
         # spaces projected out (2 QRs, 1 SVD), takes its scale ||F|| (1 QR)
-        # and re-truncates the re-orthogonalized factors (2 QRs, 1 SVD)
+        # and truncates the kept modes against the base spaces once more
+        # (2 QRs, 1 SVD)
         rng = np.random.default_rng(12)
         A = truncate(rng.standard_normal((50, 6)) @ rng.standard_normal((6, 40)), 6)
         X = random_point(rng, 50, 40, 3, 6)

@@ -24,8 +24,9 @@ standard set of outputs:
   each as its repr.
 
 Every file of one tree is compared with its namesake in the other and
-reported as "bitwise equal", or by its first differing row and the largest
-relative difference per column. The exit status is 0 only when every
+reported as "bitwise equal", or by its first differing row and, per column,
+the largest relative difference and the largest difference scaled by the
+column's largest magnitude. The exit status is 0 only when every
 comparison passes: byte identity (--bitwise, the default), or with --rtol X
 the same rows and fields, numbers within X relative and other fields equal.
 The report ends with the src/ line totals of both trees: the lines of
@@ -160,32 +161,38 @@ def _rows(text: str) -> list[list[tuple[str, str]]]:
     return rows
 
 
-def _rel_diff(a: str, b: str) -> float:
-    """0 for equal fields, |x - y| / max(|x|, |y|) for two numbers, else inf."""
-    if a == b:
-        return 0.0
+def _diff(a: str, b: str) -> tuple[float, float, float]:
+    """(relative, absolute difference, magnitude) of two fields. Two finite
+    numbers x, y give |x - y| / max(|x|, |y|), |x - y| and max(|x|, |y|);
+    other equal fields (0, 0, 0); other differing fields (inf, inf, 0)."""
     x, y = _number(a), _number(b)
     if x is None or y is None or not (math.isfinite(x) and math.isfinite(y)):
-        return math.inf
-    return abs(x - y) / max(abs(x), abs(y))
+        return (0.0, 0.0, 0.0) if a == b else (math.inf, math.inf, 0.0)
+    size = max(abs(x), abs(y))
+    return (abs(x - y) / size if x != y else 0.0), abs(x - y), size
 
 
 def compare_file(base: bytes, head: bytes, rtol: float | None) -> tuple[bool, str]:
     """(passes, report) for two versions of one file: bitwise equal, or the
-    first differing row (0-based, the header row included) and the largest
-    relative difference per column. With rtol None only byte identity
-    passes; else the rows and their fields must match in number, and every
-    pair of fields differ by at most rtol relative (other fields: not at
-    all)."""
+    first differing row (0-based, the header row included), the largest
+    relative difference per column and the largest column-scaled one: a
+    column's largest absolute difference over its largest magnitude in
+    either file, which shows a roundoff-level change to a column that
+    converges to zero. With rtol None only byte identity passes; else the
+    rows and their fields must match in number, and every pair of fields
+    differ by at most rtol relative (other fields: not at all)."""
     if base == head:
         return True, "bitwise equal"
     rows_a, rows_b = (_rows(x.decode(errors="replace")) for x in (base, head))
     first = next((i for i, (a, b) in enumerate(zip(rows_a, rows_b)) if a != b), min(len(rows_a), len(rows_b)))
-    worst, shaped = {}, len(rows_a) == len(rows_b)
+    worst, gap, scale, shaped = {}, {}, {}, len(rows_a) == len(rows_b)
     for a, b in zip(rows_a, rows_b):
         shaped = shaped and len(a) == len(b) and [c for c, _ in a] == [c for c, _ in b]
         for (column, x), (_, y) in zip(a, b):
-            worst[column] = max(worst.get(column, 0.0), _rel_diff(x, y))
+            rel, diff, size = _diff(x, y)
+            worst[column] = max(worst.get(column, 0.0), rel)
+            gap[column] = max(gap.get(column, 0.0), diff)
+            scale[column] = max(scale.get(column, 0.0), size)
     parts = [f"first differing row {first}"]
     if len(rows_a) != len(rows_b):
         parts.append(f"{len(rows_a)} rows against {len(rows_b)}")
@@ -193,6 +200,9 @@ def compare_file(base: bytes, head: bytes, rtol: float | None) -> tuple[bool, st
         parts.append("fields do not line up")
     diffs = ", ".join(f"{c} {d:.1e}" for c, d in worst.items() if d > 0)
     parts.append(f"largest relative difference: {diffs or 'none'}")
+    # a finite gap is at most twice its column's scale, so only inf meets a zero scale
+    scaled = ", ".join(f"{c} {d / scale[c] if scale[c] else d:.1e}" for c, d in gap.items() if d > 0)
+    parts.append(f"column-scaled: {scaled or 'none'}")
     passes = rtol is not None and shaped and all(d <= rtol for d in worst.values())
     return passes, "; ".join(parts)
 
