@@ -36,7 +36,6 @@ from .objectives import MatrixCompletion
 from .solvers import (
     SolveResult,
     SolverConfig,
-    VARIANTS,
     iterate_distances,
     rate_fit,
     solve,
@@ -189,34 +188,31 @@ class ExperimentReport:
 
 def run_experiment(
     spec: CompletionSpec,
-    algorithms=tuple(VARIANTS),
-    solver_cfg: SolverConfig | None = None,
+    algorithms,
+    solver_cfg: SolverConfig,
     out_dir=None,
     timing: bool = True,
 ) -> ExperimentReport:
-    """Run the requested algorithms on one generated problem.
+    """Solve one generated problem with solver_cfg, once per variant name in algorithms.
 
-    All algorithms share the problem and the starting guess. Per algorithm a
-    trace CSV, an iterate-distance CSV (when iterates were recorded) and a
-    key = value summary are written under out_dir. solve keeps a recorded
-    history on disk (solvers.IterateHistory), and iterate_distances reads it
-    one iterate at a time. The reported results hold no iterates: the history
-    is dropped, and its file closed, once its distances are taken, so it is
-    not kept while the next algorithm runs. Solver failures go into
-    the report instead of aborting the remaining algorithms. With timing off
-    the wall_ms column is zeroed, which makes every emitted file a pure
-    function of the spec at a fixed BLAS thread count (see solvers.solve).
+    All runs share the problem and the starting guess, initial_guess at
+    solver_cfg.k. Per run a trace CSV, an iterate-distance CSV (when iterates
+    were recorded) and a key = value summary go under out_dir. A reported
+    result holds no iterates: its history is dropped, and its file closed,
+    once its distances are taken. Solver failures go into the report instead
+    of aborting the remaining runs. With timing off the wall_ms column is
+    zeroed, which makes every file a pure function of the spec and solver_cfg
+    at a fixed BLAS thread count (see solvers.solve).
     """
     problem, target = gen_problem(spec)
-    base_cfg = solver_cfg or SolverConfig(k=spec.k, record_iterates=True)
-    X0 = initial_guess(problem, base_cfg.k)
+    X0 = initial_guess(problem, solver_cfg.k)
     metrics = rel_errors(target, problem)
     report = ExperimentReport(spec=spec)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
     for alg in algorithms:
         try:
-            result = solve(problem, X0, replace(base_cfg, variant=alg), metrics=metrics)
+            result = solve(problem, X0, replace(solver_cfg, variant=alg), metrics=metrics)
         except LineSearchError as err:
             report.runs[alg] = AlgorithmRun(
                 alg=alg, result=None, summary=_summary(spec, alg, None, None), error=str(err)

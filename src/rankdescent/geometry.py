@@ -95,10 +95,11 @@ class ConeTangentVector:
 
     core is s-by-s, up is m-by-s with U.T @ up = 0, vp is n-by-s with
     V.T @ vp = 0, and perp is a FactoredMatrix of rank at most k - s whose
-    factors are orthogonal to U and V (rank 0 when omitted). The ambient
-    embedding is U @ core @ V.T + up @ V.T + U @ vp.T + perp. The blocks are
-    coefficients over base's factors, so retract and Objective.line take
-    the point from base and from nowhere else.
+    factors are orthogonal to U and V (rank 0 when omitted). core, up and vp
+    are stored as given: an array of another shape raises ValueError. The
+    ambient embedding is U @ core @ V.T + up @ V.T + U @ vp.T + perp. The
+    blocks are coefficients over base's factors, so retract and
+    Objective.line take the point from base and from nowhere else.
     """
 
     base: VarietyPoint
@@ -111,16 +112,13 @@ class ConeTangentVector:
         s = self.base.s
         m, n = self.base.shape
         U, V = self.base.point.U, self.base.point.V
-        core = np.asarray(self.core, dtype=float).reshape(s, s)
-        up = np.asarray(self.up, dtype=float).reshape(m, s)
-        vp = np.asarray(self.vp, dtype=float).reshape(n, s)
-        object.__setattr__(self, "core", core)
-        object.__setattr__(self, "up", up)
-        object.__setattr__(self, "vp", vp)
+        for name, shape in (("core", (s, s)), ("up", (m, s)), ("vp", (n, s))):
+            if getattr(self, name).shape != shape:
+                raise ValueError(f"{name} shape {getattr(self, name).shape}, need {shape}")
         if self.perp is None:
             object.__setattr__(self, "perp", FactoredMatrix.zero(m, n))
-        _check_perp(U, up, "up")
-        _check_perp(V, vp, "vp")
+        _check_perp(U, self.up, "up")
+        _check_perp(V, self.vp, "vp")
         if self.perp.rank > self.base.k - s:
             raise ValueError("perp exceeds the rank budget k - s")
         if self.perp.shape != (m, n):

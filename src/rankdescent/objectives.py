@@ -177,9 +177,8 @@ class QuadraticDistance(Objective):
 
     The value is 0.5 * ||X - A||^2 by core.factored_diff_norm, with no QR;
     the gradient is ThinPair(L, R) = X - A, L = [X.U * sigma | -A.U * tau]
-    (its target block formed once) and R = [X.V | A.V]. Factors equal to the
-    target's bitwise give the exact zero value and a zero-width pair. No
-    state is kept per point: an instance is safe to share between threads.
+    (its target block formed once) and R = [X.V | A.V]. No state is kept
+    per point: an instance is safe to share between threads.
     """
 
     def __init__(self, target: FactoredMatrix):
@@ -187,18 +186,11 @@ class QuadraticDistance(Objective):
         self.shape = target.shape
         self._target_left = -(target.U * target.sigma)
 
-    def _at_target(self, point: FactoredMatrix) -> bool:
-        T = self.target
-        return all(map(np.array_equal, (point.sigma, point.U, point.V), (T.sigma, T.U, T.V)))
-
     def value(self, X: VarietyPoint) -> float:
-        point = self._point(X)
-        return 0.0 if self._at_target(point) else 0.5 * factored_diff_norm(self.target, point) ** 2
+        return 0.5 * factored_diff_norm(self.target, self._point(X)) ** 2
 
     def gradient(self, X: VarietyPoint) -> ThinPair:
         point = self._point(X)
-        if self._at_target(point):
-            return ThinPair(np.zeros((self.shape[0], 0)), np.zeros((self.shape[1], 0)))
         L = np.hstack([point.U * point.sigma, self._target_left])
         return ThinPair(L, np.hstack([point.V, self.target.V]))
 

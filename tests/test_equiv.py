@@ -1,5 +1,6 @@
-"""The file comparison of tools/equiv.py, on synthetic output trees: no
-process is started and no revision is exported."""
+"""The file comparison of tools/equiv.py, on synthetic output trees, and one
+step of its standard set run in this process: no process is started and no
+revision is exported."""
 
 import importlib.util
 from pathlib import Path
@@ -89,3 +90,16 @@ def test_src_lines_counts_the_packages_newlines_as_wc_does(tmp_path):
         "tools/d.py": "v = 5\n",
     })
     assert equiv.src_lines(root) == 3 + 2
+
+
+def test_deficient_completion_traces_start_below_the_budget(tmp_path):
+    # every run's first record is at rank < k = 5, so its first cone
+    # projection truncates the CSR gradient against the base spaces
+    out = tmp_path / "deficient-completion"
+    equiv.write_deficient_completion_traces(str(out))
+    names = sorted(p.name for p in out.iterdir())
+    assert names == ["rank2-rf.csv", "rank2-sd.csv", "zero-rf.csv", "zero-sd.csv"]
+    for name in names:
+        header, first, *rest = (line.split(",") for line in (out / name).read_text().splitlines())
+        assert int(first[header.index("rank")]) == (2 if name.startswith("rank2") else 0)
+        assert rest and int(rest[-1][header.index("rank")]) == 5

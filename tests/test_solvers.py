@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from rankdescent.core import FactoredMatrix, ThinPair, factored_diff_norm, frob_norm, truncate
+from rankdescent.core import ThinPair, factored_diff_norm, frob_norm, truncate
 from rankdescent.geometry import (
     VarietyPoint,
     choose_flat_direction,
@@ -54,16 +54,33 @@ def completion_run(run):
 
 class TestSolveBasics:
     def test_stationary_at_critical_point(self):
-        # starting exactly at the best rank-k approximation of the target the
-        # projected antigradient cancels to exact zeros
+        # a completion problem's observations are gathered from its target's
+        # factors, so started there the residual is exactly zero: the run
+        # stops at once, at k = r and at k > r (where the perp block
+        # truncates the zero CSR gradient)
+        from rankdescent.bench import CompletionSpec, gen_problem
+
+        for k in (3, 5):
+            problem, target = gen_problem(CompletionSpec(n=40, r=3, k=k, os_rate=3, seed=1))
+            for variant in ("sd", "rf"):
+                res = solve(problem, VarietyPoint(target, k), SolverConfig(k=k, variant=variant, max_iters=50))
+                assert res.status is SolveStatus.STATIONARY
+                assert len(res.trace) == 1
+                assert res.trace[0].f == res.trace[0].g_minus == 0.0
+
+    def test_quadratic_distance_at_its_target_stalls_at_once(self):
+        # the value and gradient at the target's own factors are roundoff,
+        # not exact zeros (f ~ 1.7e-31, g_minus ~ 3.8e-16 here): no trial
+        # moves f beyond the stall tolerance, so the run ends stalled
         rng = np.random.default_rng(0)
-        A = truncate(rng.standard_normal((8, 7)), 3)  # rank 3 = k
-        obj = QuadraticDistance(A)
-        X0 = VarietyPoint(FactoredMatrix(A.U.copy(), A.sigma.copy(), A.V.copy()), 3)
-        res = solve(obj, X0, SolverConfig(k=3, max_iters=50))
-        assert res.status is SolveStatus.STATIONARY
-        assert len(res.trace) == 1
-        assert res.trace[0].g_minus == 0.0
+        A = truncate(rng.standard_normal((8, 7)), 3)
+        scale = float(np.linalg.norm(A.sigma))
+        for variant in ("sd", "rf"):
+            res = solve(QuadraticDistance(A), VarietyPoint(A, 3), SolverConfig(k=3, variant=variant, max_iters=50))
+            assert res.status is SolveStatus.STALLED_F
+            assert len(res.trace) == 1
+            assert 0.0 < res.trace[0].g_minus <= 1e-14 * scale
+            assert res.trace[0].f <= 1e-28 * scale**2
 
     def test_start_with_another_budget_runs_with_cfg_k(self):
         # X0's own budget 3 gives way to cfg.k = 5: the run matches one from

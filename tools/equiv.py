@@ -1,6 +1,6 @@
 """Equivalence check between two revisions of rankdescent.
 
-    python tools/equiv.py BASE [HEAD] [--bitwise | --rtol X]
+    python tools/equiv.py BASE [HEAD] [--rtol X]
 
 BASE and HEAD are git revisions of this repository. Each is exported with
 `git archive` into a temporary directory, so the repository's checkout,
@@ -20,16 +20,22 @@ standard set of outputs:
   traces): 500x400 targets of rank 12 from rank-6 starts at k = 12, four
   each from seeds 3 and 29, built as perfbench's quad-deficient-start
   builds them, and 60x50 targets of rank 4 from rank-2 starts at k = 8, one
-  each from seeds 1-3. A trace holds every TraceRecord field but wall_ms,
-  each as its repr.
+  each from seeds 1-3;
+- `solve` on one 60x60 completion problem (rank 5, k = 5, oversampling 3,
+  seed 4) with both variants from two starts below the budget, the rank-2
+  initial guess and the zero point (4 traces), so that the cone projection
+  truncates the CSR gradient against the base spaces.
+
+A trace holds every TraceRecord field but wall_ms, each as its repr. The
+set is 66 files, stdout captures included.
 
 Every file of one tree is compared with its namesake in the other and
 reported as "bitwise equal", or by its first differing row and, per column,
 the largest relative difference and the largest difference scaled by the
 column's largest magnitude. The exit status is 0 only when every
-comparison passes: byte identity (--bitwise, the default), or with --rtol X
-the same rows and fields, numbers within X relative and other fields equal.
-The report ends with the src/ line totals of both trees: the lines of
+comparison passes: byte identity by default, or with --rtol X the same rows
+and fields, numbers within X relative and other fields equal. The report
+ends with the src/ line totals of both trees: the lines of
 src/rankdescent/*.py as `wc -l` counts them.
 """
 
@@ -61,6 +67,7 @@ QUADRATIC = [(500, 400, 12, 6, 12, 3, 4), (500, 400, 12, 6, 12, 29, 4)] + [
     (60, 50, 4, 2, 8, seed, 1) for seed in (1, 2, 3)
 ]
 QUADRATIC_MAX_ITERS = 500
+DEFICIENT_MAX_ITERS = 200
 
 
 def export(rev: str, dest: Path) -> Path:
@@ -100,6 +107,17 @@ def write_outputs(tree: Path, out: Path) -> None:
     for alg in ("sd", "rf"):
         rankbench(f"ratefit-{alg}", "ratefit", "--distances", f"fig1-small/{alg}_distances.csv")
     step("quadratic", "-c", "import equiv; equiv.write_quadratic_traces('quadratic')")
+    step("deficient-completion", "-c",
+         "import equiv; equiv.write_deficient_completion_traces('deficient-completion')")
+
+
+def _write_trace(path: Path, trace) -> None:
+    """One row per TraceRecord: every field but wall_ms, each as its repr."""
+    from rankdescent.solvers import TraceRecord
+
+    names = [f.name for f in fields(TraceRecord) if f.name != "wall_ms"]
+    rows = [",".join(names)] + [",".join(repr(getattr(rec, name)) for name in names) for rec in trace]
+    path.write_text("\n".join(rows) + "\n")
 
 
 def write_quadratic_traces(out: str) -> None:
@@ -110,9 +128,8 @@ def write_quadratic_traces(out: str) -> None:
     from rankdescent.core import FactoredMatrix, factored_diff_norm, truncate
     from rankdescent.geometry import VarietyPoint
     from rankdescent.objectives import QuadraticDistance
-    from rankdescent.solvers import VARIANTS, SolverConfig, TraceRecord, solve
+    from rankdescent.solvers import VARIANTS, SolverConfig, solve
 
-    names = [f.name for f in fields(TraceRecord) if f.name != "wall_ms"]
     Path(out).mkdir()
     for m, n, r, s, k, seed, count in QUADRATIC:
         rng = np.random.default_rng(seed)
@@ -130,9 +147,34 @@ def write_quadratic_traces(out: str) -> None:
             for variant in VARIANTS:
                 cfg = SolverConfig(k=k, variant=variant, max_iters=QUADRATIC_MAX_ITERS)
                 trace = solve(QuadraticDistance(A), X0, cfg, metrics).trace
-                rows = [",".join(names)]
-                rows += [",".join(repr(getattr(rec, name)) for name in names) for rec in trace]
-                Path(out, f"{m}x{n}-seed{seed}-{i}-{variant}.csv").write_text("\n".join(rows) + "\n")
+                _write_trace(Path(out, f"{m}x{n}-seed{seed}-{i}-{variant}.csv"), trace)
+
+
+def write_deficient_completion_traces(out: str) -> None:
+    """Solve one 60x60 completion problem at k = 5 with both variants, from
+    its rank-2 initial guess and from zero; one CSV per trace. Each run's
+    first cone projection truncates the CSR gradient against bases of width
+    2 and 0.
+
+    Runs in the process of one tree: the package comes from its src/.
+    """
+    from rankdescent.bench import CompletionSpec, gen_problem, initial_guess, rel_errors
+    from rankdescent.core import FactoredMatrix
+    from rankdescent.geometry import VarietyPoint
+    from rankdescent.solvers import VARIANTS, SolverConfig, solve
+
+    spec = CompletionSpec(n=60, r=5, k=5, os_rate=3, seed=4)
+    problem, target = gen_problem(spec)
+    metrics = rel_errors(target, problem)
+    starts = {
+        "rank2": VarietyPoint(initial_guess(problem, 2).point, spec.k),
+        "zero": VarietyPoint(FactoredMatrix.zero(spec.n, spec.n), spec.k),
+    }
+    Path(out).mkdir()
+    for start, X0 in starts.items():
+        for variant in VARIANTS:
+            cfg = SolverConfig(k=spec.k, variant=variant, max_iters=DEFICIENT_MAX_ITERS)
+            _write_trace(Path(out, f"{start}-{variant}.csv"), solve(problem, X0, cfg, metrics).trace)
 
 
 def _number(token: str) -> float | None:
@@ -226,9 +268,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", metavar="BASE", help="git revision to compare against")
     parser.add_argument("head", metavar="HEAD", nargs="?", help="git revision (default: the working tree)")
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument("--bitwise", action="store_true", help="pass only on byte identity (the default)")
-    mode.add_argument("--rtol", type=float, help="pass on numbers within this relative difference")
+    parser.add_argument("--rtol", type=float, help="pass on numbers within this relative difference "
+                        "(default: only on byte identity)")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="equiv-") as tmp:
         tmp = Path(tmp)
