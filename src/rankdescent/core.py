@@ -34,7 +34,9 @@ full rank (a sparse matrix goes through ARPACK via scipy.sparse.linalg.svds,
 a pair through thin QRs).
 
 All containers are immutable values after construction; operations are pure,
-and none reads or writes a file (bench owns every file format).
+and none reads or writes a file (bench owns every file format). The factors
+of a returned factorization hold its own rank's columns, never views into a
+wider decomposition, so a rank-r point costs O((m + n) r).
 """
 
 from __future__ import annotations
@@ -298,7 +300,9 @@ def truncate(A, r: int, U=None, V=None) -> FactoredMatrix:
 
     A pair gives at most min(r, width) triples, a sparse A min(r, d) with d
     the smaller of the two complements' dimensions (none when the projected
-    A is zero), a dense one r; trailing singular values may be zero.
+    A is zero), a dense one r; trailing singular values may be zero. The
+    result holds arrays of its own r columns: the dense path copies the
+    kept columns of the full decomposition, which is freed on return.
     """
     if not (isinstance(A, ThinPair) or scipy.sparse.issparse(A)):
         A = _as_dense(A)
@@ -318,7 +322,8 @@ def truncate(A, r: int, U=None, V=None) -> FactoredMatrix:
     if _width(V):
         A = A - (A @ V) @ V.T
     Uf, s, Vf = svd(A)
-    return FactoredMatrix(Uf[:, :r], s[:r], Vf[:, :r])
+    # np.copy's order 'K' keeps U C-ordered and V in the F order of Vt.T
+    return FactoredMatrix(np.copy(Uf[:, :r]), np.copy(s[:r]), np.copy(Vf[:, :r]))
 
 
 def _width(B) -> int:

@@ -82,10 +82,14 @@ class VarietyPoint:
 
 
 def make_point(F: FactoredMatrix, k: int) -> VarietyPoint:
-    """Wrap F as a VarietyPoint, trimming modes at or below RANK_TOL * sigma_1."""
+    """Wrap F as a VarietyPoint, trimming modes at or below RANK_TOL * sigma_1.
+
+    A trimmed point holds copies of the r columns it keeps, not views that
+    would pin F's wider arrays.
+    """
     r = numerical_rank(F.sigma)
     if r < F.rank:
-        F = FactoredMatrix(F.U[:, :r], F.sigma[:r], F.V[:, :r])
+        F = FactoredMatrix(np.copy(F.U[:, :r]), np.copy(F.sigma[:r]), np.copy(F.V[:, :r]))
     return VarietyPoint(F, k)
 
 

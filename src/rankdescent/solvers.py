@@ -114,8 +114,8 @@ class IterateHistory(Sequence):
     only an index of (offset, m, n, s) stays in memory, since the rank s can
     change between iterates. An item is read back into fresh arrays, bitwise
     equal to those appended, as a validated FactoredMatrix wrapped with the
-    solve's budget k; iteration reads one iterate at a time. It takes no
-    slices. The file is not memory-mapped, so iterates read and dropped are
+    solve's budget k; iteration reads one iterate at a time. A slice raises
+    TypeError. The file is not memory-mapped, so iterates read and dropped are
     not held by the process, and it is closed when the history is
     garbage-collected.
     """
@@ -136,6 +136,8 @@ class IterateHistory(Sequence):
         return len(self._index)
 
     def __getitem__(self, i):
+        if isinstance(i, slice):
+            raise TypeError("IterateHistory takes no slices")
         offset, m, n, s = self._index[i]
         buf = np.empty((m + 1 + n) * s)
         self._file.seek(offset)

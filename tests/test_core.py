@@ -220,6 +220,40 @@ class TestTruncate:
         )
         assert out.stdout.strip() == "False"
 
+    @staticmethod
+    def _dense_rank_12():
+        rng = np.random.default_rng(7)
+        return rng.standard_normal((500, 12)) @ rng.standard_normal((12, 400))
+
+    @staticmethod
+    def _fig1_small_observation():
+        from rankdescent.bench import PRESETS, gen_problem
+
+        return gen_problem(PRESETS["fig1-small"])[0].data.csr
+
+    @pytest.mark.parametrize(
+        "make, r",
+        [
+            pytest.param(_dense_rank_12, 12, id="dense-r12"),
+            pytest.param(_dense_rank_12, 0, id="dense-r0"),
+            pytest.param(
+                lambda: ThinPair(*np.random.default_rng(8).standard_normal((2, 60, 12))), 12, id="pair"
+            ),
+            pytest.param(_fig1_small_observation, 8, id="csr-fig1-small"),
+        ],
+    )
+    def test_result_owns_arrays_of_its_rank(self, make, r):
+        # a rank-r result pins no wider decomposition: each factor owns its
+        # data or views an array of exactly its own size
+        A = make()
+        T = truncate(A, r)
+        for W in (T.U, T.V):
+            assert W.base is None or W.base.nbytes == W.nbytes
+        if isinstance(A, np.ndarray):
+            Uf, s, Vf = svd(A)
+            for got, full in ((T.U, Uf), (T.sigma, s), (T.V, Vf)):
+                assert np.array_equal(got, full[..., :r])
+
 
 # (m, n, rank of A, rank of B): unequal ranks, rank 0 on either side,
 # m != n and rank min(m, n)

@@ -639,6 +639,17 @@ class TestVarietyPoint:
             VarietyPoint(F, 2)
         assert make_point(F, 2).s == 1
 
+    def test_trimmed_point_owns_arrays_of_its_rank(self):
+        # one numerically zero sigma: the kept columns are copied, so the
+        # point pins no wider factor
+        rng = np.random.default_rng(2)
+        U, V = (np.linalg.qr(rng.standard_normal((d, 3)))[0] for d in (50, 40))
+        X = make_point(FactoredMatrix(U, [2.0, 1.0, 0.0], V), 3)
+        assert X.s == 2
+        for W, full in ((X.point.U, U), (X.point.V, V)):
+            assert W.base is None or W.base.nbytes == W.nbytes
+            assert np.array_equal(W, full[:, :2])
+
 
 @pytest.mark.parametrize(
     "block, make, match",

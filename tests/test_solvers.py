@@ -338,6 +338,13 @@ class TestIterateHistory:
         for X, Y in zip(read, seen):
             assert_same_point(X, Y)
 
+    @pytest.mark.parametrize("key", [slice(1, 3), slice(0, 4), slice(None)])
+    def test_slice_raises_type_error(self, key):
+        # a 4-item slice of the index would otherwise unpack as one entry
+        res, _ = self.recorded_run(max_iters=5)
+        with pytest.raises(TypeError, match="IterateHistory takes no slices"):
+            res.iterates[key]
+
     def test_distances_equal_over_history_and_list(self):
         res, seen = self.recorded_run()
         assert np.array_equal(iterate_distances(res.iterates), iterate_distances(seen))
