@@ -170,7 +170,6 @@ SUMMARY_KEYS = (
 
 @dataclass
 class AlgorithmRun:
-    alg: str
     result: SolveResult | None
     summary: dict
     error: str | None = None
@@ -178,7 +177,6 @@ class AlgorithmRun:
 
 @dataclass
 class ExperimentReport:
-    spec: CompletionSpec
     runs: dict = field(default_factory=dict)
 
     @property
@@ -207,7 +205,7 @@ def run_experiment(
     problem, target = gen_problem(spec)
     X0 = initial_guess(problem, solver_cfg.k)
     metrics = rel_errors(target, problem)
-    report = ExperimentReport(spec=spec)
+    report = ExperimentReport()
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
     for alg in algorithms:
@@ -215,14 +213,14 @@ def run_experiment(
             result = solve(problem, X0, replace(solver_cfg, variant=alg), metrics=metrics)
         except LineSearchError as err:
             report.runs[alg] = AlgorithmRun(
-                alg=alg, result=None, summary=_summary(spec, alg, None, None), error=str(err)
+                result=None, summary=_summary(spec, alg, None, None), error=str(err)
             )
             continue
         dists = None if result.iterates is None else iterate_distances(result.iterates)
         fit = None if dists is None else rate_fit(dists)
         result = replace(result, iterates=None)
         summary = _summary(spec, alg, result, fit)
-        report.runs[alg] = AlgorithmRun(alg=alg, result=result, summary=summary)
+        report.runs[alg] = AlgorithmRun(result=result, summary=summary)
         if out_dir:
             write_trace_csv(os.path.join(out_dir, f"{alg}_trace.csv"), result.trace, timing=timing)
             if dists is not None:

@@ -101,7 +101,10 @@ def _settings(args, config: dict, settings, fields: dict) -> dict:
     """fields, each set from its config key if present, then from its flag if given."""
     for field, name, cast, _ in settings:
         if name in config:
-            fields[field] = cast(config[name])
+            try:
+                fields[field] = cast(config[name])
+            except ValueError as err:
+                raise ValueError(f"config key {name!r}: {err}") from err
         if getattr(args, field) is not None:
             fields[field] = getattr(args, field)
     return fields

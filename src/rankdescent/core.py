@@ -19,11 +19,13 @@ per further CPU (run_lanes): the GEMM path of mask_gather, whose lanes take
 row blocks from one shared queue, each with its own buffer, and the
 gradient's two thin products in geometry.project_tangent_space. They are
 what an iteration spends most of its time on, and their BLAS and
-sparsetools calls release the GIL. Each entry still comes from the same
-single-threaded call as on one lane, so outputs are bitwise the same at any
-lane count. Work below PARALLEL_MIN_WORK multiply-adds, where a hand-off
-costs more than it saves, stays on the caller. QRs and SVDs stay on one
-lane: two 2000-by-20 QRs at once took nearly as long as in turn.
+sparsetools calls release the GIL. run_lanes hands every task but the
+first to the workers, runs the first on the caller and waits for the rest.
+Each entry still comes from the same single-threaded call as on one lane,
+so outputs are bitwise the same at any lane count. Work below
+PARALLEL_MIN_WORK multiply-adds, where a hand-off costs more than it
+saves, stays on the caller. QRs and SVDs stay on one lane: two 2000-by-20
+QRs at once took nearly as long as in turn.
 
 A gradient is a matrix operand with shape, T and @, of one of three kinds:
 the CSR matrix of a residual on the mask for completion, a ThinPair (L, R)
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -409,7 +411,7 @@ def frob_norm(A) -> float:
 
 
 def factored_diff_norm(A: FactoredMatrix, B: FactoredMatrix) -> float:
-    """||A - B||_F for two factored matrices, without cancellation.
+    """||A - B||_F for two factored matrices, with no subtraction of squared norms.
 
     A's factors are column-orthonormal (FactoredMatrix's invariant), so each
     of B's factors splits into its part in A's span and a remainder:
@@ -518,15 +520,15 @@ def run_lanes(tasks: list, work: float) -> list:
     """Results of the zero-argument callables in tasks, in their order.
 
     Below PARALLEL_MIN_WORK multiply-adds of work, or on one lane, the tasks
-    run in turn on the calling thread. Otherwise the caller runs tasks[0]
-    while the worker threads start the others, each under the caller's
-    np.geterr() (numpy keeps its error state per thread or per context,
-    which a pool thread does not inherit). The caller then runs itself any
-    task that no worker has started yet, so a stalled worker holds up at
-    most the task it is on, and only then waits. An exception of a task
+    run in turn on the calling thread. Otherwise the worker threads take
+    tasks[1:], each under the caller's np.geterr() (numpy keeps its error
+    state per thread or per context, which a pool thread does not inherit),
+    while the caller runs tasks[0] and then waits for them all; a task
+    beyond the worker count waits for a free worker. An exception of a task
     re-raises here once no task is running. Tasks must be safe to run
     concurrently and should spend their time in numpy or scipy calls that
-    release the GIL.
+    release the GIL. A task may not call run_lanes: a nested call would
+    wait on workers that are busy with the outer one.
     """
     global _pool
     if len(tasks) < 2 or lanes(work) < 2:
@@ -535,20 +537,12 @@ def run_lanes(tasks: list, work: float) -> list:
         if _pool is None:
             _pool = ThreadPoolExecutor(_cpus() - 1, thread_name_prefix="rankdescent-lane")
     err = np.geterr()
-    futures = {i: _pool.submit(_run_under, err, tasks[i]) for i in range(1, len(tasks))}
+    futures = [_pool.submit(_run_under, err, task) for task in tasks[1:]]
     try:
-        results = [tasks[0]()] + [None] * len(futures)
-        for i, future in futures.items():
-            if future.cancel():
-                results[i] = tasks[i]()
-        for i, future in futures.items():
-            if not future.cancelled():
-                results[i] = future.result()
-        return results
+        first = tasks[0]()
     finally:
-        for future in futures.values():
-            if not future.cancel():
-                future.exception()  # waits for a started task to end
+        wait(futures)
+    return [first] + [future.result() for future in futures]
 
 
 def mask_gather(L: np.ndarray, R: np.ndarray, mask: IndexSet) -> np.ndarray:

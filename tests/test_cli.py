@@ -175,6 +175,16 @@ class TestRun:
         code = run_cli("run", "--config", str(path), "--alg", "sd", "--out", str(tmp_path / "o"))
         assert_input_error(capsys, code, 2, "run", needle="'max_iter'")
 
+    @pytest.mark.parametrize(
+        "line, key", [("n = abc", "n"), ("n", "n"), ("max_iters = 1e3", "max_iters")]
+    )
+    def test_bad_config_value_names_its_key(self, tmp_path, capsys, line, key):
+        # the cast's own message quotes the value, not the key
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"n = 30\nrank = 2\nbudget = 2\n{line}\n")
+        code = run_cli("run", "--config", str(path), "--alg", "sd", "--out", str(tmp_path / "o"))
+        assert_input_error(capsys, code, 2, "run", needle=f"config key '{key}': ")
+
     def test_explicit_flag_overrides_preset(self, tmp_path):
         # shrink a preset down with explicit flags, including --os
         out = tmp_path / "small"

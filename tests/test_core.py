@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -591,22 +592,21 @@ class TestLanes:
             run_lanes([lambda: started.wait(30), on_worker], 0)
 
     @needs_two_lanes
-    def test_the_caller_runs_a_task_no_worker_has_started(self, forced):
-        # every worker waits on a task of its own until the last task runs,
-        # which no worker is free to start, so the caller must take it
-        workers = lanes(np.inf) - 1
-        all_busy, release = threading.Barrier(workers + 1), threading.Event()
+    def test_a_caller_exception_waits_for_a_running_worker_task(self, forced):
+        started, finished = threading.Event(), threading.Event()
 
-        def busy():
-            all_busy.wait(30)
-            return release.wait(30)
+        def on_worker():
+            started.set()
+            time.sleep(0.2)
+            finished.set()
 
-        def last():
-            release.set()
-            return threading.current_thread()
+        def on_caller():
+            started.wait(30)
+            raise KeyError("from the caller")
 
-        out = run_lanes([lambda: all_busy.wait(30)] + [busy] * workers + [last], 0)
-        assert out[-1] is threading.current_thread() and all(out[1:-1])
+        with pytest.raises(KeyError, match="from the caller"):
+            run_lanes([on_caller, on_worker], 0)
+        assert finished.is_set()
 
     def test_more_lanes_than_cores_hand_each_block_to_one_lane(self, forced, monkeypatch):
         # a block lost or taken twice, or a buffer shared by two lanes, would
@@ -638,7 +638,8 @@ class TestLanes:
         assert len(mask.row_blocks[0]) > lanes(np.inf)
         for _ in range(50):
             mask_gather(L, R, mask)
-            run_lanes([lambda: 1] * 5, 0)
+            # tasks queued behind a busy worker still run, and come back in order
+            assert run_lanes([lambda i=i: i for i in range(5)], 0) == list(range(5))
         assert 1 <= len(lane_threads()) <= lanes(np.inf) - 1
 
     @needs_two_lanes
