@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -175,44 +175,36 @@ class AlgorithmRun:
     error: str | None = None
 
 
-@dataclass
-class ExperimentReport:
-    runs: dict = field(default_factory=dict)
-
-    @property
-    def failed(self) -> bool:
-        return any(r.error is not None for r in self.runs.values())
-
-
 def run_experiment(
     spec: CompletionSpec,
     algorithms,
     solver_cfg: SolverConfig,
     out_dir=None,
     timing: bool = True,
-) -> ExperimentReport:
-    """Solve one generated problem with solver_cfg, once per variant name in algorithms.
+) -> dict:
+    """Solve one generated problem with solver_cfg, once per variant name in
+    algorithms, and return {variant: AlgorithmRun} in that order.
 
     All runs share the problem and the starting guess, initial_guess at
     solver_cfg.k. Per run a trace CSV, an iterate-distance CSV (when iterates
-    were recorded) and a key = value summary go under out_dir. A reported
+    were recorded) and a key = value summary go under out_dir. A returned
     result holds no iterates: its history is dropped, and its file closed,
-    once its distances are taken. Solver failures go into the report instead
-    of aborting the remaining runs. With timing off the wall_ms column is
-    zeroed, which makes every file a pure function of the spec and solver_cfg
-    at a fixed BLAS thread count (see solvers.solve).
+    once its distances are taken. A solver failure becomes that run's error,
+    with no result, instead of aborting the remaining runs. With timing off
+    the wall_ms column is zeroed, which makes every file a pure function of
+    the spec and solver_cfg at a fixed BLAS thread count (see solvers.solve).
     """
     problem, target = gen_problem(spec)
     X0 = initial_guess(problem, solver_cfg.k)
     metrics = rel_errors(target, problem)
-    report = ExperimentReport()
+    runs = {}
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
     for alg in algorithms:
         try:
             result = solve(problem, X0, replace(solver_cfg, variant=alg), metrics=metrics)
         except LineSearchError as err:
-            report.runs[alg] = AlgorithmRun(
+            runs[alg] = AlgorithmRun(
                 result=None, summary=_summary(spec, alg, None, None), error=str(err)
             )
             continue
@@ -220,7 +212,7 @@ def run_experiment(
         fit = None if dists is None else rate_fit(dists)
         result = replace(result, iterates=None)
         summary = _summary(spec, alg, result, fit)
-        report.runs[alg] = AlgorithmRun(result=result, summary=summary)
+        runs[alg] = AlgorithmRun(result=result, summary=summary)
         if out_dir:
             write_trace_csv(os.path.join(out_dir, f"{alg}_trace.csv"), result.trace, timing=timing)
             if dists is not None:
@@ -229,7 +221,7 @@ def run_experiment(
                     dists, delimiter=",", fmt=_FLOAT_FMT,
                 )
             write_kv(os.path.join(out_dir, f"{alg}_summary.txt"), summary)
-    return report
+    return runs
 
 
 def _summary(spec: CompletionSpec, alg: str, result: SolveResult | None, fit) -> dict:

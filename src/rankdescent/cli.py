@@ -158,11 +158,11 @@ def cmd_run(args) -> int:
     except (OSError, ValueError) as err:
         return _input_error("run", err, 2)
     algorithms = list(VARIANTS) if args.alg == "both" else [args.alg]
-    report = run_experiment(
+    runs = run_experiment(
         spec, algorithms=algorithms, solver_cfg=cfg, out_dir=args.out,
         timing=not args.no_timing,
     )
-    for alg, run in report.runs.items():
+    for alg, run in runs.items():
         if run.error is not None:
             print(f"{alg}: FAILED ({run.error})")
         else:
@@ -171,7 +171,7 @@ def cmd_run(args) -> int:
                 f"{alg}: iters={s['iters']} final_f={s['final_f']:.3e} "
                 f"rel_mask={float(s['final_rel_mask']):.3e} status={s['status']}"
             )
-    return 3 if report.failed else 0
+    return 3 if any(run.error is not None for run in runs.values()) else 0
 
 
 def cmd_errors(args) -> int:

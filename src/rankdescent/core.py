@@ -389,8 +389,6 @@ def orthonormal_polish(W: np.ndarray) -> np.ndarray:
     For W already orthonormal to eps the drift is squared, which keeps long
     products of orthonormal factors within ORTHO_TOL indefinitely.
     """
-    if W.shape[1] == 0:
-        return W
     gram = W.T @ W
     return W @ (1.5 * np.eye(W.shape[1]) - 0.5 * gram)
 

@@ -18,7 +18,7 @@ imports nothing else of the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -153,35 +153,28 @@ def angle_check(slope: float, g_minus: float, xi_norm: float, omega: float) -> b
 
 
 @dataclass(frozen=True)
-class MonitorEntry:
-    n: int
-    stationary: bool
-    a1_ratio: float | None = None
-    a3_ratio: float | None = None
-
-
-@dataclass(frozen=True)
 class MonitorReport:
-    """Per-iteration descent diagnostics.
+    """Per-iteration descent diagnostics, one list entry per step n.
 
-    a1_ratio(n) = (f_n - f_{n+1}) / (g_n * ||X_{n+1} - X_n||) is the primary
+    a1[n] = (f_n - f_{n+1}) / (g_n * ||X_{n+1} - X_n||) is the primary
     descent ratio; the theory guarantees it at least omega * c / M with
-    M = 1 + 1/sqrt(2) for metric-projection steps. a3_ratio(n) =
+    M = 1 + 1/sqrt(2) for metric-projection steps. a3[n] =
     ||X_{n+1} - X_n|| / g_n is the small-step-size safeguard ratio; it is
-    reported but carries no universal constant.
+    reported but carries no universal constant. Both are None at an
+    exact-stationary step.
     """
 
     a1_threshold: float
-    entries: list = field(default_factory=list)
+    a1: list
+    a3: list
 
     @property
     def a1_violations(self):
-        return [e.n for e in self.entries if e.a1_ratio is not None and e.a1_ratio < self.a1_threshold]
+        return [n for n, a in enumerate(self.a1) if a is not None and a < self.a1_threshold]
 
     @property
     def min_a1_ratio(self):
-        ratios = [e.a1_ratio for e in self.entries if e.a1_ratio is not None]
-        return min(ratios) if ratios else None
+        return min((a for a in self.a1 if a is not None), default=None)
 
 
 def descent_monitors(trace, omega: float = 1.0, c: float = ArmijoConfig.c) -> MonitorReport:
@@ -189,26 +182,16 @@ def descent_monitors(trace, omega: float = 1.0, c: float = ArmijoConfig.c) -> Mo
 
     trace is a sequence of records with attributes f, g_minus and
     displacement (displacement at index n being ||X_{n+1} - X_n||). Steps
-    with g_minus = 0 or zero displacement are reported as exact-stationary
-    and produce no ratios.
+    with g_minus = 0 or zero displacement are exact-stationary and get None
+    for both ratios.
     """
     if len(trace) < 2:
         raise ValueError("need at least two recorded iterates")
     threshold = omega * c / RETRACTION_UPPER - 1e-10
-    entries = []
-    for n in range(len(trace) - 1):
-        rec, nxt = trace[n], trace[n + 1]
-        g = rec.g_minus
-        d = rec.displacement
-        if g == 0.0 or d == 0.0:
-            entries.append(MonitorEntry(n, stationary=True))
-            continue
-        entries.append(
-            MonitorEntry(
-                n,
-                stationary=False,
-                a1_ratio=(rec.f - nxt.f) / (g * d),
-                a3_ratio=d / g,
-            )
-        )
-    return MonitorReport(a1_threshold=threshold, entries=entries)
+    a1, a3 = [], []
+    for rec, nxt in zip(trace, trace[1:]):
+        g, d = rec.g_minus, rec.displacement
+        stationary = g == 0.0 or d == 0.0
+        a1.append(None if stationary else (rec.f - nxt.f) / (g * d))
+        a3.append(None if stationary else d / g)
+    return MonitorReport(threshold, a1, a3)

@@ -69,8 +69,8 @@ def fig1_runs():
     t0 = time.perf_counter()
     spec = PRESETS["fig1-small"]
     cfg = SolverConfig(k=spec.k, max_iters=1000)
-    report = run_experiment(spec, ("sd", "rf"), cfg)
-    return SimpleNamespace(report=report, elapsed=time.perf_counter() - t0)
+    runs = run_experiment(spec, ("sd", "rf"), cfg)
+    return SimpleNamespace(runs=runs, elapsed=time.perf_counter() - t0)
 
 
 @pytest.fixture(scope="module")
@@ -78,8 +78,8 @@ def fig2_runs():
     t0 = time.perf_counter()
     spec = PRESETS["fig2-small"]
     cfg = SolverConfig(k=spec.k, max_iters=1000)
-    report = run_experiment(spec, ("sd", "rf"), cfg)
-    return SimpleNamespace(report=report, elapsed=time.perf_counter() - t0)
+    runs = run_experiment(spec, ("sd", "rf"), cfg)
+    return SimpleNamespace(runs=runs, elapsed=time.perf_counter() - t0)
 
 
 def first_reaching(trace, attr, threshold):
@@ -119,11 +119,11 @@ def test_criterion_2_quadratic_oracle(quad_run):
 
 
 def test_criterion_3_desk_scale_completion(fig1_runs):
-    report = fig1_runs.report
+    runs = fig1_runs.runs
     clauses = []
     reach_mask6 = {}
     for alg in ("sd", "rf"):
-        trace = report.runs[alg].result.trace
+        trace = runs[alg].result.trace
         fs = [r.f for r in trace]
         clauses.append(
             (all(b < a for a, b in zip(fs, fs[1:])), f"{alg} f-trace strictly monotone")
@@ -141,7 +141,7 @@ def test_criterion_3_desk_scale_completion(fig1_runs):
     )
     clauses.append((fig1_runs.elapsed < 120.0, f"runtime {fig1_runs.elapsed:.1f}s < 120s"))
     for alg in ("sd", "rf"):
-        trace = report.runs[alg].result.trace
+        trace = runs[alg].result.trace
         n_mask = first_reaching(trace, "rel_err_mask", 1e-8)
         final_mask = trace[-1].rel_err_mask
         if n_mask is not None and n_mask <= 1000:
@@ -155,10 +155,10 @@ def test_criterion_3_desk_scale_completion(fig1_runs):
 
 
 def test_criterion_4_rank_deficient_stall(fig2_runs):
-    report = fig2_runs.report
+    runs = fig2_runs.runs
     clauses = []
     for alg in ("sd", "rf"):
-        trace = report.runs[alg].result.trace
+        trace = runs[alg].result.trace
         min_sigma_k = min(r.sigmak for r in trace)
         best_full = min(r.rel_err_full for r in trace if r.rel_err_full is not None)
         clauses.append(
@@ -264,8 +264,8 @@ def test_criterion_6_line_search_contracts(quad_run, fig1_runs, fig2_runs):
     sd_traces = [quad_run.result.trace]
     rf_traces = []
     for bundle in (fig1_runs, fig2_runs):
-        sd_traces.append(bundle.report.runs["sd"].result.trace)
-        rf_traces.append(bundle.report.runs["rf"].result.trace)
+        sd_traces.append(bundle.runs["sd"].result.trace)
+        rf_traces.append(bundle.runs["rf"].result.trace)
 
     sufficient_ok = True
     for trace in sd_traces + rf_traces:
@@ -279,7 +279,7 @@ def test_criterion_6_line_search_contracts(quad_run, fig1_runs, fig2_runs):
     threshold = c / RETRACTION_UPPER - 1e-10
     for trace in sd_traces:
         report = descent_monitors(trace, omega=1.0, c=c)
-        ratios = [e.a1_ratio for e in report.entries if e.a1_ratio is not None]
+        ratios = [a for a in report.a1 if a is not None]
         if ratios and min(ratios) < threshold:
             a1_ok = False
 

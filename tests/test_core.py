@@ -26,6 +26,7 @@ from rankdescent.core import (
     lanes,
     mask_gather,
     numerical_rank,
+    orthonormal_polish,
     run_lanes,
     svd,
     truncate,
@@ -735,6 +736,25 @@ class TestNumericalRank:
 
     def test_full(self):
         assert numerical_rank([1.0, 1.0, 1.0]) == 3
+
+
+class TestOrthonormalPolish:
+    @staticmethod
+    def drift(W):
+        return np.linalg.norm(W.T @ W - np.eye(W.shape[1]), 2)
+
+    def test_width_zero_factor_comes_back_empty(self):
+        out = orthonormal_polish(np.zeros((5, 0)))
+        assert out.shape == (5, 0)
+
+    def test_drift_is_squared_on_a_near_orthonormal_factor(self):
+        # a Gram drift of 2 eps becomes 3 eps^2 to first order: 0.75 drift^2
+        rng = np.random.default_rng(3)
+        Q = np.linalg.qr(rng.standard_normal((50, 4)))[0]
+        W = Q + 1e-5 * rng.standard_normal((50, 4))
+        before, after = self.drift(W), self.drift(orthonormal_polish(W))
+        assert 1e-6 < before < 1e-3
+        assert after <= before**2
 
 
 class TestIndexSet:

@@ -103,3 +103,20 @@ def test_deficient_completion_traces_start_below_the_budget(tmp_path):
         header, first, *rest = (line.split(",") for line in (out / name).read_text().splitlines())
         assert int(first[header.index("rank")]) == (2 if name.startswith("rank2") else 0)
         assert rest and int(rest[-1][header.index("rank")]) == 5
+
+
+def test_solve_writers_run_sd_and_rf_alone(tmp_path, monkeypatch):
+    # a variant added to the package must add no file that an older revision
+    # cannot write, or the comparison fails on a HEAD-only file
+    from rankdescent import solvers
+
+    monkeypatch.setitem(solvers.VARIANTS, "extra", solvers.VARIANTS["sd"])
+    monkeypatch.setattr(equiv, "QUADRATIC", [(60, 50, 4, 2, 8, 1, 1)])
+    equiv.write_quadratic_traces(str(tmp_path / "quadratic"))
+    equiv.write_deficient_completion_traces(str(tmp_path / "deficient-completion"))
+    written = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*.csv"))
+    assert written == [
+        "deficient-completion/rank2-rf.csv", "deficient-completion/rank2-sd.csv",
+        "deficient-completion/zero-rf.csv", "deficient-completion/zero-sd.csv",
+        "quadratic/60x50-seed1-0-rf.csv", "quadratic/60x50-seed1-0-sd.csv",
+    ]

@@ -203,16 +203,15 @@ class TestMonitors:
     def test_stationary_flagged(self):
         trace = [rec(1.0, 0.0, 0.0), rec(1.0, 0.0, 0.0)]
         report = descent_monitors(trace)
-        assert report.entries[0].stationary
+        assert report.a1[0] is None
         assert report.min_a1_ratio is None
 
     def test_ratios(self):
         trace = [rec(1.0, 2.0, 0.5), rec(0.5, 1.0, 0.25), rec(0.4, 0.0, 0.0)]
         report = descent_monitors(trace, omega=1.0, c=1e-4)
-        e0 = report.entries[0]
-        assert e0.a1_ratio == pytest.approx((1.0 - 0.5) / (2.0 * 0.5))
-        assert e0.a3_ratio == pytest.approx(0.25)
-        assert report.entries[1].a1_ratio == pytest.approx(0.1 / 0.25)
+        assert report.a1[0] == pytest.approx((1.0 - 0.5) / (2.0 * 0.5))
+        assert report.a3[0] == pytest.approx(0.25)
+        assert report.a1[1] == pytest.approx(0.1 / 0.25)
         assert report.a1_violations == []
         assert report.a1_threshold == pytest.approx(1e-4 / RETRACTION_UPPER, abs=1e-9)
 

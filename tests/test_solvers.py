@@ -578,7 +578,7 @@ class TestCompletionRun:
         for variant in ("sd", "rf"):
             res = solve(problem, X0, SolverConfig(k=3, variant=variant, max_iters=400))
             report = descent_monitors(res.trace)
-            a3 = [e.a3_ratio for e in report.entries if e.a3_ratio is not None]
+            a3 = [a for a in report.a3 if a is not None]
             tail = a3[len(a3) // 2:]
             assert tail and min(tail) > 0.1
 

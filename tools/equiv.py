@@ -16,13 +16,13 @@ standard set of outputs:
 - `rankbench gen` of a 40x40 problem, `errors` of another problem's target
   on it, and `ratefit` of both fig1-small distance files, with every
   command's stdout kept;
-- `solve` on 11 quadratic-distance instances with both variants (22
+- `solve` on 11 quadratic-distance instances with sd and rf (22
   traces): 500x400 targets of rank 12 from rank-6 starts at k = 12, four
   each from seeds 3 and 29, built as perfbench's quad-deficient-start
   builds them, and 60x50 targets of rank 4 from rank-2 starts at k = 8, one
   each from seeds 1-3;
 - `solve` on one 60x60 completion problem (rank 5, k = 5, oversampling 3,
-  seed 4) with both variants from two starts below the budget, the rank-2
+  seed 4) with sd and rf from two starts below the budget, the rank-2
   initial guess and the zero point (4 traces), so that the cone projection
   truncates the CSR gradient against the base spaces.
 
@@ -68,6 +68,9 @@ QUADRATIC = [(500, 400, 12, 6, 12, 3, 4), (500, 400, 12, 6, 12, 29, 4)] + [
 ]
 QUADRATIC_MAX_ITERS = 500
 DEFICIENT_MAX_ITERS = 200
+# the variants the solve writers run: fixed, so that a variant added at HEAD
+# adds no files that BASE cannot have
+SOLVE_VARIANTS = ("sd", "rf")
 
 
 def export(rev: str, dest: Path) -> Path:
@@ -121,14 +124,14 @@ def _write_trace(path: Path, trace) -> None:
 
 
 def write_quadratic_traces(out: str) -> None:
-    """Solve every QUADRATIC instance with both variants; one CSV per trace.
+    """Solve every QUADRATIC instance with sd and rf; one CSV per trace.
 
     Runs in the process of one tree: the package comes from its src/.
     """
     from rankdescent.core import FactoredMatrix, factored_diff_norm, truncate
     from rankdescent.geometry import VarietyPoint
     from rankdescent.objectives import QuadraticDistance
-    from rankdescent.solvers import VARIANTS, SolverConfig, solve
+    from rankdescent.solvers import SolverConfig, solve
 
     Path(out).mkdir()
     for m, n, r, s, k, seed, count in QUADRATIC:
@@ -144,14 +147,14 @@ def write_quadratic_traces(out: str) -> None:
             def metrics(X, f, A=A, a_norm=a_norm):
                 return factored_diff_norm(X.point, A) / a_norm, None
 
-            for variant in VARIANTS:
+            for variant in SOLVE_VARIANTS:
                 cfg = SolverConfig(k=k, variant=variant, max_iters=QUADRATIC_MAX_ITERS)
                 trace = solve(QuadraticDistance(A), X0, cfg, metrics).trace
                 _write_trace(Path(out, f"{m}x{n}-seed{seed}-{i}-{variant}.csv"), trace)
 
 
 def write_deficient_completion_traces(out: str) -> None:
-    """Solve one 60x60 completion problem at k = 5 with both variants, from
+    """Solve one 60x60 completion problem at k = 5 with sd and rf, from
     its rank-2 initial guess and from zero; one CSV per trace. Each run's
     first cone projection truncates the CSR gradient against bases of width
     2 and 0.
@@ -161,7 +164,7 @@ def write_deficient_completion_traces(out: str) -> None:
     from rankdescent.bench import CompletionSpec, gen_problem, initial_guess, rel_errors
     from rankdescent.core import FactoredMatrix
     from rankdescent.geometry import VarietyPoint
-    from rankdescent.solvers import VARIANTS, SolverConfig, solve
+    from rankdescent.solvers import SolverConfig, solve
 
     spec = CompletionSpec(n=60, r=5, k=5, os_rate=3, seed=4)
     problem, target = gen_problem(spec)
@@ -172,7 +175,7 @@ def write_deficient_completion_traces(out: str) -> None:
     }
     Path(out).mkdir()
     for start, X0 in starts.items():
-        for variant in VARIANTS:
+        for variant in SOLVE_VARIANTS:
             cfg = SolverConfig(k=spec.k, variant=variant, max_iters=DEFICIENT_MAX_ITERS)
             _write_trace(Path(out, f"{start}-{variant}.csv"), solve(problem, X0, cfg, metrics).trace)
 
