@@ -42,10 +42,6 @@ from .solvers import (
 )
 
 
-class InfeasibleSpecError(ValueError):
-    """The requested mask size exceeds the number of matrix entries."""
-
-
 @dataclass(frozen=True)
 class CompletionSpec:
     """Square completion experiment: size n, true rank r, budget k, oversampling OS."""
@@ -63,6 +59,7 @@ class CompletionSpec:
             raise ValueError(f"oversampling rate must be finite and at least 1, got {self.os_rate}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        omega_size(self)  # a mask that cannot be sampled is a bad spec too
 
 
 def omega_size(spec: CompletionSpec) -> int:
@@ -73,10 +70,10 @@ def omega_size(spec: CompletionSpec) -> int:
     """
     dof = spec.os_rate * (2 * spec.k * spec.n - spec.k**2)
     if math.isinf(dof):  # a finite OS can still overflow the product
-        raise InfeasibleSpecError(f"|mask| = OS * (2kn - k^2) overflows at OS = {spec.os_rate}")
+        raise ValueError(f"|mask| = OS * (2kn - k^2) overflows at OS = {spec.os_rate}")
     size = int(round(max(dof, spec.n * math.log(spec.n))))
     if size > spec.n**2:
-        raise InfeasibleSpecError(
+        raise ValueError(
             f"|mask| = {size} exceeds n^2 = {spec.n ** 2}"
         )
     return size
@@ -179,48 +176,45 @@ def run_experiment(
     spec: CompletionSpec,
     algorithms,
     solver_cfg: SolverConfig,
-    out_dir=None,
+    out_dir,
     timing: bool = True,
 ) -> dict:
     """Solve one generated problem with solver_cfg, once per variant name in
     algorithms, and return {variant: AlgorithmRun} in that order.
 
     All runs share the problem and the starting guess, initial_guess at
-    solver_cfg.k. Per run a trace CSV, an iterate-distance CSV (when iterates
-    were recorded) and a key = value summary go under out_dir. A returned
-    result holds no iterates: its history is dropped, and its file closed,
-    once its distances are taken. A solver failure becomes that run's error,
-    with no result, instead of aborting the remaining runs. With timing off
-    the wall_ms column is zeroed, which makes every file a pure function of
-    the spec and solver_cfg at a fixed BLAS thread count (see solvers.solve).
+    solver_cfg.k. Every run records its iterates and writes {alg}_trace.csv,
+    {alg}_distances.csv and {alg}_summary.txt, with a rate fit, to out_dir.
+    A returned result holds no iterates: its history is dropped, and its
+    file closed, once its distances are taken. A failed solve becomes that
+    run's error, with no result and no files, instead of aborting the rest.
+    With timing off the wall_ms column is zeroed, which makes every file a
+    pure function of the spec and solver_cfg at a fixed BLAS thread count.
     """
     problem, target = gen_problem(spec)
     X0 = initial_guess(problem, solver_cfg.k)
     metrics = rel_errors(target, problem)
     runs = {}
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(out_dir, exist_ok=True)
     for alg in algorithms:
         try:
-            result = solve(problem, X0, replace(solver_cfg, variant=alg), metrics=metrics)
+            result = solve(problem, X0, replace(solver_cfg, variant=alg, record_iterates=True), metrics=metrics)
         except LineSearchError as err:
             runs[alg] = AlgorithmRun(
                 result=None, summary=_summary(spec, alg, None, None), error=str(err)
             )
             continue
-        dists = None if result.iterates is None else iterate_distances(result.iterates)
-        fit = None if dists is None else rate_fit(dists)
+        dists = iterate_distances(result.iterates)
+        fit = rate_fit(dists)
         result = replace(result, iterates=None)
         summary = _summary(spec, alg, result, fit)
         runs[alg] = AlgorithmRun(result=result, summary=summary)
-        if out_dir:
-            write_trace_csv(os.path.join(out_dir, f"{alg}_trace.csv"), result.trace, timing=timing)
-            if dists is not None:
-                np.savetxt(
-                    os.path.join(out_dir, f"{alg}_distances.csv"),
-                    dists, delimiter=",", fmt=_FLOAT_FMT,
-                )
-            write_kv(os.path.join(out_dir, f"{alg}_summary.txt"), summary)
+        write_trace_csv(os.path.join(out_dir, f"{alg}_trace.csv"), result.trace, timing=timing)
+        np.savetxt(
+            os.path.join(out_dir, f"{alg}_distances.csv"),
+            dists, delimiter=",", fmt=_FLOAT_FMT,
+        )
+        write_kv(os.path.join(out_dir, f"{alg}_summary.txt"), summary)
     return runs
 
 

@@ -122,10 +122,6 @@ def _spec_from_args(args, config: dict) -> CompletionSpec:
     return CompletionSpec(**fields)
 
 
-def _solver_cfg(args, config: dict, k: int) -> SolverConfig:
-    return SolverConfig(k=k, record_iterates=True, **_settings(args, config, SOLVER_SETTINGS, {}))
-
-
 def _input_error(command: str, err: Exception, code: int) -> int:
     message = " ".join(str(err).split())
     print(f"{command}: invalid input: {type(err).__name__}: {message}", file=sys.stderr)
@@ -152,12 +148,11 @@ def cmd_run(args) -> int:
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
         spec = _spec_from_args(args, config)
-        omega_size(spec)  # validates feasibility up front
-        cfg = _solver_cfg(args, config, spec.k)
+        cfg = SolverConfig(k=spec.k, **_settings(args, config, SOLVER_SETTINGS, {}))
         os.makedirs(args.out, exist_ok=True)
     except (OSError, ValueError) as err:
         return _input_error("run", err, 2)
-    algorithms = list(VARIANTS) if args.alg == "both" else [args.alg]
+    algorithms = ["sd", "rf"] if args.alg == "both" else [args.alg]
     runs = run_experiment(
         spec, algorithms=algorithms, solver_cfg=cfg, out_dir=args.out,
         timing=not args.no_timing,

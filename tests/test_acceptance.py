@@ -65,20 +65,20 @@ def quad_run():
 
 
 @pytest.fixture(scope="module")
-def fig1_runs():
+def fig1_runs(tmp_path_factory):
     t0 = time.perf_counter()
     spec = PRESETS["fig1-small"]
     cfg = SolverConfig(k=spec.k, max_iters=1000)
-    runs = run_experiment(spec, ("sd", "rf"), cfg)
+    runs = run_experiment(spec, ("sd", "rf"), cfg, tmp_path_factory.mktemp("fig1-small"))
     return SimpleNamespace(runs=runs, elapsed=time.perf_counter() - t0)
 
 
 @pytest.fixture(scope="module")
-def fig2_runs():
+def fig2_runs(tmp_path_factory):
     t0 = time.perf_counter()
     spec = PRESETS["fig2-small"]
     cfg = SolverConfig(k=spec.k, max_iters=1000)
-    runs = run_experiment(spec, ("sd", "rf"), cfg)
+    runs = run_experiment(spec, ("sd", "rf"), cfg, tmp_path_factory.mktemp("fig2-small"))
     return SimpleNamespace(runs=runs, elapsed=time.perf_counter() - t0)
 
 

@@ -8,7 +8,6 @@ import scipy.sparse
 
 from rankdescent.bench import (
     CompletionSpec,
-    InfeasibleSpecError,
     PRESETS,
     SUMMARY_KEYS,
     gen_problem,
@@ -45,8 +44,9 @@ class TestOmegaSize:
         assert omega_size(CompletionSpec(1000, 1, 1, 1, 0)) == round(1000 * math.log(1000))
 
     def test_infeasible_spec(self):
-        with pytest.raises(InfeasibleSpecError):
-            omega_size(CompletionSpec(10, 10, 10, 2, 0))
+        # a mask larger than n^2 cannot be sampled, so the spec itself is bad
+        with pytest.raises(ValueError, match=r"exceeds n\^2"):
+            CompletionSpec(10, 10, 10, 2, 0)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -249,6 +249,17 @@ class TestRunExperiment:
             a = (tmp_path / "a" / name).read_bytes()
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b, name
+
+    def test_every_run_writes_its_distances_and_rate_fit(self, tmp_path):
+        # run_experiment records iterates whatever the config says
+        spec = CompletionSpec(30, 2, 2, 3, 12)
+        cfg = SolverConfig(k=2, max_iters=60)
+        runs = run_experiment(spec, ("sd", "rf"), cfg, out_dir=tmp_path, timing=False)
+        for alg in ("sd", "rf"):
+            distances = np.loadtxt(tmp_path / f"{alg}_distances.csv", delimiter=",")
+            assert distances.size == len(runs[alg].result.trace)
+            assert read_kv(tmp_path / f"{alg}_summary.txt")["rate_model"] != "unavailable"
+            assert runs[alg].summary["rate_model"] != "unavailable"
 
     def test_distances_computed_once_per_variant(self, tmp_path, monkeypatch):
         from rankdescent import bench

@@ -230,6 +230,23 @@ class TestRun:
                 name = f"{alg}_{kind}"
                 assert (tmp_path / "both" / name).read_bytes() == (tmp_path / alg / name).read_bytes(), name
 
+    def test_alg_both_runs_sd_and_rf_alone(self, tmp_path, monkeypatch, capsys):
+        # a variant added to the package does not join --alg both
+        from rankdescent import solvers
+
+        monkeypatch.setitem(solvers.VARIANTS, "extra", solvers.VARIANTS["sd"])
+        out = tmp_path / "both"
+        code = run_cli(
+            "run", "--n", "30", "--rank", "2", "--budget", "2", "--seed", "3",
+            "--alg", "both", "--out", str(out), "--max-iters", "20", "--no-timing",
+        )
+        assert code == 0
+        assert sorted(os.listdir(out)) == [
+            f"{alg}_{kind}" for alg in ("rf", "sd") for kind in ("distances.csv", "summary.txt", "trace.csv")
+        ]
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["sd", "rf"]
+
     def test_solver_failure_exits_3(self, tmp_path, monkeypatch):
         from rankdescent import bench
         from rankdescent.linesearch import LineSearchError

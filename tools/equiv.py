@@ -1,6 +1,6 @@
 """Equivalence check between two revisions of rankdescent.
 
-    python tools/equiv.py BASE [HEAD] [--rtol X]
+    python tools/equiv.py BASE [HEAD]
 
 BASE and HEAD are git revisions of this repository. Each is exported with
 `git archive` into a temporary directory, so the repository's checkout,
@@ -32,11 +32,9 @@ set is 66 files, stdout captures included.
 Every file of one tree is compared with its namesake in the other and
 reported as "bitwise equal", or by its first differing row and, per column,
 the largest relative difference and the largest difference scaled by the
-column's largest magnitude. The exit status is 0 only when every
-comparison passes: byte identity by default, or with --rtol X the same rows
-and fields, numbers within X relative and other fields equal. The report
-ends with the src/ line totals of both trees: the lines of
-src/rankdescent/*.py as `wc -l` counts them.
+column's largest magnitude. The exit status is 0 only when every file is
+byte-identical to its namesake. The report ends with the src/ line totals
+of both trees: the lines of src/rankdescent/*.py as `wc -l` counts them.
 """
 
 from __future__ import annotations
@@ -217,15 +215,13 @@ def _diff(a: str, b: str) -> tuple[float, float, float]:
     return (abs(x - y) / size if x != y else 0.0), abs(x - y), size
 
 
-def compare_file(base: bytes, head: bytes, rtol: float | None) -> tuple[bool, str]:
-    """(passes, report) for two versions of one file: bitwise equal, or the
-    first differing row (0-based, the header row included), the largest
-    relative difference per column and the largest column-scaled one: a
-    column's largest absolute difference over its largest magnitude in
-    either file, which shows a roundoff-level change to a column that
-    converges to zero. With rtol None only byte identity passes; else the
-    rows and their fields must match in number, and every pair of fields
-    differ by at most rtol relative (other fields: not at all)."""
+def compare_file(base: bytes, head: bytes) -> tuple[bool, str]:
+    """(passes, report) for two versions of one file: bitwise equal, which
+    alone passes, or the first differing row (0-based, the header row
+    included), the largest relative difference per column and the largest
+    column-scaled one: a column's largest absolute difference over its
+    largest magnitude in either file, which shows a roundoff-level change to
+    a column that converges to zero."""
     if base == head:
         return True, "bitwise equal"
     rows_a, rows_b = (_rows(x.decode(errors="replace")) for x in (base, head))
@@ -248,11 +244,10 @@ def compare_file(base: bytes, head: bytes, rtol: float | None) -> tuple[bool, st
     # a finite gap is at most twice its column's scale, so only inf meets a zero scale
     scaled = ", ".join(f"{c} {d / scale[c] if scale[c] else d:.1e}" for c, d in gap.items() if d > 0)
     parts.append(f"column-scaled: {scaled or 'none'}")
-    passes = rtol is not None and shaped and all(d <= rtol for d in worst.values())
-    return passes, "; ".join(parts)
+    return False, "; ".join(parts)
 
 
-def compare_trees(base: Path, head: Path, rtol: float | None = None) -> tuple[bool, list[str]]:
+def compare_trees(base: Path, head: Path) -> tuple[bool, list[str]]:
     """(every file passes, one report line per file) for two output trees."""
     names = sorted({p.relative_to(root).as_posix() for root in (base, head) for p in root.rglob("*") if p.is_file()})
     ok, lines = True, []
@@ -261,7 +256,7 @@ def compare_trees(base: Path, head: Path, rtol: float | None = None) -> tuple[bo
         if not (a.is_file() and b.is_file()):
             passes, report = False, f"only in {'BASE' if a.is_file() else 'HEAD'}"
         else:
-            passes, report = compare_file(a.read_bytes(), b.read_bytes(), rtol)
+            passes, report = compare_file(a.read_bytes(), b.read_bytes())
         ok = ok and passes
         lines.append(f"{'ok  ' if passes else 'FAIL'} {name}: {report}")
     return ok, lines
@@ -271,8 +266,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", metavar="BASE", help="git revision to compare against")
     parser.add_argument("head", metavar="HEAD", nargs="?", help="git revision (default: the working tree)")
-    parser.add_argument("--rtol", type=float, help="pass on numbers within this relative difference "
-                        "(default: only on byte identity)")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="equiv-") as tmp:
         tmp = Path(tmp)
@@ -281,11 +274,10 @@ def main(argv=None) -> int:
         for label, tree in trees.items():
             print(f"{label}: running the standard set", flush=True)
             write_outputs(tree, tmp / label)
-        ok, lines = compare_trees(tmp / "BASE", tmp / "HEAD", args.rtol)
+        ok, lines = compare_trees(tmp / "BASE", tmp / "HEAD")
         base, head = (src_lines(tree) for tree in trees.values())
     print("\n".join(lines))
-    mode = "bitwise" if args.rtol is None else f"rtol {args.rtol:g}"
-    print(f"{sum(x.startswith('ok') for x in lines)} of {len(lines)} files pass ({mode})")
+    print(f"{sum(x.startswith('ok') for x in lines)} of {len(lines)} files pass (bitwise)")
     print(f"src/ lines: BASE {base:,}, HEAD {head:,} ({head - base:+,})")
     return 0 if ok else 1
 
