@@ -30,7 +30,7 @@ from .core import (
     orthonormal_polish,
     truncate,
 )
-from .geometry import VarietyPoint, make_point
+from .geometry import VarietyPoint
 from .linesearch import LineSearchError, descent_monitors
 from .objectives import MatrixCompletion
 from .solvers import (
@@ -112,7 +112,7 @@ def initial_guess(problem: MatrixCompletion, k: int) -> VarietyPoint:
     antigradient +P(A). core.truncate takes its CSR matrix (ARPACK via
     scipy.sparse.linalg.svds), so P(A) is densified only at k = n.
     """
-    return make_point(truncate(problem.data.csr, k), k)
+    return VarietyPoint(truncate(problem.data.csr, k), k)
 
 
 def rel_errors(target: FactoredMatrix, problem: MatrixCompletion):

@@ -35,7 +35,7 @@ from .bench import (
     run_experiment,
     save_completion,
 )
-from .geometry import make_point
+from .geometry import VarietyPoint
 from .solvers import SolverConfig, VARIANTS, rate_fit
 
 # (field, name, type, help) of each setting `run` takes from a flag or a
@@ -175,7 +175,7 @@ def cmd_errors(args) -> int:
         if target is None:
             raise ValueError("problem directory carries no target factors")
         fm = load_factored(args.point)
-        X = make_point(fm, k=fm.rank)
+        X = VarietyPoint(fm, k=fm.rank)
         rel_full, rel_mask = rel_errors(target, problem)(X)
     except (OSError, ValueError, KeyError) as err:
         return _input_error("errors", err, 4)

@@ -311,8 +311,6 @@ def truncate(A, r: int, U=None, V=None) -> FactoredMatrix:
     if not 0 <= r <= min(A.shape):
         raise ValueError(f"rank {r} out of range for shape {A.shape}")
     if isinstance(A, ThinPair):
-        if r == 0 or A.L.shape[1] == 0:
-            return FactoredMatrix.zero(*A.shape)
         QL, RL = np.linalg.qr(project_out(A.L, U))
         QR, RR = np.linalg.qr(project_out(A.R, V))
         Ub, sb, Vb = svd(RL @ RR.T)

@@ -58,19 +58,24 @@ from .core import (
 class VarietyPoint:
     """Point of the rank-at-most-k variety: a factored matrix plus the budget k.
 
-    The stored triple must not carry numerically zero singular values; use
-    make_point to trim a freshly truncated factorization.
+    Modes at or below RANK_TOL * sigma_1 are trimmed on construction, so the
+    stored triple carries no numerically zero singular values. A trimmed
+    point holds copies of the r columns it keeps, not views that would pin
+    the given triple's wider arrays.
     """
 
     point: FactoredMatrix
     k: int
 
     def __post_init__(self):
-        m, n = self.point.shape
-        if not 0 <= self.point.rank <= self.k <= min(m, n):
-            raise ValueError(f"need rank <= k <= min(m, n), got rank={self.point.rank}, k={self.k}")
-        if self.point.rank and numerical_rank(self.point.sigma) != self.point.rank:
-            raise ValueError("point carries numerically zero singular values; trim first")
+        F = self.point
+        r = numerical_rank(F.sigma)
+        if r < F.rank:
+            F = FactoredMatrix(np.copy(F.U[:, :r]), np.copy(F.sigma[:r]), np.copy(F.V[:, :r]))
+            object.__setattr__(self, "point", F)
+        m, n = F.shape
+        if not 0 <= r <= self.k <= min(m, n):
+            raise ValueError(f"need rank <= k <= min(m, n), got rank={r}, k={self.k}")
 
     @property
     def shape(self):
@@ -79,18 +84,6 @@ class VarietyPoint:
     @property
     def s(self) -> int:
         return self.point.rank
-
-
-def make_point(F: FactoredMatrix, k: int) -> VarietyPoint:
-    """Wrap F as a VarietyPoint, trimming modes at or below RANK_TOL * sigma_1.
-
-    A trimmed point holds copies of the r columns it keeps, not views that
-    would pin F's wider arrays.
-    """
-    r = numerical_rank(F.sigma)
-    if r < F.rank:
-        F = FactoredMatrix(np.copy(F.U[:, :r]), np.copy(F.sigma[:r]), np.copy(F.V[:, :r]))
-    return VarietyPoint(F, k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,8 +344,6 @@ def choose_flat_direction(G: ConeTangentVector) -> ConeTangentVector:
 
 def random_point(rng: np.random.Generator, m: int, n: int, s: int, k: int) -> VarietyPoint:
     """Random rank-s point with singular values in [0.5, 2]."""
-    if s == 0:
-        return VarietyPoint(FactoredMatrix.zero(m, n), k)
     qu, _ = np.linalg.qr(rng.standard_normal((m, s)))
     qv, _ = np.linalg.qr(rng.standard_normal((n, s)))
     sig = np.sort(rng.uniform(0.5, 2.0, size=s))[::-1]

@@ -20,7 +20,7 @@ from rankdescent.bench import (
     write_kv,
 )
 from rankdescent.core import FactoredMatrix, IndexSet, SparseOnMask, truncate
-from rankdescent.geometry import VarietyPoint, make_point
+from rankdescent.geometry import VarietyPoint
 from rankdescent.objectives import MatrixCompletion
 from rankdescent.solvers import SolverConfig
 from helpers import ambient_dense, same_index_set, zero_point
@@ -189,7 +189,7 @@ class TestRelErrors:
     def test_mask_error_identity(self):
         # definition ||P(A - X)|| / ||P A|| equals sqrt(2 f) / ||P A||
         rng = np.random.default_rng(5)
-        X = make_point(truncate(rng.standard_normal((30, 30)), 2), 2)
+        X = VarietyPoint(truncate(rng.standard_normal((30, 30)), 2), 2)
         _, rel_mask = rel_errors(self.target, self.problem)(X)
         dense = ambient_dense(X)
         num = np.linalg.norm(

@@ -5,7 +5,7 @@ import pytest
 
 from rankdescent.cli import main
 from rankdescent.bench import save_factored
-from rankdescent.core import truncate
+from rankdescent.core import FactoredMatrix, truncate
 from helpers import read_trace_csv
 
 
@@ -291,6 +291,23 @@ class TestErrors:
         assert code == 0
         out = capsys.readouterr().out
         assert "rel_full" in out and "rel_mask" in out
+
+    def test_a_zero_singular_value_is_trimmed(self, tmp_path, capsys):
+        # a stored point whose sigma.csv ends in 0.0 reads as the point
+        # without that mode
+        prob = tmp_path / "prob"
+        run_cli("gen", "--n", "25", "--rank", "2", "--budget", "2", "--seed", "6", "--out", str(prob))
+        F = truncate(np.random.default_rng(0).standard_normal((25, 25)), 3)
+        save_factored(tmp_path / "kept", FactoredMatrix(F.U[:, :2], F.sigma[:2], F.V[:, :2]))
+        save_factored(tmp_path / "zero", F)
+        sigma = (tmp_path / "zero" / "sigma.csv").read_text().splitlines()
+        (tmp_path / "zero" / "sigma.csv").write_text("\n".join(sigma[:2] + ["0.0"]) + "\n")
+        capsys.readouterr()
+        assert run_cli("errors", "--problem", str(prob), "--point", str(tmp_path / "kept")) == 0
+        kept = capsys.readouterr().out
+        assert run_cli("errors", "--problem", str(prob), "--point", str(tmp_path / "zero")) == 0
+        assert capsys.readouterr().out == kept
+        assert "rel_full" in kept and "rel_mask" in kept
 
     def _problem_and_point(self, tmp_path):
         prob = tmp_path / "prob"

@@ -115,3 +115,18 @@ def test_solve_writers_run_sd_and_rf_alone(tmp_path, monkeypatch):
         "deficient-completion/zero-rf.csv", "deficient-completion/zero-sd.csv",
         "quadratic/60x50-seed1-0-rf.csv", "quadratic/60x50-seed1-0-sd.csv",
     ]
+
+
+def test_the_standard_set_runs_the_row_wise_mask_gather():
+    # every preset samples more than GATHER_BLAS_DENSITY of the entries, so
+    # one run of the set must sample fewer for that path to be compared
+    from rankdescent.bench import omega_size
+    from rankdescent.cli import _spec_from_args, build_parser
+    from rankdescent.core import GATHER_BLAS_DENSITY
+
+    sparse = []
+    for args in equiv.RUNS.values():
+        spec = _spec_from_args(build_parser().parse_args(["run", *args, "--out", "unused"]), {})
+        if omega_size(spec) < GATHER_BLAS_DENSITY * spec.n**2:
+            sparse.append(spec)
+    assert sparse

@@ -11,7 +11,6 @@ from rankdescent.geometry import (
     VarietyPoint,
     choose_flat_direction,
     g_lower_bound,
-    make_point,
     project_cone,
     project_tangent_space,
     random_point,
@@ -633,18 +632,18 @@ class TestVarietyPoint:
         with pytest.raises(ValueError):
             VarietyPoint(truncate(np.eye(3), 2), 1)
 
-    def test_zero_sigma_rejected(self):
-        F = FactoredMatrix(np.eye(2), [1.0, 0.0], np.eye(2))
-        with pytest.raises(ValueError):
-            VarietyPoint(F, 2)
-        assert make_point(F, 2).s == 1
+    def test_zero_sigma_trimmed(self):
+        X = VarietyPoint(FactoredMatrix(np.eye(2), [1.0, 0.0], np.eye(2)), 2)
+        assert X.s == 1
+        assert np.array_equal(X.point.sigma, [1.0])
+        assert np.array_equal(X.point.U, [[1.0], [0.0]])
 
     def test_trimmed_point_owns_arrays_of_its_rank(self):
         # one numerically zero sigma: the kept columns are copied, so the
         # point pins no wider factor
         rng = np.random.default_rng(2)
         U, V = (np.linalg.qr(rng.standard_normal((d, 3)))[0] for d in (50, 40))
-        X = make_point(FactoredMatrix(U, [2.0, 1.0, 0.0], V), 3)
+        X = VarietyPoint(FactoredMatrix(U, [2.0, 1.0, 0.0], V), 3)
         assert X.s == 2
         for W, full in ((X.point.U, U), (X.point.V, V)):
             assert W.base is None or W.base.nbytes == W.nbytes

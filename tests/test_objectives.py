@@ -13,7 +13,6 @@ from rankdescent.geometry import (
     VarietyPoint,
     choose_flat_direction,
     g_lower_bound,
-    make_point,
     project_cone,
     random_point,
     retract,
@@ -52,7 +51,7 @@ class TestMatrixCompletion:
         self.obj = MatrixCompletion(self.data)
 
     def test_zero_residual_on_mask(self):
-        X = make_point(truncate(self.A_dense, 8), 8)
+        X = VarietyPoint(truncate(self.A_dense, 8), 8)
         # X reproduces A up to SVD roundoff; the value is essentially zero
         assert self.obj.value(X) <= 1e-24 * frob_norm(self.A_dense) ** 2
 
@@ -67,8 +66,8 @@ class TestMatrixCompletion:
     def test_value_ignores_offmask_entries(self):
         mask = IndexSet((3, 3), [0], [0])
         obj = MatrixCompletion(SparseOnMask(mask, [1.0]))
-        X1 = make_point(truncate(np.diag([1.0, 0, 0]), 2), 2)
-        X2 = make_point(truncate(np.diag([1.0, 5.0, 0]), 2), 2)
+        X1 = VarietyPoint(truncate(np.diag([1.0, 0, 0]), 2), 2)
+        X2 = VarietyPoint(truncate(np.diag([1.0, 5.0, 0]), 2), 2)
         assert obj.value(X1) == obj.value(X2) == 0.0
 
     def test_value_at_zero(self):
@@ -258,7 +257,7 @@ class TestQuadraticDistance:
 
     def test_diag_example(self):
         A = truncate(np.diag([3.0, 1.0]), 2)
-        X = make_point(truncate(np.diag([3.0, 0.0]), 2), 2)
+        X = VarietyPoint(truncate(np.diag([3.0, 0.0]), 2), 2)
         obj = QuadraticDistance(A)
         assert obj.value(X) == pytest.approx(0.5, rel=1e-12)
 

@@ -17,7 +17,7 @@ import pytest
 
 from rankdescent.bench import CompletionSpec, gen_problem
 from rankdescent.core import GATHER_BLAS_DENSITY, FactoredMatrix, IndexSet, SparseOnMask, truncate
-from rankdescent.geometry import VarietyPoint, make_point, project_cone
+from rankdescent.geometry import VarietyPoint, project_cone
 from rankdescent.linesearch import secant_curvature
 from rankdescent.objectives import MatrixCompletion, QuadraticDistance
 from rankdescent.solvers import VARIANTS, SolverConfig, solve
@@ -36,7 +36,7 @@ def completion_case(X0_rank: int, k: int):
     """The 40x40 rank-3 completion problem of gen_problem (seed 1, 693 of
     1600 entries seen), from the best rank-X0_rank fit to the data."""
     problem, _ = gen_problem(CompletionSpec(n=40, r=3, k=3, os_rate=3, seed=1))
-    X0 = make_point(truncate(problem.data.csr, X0_rank), k)
+    X0 = VarietyPoint(truncate(problem.data.csr, X0_rank), k)
     return problem, masked_dense(problem), X0, 20
 
 
@@ -46,7 +46,7 @@ def sparse_mask_case():
     core.GATHER_BLAS_DENSITY, so every gather on its mask takes the
     row-wise path. From the best rank-2 fit to the data, at k = 2."""
     problem, _ = gen_problem(CompletionSpec(n=200, r=2, k=2, os_rate=1, seed=1))
-    X0 = make_point(truncate(problem.data.csr, 2), 2)
+    X0 = VarietyPoint(truncate(problem.data.csr, 2), 2)
     return problem, masked_dense(problem), X0, 20
 
 

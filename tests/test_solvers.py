@@ -12,7 +12,6 @@ from rankdescent.core import ThinPair, factored_diff_norm, frob_norm, truncate
 from rankdescent.geometry import (
     VarietyPoint,
     choose_flat_direction,
-    make_point,
     project_cone,
     random_point,
     retract,
@@ -131,7 +130,7 @@ class TestSolveBasics:
         # starting below the budget exercises the perp part of the cone and
         # the rank-(k+s) retraction; the iterate rank climbs to k
         obj, A, _ = quadratic_setup(18, r=4, k=4)
-        X0 = make_point(truncate(ambient_dense(A), 1), 4)
+        X0 = VarietyPoint(truncate(ambient_dense(A), 1), 4)
         res = solve(obj, X0, SolverConfig(k=4, max_iters=200, record_iterates=True))
         assert res.trace[0].rank == 1
         assert res.X_star.s == 4

@@ -12,7 +12,9 @@ the thread count) import the package from that tree's src/ and write the
 standard set of outputs:
 
 - `rankbench run --alg both --no-timing` on fig1-small, on fig2-small with
-  --max-iters 200 and on fig1-full-k20 with --max-iters 130 (18 files);
+  --max-iters 200, on fig1-full-k20 with --max-iters 130 and on an n = 300
+  rank-1 problem at k = 1 (seed 7, --max-iters 200) whose mask of 2.0% of
+  the entries takes mask_gather's row-wise path (24 files);
 - `rankbench gen` of a 40x40 problem, `errors` of another problem's target
   on it, and `ratefit` of both fig1-small distance files, with every
   command's stdout kept;
@@ -27,7 +29,7 @@ standard set of outputs:
   truncates the CSR gradient against the base spaces.
 
 A trace holds every TraceRecord field but wall_ms, each as its repr. The
-set is 66 files, stdout captures included.
+set is 73 files, stdout captures included.
 
 Every file of one tree is compared with its namesake in the other and
 reported as "bitwise equal", or by its first differing row and, per column,
@@ -59,6 +61,8 @@ RUNS = {
     "fig1-small": ["--preset", "fig1-small"],
     "fig2-small": ["--preset", "fig2-small", "--max-iters", "200"],
     "fig1-full-k20": ["--preset", "fig1-full-k20", "--max-iters", "130"],
+    # samples 2.0% of n^2, below GATHER_BLAS_DENSITY: mask_gather's row-wise path
+    "sparse-n300": ["--n", "300", "--rank", "1", "--budget", "1", "--seed", "7", "--max-iters", "200"],
 }
 # (m, n, target rank r, start rank s, k, seed, instances)
 QUADRATIC = [(500, 400, 12, 6, 12, 3, 4), (500, 400, 12, 6, 12, 29, 4)] + [
