@@ -240,8 +240,8 @@ def _summary(spec: CompletionSpec, alg: str, result: SolveResult | None, fit) ->
             "backtracks": sum(r.backtracks for r in trace),
             "final_f": final.f,
             "final_g_minus": final.g_minus,
-            "final_rel_full": "" if final.rel_err_full is None else final.rel_err_full,
-            "final_rel_mask": "" if final.rel_err_mask is None else final.rel_err_mask,
+            "final_rel_full": final.rel_err_full,
+            "final_rel_mask": final.rel_err_mask,
             "min_sigma_k": min(sigmak_values),
             "a1_min_ratio": "" if monitors is None or monitors.min_a1_ratio is None else monitors.min_a1_ratio,
             "rate_model": "unavailable" if fit is None else fit.model,

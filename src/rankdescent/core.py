@@ -33,12 +33,14 @@ standing for L @ R.T for the quadratic distance, a dense array in tests.
 truncate is the one truncated-SVD primitive for all of them, with optional
 bases projected out of both sides; it densifies no structured kind below
 full rank (a sparse matrix goes through ARPACK via scipy.sparse.linalg.svds,
-a pair through thin QRs).
+a pair through thin QRs). There is no SVD helper: every dense SVD is
+np.linalg.svd(..., full_matrices=False), its Vt read as numpy returns it.
 
-All containers are immutable values after construction; operations are pure,
-and none reads or writes a file (bench owns every file format). The factors
-of a returned factorization hold its own rank's columns, never views into a
-wider decomposition, so a rank-r point costs O((m + n) r).
+All containers, a ThinPair included, check their invariants at construction
+and are immutable values after it; operations are pure, and none reads or
+writes a file (bench owns every file format). The factors of a returned
+factorization hold its own rank's columns, never views into a wider
+decomposition, so a rank-r point costs O((m + n) r).
 """
 
 from __future__ import annotations
@@ -245,8 +247,8 @@ class FactoredMatrix:
 
 @dataclass(frozen=True, eq=False)
 class ThinPair:
-    """The m-by-n matrix L @ R.T of two 2-D float factors of equal width,
-    as an operand: F @ W is L @ (R.T @ W), and F.T is the pair (R, L)."""
+    """The m-by-n matrix L @ R.T of two finite 2-D float factors of equal
+    width, as an operand: F @ W is L @ (R.T @ W), and F.T is the pair (R, L)."""
 
     L: np.ndarray
     R: np.ndarray
@@ -255,6 +257,8 @@ class ThinPair:
         L, R = _as_dense(self.L), _as_dense(self.R)
         if L.shape[1] != R.shape[1]:
             raise ValueError("thin factors differ in width")
+        if not (np.isfinite(L).all() and np.isfinite(R).all()):
+            raise ValueError("non-finite entries in input matrix")
         object.__setattr__(self, "L", L)
         object.__setattr__(self, "R", R)
 
@@ -270,19 +274,6 @@ class ThinPair:
         return self.L @ (self.R.T @ W)
 
 
-def svd(A):
-    """Economy SVD of a dense matrix.
-
-    Returns (U, sigma, V) with V holding right singular vectors as columns,
-    so A = U @ diag(sigma) @ V.T. Raises ValueError on non-finite input.
-    """
-    A = _as_dense(A)
-    if A.size and not np.all(np.isfinite(A)):
-        raise ValueError("non-finite entries in input matrix")
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    return U, s, Vt.T
-
-
 def truncate(A, r: int, U=None, V=None) -> FactoredMatrix:
     """Best Frobenius-norm approximation of rank at most r of
     (I - U U.T) A (I - V V.T).
@@ -292,8 +283,8 @@ def truncate(A, r: int, U=None, V=None) -> FactoredMatrix:
     matrix, or a ThinPair, and no structured kind is densified below
     r = min(m, n):
 
-    - dense: the projected matrix goes through LAPACK's SVD, and ties between
-      equal singular values keep its ordering (the first r columns);
+    - dense: non-finite entries raise ValueError, else the projected matrix
+      goes through LAPACK's SVD, and ties keep its order (the first r columns);
     - ThinPair: the projected L and R go through compact QRs and an SVD of
       the small R_L @ R_R.T, exact in O((m+n) width^2);
     - sparse: ARPACK via scipy.sparse.linalg.svds (_masked_truncate), whose
@@ -313,17 +304,19 @@ def truncate(A, r: int, U=None, V=None) -> FactoredMatrix:
     if isinstance(A, ThinPair):
         QL, RL = np.linalg.qr(project_out(A.L, U))
         QR, RR = np.linalg.qr(project_out(A.R, V))
-        Ub, sb, Vb = svd(RL @ RR.T)
+        Ub, sb, Vbt = np.linalg.svd(RL @ RR.T, full_matrices=False)
         q = min(r, sb.size)
-        return FactoredMatrix(QL @ Ub[:, :q], sb[:q], QR @ Vb[:, :q])
+        return FactoredMatrix(QL @ Ub[:, :q], sb[:q], QR @ Vbt[:q].T)
     if scipy.sparse.issparse(A):
         return _masked_truncate(A, r, U, V)
+    if not np.isfinite(A).all():
+        raise ValueError("non-finite entries in input matrix")
     A = project_out(A, U)
     if _width(V):
         A = A - (A @ V) @ V.T
-    Uf, s, Vf = svd(A)
+    Uf, s, Vt = np.linalg.svd(A, full_matrices=False)
     # np.copy's order 'K' keeps U C-ordered and V in the F order of Vt.T
-    return FactoredMatrix(np.copy(Uf[:, :r]), np.copy(s[:r]), np.copy(Vf[:, :r]))
+    return FactoredMatrix(np.copy(Uf[:, :r]), np.copy(s[:r]), np.copy(Vt[:r].T))
 
 
 def _width(B) -> int:
@@ -395,11 +388,9 @@ def frob_norm(A) -> float:
     """Frobenius norm of a dense matrix, of a sparse one (from its stored
     entries, one per position as on a mask) or of a ThinPair, a pair's as
     ||L @ R_R.T|| after one compact QR R = Q @ R_R (Q has orthonormal
-    columns), not by the Gram identity; non-finite factors raise ValueError
-    before the QR."""
+    columns), not by the Gram identity; a pair's factors are finite by
+    construction."""
     if isinstance(A, ThinPair):
-        if not (np.isfinite(A.L).all() and np.isfinite(A.R).all()):
-            raise ValueError("non-finite entries in input matrix")
         return float(np.linalg.norm(A.L @ np.linalg.qr(A.R, mode="r").T))
     if scipy.sparse.issparse(A):
         return float(np.linalg.norm(A.data))

@@ -28,36 +28,10 @@ from rankdescent.core import (
     numerical_rank,
     orthonormal_polish,
     run_lanes,
-    svd,
     truncate,
 )
 from rankdescent.bench import load_factored, load_index_set, save_factored, save_index_set
 from helpers import ambient_dense, count_qr_calls, count_svd_calls, same_index_set
-
-
-class TestSvd:
-    def test_zero_matrix(self):
-        U, s, V = svd(np.zeros((3, 2)))
-        assert np.all(s == 0)
-
-    def test_diagonal(self):
-        U, s, V = svd(np.diag([3.0, 1.0]))
-        assert np.allclose(s, [3.0, 1.0])
-        # identity up to column signs
-        assert np.allclose(np.abs(U), np.eye(2), atol=1e-14)
-        assert np.allclose(np.abs(V), np.eye(2), atol=1e-14)
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(0)
-        A = rng.standard_normal((5, 3))
-        U, s, V = svd(A)
-        assert np.linalg.norm((U * s) @ V.T - A) <= 1e-12 * np.linalg.norm(A)
-
-    def test_nonfinite_rejected(self):
-        A = np.ones((2, 2))
-        A[0, 0] = np.nan
-        with pytest.raises(ValueError):
-            svd(A)
 
 
 class TestTruncate:
@@ -80,11 +54,20 @@ class TestTruncate:
     def test_residual_is_sigma_tail(self):
         rng = np.random.default_rng(2)
         A = rng.standard_normal((6, 5))
-        _, s, _ = svd(A)
+        _, s, _ = np.linalg.svd(A, full_matrices=False)
         for r in range(6):
             resid = np.linalg.norm(ambient_dense(truncate(A, r)) - A)
             expect = np.sqrt(np.sum(s[r:] ** 2))
             assert abs(resid - expect) <= 1e-12 * max(1.0, expect)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_dense_rejected_before_any_svd(self, monkeypatch, bad):
+        A = np.ones((3, 2))
+        A[1, 0] = bad
+        svd_calls = count_svd_calls(monkeypatch)
+        with pytest.raises(ValueError, match="non-finite entries in input matrix"):
+            truncate(A, 1)
+        assert svd_calls == []
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -171,7 +154,7 @@ class TestTruncate:
         # sees each once
         B = np.random.default_rng(2).standard_normal((9, 9))
         D = np.kron(np.eye(2), B)
-        expect = svd(D)[1]
+        expect = np.linalg.svd(D, full_matrices=False)[1]
         for r in (2, 3, 4):
             T = truncate(self._fully_observed(D).csr, r)
             assert np.abs(T.sigma - expect[:r]).max() <= 1e-12 * expect[0]
@@ -252,8 +235,8 @@ class TestTruncate:
         for W in (T.U, T.V):
             assert W.base is None or W.base.nbytes == W.nbytes
         if isinstance(A, np.ndarray):
-            Uf, s, Vf = svd(A)
-            for got, full in ((T.U, Uf), (T.sigma, s), (T.V, Vf)):
+            Uf, s, Vt = np.linalg.svd(A, full_matrices=False)
+            for got, full in ((T.U, Uf), (T.sigma, s), (T.V, Vt.T)):
                 assert np.array_equal(got, full[..., :r])
 
 
@@ -868,6 +851,16 @@ class TestFactoredMatrix:
         assert FactoredMatrix.zero(3, 4) is Z
         assert FactoredMatrix.zero(4, 3) is not Z
         assert Z.U.size == Z.sigma.size == Z.V.size == 0
+
+
+class TestThinPair:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("side", ["L", "R"])
+    def test_non_finite_factors_rejected(self, bad, side):
+        factors = {"L": np.ones((4, 2)), "R": np.ones((3, 2))}
+        factors[side][2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite entries in input matrix"):
+            ThinPair(factors["L"], factors["R"])
 
 
 class TestAmbient:

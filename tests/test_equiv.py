@@ -3,6 +3,7 @@ step of its standard set run in this process: no process is started and no
 revision is exported."""
 
 import importlib.util
+import threading
 from pathlib import Path
 
 import pytest
@@ -130,3 +131,30 @@ def test_the_standard_set_runs_the_row_wise_mask_gather():
         if omega_size(spec) < GATHER_BLAS_DENSITY * spec.n**2:
             sparse.append(spec)
     assert sparse
+
+
+def test_main_writes_the_two_standard_sets_side_by_side(monkeypatch, capsys):
+    # each writer waits at the barrier for the other: written in turn, the
+    # first would time out and break it
+    both = threading.Barrier(2, timeout=10)
+
+    def write_outputs(src_tree, out):
+        both.wait()
+        tree(out, {"stdout/gen.txt": "n = 40\n"})
+
+    monkeypatch.setattr(equiv, "export", lambda rev, dest: dest)
+    monkeypatch.setattr(equiv, "write_outputs", write_outputs)
+    assert equiv.main(["base-rev", "head-rev"]) == 0
+    assert "1 of 1 files pass (bitwise)" in capsys.readouterr().out
+
+
+def test_a_failing_writer_raises_out_of_main(monkeypatch):
+    def write_outputs(src_tree, out):
+        if out.name == "HEAD":
+            raise RuntimeError(f"run-fig1-small in {src_tree} exited with 1")
+        out.mkdir()
+
+    monkeypatch.setattr(equiv, "export", lambda rev, dest: dest)
+    monkeypatch.setattr(equiv, "write_outputs", write_outputs)
+    with pytest.raises(RuntimeError, match="run-fig1-small in .*head-tree exited with 1"):
+        equiv.main(["base-rev", "head-rev"])

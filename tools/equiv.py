@@ -9,7 +9,9 @@ the tool lives in is compared, uncommitted changes included.
 
 In each tree, fresh Python processes with one BLAS thread (outputs depend on
 the thread count) import the package from that tree's src/ and write the
-standard set of outputs:
+standard set of outputs. The two trees' sets are written side by side, each
+on a thread of its own that runs the tree's steps in order; a failing step
+raises out of main once both threads are done. The set:
 
 - `rankbench run --alg both --no-timing` on fig1-small, on fig2-small with
   --max-iters 200, on fig1-full-k20 with --max-iters 130 and on an n = 300
@@ -49,6 +51,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from pathlib import Path
 
@@ -275,9 +278,11 @@ def main(argv=None) -> int:
         tmp = Path(tmp)
         trees = {"BASE": export(args.base, tmp / "base-tree")}
         trees["HEAD"] = export(args.head, tmp / "head-tree") if args.head else REPO
-        for label, tree in trees.items():
-            print(f"{label}: running the standard set", flush=True)
-            write_outputs(tree, tmp / label)
+        print("BASE and HEAD: running the standard sets", flush=True)
+        with ThreadPoolExecutor(len(trees)) as pool:
+            runs = [pool.submit(write_outputs, tree, tmp / label) for label, tree in trees.items()]
+        for run in runs:
+            run.result()
         ok, lines = compare_trees(tmp / "BASE", tmp / "HEAD")
         base, head = (src_lines(tree) for tree in trees.values())
     print("\n".join(lines))
