@@ -219,7 +219,7 @@ def run_experiment(
 
 
 def _summary(spec: CompletionSpec, alg: str, result: SolveResult | None, fit) -> dict:
-    out = {
+    values = {
         "spec.n": spec.n,
         "spec.r": spec.r,
         "spec.k": spec.k,
@@ -227,28 +227,26 @@ def _summary(spec: CompletionSpec, alg: str, result: SolveResult | None, fit) ->
         "spec.seed": spec.seed,
         "alg": alg,
     }
-    if result is None:
-        return {key: out.get(key, "") for key in SUMMARY_KEYS}
-    trace = result.trace
-    final = trace[-1]
-    monitors = descent_monitors(trace) if len(trace) >= 2 else None
-    sigmak_values = [r.sigmak for r in trace]
-    out.update(
-        {
-            "status": result.status.value,
-            "iters": len(trace) - 1,
-            "backtracks": sum(r.backtracks for r in trace),
-            "final_f": final.f,
-            "final_g_minus": final.g_minus,
-            "final_rel_full": final.rel_err_full,
-            "final_rel_mask": final.rel_err_mask,
-            "min_sigma_k": min(sigmak_values),
-            "a1_min_ratio": "" if monitors is None or monitors.min_a1_ratio is None else monitors.min_a1_ratio,
-            "rate_model": "unavailable" if fit is None else fit.model,
-            "rate_param": "" if fit is None else fit.parameter,
-        }
-    )
-    return out
+    if result is not None:
+        trace = result.trace
+        final = trace[-1]
+        monitors = descent_monitors(trace) if len(trace) >= 2 else None
+        values.update(
+            {
+                "status": result.status.value,
+                "iters": len(trace) - 1,
+                "backtracks": sum(r.backtracks for r in trace),
+                "final_f": final.f,
+                "final_g_minus": final.g_minus,
+                "final_rel_full": final.rel_err_full,
+                "final_rel_mask": final.rel_err_mask,
+                "min_sigma_k": min(r.sigmak for r in trace),
+                "a1_min_ratio": "" if monitors is None or monitors.min_a1_ratio is None else monitors.min_a1_ratio,
+                "rate_model": "unavailable" if fit is None else fit.model,
+                "rate_param": "" if fit is None else fit.parameter,
+            }
+        )
+    return {key: values.get(key, "") for key in SUMMARY_KEYS}
 
 
 # ---------------------------------------------------------------------------

@@ -95,8 +95,8 @@ class ConeTangentVector:
     factors are orthogonal to U and V (rank 0 when omitted). core, up and vp
     are stored as given: an array of another shape raises ValueError. The
     ambient embedding is U @ core @ V.T + up @ V.T + U @ vp.T + perp. The
-    blocks are coefficients over base's factors, so retract and
-    Objective.line take the point from base and from nowhere else.
+    blocks are coefficients over base's factors, so retract and an
+    objective's line take the point from base and from nowhere else.
     """
 
     base: VarietyPoint

@@ -42,7 +42,7 @@ class Line:
     from X) of the trial valued last.
     """
 
-    def __init__(self, obj: "Objective", xi: ConeTangentVector, curvature):
+    def __init__(self, obj, xi: ConeTangentVector, curvature):
         self._curvature = curvature
         self._obj, self._xi = obj, xi
 
@@ -84,35 +84,14 @@ class MaskedLine(Line):
         return Y, distance
 
 
-class Objective:
-    """Interface: a differentiable cost bounded below on the ambient space.
-
-    value, gradient and line are required. line(xi) returns the Line along
-    which the search backtracks from X = xi.base, for a cone tangent vector
-    xi at X: its curvature <xi, Hess f(X) xi>, read on the solver's even
-    iterations (solvers.solve), sets the exact-minimizer start of the
-    search, and its values are the search's trial costs.
-    """
-
-    def value(self, X: VarietyPoint) -> float:
-        raise NotImplementedError
-
-    def gradient(self, X: VarietyPoint):
-        """Ambient gradient at X in structured form."""
-        raise NotImplementedError
-
-    def line(self, xi: ConeTangentVector) -> Line:
-        """The objective along retract(xi, alpha), for a cone tangent vector xi."""
-        raise NotImplementedError
-
-    def _point(self, X: VarietyPoint) -> FactoredMatrix:
-        """X.point, once X's shape is checked against the problem's."""
-        if X.shape != self.shape:
-            raise ValueError("dimension mismatch between point and problem")
-        return X.point
+def _point(obj, X: VarietyPoint) -> FactoredMatrix:
+    """X.point, once X's shape is checked against obj's."""
+    if X.shape != obj.shape:
+        raise ValueError("dimension mismatch between point and problem")
+    return X.point
 
 
-class MatrixCompletion(Objective):
+class MatrixCompletion:
     """Half the squared masked residual: 0.5 * sum over the mask of (A - X)^2.
 
     Only the observed values of A are stored. Entries of X on the mask (the
@@ -139,7 +118,7 @@ class MatrixCompletion(Objective):
         return mask_gather(point.U * point.sigma, point.V, self.mask) - self.data.values
 
     def _residual(self, X: VarietyPoint) -> np.ndarray:
-        point = self._point(X)
+        point = _point(self, X)
         if self._last[0] is not point:
             self._keep_residual(point, self._compute_residual(point))
         return self._last[1]
@@ -172,7 +151,7 @@ class MatrixCompletion(Objective):
         return Line(self, xi, curvature)
 
 
-class QuadraticDistance(Objective):
+class QuadraticDistance:
     """Half the squared Frobenius distance to a fixed factored target.
 
     The value is 0.5 * ||X - A||^2 by core.factored_diff_norm, with no QR;
@@ -187,10 +166,10 @@ class QuadraticDistance(Objective):
         self._target_left = -(target.U * target.sigma)
 
     def value(self, X: VarietyPoint) -> float:
-        return 0.5 * factored_diff_norm(self.target, self._point(X)) ** 2
+        return 0.5 * factored_diff_norm(self.target, _point(self, X)) ** 2
 
     def gradient(self, X: VarietyPoint) -> ThinPair:
-        point = self._point(X)
+        point = _point(self, X)
         L = np.hstack([point.U * point.sigma, self._target_left])
         return ThinPair(L, np.hstack([point.V, self.target.V]))
 

@@ -32,7 +32,6 @@ import numpy as np
 from .core import FactoredMatrix, factored_diff_norm
 from .geometry import VarietyPoint, choose_flat_direction, project_cone
 from .linesearch import ArmijoConfig, LineSearchError, armijo, initial_step, secant_curvature
-from .objectives import Objective
 
 # name -> direction rule applied to the projected antigradient
 VARIANTS = {
@@ -158,10 +157,14 @@ class SolveResult:
     iterates: IterateHistory | None = None
 
 
-def solve(obj: Objective, X0: VarietyPoint, cfg: SolverConfig, metrics=None) -> SolveResult:
+def solve(obj, X0: VarietyPoint, cfg: SolverConfig, metrics=None) -> SolveResult:
     """Run the configured descent variant from X0.
 
     X0 is a VarietyPoint; the run uses cfg.k whatever X0's budget.
+    obj is the cost, used through three methods: value(X) is f at a
+    VarietyPoint, gradient(X) its ambient gradient as a matrix operand
+    (shape, T and @) for the cone projection, and line(xi) the
+    objectives.Line along retract(xi, alpha) for a cone tangent vector xi.
     metrics, when given, is called as metrics(X, f) and must return
     (rel_err_full, rel_err_mask) for the trace.
 

@@ -222,7 +222,7 @@ class TestRunExperiment:
         for alg in ("sd", "rf"):
             run = runs[alg]
             assert run.error is None
-            assert set(SUMMARY_KEYS) <= set(run.summary)
+            assert list(run.summary) == list(SUMMARY_KEYS)
             assert run.summary["status"] == run.result.status.value
             assert os.path.exists(tmp_path / f"{alg}_trace.csv")
             assert os.path.exists(tmp_path / f"{alg}_summary.txt")

@@ -399,11 +399,11 @@ class TestQuadraticDistance:
             obj.gradient(zero_point(5, 6, 1))
 
 
-def test_the_interface_keeps_no_residual_slot():
+def test_completion_alone_keeps_a_residual_slot():
     # the slot saves a gather per point on completion alone, which owns it
     for name in ("_last", "_residual", "_keep_residual"):
-        assert name not in vars(objectives.Objective)
         assert name in vars(MatrixCompletion)
+        assert name not in vars(QuadraticDistance)
 
 
 class TestFiniteDifferences:

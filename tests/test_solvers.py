@@ -17,7 +17,7 @@ from rankdescent.geometry import (
     retract,
 )
 from rankdescent.linesearch import angle_check, descent_monitors, initial_step, secant_curvature
-from rankdescent.objectives import Line, MatrixCompletion, Objective, QuadraticDistance
+from rankdescent.objectives import Line, MatrixCompletion, QuadraticDistance
 from rankdescent.solvers import (
     SolveStatus,
     SolverConfig,
@@ -435,7 +435,7 @@ class ScriptedLine(Line):
         return self._xi.base, self._alpha * self._xi.norm()
 
 
-class ScriptedObjective(Objective):
+class ScriptedObjective:
     """f = 1 at the start and a fixed gradient G. The first line values its
     trials by first(f, alpha, slope), every later one accepts its first trial
     at f - 1. A line's curvature is 0.25 * ||xi||^2, an exact start of 4, and
