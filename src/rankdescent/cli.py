@@ -29,7 +29,6 @@ from .bench import (
     load_completion,
     load_factored,
     missing_percent,
-    omega_size,
     read_kv,
     rel_errors,
     run_experiment,
@@ -131,13 +130,12 @@ def _input_error(command: str, err: Exception, code: int) -> int:
 def cmd_gen(args) -> int:
     try:
         spec = CompletionSpec(**_settings(args, {}, SPEC_SETTINGS, {}))
-        size = omega_size(spec)
         os.makedirs(args.out, exist_ok=True)
     except (OSError, ValueError) as err:
         return _input_error("gen", err, 2)
     problem, target = gen_problem(spec)
     save_completion(args.out, problem, target)
-    print(f"|mask| = {size} ({missing_percent(spec):.2f}% missing), written to {args.out}")
+    print(f"|mask| = {len(problem.mask)} ({missing_percent(spec):.2f}% missing), written to {args.out}")
     return 0
 
 

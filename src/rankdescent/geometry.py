@@ -123,12 +123,9 @@ class ConeTangentVector:
         _check_perp(U, self.perp.U, "perp.U")
         _check_perp(V, self.perp.V, "perp.V")
 
-    def norm(self) -> float:
-        """||xi||_F from the four blocks, summed on the first call only."""
-        return self._norm
-
     @cached_property
-    def _norm(self) -> float:
+    def norm(self) -> float:
+        """||xi||_F from the four blocks, summed on first use only."""
         sq = (
             np.sum(self.core**2)
             + np.sum(self.up**2)
@@ -213,7 +210,7 @@ def project_cone(X: VarietyPoint, F) -> tuple[ConeTangentVector, float]:
     budget = X.k - X.s
     if budget > 0:
         xi = replace(xi, perp=_perp_truncation(X, F, budget))
-    return xi, xi.norm()
+    return xi, xi.norm
 
 
 def _perp_truncation(X: VarietyPoint, F, budget: int) -> FactoredMatrix:
@@ -281,7 +278,7 @@ def retract(xi: ConeTangentVector, alpha: float) -> tuple[VarietyPoint, float]:
     if alpha < 0:
         raise ValueError("step size must be nonnegative")
     X = xi.base
-    xi_norm = xi.norm()
+    xi_norm = xi.norm
     if alpha == 0.0 or xi_norm == 0.0:
         return X, 0.0
     U, sigma, V, perp = X.point.U, X.point.sigma, X.point.V, xi.perp

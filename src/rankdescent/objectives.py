@@ -175,4 +175,4 @@ class QuadraticDistance:
 
     def line(self, xi: ConeTangentVector) -> Line:
         """The curvature <xi, Hess f xi> = ||xi||^2 alone: the Hessian is the identity."""
-        return Line(self, xi, lambda: xi.norm() ** 2)
+        return Line(self, xi, lambda: xi.norm**2)

@@ -24,7 +24,7 @@ import tempfile
 import time
 import weakref
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -48,22 +48,21 @@ class SolveStatus(Enum):
     CONVERGED_G = "converged_g"
     STALLED_F = "stalled_f"
     MAX_ITERS = "max_iters"
-    STATIONARY = "stationary"
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Rank budget, variant, stopping rules and the line search they imply.
 
-    tol_g stops once the projected-antigradient norm falls below tol_g times
-    its value at the first iterate; tol_f declares a stall after three
-    consecutive decreases below tol_f * max(1, f), or at once when a line
-    search fails with no trial moving f by more than that; both tolerances
-    must be positive and finite. record_iterates keeps every iterate, the
-    start included, in the result's IterateHistory, which holds them on disk.
-    The line search uses ArmijoConfig's defaults, and its initial trial step
-    is linesearch.initial_step, from the curvature solve chooses: exact on
-    even iterations, secant on odd ones.
+    tol_g stops once the projected-antigradient norm is at or below tol_g times
+    its value at the first iterate, which a critical point meets at once; tol_f
+    declares a stall after three consecutive decreases below tol_f * max(1, f),
+    or at once when a line search fails with no trial moving f by more than
+    that; both tolerances must be positive and finite. record_iterates keeps
+    every iterate, the start included, in the result's IterateHistory, which
+    holds them on disk. The line search uses ArmijoConfig's defaults, and its
+    initial trial step is linesearch.initial_step, from the curvature solve
+    chooses: exact on even iterations, secant on odd ones.
     """
 
     k: int
@@ -153,8 +152,8 @@ class SolveResult:
 
     X_star: VarietyPoint
     status: SolveStatus
-    trace: list = field(default_factory=list)
-    iterates: IterateHistory | None = None
+    trace: list
+    iterates: IterateHistory | None
 
 
 def solve(obj, X0: VarietyPoint, cfg: SolverConfig, metrics=None) -> SolveResult:
@@ -183,17 +182,17 @@ def solve(obj, X0: VarietyPoint, cfg: SolverConfig, metrics=None) -> SolveResult
     roundoff. The line sets how trials are valued: a MaskedLine's f can
     differ from a fresh evaluation at its point at roundoff level.
 
-    The iteration stops on exact stationarity of the projected antigradient,
-    on the relative g tolerance, on a persistent stall of f, or at max_iters;
-    the trace has one row per iterate, the terminal one included. A line
-    search that fails while every trial stays within tol_f * max(1, f) of f
-    also ends the run as stalled (f is flat to roundoff there, as at an exact
-    fit of a fully observed problem); any other LineSearchError propagates.
-    With cfg.record_iterates each iterate, X0 included, is written to the
-    result's IterateHistory before its iteration starts, outside wall_ms.
-    Deterministic for deterministic objectives at a fixed BLAS thread count.
-    The BLAS sums in an order set by its threads and the iteration amplifies
-    that roundoff, so traces taken at two thread counts differ.
+    The iteration stops once g_minus is at or below tol_g times its first
+    value, which a critical point meets at once, on a persistent stall of f, or
+    at max_iters; the trace has one row per iterate, the terminal one included.
+    A line search that fails while every trial stays within tol_f * max(1, f)
+    of f also ends the run as stalled (f is flat to roundoff there, as at an
+    exact fit of a fully observed problem); any other LineSearchError
+    propagates. With cfg.record_iterates each iterate, X0 included, is written
+    to the result's IterateHistory before its iteration starts, outside
+    wall_ms. Deterministic for deterministic objectives at a fixed BLAS thread
+    count. The BLAS sums in an order set by its threads and the iteration
+    amplifies that roundoff, so traces taken at two thread counts differ.
     """
     X = X0 if X0.k == cfg.k else VarietyPoint(X0.point, cfg.k)
     armijo_cfg = cfg.armijo_config()
@@ -225,10 +224,7 @@ def solve(obj, X0: VarietyPoint, cfg: SolverConfig, metrics=None) -> SolveResult
         )
         records.append(rec)
 
-        if g_minus == 0.0:
-            # stationary: the projected antigradient vanishes, do not move
-            status = SolveStatus.STATIONARY
-        elif g_minus <= cfg.tol_g * records[0].g_minus:
+        if g_minus <= cfg.tol_g * records[0].g_minus:
             status = SolveStatus.CONVERGED_G
         elif stall >= 3:
             status = SolveStatus.STALLED_F
@@ -236,7 +232,7 @@ def solve(obj, X0: VarietyPoint, cfg: SolverConfig, metrics=None) -> SolveResult
             status = SolveStatus.MAX_ITERS
         else:
             xi = direction(-G)
-            xi_norm = xi.norm()
+            xi_norm = xi.norm
             line = obj.line(xi)
             # odd iterations start from the last step's secant curvature, even
             # ones (and an unusable secant) from the line's exact curvature

@@ -204,7 +204,7 @@ def test_criterion_5_geometry_invariants():
         xi = random_cone_vector(rng, X)
         R, _ = retract(xi, 1.0)
         err = np.linalg.norm(ambient_dense(R) - (ambient_dense(X) + ambient_dense(xi)))
-        if err > xi.norm() / math.sqrt(2.0) + 1e-12:
+        if err > xi.norm / math.sqrt(2.0) + 1e-12:
             retract_ok = False
         # (e) flat directions never leave the variety
         g1, g2 = partial_directions(X, F, G)
@@ -372,3 +372,20 @@ def test_criterion_8_rate_fit(quad_run):
         (pow_ok, f"power exponent recovered to 1e-3"),
         (quad_ok, f"quadratic-oracle trace selects: {detail}"),
     ])
+
+
+@pytest.mark.parametrize("seed", [1234, 1, 2])
+def test_gap_oracle_rate_fit(seed):
+    # a rank-14 target at budget 12 has a gap: near the best rank-12 point the
+    # iteration contracts linearly, with rate -ln(sigma_13 / sigma_12) per
+    # step, so rate_fit must select exp with about that parameter
+    rng = np.random.default_rng(seed)
+    A = truncate(rng.standard_normal((50, 14)) @ rng.standard_normal((14, 40)), 14)
+    X0 = random_point(rng, 50, 40, 12, 12)
+    rate = -math.log(A.sigma[12] / A.sigma[11])
+    for variant in ("sd", "rf"):
+        cfg = SolverConfig(k=12, variant=variant, max_iters=1000, record_iterates=True)
+        res = solve(QuadraticDistance(A), X0, cfg)
+        fit = rate_fit(iterate_distances(res.iterates))
+        assert fit is not None and fit.model == "exp", (variant, fit)
+        assert 1.0 <= fit.parameter / rate <= 1.25, (variant, fit.parameter / rate)

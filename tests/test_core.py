@@ -324,9 +324,6 @@ class TestTruncate:
         self._assert_lapack_to_roundoff(T, P - (P @ V) @ V.T)
         assert np.abs(U.T @ T.U).max() <= 1e-13 and np.abs(V.T @ T.V).max() <= 1e-13
 
-    # on a failure hypothesis imports libcst to print a patch, whose import
-    # warns through mypy_extensions; the warning must not hide the failure
-    @pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
     @settings(derandomize=True, database=None, deadline=None)
     @given(st.data())
     def test_dense_error_is_lapacks_tail_on_generated_inputs(self, data):

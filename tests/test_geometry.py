@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings, strategies as st
 
 from rankdescent import core
 from rankdescent.core import FactoredMatrix, IndexSet, SparseOnMask, ThinPair, truncate
@@ -16,6 +17,7 @@ from rankdescent.geometry import (
     random_point,
     retract,
 )
+from rankdescent.linesearch import angle_check
 from rankdescent.objectives import MatrixCompletion, QuadraticDistance
 from helpers import (
     ambient_dense,
@@ -48,7 +50,7 @@ class TestTangentSpace:
     def test_zero_input(self):
         X = random_point(np.random.default_rng(0), 4, 3, 2, 3)
         xi = project_tangent_space(X, np.zeros((4, 3)))
-        assert xi.norm() == 0.0
+        assert xi.norm == 0.0
 
     def test_hand_example(self):
         # X = e1 e1^T in 2x2, F = I -> projector formula gives diag(1, 0)
@@ -94,7 +96,7 @@ class TestConeProjection:
     def test_zero_input(self):
         X = random_point(np.random.default_rng(4), 5, 4, 1, 3)
         G, g = project_cone(X, np.zeros((5, 4)))
-        assert g == 0.0 and G.norm() == 0.0
+        assert g == 0.0 and G.norm == 0.0
 
     def test_cone_at_zero_point(self):
         # at X = 0 the cone is all rank <= k matrices: best rank-1 of diag(3,1)
@@ -317,6 +319,45 @@ class TestConeProjection:
             drift, rank = self._perp_drift(X, obj.gradient(X))
             assert rank > 0 and drift <= 1e-14
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=600)
+    @given(st.data())
+    def test_contracts_on_generated_inputs(self, data):
+        # X of rank s <= k with singular values generic, all tied or graded
+        # over twelve decades; F dense, thin or on a half-density mask. G is
+        # orthogonal to F - G, so <F, G> = ||G||^2 and g = ||G|| <= ||F||, and
+        # the flat direction chosen from G meets the angle condition at
+        # omega = 1/sqrt(2)
+        m, n = data.draw(st.integers(1, 12), "m"), data.draw(st.integers(1, 12), "n")
+        k = data.draw(st.integers(1, min(m, n)), "k")
+        s = data.draw(st.integers(0, k), "s")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+        spectrum = data.draw(st.sampled_from(["generic", "tied", "graded"]), "sigma")
+        if spectrum == "generic":
+            sigma = np.sort(rng.uniform(0.5, 2.0, size=s))[::-1]
+        elif spectrum == "tied":
+            sigma = np.ones(s)
+        else:
+            sigma = np.logspace(6, -6, s)
+        U = np.linalg.qr(rng.standard_normal((m, s)))[0]
+        V = np.linalg.qr(rng.standard_normal((n, s)))[0]
+        X = VarietyPoint(FactoredMatrix(U, sigma, V), k)
+        kind = data.draw(st.sampled_from(["dense", "thin", "masked"]), "F")
+        if kind == "dense":
+            F = rng.standard_normal((m, n))
+        elif kind == "thin":
+            w = data.draw(st.integers(1, 3), "width")
+            F = ThinPair(rng.standard_normal((m, w)), rng.standard_normal((n, w)))
+        else:
+            mask = IndexSet((m, n), *np.nonzero(rng.random((m, n)) < 0.5))
+            F = SparseOnMask(mask, rng.standard_normal(len(mask))).csr
+        D = ambient_dense(F)
+        f_norm = np.linalg.norm(D)
+        G, g = project_cone(X, F)
+        assert abs(np.vdot(D, ambient_dense(G)) - g**2) <= 1e-10 * max(1.0, f_norm**2)
+        assert g <= f_norm * (1 + 1e-12)
+        xi = choose_flat_direction(G)
+        assert angle_check(-np.vdot(D, ambient_dense(xi)), g, xi.norm, 1 / np.sqrt(2.0))
+
 
 class TestRetraction:
     def test_zero_step(self):
@@ -357,7 +398,7 @@ class TestRetraction:
         R, _ = retract(xi, 1.0)
         err = np.linalg.norm(ambient_dense(R) - (ambient_dense(X) + ambient_dense(xi)))
         assert err == pytest.approx(np.sqrt(2.0) - 1.0, rel=1e-12)
-        assert err <= (1 / np.sqrt(2.0)) * xi.norm() + 1e-12
+        assert err <= (1 / np.sqrt(2.0)) * xi.norm + 1e-12
 
     def test_matches_dense_truncation(self):
         rng = np.random.default_rng(13)
@@ -388,7 +429,7 @@ class TestRetraction:
             xi = random_cone_vector(rng, X)
             R, _ = retract(xi, 1.0)
             err = np.linalg.norm(ambient_dense(R) - (ambient_dense(X) + ambient_dense(xi)))
-            assert err <= xi.norm() / np.sqrt(2.0) + 1e-12
+            assert err <= xi.norm / np.sqrt(2.0) + 1e-12
 
     def test_first_order_property(self):
         # ||R(X, a*xi) - (X + a*xi)|| / a decreases monotonically as a -> 0
@@ -399,7 +440,7 @@ class TestRetraction:
             m, n, k = 6, 5, 3
             X = random_point(rng, m, n, k, k)
             raw = random_cone_vector(rng, X)  # tangent-space direction (s = k)
-            t = 0.5 / raw.norm()  # unit-scale step keeps a*xi in the local regime
+            t = 0.5 / raw.norm  # unit-scale step keeps a*xi in the local regime
             xi = ConeTangentVector(X, t * raw.core, t * raw.up, t * raw.vp)
             ratios = []
             for j in range(1, 11):
@@ -424,7 +465,7 @@ class TestRetractFlatDirections:
             for gi in partial_directions(X, F, G):
                 assert gi.flat
                 Y, distance = retract(gi, 0.7)
-                assert distance == 0.7 * gi.norm()
+                assert distance == 0.7 * gi.norm
                 dense = np.linalg.norm(ambient_dense(Y) - ambient_dense(X))
                 assert distance == pytest.approx(dense, rel=1e-10, abs=1e-12)
 
@@ -509,7 +550,7 @@ class TestPartialDirections:
         rng = np.random.default_rng(18)
         X = random_point(rng, 4, 4, 2, 3)
         g1, g2 = partial_directions(X, np.zeros((4, 4)))
-        assert g1.norm() == 0.0 and g2.norm() == 0.0
+        assert g1.norm == 0.0 and g2.norm == 0.0
 
     def test_core_only_input(self):
         rng = np.random.default_rng(19)
@@ -526,8 +567,8 @@ class TestPartialDirections:
         F = rng.standard_normal((3, 4))
         G, g = project_cone(X, F)
         g1, g2 = partial_directions(X, F, G)
-        assert g1.norm() ** 2 + np.sum(G.up**2) == pytest.approx(g**2, rel=1e-12)
-        assert g2.norm() ** 2 + np.sum(G.vp**2) == pytest.approx(g**2, rel=1e-12)
+        assert g1.norm ** 2 + np.sum(G.up**2) == pytest.approx(g**2, rel=1e-12)
+        assert g2.norm ** 2 + np.sum(G.vp**2) == pytest.approx(g**2, rel=1e-12)
         for gi in (g1, g2):
             sv = np.linalg.svd(ambient_dense(X) + ambient_dense(gi), compute_uv=False)
             assert (sv > 1e-10 * sv[0]).sum() <= 2
@@ -601,7 +642,7 @@ class TestChooseFlat:
             if g == 0.0:
                 continue
             xi = choose_flat_direction(G)
-            n = xi.norm()
+            n = xi.norm
             # treating F as the antigradient: <F, xi> >= (1/sqrt(2)) g ||xi||
             inner = np.vdot(F, ambient_dense(xi))
             assert inner >= (1 / np.sqrt(2.0)) * g * n - 1e-12 * max(1.0, g * n)

@@ -36,7 +36,7 @@ UNNAMED = {
     "g_lower_bound": "the paper's lower bound on the cone projection, checked by the tests",
     "angle_check": "the paper's angle condition on a direction, checked by the tests",
     "a1_violations": "the paper's primary descent ratio contract, checked by the tests",
-    "random_point": "a test fixture, until it moves to the tests' helpers",
+    "random_point": "the quadratic start of perfbench's quad-deficient-start and tools/equiv.py, and a test fixture",
     "QuadraticDistance": "the objective of acceptance criterion 2 and of perfbench's quad-deficient-start",
 }
 # calls that read or write a file, which only bench and cli make

@@ -124,7 +124,7 @@ class TestMatrixCompletion:
             xi = choose_flat_direction(-G)
             line = self.obj.line(xi)
             assert isinstance(line, MaskedLine)
-            f_x, xi_norm = self.obj.value(X), xi.norm()
+            f_x, xi_norm = self.obj.value(X), xi.norm
             for alpha in (0.3, 1.0, 2.0):
                 kappa = secant_curvature(f_x, line.value(alpha), alpha, -(xi_norm**2), xi_norm)
                 assert kappa == pytest.approx(line.curvature / xi_norm**2, rel=1e-12)

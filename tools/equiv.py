@@ -133,8 +133,8 @@ def write_quadratic_traces(out: str) -> None:
 
     Runs in the process of one tree: the package comes from its src/.
     """
-    from rankdescent.core import FactoredMatrix, factored_diff_norm, truncate
-    from rankdescent.geometry import VarietyPoint
+    from rankdescent.core import factored_diff_norm, truncate
+    from rankdescent.geometry import random_point
     from rankdescent.objectives import QuadraticDistance
     from rankdescent.solvers import SolverConfig, solve
 
@@ -143,10 +143,7 @@ def write_quadratic_traces(out: str) -> None:
         rng = np.random.default_rng(seed)
         for i in range(count):
             A = truncate(rng.standard_normal((m, r)) @ rng.standard_normal((r, n)), r)
-            U = np.linalg.qr(rng.standard_normal((m, s)))[0]
-            V = np.linalg.qr(rng.standard_normal((n, s)))[0]
-            sigma = np.sort(rng.uniform(0.5, 2.0, size=s))[::-1]
-            X0 = VarietyPoint(FactoredMatrix(U, sigma, V), k)
+            X0 = random_point(rng, m, n, s, k)
             a_norm = float(np.linalg.norm(A.sigma))
 
             def metrics(X, f, A=A, a_norm=a_norm):
