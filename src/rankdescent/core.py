@@ -289,7 +289,10 @@ def truncate(A, r: int, U=None, V=None) -> FactoredMatrix:
     - dense: non-finite entries raise ValueError. Below r = min(m, n) -
       RANGE_OVERSAMPLE, Q spans a fixed-seed sketch of the projected A's range;
       if ||A - Q Q.T A|| <= RANK_TOL ||A|| the SVD of the small Q.T A gives
-      the result, else LAPACK's SVD of A does; ties keep that SVD's order;
+      the result, else LAPACK's SVD of A does; ties keep that SVD's order.
+      The check runs in one m-by-n work buffer, released before either SVD:
+      fresh MB-sized temporaries page-fault on first touch once glibc has
+      trimmed its heap, which made quadratic set-up times bimodal;
     - ThinPair: the projected L and R go through compact QRs and an SVD of
       the small R_L @ R_R.T, exact in O((m+n) width^2);
     - sparse: ARPACK via scipy.sparse.linalg.svds (_masked_truncate), whose
@@ -322,8 +325,13 @@ def truncate(A, r: int, U=None, V=None) -> FactoredMatrix:
     if r + RANGE_OVERSAMPLE < min(A.shape):  # checked range sketch (Halko et al. 2011, sec. 4.3)
         Q = np.linalg.qr(A @ np.random.default_rng(0).standard_normal((A.shape[1], r + RANGE_OVERSAMPLE)))[0]
         B = Q.T @ A
-        c = np.abs(A).max() or 1.0  # keeps the squares in both norms from overflow and underflow
-        if np.linalg.norm((A - Q @ B) / c) <= RANK_TOL * np.linalg.norm(A / c):
+        c = max(A.max(), -A.min()) or 1.0  # max|A| keeps the squares in both norms from overflow and underflow
+        W = Q @ B  # the check's one m x n work buffer: (A - Q B) / c, then A / c
+        np.subtract(A, W, out=W)
+        W /= c
+        fits = np.linalg.norm(W) <= RANK_TOL * np.linalg.norm(np.divide(A, c, out=W))
+        del W  # not held through either SVD
+        if fits:
             Ub, s, Vt = np.linalg.svd(B, full_matrices=False)
             return FactoredMatrix(Q @ Ub[:, :r], np.copy(s[:r]), np.copy(Vt[:r].T))
     Uf, s, Vt = np.linalg.svd(A, full_matrices=False)

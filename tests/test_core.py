@@ -5,6 +5,7 @@ import sys
 import textwrap
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -338,6 +339,25 @@ class TestTruncate:
         error = np.linalg.norm(A - ambient_dense(T))
         assert abs(error - tail) <= 1e-12 * np.linalg.norm(A)
 
+    @pytest.mark.parametrize(
+        "make, bound",
+        [pytest.param(_dense_rank_12, 1.25, id="sketch"),
+         pytest.param(lambda: np.random.default_rng(7).standard_normal((500, 400)), 2.1, id="fallback")],
+    )
+    def test_transient_memory_of_a_dense_truncation(self, make, bound):
+        # the residual check's one m x n work buffer is the sketch's only
+        # full-size array, and it is freed before the fallback's SVD, whose
+        # U and Vt (1.8 A.nbytes at 500x400) then set the peak
+        A = make()
+        truncate(A, 12)
+        tracemalloc.start()
+        try:
+            truncate(A, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * A.nbytes
+
 
 # (m, n, rank of A, rank of B): unequal ranks, rank 0 on either side,
 # m != n and rank min(m, n)
@@ -460,6 +480,34 @@ class TestNorms:
         rng = np.random.default_rng(m + n + k)
         A = truncate(ThinPair(rng.standard_normal((m, k)), rng.standard_normal((n, k))), k)
         assert factored_diff_norm(A, A) <= 1e-14 * float(np.linalg.norm(A.sigma))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.data())
+    def test_diff_norm_is_the_dense_norm_on_generated_inputs(self, data):
+        # ranks 0..min(m, n) on either side, B on bases of its own or on
+        # A's; singular values generic, all tied or graded over twelve decades
+        m, n = data.draw(st.integers(1, 12), "m"), data.draw(st.integers(1, 12), "n")
+        ra = data.draw(st.integers(0, min(m, n)), "rank A")
+        shared = data.draw(st.booleans(), "B on A's bases")
+        rb = ra if shared else data.draw(st.integers(0, min(m, n)), "rank B")
+        spectrum = data.draw(st.sampled_from(["generic", "tied", "graded"]), "sigma")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+
+        def sigma(r):
+            if spectrum == "generic":
+                return np.sort(rng.uniform(0.5, 2.0, size=r))[::-1]
+            return np.ones(r) if spectrum == "tied" else np.logspace(6, -6, r)
+
+        def bases(r):
+            return np.linalg.qr(rng.standard_normal((m, r)))[0], np.linalg.qr(rng.standard_normal((n, r)))[0]
+
+        UA, VA = bases(ra)
+        UB, VB = (UA, VA) if shared else bases(rb)
+        A, B = FactoredMatrix(UA, sigma(ra), VA), FactoredMatrix(UB, sigma(rb), VB)
+        dense = np.linalg.norm(ambient_dense(A) - ambient_dense(B))
+        scale = max(np.linalg.norm(A.sigma), np.linalg.norm(B.sigma))
+        for X, Y in ((A, B), (B, A)):
+            assert abs(factored_diff_norm(X, Y) - dense) <= 1e-12 * scale
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -592,6 +640,28 @@ class TestMaskGather:
         first = mask_gather(L, R, mask)
         for _ in range(3):
             assert np.array_equal(mask_gather(L, R, mask), first)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.data())
+    def test_matches_dense_on_generated_inputs(self, data):
+        # a mask of a drawn size below or at and above GATHER_BLAS_DENSITY,
+        # so that both paths run, and factors of width 0 to 40 scaled by a
+        # power of ten; each entry within 1e-13 of the sum of |L_ip R_jp|
+        m, n = data.draw(st.integers(1, 80), "m"), data.draw(st.integers(1, 80), "n")
+        blas = data.draw(st.booleans(), "blas")
+        floor = int(np.ceil(GATHER_BLAS_DENSITY * m * n))
+        size = data.draw(st.integers(floor, m * n) if blas else st.integers(0, floor - 1), "size")
+        width = data.draw(st.integers(0, 40), "width")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+        rows, cols = np.divmod(rng.choice(m * n, size, replace=False), n)
+        mask = IndexSet((m, n), rows, cols)
+        scale = 10.0 ** data.draw(st.integers(-100, 100), "exponent")
+        L, R = scale * rng.standard_normal((m, width)), rng.standard_normal((n, width))
+        assert (len(mask) >= GATHER_BLAS_DENSITY * m * n) is blas
+        g = mask_gather(L, R, mask)
+        d = (L @ R.T)[mask.rows, mask.cols]
+        bound = (np.abs(L) @ np.abs(R).T)[mask.rows, mask.cols]
+        assert g.shape == d.shape and np.all(np.abs(g - d) <= 1e-13 * bound)
 
     def test_every_preset_takes_the_gemm_path(self):
         from rankdescent.bench import PRESETS, omega_size
