@@ -436,8 +436,13 @@ def factored_diff_norm(A: FactoredMatrix, B: FactoredMatrix) -> float:
     """
     if A.shape != B.shape:
         raise ValueError("shape mismatch between factored matrices")
+    return _diff_norm(A.U, A.sigma, A.V, B)
+
+
+def _diff_norm(U: np.ndarray, sigma: np.ndarray, V: np.ndarray, B: FactoredMatrix) -> float:
+    """factored_diff_norm(A, B) on A's raw, already validated triple (U, sigma, V)."""
     C, W = [], []
-    for QA, QB in ((A.U, B.U), (A.V, B.V)):
+    for QA, QB in ((U, B.U), (V, B.V)):
         c = QA.T @ QB
         w = QB - QA @ c
         d = QA.T @ w
@@ -445,7 +450,7 @@ def factored_diff_norm(A: FactoredMatrix, B: FactoredMatrix) -> float:
         C.append(c + d)
         W.append(w)
     CS = C[0] * B.sigma
-    M = np.diag(A.sigma) - CS @ C[1].T
+    M = np.diag(sigma) - CS @ C[1].T
     blocks = (M, W[1] @ CS.T, W[0] * B.sigma)
     return float(np.linalg.norm([np.linalg.norm(b) for b in blocks]))
 

@@ -22,7 +22,7 @@ of a small middle matrix.
 
 The tangent cone is closed under sign, so the projection of the
 antigradient is the negated projection of the gradient: callers project the
-gradient as the objective returns it and negate the result blockwise. A
+gradient as the objective returns it, and a direction rule negates it. A
 gradient is a matrix operand with shape, T and @: the CSR matrix on the
 mask, a core.ThinPair (L, R) standing for L @ R.T, or a dense array.
 
@@ -136,10 +136,15 @@ class ConeTangentVector:
 
     def __neg__(self) -> "ConeTangentVector":
         """-xi blockwise; a nonzero perp flips the sign of its left factor, a zero one is kept."""
-        perp = self.perp
-        if perp.rank:
-            perp = FactoredMatrix(-perp.U, perp.sigma, perp.V)
-        return ConeTangentVector(self.base, -self.core, -self.up, -self.vp, perp)
+        return _negated(self, -self.up, -self.vp)
+
+    @cached_property
+    def _bases(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(RL, RR, [U | QL], [V | QR]): a non-flat retract's alpha-free QRs, built once."""
+        U, V, perp = self.base.point.U, self.base.point.V, self.perp
+        QL, RL = np.linalg.qr(project_out(np.hstack([self.up, perp.U]), U))
+        QR_, RR = np.linalg.qr(project_out(np.hstack([self.vp, perp.V]), V))
+        return RL, RR, np.hstack([U, QL]), np.hstack([V, QR_])
 
     @property
     def flat(self) -> bool:
@@ -166,6 +171,14 @@ class ConeTangentVector:
         L.append(self.perp.U * self.perp.sigma)
         R.append(self.perp.V)
         return np.hstack(L), np.hstack(R)
+
+
+def _negated(G: ConeTangentVector, up: np.ndarray, vp: np.ndarray) -> ConeTangentVector:
+    """-G with up and vp given, in one construction; a nonzero perp flips its left factor."""
+    perp = G.perp
+    if perp.rank:
+        perp = FactoredMatrix(-perp.U, perp.sigma, perp.V)
+    return ConeTangentVector(G.base, -G.core, up, vp, perp)
 
 
 def _check_perp(B: np.ndarray, W: np.ndarray, name: str) -> None:
@@ -266,7 +279,8 @@ def retract(xi: ConeTangentVector, alpha: float) -> tuple[VarietyPoint, float]:
       N. Y is X + alpha * xi, and the distance is alpha * ||xi||.
     - Any other step takes left = [U | QL] and right = [V | QR] from compact
       QRs of the up/perp and vp/perp blocks, so M is a (2s+p)-sized middle
-      matrix B, in O((m+n)(k+s)^2). Over the same bases X is
+      matrix B, in O((m+n)(k+s)^2). xi builds the alpha-free QRs and bases
+      once (ConeTangentVector._bases) for all its trials. Over them X is
       diag(sigma, 0), so the distance is ||B_r - diag(sigma, 0)||_F, B_r
       the SVD of B cut to the kept modes: a small-matrix norm with no QR.
 
@@ -294,14 +308,12 @@ def retract(xi: ConeTangentVector, alpha: float) -> tuple[VarietyPoint, float]:
         left, M = np.linalg.qr(N)
         right = np.hstack([V, pV])
     else:
-        QL, RL = np.linalg.qr(project_out(np.hstack([xi.up, perp.U]), U))
-        QR_, RR = np.linalg.qr(project_out(np.hstack([xi.vp, perp.V]), V))
+        RL, RR, left, right = xi._bases
         M = np.block([
             [np.diag(sigma) + alpha * xi.core, alpha * RR[:, :s].T],
             [alpha * RL[:, :s], alpha * (RL[:, s:] * perp.sigma) @ RR[:, s:].T],
         ])
         _check_finite(M)
-        left, right = np.hstack([U, QL]), np.hstack([V, QR_])
 
     Ub, sb, Vbt = np.linalg.svd(M, full_matrices=False)
     r = min(X.k, numerical_rank(sb))
@@ -325,18 +337,18 @@ def _check_finite(M: np.ndarray) -> None:
 
 
 def choose_flat_direction(G: ConeTangentVector) -> ConeTangentVector:
-    """The larger of the two partial projections of a cone projection G.
+    """The larger of the two partial projections of -G, G the gradient's cone projection.
 
-    Zeroing G's up block keeps the column space of X + alpha * xi in span(U)
+    Zeroing the up block keeps the column space of X + alpha * xi in span(U)
     plus the perp factor, zeroing vp keeps the row space; either way
     X + alpha * xi stays in the variety for every alpha >= 0. The one whose
-    kept block has the larger squared norm is returned, vp on a tie. When G
-    projects the antigradient, the choice meets the angle condition with
-    omega = 1/sqrt(2) and carries at least half of the squared cone norm.
+    kept block has the larger squared norm is returned, vp on a tie, built in
+    one construction from G's negated blocks. It meets the angle condition
+    with omega = 1/sqrt(2) and carries at least half of the squared cone norm.
     """
     if np.sum(G.vp**2) >= np.sum(G.up**2):
-        return replace(G, up=np.zeros_like(G.up))
-    return replace(G, vp=np.zeros_like(G.vp))
+        return _negated(G, np.zeros_like(G.up), -G.vp)
+    return _negated(G, -G.up, np.zeros_like(G.vp))
 
 
 def random_point(rng: np.random.Generator, m: int, n: int, s: int, k: int) -> VarietyPoint:

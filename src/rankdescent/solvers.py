@@ -1,15 +1,15 @@
 """Iteration driver: projected steepest descent and the retraction-free method.
 
-Every variant follows the same loop: project the antigradient onto the
-tangent cone (the negated projection of the gradient, since the cone is
-closed under sign), apply the variant's direction rule, and take an Armijo
-step along the objective's line (objectives.Line), the curve
+Every variant follows the same loop: project the gradient onto the tangent
+cone, let the variant's direction rule turn that projection G into a descent
+direction (-G projects the antigradient: the cone is closed under sign), and
+take an Armijo step along the objective's line (objectives.Line), the curve
 alpha -> retract(xi, alpha) from the direction's base point X, starting at
 the initial step of a curvature that alternates between the line's exact
 one and the secant of the step before.
 The line gives the step's point, its f and its distance from X, which the
 trace records as the displacement ||X_{n+1} - X_n||. A variant is one entry
-of VARIANTS: its direction rule, which takes the cone projection alone.
+of VARIANTS: its direction rule, from the cone projection G alone to xi.
 Stopping rules and the per-iteration trace are artifact plumbing; the
 iteration itself would happily run forever. No file format lives here:
 bench writes the trace as CSV, and IterateHistory's unnamed temporary file
@@ -18,8 +18,8 @@ is in-process storage that no other program reads.
 
 from __future__ import annotations
 
-import io
 import math
+import os
 import tempfile
 import time
 import weakref
@@ -29,17 +29,17 @@ from enum import Enum
 
 import numpy as np
 
-from .core import FactoredMatrix, factored_diff_norm
+from .core import FactoredMatrix, _diff_norm
 from .geometry import VarietyPoint, choose_flat_direction, project_cone
 from .linesearch import ArmijoConfig, LineSearchError, armijo, initial_step, secant_curvature
 
-# name -> direction rule applied to the projected antigradient
+# name -> direction rule: the gradient's cone projection G in, the descent direction out
 VARIANTS = {
-    # projected steepest descent: the full projection, retracted by truncation
-    "sd": lambda G: G,
-    # retraction-free: the larger flat partial projection, whose update stays
-    # on the variety without truncation. The name is looked up at call time,
-    # so a wrapper installed on this module sees every call.
+    # projected steepest descent: -G, retracted by truncation
+    "sd": lambda G: -G,
+    # retraction-free: the larger flat partial projection of -G, whose update
+    # stays on the variety without truncation. The name is looked up at call
+    # time, so a wrapper installed on this module sees every call.
     "rf": lambda G: choose_flat_direction(G),
 }
 
@@ -108,27 +108,33 @@ class TraceRecord:
 class IterateHistory(Sequence):
     """Read-only sequence of a solve's iterates, kept in an unnamed temporary file.
 
-    append writes an iterate's factors U, sigma and V as raw float64 bytes;
+    append writes an iterate's factors U, sigma and V as raw float64 bytes
+    in one positional write at the end of the file, with no seek or flush;
     only an index of (offset, m, n, s) stays in memory, since the rank s can
     change between iterates. An item is read back into fresh arrays, bitwise
     equal to those appended, as a validated FactoredMatrix wrapped with the
     solve's budget k; iteration reads one iterate at a time. A slice raises
-    TypeError. The file is not memory-mapped, so iterates read and dropped are
-    not held by the process, and it is closed when the history is
-    garbage-collected.
+    TypeError. iterate_distances reads each record into one reused buffer and
+    validates none: they were validated before append. The file is not
+    memory-mapped, so iterates read and dropped are not held by the process,
+    and it is closed when the history is garbage-collected.
     """
 
     def __init__(self, k: int):
         self.k = k
         self._index: list[tuple[int, int, int, int]] = []
+        self._end = 0
         self._file = tempfile.TemporaryFile()
         weakref.finalize(self, self._file.close)
 
     def append(self, X: VarietyPoint) -> None:
         F = X.point
-        self._index.append((self._file.seek(0, io.SEEK_END), *F.shape, F.rank))
-        for a in (F.U, F.sigma, F.V):
-            self._file.write(np.ascontiguousarray(a).data)
+        parts = [np.ascontiguousarray(a) for a in (F.U, F.sigma, F.V)]
+        size = sum(a.nbytes for a in parts)
+        if os.pwritev(self._file.fileno(), parts, self._end) != size:
+            raise OSError("short write to the iterate history")
+        self._index.append((self._end, *F.shape, F.rank))
+        self._end += size
 
     def __len__(self) -> int:
         return len(self._index)
@@ -136,12 +142,16 @@ class IterateHistory(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             raise TypeError("IterateHistory takes no slices")
+        return VarietyPoint(FactoredMatrix(*self._read(i, None)), self.k)
+
+    def _read(self, i: int, buf: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Record i's (U, sigma, V) as views of buf, or of a fresh buffer when buf is None."""
         offset, m, n, s = self._index[i]
-        buf = np.empty((m + 1 + n) * s)
-        self._file.seek(offset)
-        self._file.readinto(buf)
+        size = (m + 1 + n) * s
+        buf = np.empty(size) if buf is None else buf[:size]
+        os.preadv(self._file.fileno(), [buf], offset)
         U, sigma, V = np.split(buf, [m * s, (m + 1) * s])
-        return VarietyPoint(FactoredMatrix(U.reshape(m, s), sigma, V.reshape(n, s)), self.k)
+        return U.reshape(m, s), sigma, V.reshape(n, s)
 
 
 @dataclass
@@ -231,7 +241,7 @@ def solve(obj, X0: VarietyPoint, cfg: SolverConfig, metrics=None) -> SolveResult
         elif rec.n >= cfg.max_iters:
             status = SolveStatus.MAX_ITERS
         else:
-            xi = direction(-G)
+            xi = direction(G)
             xi_norm = xi.norm
             line = obj.line(xi)
             # odd iterations start from the last step's secant curvature, even
@@ -269,11 +279,13 @@ def solve(obj, X0: VarietyPoint, cfg: SolverConfig, metrics=None) -> SolveResult
 # ---------------------------------------------------------------------------
 
 
-def iterate_distances(iterates) -> np.ndarray:
-    """||X_n - X*|| for a sequence of iterates (an IterateHistory or a list),
-    X* the last of them; the sequence is read one iterate at a time."""
-    last = iterates[-1].point
-    return np.array([factored_diff_norm(X.point, last) for X in iterates])
+def iterate_distances(history: IterateHistory) -> np.ndarray:
+    """||X_n - X*|| over an IterateHistory, X* its last iterate: each record is
+    read into one reused buffer and measured by core.factored_diff_norm's own
+    arithmetic on its raw triple, with no FactoredMatrix built for it."""
+    last = history[-1].point
+    buf = np.empty(max((m + 1 + n) * s for _, m, n, s in history._index))
+    return np.array([_diff_norm(*history._read(i, buf), last) for i in range(len(history))])
 
 
 @dataclass(frozen=True)

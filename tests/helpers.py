@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import scipy.sparse
+from hypothesis import strategies as st
 
 from rankdescent.core import FactoredMatrix, IndexSet, SparseOnMask, ThinPair, project_out
 from rankdescent.geometry import ConeTangentVector, VarietyPoint, project_cone, random_point
@@ -95,13 +96,45 @@ def partial_directions(X: VarietyPoint, F, projection: ConeTangentVector | None 
     G1 keeps the vp block and drops up (column space of X + alpha*G1 stays in
     span(U) plus the perp factor); G2 keeps up and drops vp. Both contain the
     shared core and perp parts and keep X + alpha * Gi inside the variety for
-    every alpha >= 0. geometry.choose_flat_direction returns the larger one.
+    every alpha >= 0. geometry.choose_flat_direction(G) returns the larger
+    one, negated: the descent direction when F is the gradient.
     """
     if projection is None:
         projection, _ = project_cone(X, F)
     g1 = replace(projection, up=np.zeros_like(projection.up))
     g2 = replace(projection, vp=np.zeros_like(projection.vp))
     return g1, g2
+
+
+def draw_point_and_gradient(data):
+    """(X, F, rng) drawn by a hypothesis data object: X of rank s <= k <=
+    min(m, n), m and n in [1, 12], with singular values generic in [0.5, 2],
+    all tied or graded over twelve decades; F dense, a ThinPair of width 1-3
+    or the CSR matrix of a half-density mask; rng seeded by the draw."""
+    m, n = data.draw(st.integers(1, 12), "m"), data.draw(st.integers(1, 12), "n")
+    k = data.draw(st.integers(1, min(m, n)), "k")
+    s = data.draw(st.integers(0, k), "s")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+    spectrum = data.draw(st.sampled_from(["generic", "tied", "graded"]), "sigma")
+    if spectrum == "generic":
+        sigma = np.sort(rng.uniform(0.5, 2.0, size=s))[::-1]
+    elif spectrum == "tied":
+        sigma = np.ones(s)
+    else:
+        sigma = np.logspace(6, -6, s)
+    U = np.linalg.qr(rng.standard_normal((m, s)))[0]
+    V = np.linalg.qr(rng.standard_normal((n, s)))[0]
+    X = VarietyPoint(FactoredMatrix(U, sigma, V), k)
+    kind = data.draw(st.sampled_from(["dense", "thin", "masked"]), "F")
+    if kind == "dense":
+        F = rng.standard_normal((m, n))
+    elif kind == "thin":
+        w = data.draw(st.integers(1, 3), "width")
+        F = ThinPair(rng.standard_normal((m, w)), rng.standard_normal((n, w)))
+    else:
+        mask = IndexSet((m, n), *np.nonzero(rng.random((m, n)) < 0.5))
+        F = SparseOnMask(mask, rng.standard_normal(len(mask))).csr
+    return X, F, rng
 
 
 def random_cone_vector(rng, X: VarietyPoint, perp_rank=None) -> ConeTangentVector:

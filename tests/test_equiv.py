@@ -93,9 +93,12 @@ def test_deficient_completion_traces_start_below_the_budget(tmp_path):
     # projection truncates the CSR gradient against the base spaces
     out = tmp_path / "deficient-completion"
     equiv.write_deficient_completion_traces(str(out))
-    names = sorted(p.name for p in out.iterdir())
+    names = sorted(p.name for p in out.iterdir() if not p.name.endswith("-distances.csv"))
     assert names == ["rank2-rf.csv", "rank2-sd.csv", "zero-rf.csv", "zero-sd.csv"]
     for name in names:
+        distances = (out / name.replace(".csv", "-distances.csv")).read_text().splitlines()
+        assert len(distances) == len((out / name).read_text().splitlines()) - 1
+        assert float(distances[0]) > float(distances[-1])
         header, first, *rest = (line.split(",") for line in (out / name).read_text().splitlines())
         assert int(first[header.index("rank")]) == (2 if name.startswith("rank2") else 0)
         assert rest and int(rest[-1][header.index("rank")]) == 5
@@ -112,8 +115,10 @@ def test_solve_writers_run_sd_and_rf_alone(tmp_path, monkeypatch):
     equiv.write_deficient_completion_traces(str(tmp_path / "deficient-completion"))
     written = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*.csv"))
     assert written == [
-        "deficient-completion/rank2-rf.csv", "deficient-completion/rank2-sd.csv",
-        "deficient-completion/zero-rf.csv", "deficient-completion/zero-sd.csv",
+        "deficient-completion/rank2-rf-distances.csv", "deficient-completion/rank2-rf.csv",
+        "deficient-completion/rank2-sd-distances.csv", "deficient-completion/rank2-sd.csv",
+        "deficient-completion/zero-rf-distances.csv", "deficient-completion/zero-rf.csv",
+        "deficient-completion/zero-sd-distances.csv", "deficient-completion/zero-sd.csv",
         "quadratic/60x50-seed1-0-rf.csv", "quadratic/60x50-seed1-0-sd.csv",
     ]
 

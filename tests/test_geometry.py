@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,10 +20,12 @@ from rankdescent.geometry import (
 )
 from rankdescent.linesearch import angle_check
 from rankdescent.objectives import MatrixCompletion, QuadraticDistance
+from rankdescent.solvers import VARIANTS
 from helpers import (
     ambient_dense,
     count_qr_calls,
     count_svd_calls,
+    draw_point_and_gradient,
     partial_directions,
     random_cone_vector,
     random_instance,
@@ -325,38 +328,16 @@ class TestConeProjection:
         # X of rank s <= k with singular values generic, all tied or graded
         # over twelve decades; F dense, thin or on a half-density mask. G is
         # orthogonal to F - G, so <F, G> = ||G||^2 and g = ||G|| <= ||F||, and
-        # the flat direction chosen from G meets the angle condition at
-        # omega = 1/sqrt(2)
-        m, n = data.draw(st.integers(1, 12), "m"), data.draw(st.integers(1, 12), "n")
-        k = data.draw(st.integers(1, min(m, n)), "k")
-        s = data.draw(st.integers(0, k), "s")
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
-        spectrum = data.draw(st.sampled_from(["generic", "tied", "graded"]), "sigma")
-        if spectrum == "generic":
-            sigma = np.sort(rng.uniform(0.5, 2.0, size=s))[::-1]
-        elif spectrum == "tied":
-            sigma = np.ones(s)
-        else:
-            sigma = np.logspace(6, -6, s)
-        U = np.linalg.qr(rng.standard_normal((m, s)))[0]
-        V = np.linalg.qr(rng.standard_normal((n, s)))[0]
-        X = VarietyPoint(FactoredMatrix(U, sigma, V), k)
-        kind = data.draw(st.sampled_from(["dense", "thin", "masked"]), "F")
-        if kind == "dense":
-            F = rng.standard_normal((m, n))
-        elif kind == "thin":
-            w = data.draw(st.integers(1, 3), "width")
-            F = ThinPair(rng.standard_normal((m, w)), rng.standard_normal((n, w)))
-        else:
-            mask = IndexSet((m, n), *np.nonzero(rng.random((m, n)) < 0.5))
-            F = SparseOnMask(mask, rng.standard_normal(len(mask))).csr
+        # the flat direction chosen from G, a partial projection of -G, meets
+        # the angle condition at omega = 1/sqrt(2) with F as the gradient
+        X, F, _ = draw_point_and_gradient(data)
         D = ambient_dense(F)
         f_norm = np.linalg.norm(D)
         G, g = project_cone(X, F)
         assert abs(np.vdot(D, ambient_dense(G)) - g**2) <= 1e-10 * max(1.0, f_norm**2)
         assert g <= f_norm * (1 + 1e-12)
         xi = choose_flat_direction(G)
-        assert angle_check(-np.vdot(D, ambient_dense(xi)), g, xi.norm, 1 / np.sqrt(2.0))
+        assert angle_check(np.vdot(D, ambient_dense(xi)), g, xi.norm, 1 / np.sqrt(2.0))
 
 
 class TestRetraction:
@@ -430,6 +411,35 @@ class TestRetraction:
             R, _ = retract(xi, 1.0)
             err = np.linalg.norm(ambient_dense(R) - (ambient_dense(X) + ambient_dense(xi)))
             assert err <= xi.norm / np.sqrt(2.0) + 1e-12
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=600)
+    @given(st.data())
+    def test_contracts_on_generated_inputs(self, data):
+        # xi is sd's or rf's direction from a generated gradient, or a random
+        # cone vector with a perp block of any rank up to k - s. Each retract
+        # has rank <= k, its distance is the dense ||Y - X||, within
+        # (1 + 1/sqrt(2)) alpha ||xi|| by the retraction bound; retracting
+        # one xi at three step sizes in a drawn order, which shares its
+        # cached bases, gives each point bitwise as a fresh copy of xi does
+        X, F, rng = draw_point_and_gradient(data)
+        source = data.draw(st.sampled_from(["sd", "rf", "random"]), "xi")
+        if source == "random":
+            xi = random_cone_vector(rng, X, data.draw(st.integers(0, X.k - X.s), "perp rank"))
+        else:
+            xi = VARIANTS[source](project_cone(X, F)[0])
+        alphas = [10.0 ** data.draw(st.floats(-3, 1), "log10 alpha") for _ in range(3)]
+        D = ambient_dense(X)
+        for alpha in data.draw(st.permutations(alphas), "order"):
+            Y, distance = retract(xi, alpha)
+            assert Y.k == X.k and Y.s <= X.k
+            step = alpha * xi.norm
+            tol = 1e-12 * (np.linalg.norm(X.point.sigma) + step)
+            assert abs(distance - np.linalg.norm(ambient_dense(Y) - D)) <= tol
+            assert distance <= (1 + 1 / np.sqrt(2.0)) * step + tol
+            Z, fresh = retract(replace(xi), alpha)
+            assert fresh == distance
+            for name in ("U", "sigma", "V"):
+                assert getattr(Z.point, name).tobytes() == getattr(Y.point, name).tobytes(), name
 
     def test_first_order_property(self):
         # ||R(X, a*xi) - (X + a*xi)|| / a decreases monotonically as a -> 0
@@ -605,7 +615,7 @@ class TestChooseFlat:
             G, _ = project_cone(X, F)
             g1, g2 = partial_directions(X, F, G)
             ref = g1 if np.sum(g1.vp**2) >= np.sum(g2.up**2) else g2
-            self._assert_same(choose_flat_direction(G), ref)
+            self._assert_same(choose_flat_direction(G), -ref)
 
     def test_symmetric_tie_returns_g1(self):
         # integer symmetric data makes both one-sided norms bitwise equal,
@@ -621,10 +631,11 @@ class TestChooseFlat:
         xi = choose_flat_direction(G)
         assert not xi.up.any()
         assert xi.vp.any()
-        self._assert_same(xi, g1)
+        self._assert_same(xi, -g1)
 
     def test_one_sided_input_gives_full_projection(self):
-        # F with zero up block: G1 is chosen and equals the full projection
+        # F with zero up block: G1 is chosen and equals the full projection,
+        # negated
         rng = np.random.default_rng(22)
         X = random_point(rng, 5, 4, 2, 3)
         U, V = X.point.U, X.point.V
@@ -632,7 +643,7 @@ class TestChooseFlat:
         G, _ = project_cone(X, F)
         xi = choose_flat_direction(G)
         assert not xi.up.any()
-        assert np.allclose(ambient_dense(xi), ambient_dense(G), atol=1e-12)
+        assert np.allclose(ambient_dense(xi), -ambient_dense(G), atol=1e-12)
 
     def test_angle_condition_randomized(self):
         rng = np.random.default_rng(23)
@@ -643,8 +654,8 @@ class TestChooseFlat:
                 continue
             xi = choose_flat_direction(G)
             n = xi.norm
-            # treating F as the antigradient: <F, xi> >= (1/sqrt(2)) g ||xi||
-            inner = np.vdot(F, ambient_dense(xi))
+            # treating F as the gradient: <-F, xi> >= (1/sqrt(2)) g ||xi||
+            inner = -np.vdot(F, ambient_dense(xi))
             assert inner >= (1 / np.sqrt(2.0)) * g * n - 1e-12 * max(1.0, g * n)
             assert n**2 >= 0.5 * g**2 - 1e-12
 

@@ -121,7 +121,7 @@ class TestMatrixCompletion:
         for s, k in ((3, 3), (2, 5), (0, 2)):
             X = random_point(self.rng, 10, 8, s, k)
             G, _ = project_cone(X, self.obj.gradient(X))
-            xi = choose_flat_direction(-G)
+            xi = choose_flat_direction(G)
             line = self.obj.line(xi)
             assert isinstance(line, MaskedLine)
             f_x, xi_norm = self.obj.value(X), xi.norm

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings, strategies as st
 
 from rankdescent.core import ThinPair, factored_diff_norm, frob_norm, truncate
 from rankdescent.geometry import (
@@ -19,6 +20,7 @@ from rankdescent.geometry import (
 from rankdescent.linesearch import angle_check, descent_monitors, initial_step, secant_curvature
 from rankdescent.objectives import Line, MatrixCompletion, QuadraticDistance
 from rankdescent.solvers import (
+    VARIANTS,
     SolveStatus,
     SolverConfig,
     iterate_distances,
@@ -26,7 +28,14 @@ from rankdescent.solvers import (
     solve,
 )
 from rankdescent.bench import write_trace_csv
-from helpers import ambient_dense, count_residual_gathers, random_instance, read_trace_csv, zero_point
+from helpers import (
+    ambient_dense,
+    count_residual_gathers,
+    draw_point_and_gradient,
+    random_instance,
+    read_trace_csv,
+    zero_point,
+)
 
 
 def quadratic_setup(seed, m=12, n=10, r=5, k=3):
@@ -250,7 +259,7 @@ class TestStepFunctions:
         X = random_point(rng, 7, 6, 3, 3)
         U, V = X.point.U, X.point.V
         grad = U @ rng.standard_normal((3, 3)) @ V.T
-        direction = choose_flat_direction(-project_cone(X, grad)[0])
+        direction = choose_flat_direction(project_cone(X, grad)[0])
         Y, _ = retract(direction, 0.7)
         assert np.allclose(Y.point.U @ Y.point.U.T, U @ U.T, atol=1e-10)
         assert np.allclose(Y.point.V @ Y.point.V.T, V @ V.T, atol=1e-10)
@@ -282,7 +291,7 @@ class TestStepFunctions:
         from rankdescent import solvers
 
         spec, problem, X0 = completion_run(run)
-        monkeypatch.setattr(solvers, "factored_diff_norm", None)  # a call would fail
+        monkeypatch.setattr(solvers, "_diff_norm", None)  # a call would fail
         res = solve(problem, X0, SolverConfig(k=spec.k, max_iters=200, record_iterates=True))
         monkeypatch.undo()
         assert len(res.trace) > 100
@@ -297,6 +306,12 @@ def assert_same_point(X, Y):
     assert X.k == Y.k
     for a, b in ((X.point.U, Y.point.U), (X.point.sigma, Y.point.sigma), (X.point.V, Y.point.V)):
         assert a.shape == b.shape and np.array_equal(a, b)
+
+
+def assert_same_distances(distances, points):
+    """distances bitwise equal to factored_diff_norm from each point to the last."""
+    ref = np.array([factored_diff_norm(X.point, points[-1].point) for X in points])
+    assert distances.tobytes() == ref.tobytes()
 
 
 class TestIterateHistory:
@@ -347,7 +362,40 @@ class TestIterateHistory:
 
     def test_distances_equal_over_history_and_list(self):
         res, seen = self.recorded_run()
-        assert np.array_equal(iterate_distances(res.iterates), iterate_distances(seen))
+        assert_same_distances(iterate_distances(res.iterates), seen)
+
+    @pytest.mark.parametrize("variant", ["sd", "rf"])
+    def test_completion_run_from_zero_read_between_appends(self, monkeypatch, variant):
+        # the first record has rank 0 and the rank then grows to k; the
+        # solve's own history is read while it is being appended to: each
+        # record right after its append, the first and a middle one again
+        # after later appends, and all of them once the run is over
+        from rankdescent import solvers
+        from rankdescent.bench import CompletionSpec, gen_problem
+
+        problem, _ = gen_problem(CompletionSpec(40, 3, 5, 3, 6))
+        histories, seen = [], []
+
+        class Kept(solvers.IterateHistory):
+            def __init__(self, k):
+                super().__init__(k)
+                histories.append(self)
+
+        def metrics(X, f):
+            seen.append(X)
+            for i in (-1, 0, len(seen) // 2):
+                assert_same_point(histories[0][i], seen[i])
+            return 0.0, 0.0
+
+        monkeypatch.setattr(solvers, "IterateHistory", Kept)
+        X0 = zero_point(40, 40, 5)
+        res = solve(problem, X0, SolverConfig(k=5, variant=variant, max_iters=30, record_iterates=True), metrics)
+        assert res.iterates is histories[0]
+        assert seen[0].s == 0 and max(X.s for X in seen) == 5
+        assert len(res.iterates) == len(seen) == len(res.trace)
+        for X, Y in zip(res.iterates, seen, strict=True):
+            assert_same_point(X, Y)
+        assert_same_distances(iterate_distances(res.iterates), list(res.iterates))
 
     def test_peak_memory_flat_in_iteration_count(self):
         from rankdescent.bench import CompletionSpec, gen_problem, initial_guess
@@ -377,6 +425,23 @@ class TestIterateHistory:
             gc.collect()
         assert fh.closed
         assert not caught
+
+
+class TestDirectionRules:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=600)
+    @given(st.data())
+    def test_slope_on_generated_inputs(self, data):
+        # every rule turns the gradient's cone projection G into a descent
+        # direction xi with <F, xi> = -||xi||^2, the slope solve hands to the
+        # line search; rf's xi is flat
+        X, F, _ = draw_point_and_gradient(data)
+        G, _ = project_cone(X, F)
+        D = ambient_dense(F)
+        for name, rule in VARIANTS.items():
+            xi = rule(G)
+            slope = np.vdot(D, ambient_dense(xi))
+            assert abs(slope + xi.norm**2) <= 1e-12 * max(xi.norm**2, abs(slope)), name
+        assert VARIANTS["rf"](G).flat
 
 
 class TestContracts:
@@ -609,7 +674,7 @@ class TestCompletionRun:
 
         def direction(X):
             G, g = project_cone(X, problem.gradient(X))
-            return (-G if variant == "sd" else choose_flat_direction(-G)), g
+            return (-G if variant == "sd" else choose_flat_direction(G)), g
 
         for variant in ("sd", "rf"):
             res = solve(problem, X0, SolverConfig(k=3, variant=variant, max_iters=2))

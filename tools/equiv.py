@@ -28,10 +28,14 @@ raises out of main once both threads are done. The set:
 - `solve` on one 60x60 completion problem (rank 5, k = 5, oversampling 3,
   seed 4) with sd and rf from two starts below the budget, the rank-2
   initial guess and the zero point (4 traces), so that the cone projection
-  truncates the CSR gradient against the base spaces.
+  truncates the CSR gradient against the base spaces; each run records its
+  iterates, and the distances that iterate_distances reads from that
+  history, whose records change width from rank 0 or 2 up to 5, are
+  written too (4 files).
 
-A trace holds every TraceRecord field but wall_ms, each as its repr. The
-set is 73 files, stdout captures included.
+A trace holds every TraceRecord field but wall_ms, each as its repr, and a
+distance file one distance per line, as its repr. The set is 77 files,
+stdout captures included.
 
 Every file of one tree is compared with its namesake in the other and
 reported as "bitwise equal", or by its first differing row and, per column,
@@ -157,16 +161,17 @@ def write_quadratic_traces(out: str) -> None:
 
 def write_deficient_completion_traces(out: str) -> None:
     """Solve one 60x60 completion problem at k = 5 with sd and rf, from
-    its rank-2 initial guess and from zero; one CSV per trace. Each run's
-    first cone projection truncates the CSR gradient against bases of width
-    2 and 0.
+    its rank-2 initial guess and from zero; one CSV per trace and one per
+    run's distances to its last iterate, read from its recorded iterates.
+    Each run's first cone projection truncates the CSR gradient against
+    bases of width 2 and 0.
 
     Runs in the process of one tree: the package comes from its src/.
     """
     from rankdescent.bench import CompletionSpec, gen_problem, initial_guess, rel_errors
     from rankdescent.core import FactoredMatrix
     from rankdescent.geometry import VarietyPoint
-    from rankdescent.solvers import SolverConfig, solve
+    from rankdescent.solvers import SolverConfig, iterate_distances, solve
 
     spec = CompletionSpec(n=60, r=5, k=5, os_rate=3, seed=4)
     problem, target = gen_problem(spec)
@@ -178,8 +183,11 @@ def write_deficient_completion_traces(out: str) -> None:
     Path(out).mkdir()
     for start, X0 in starts.items():
         for variant in SOLVE_VARIANTS:
-            cfg = SolverConfig(k=spec.k, variant=variant, max_iters=DEFICIENT_MAX_ITERS)
-            _write_trace(Path(out, f"{start}-{variant}.csv"), solve(problem, X0, cfg, metrics).trace)
+            cfg = SolverConfig(k=spec.k, variant=variant, max_iters=DEFICIENT_MAX_ITERS, record_iterates=True)
+            result = solve(problem, X0, cfg, metrics)
+            _write_trace(Path(out, f"{start}-{variant}.csv"), result.trace)
+            lines = "".join(f"{d!r}\n" for d in iterate_distances(result.iterates).tolist())
+            Path(out, f"{start}-{variant}-distances.csv").write_text(lines)
 
 
 def _number(token: str) -> float | None:
