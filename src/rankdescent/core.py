@@ -15,17 +15,18 @@ BLAS GEMM per block of consecutive rows, O(m * n * width), and one take of
 the block's entries. Both bound their temporaries by GATHER_BYTES per lane.
 
 Two kernels split across lanes, the calling thread plus one worker thread
-per further CPU (run_lanes): the GEMM path of mask_gather, whose lanes take
-row blocks from one shared queue, each with its own buffer, and the
-gradient's two thin products in geometry.project_tangent_space. They are
-what an iteration spends most of its time on, and their BLAS and
-sparsetools calls release the GIL. run_lanes hands every task but the
-first to the workers, runs the first on the caller and waits for the rest.
-Each entry still comes from the same single-threaded call as on one lane,
-so outputs are bitwise the same at any lane count. Work below
-PARALLEL_MIN_WORK multiply-adds, where a hand-off costs more than it
-saves, stays on the caller. QRs and SVDs stay on one lane: two 2000-by-20
-QRs at once took nearly as long as in turn.
+per further CPU (run_lanes; its pool is made at import and again in a
+forked child): the GEMM path of mask_gather, whose lanes take row blocks
+from one shared queue, each with its own buffer, and the gradient's two
+thin products in geometry.project_tangent_space. They are what an
+iteration spends most of its time on, and their BLAS and sparsetools calls
+release the GIL. run_lanes hands every task but the first to the workers,
+runs the first on the caller and waits for the rest. Each entry still
+comes from the same single-threaded call as on one lane, so outputs are
+bitwise the same at any lane count. Work below PARALLEL_MIN_WORK
+multiply-adds, where a hand-off costs more than it saves, stays on the
+caller. QRs and SVDs stay on one lane: two 2000-by-20 QRs at once took
+nearly as long as in turn.
 
 A gradient is a matrix operand with shape, T and @, of one of three kinds:
 the CSR matrix of a residual on the mask for completion, a ThinPair (L, R)
@@ -47,7 +48,6 @@ decomposition, so a rank-r point costs O((m + n) r).
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -493,20 +493,6 @@ GATHER_BLAS_DENSITY = 0.035
 # reach it (gathers from width 2 on, pairs at s = k).
 PARALLEL_MIN_WORK = 1 << 22
 
-# the worker threads of run_lanes, started on first use; a forked child
-# has none of its parent's threads, so it drops the pool and starts its own
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _forget_pool() -> None:
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_pool)
-
-
 @cache
 def _cpus() -> int:
     """CPUs the process may run on (`taskset -c 0` leaves one)."""
@@ -514,6 +500,18 @@ def _cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this OS
         return os.cpu_count() or 1
+
+
+def _new_pool() -> None:
+    """Make run_lanes' pool, a worker per CPU but the caller's (at least one):
+    at import, and in a forked child, which has none of its parent's threads.
+    An executor starts its threads on its first submits, not here."""
+    global _pool
+    _pool = ThreadPoolExecutor(max(1, _cpus() - 1), thread_name_prefix="rankdescent-lane")
+
+
+_new_pool()
+os.register_at_fork(after_in_child=_new_pool)
 
 
 def lanes(work: float) -> int:
@@ -532,22 +530,19 @@ def run_lanes(tasks: list, work: float) -> list:
     """Results of the zero-argument callables in tasks, in their order.
 
     Below PARALLEL_MIN_WORK multiply-adds of work, or on one lane, the tasks
-    run in turn on the calling thread. Otherwise the worker threads take
-    tasks[1:], each under the caller's np.geterr() (numpy keeps its error
-    state per thread or per context, which a pool thread does not inherit),
-    while the caller runs tasks[0] and then waits for them all; a task
-    beyond the worker count waits for a free worker. An exception of a task
-    re-raises here once no task is running. Tasks must be safe to run
-    concurrently and should spend their time in numpy or scipy calls that
-    release the GIL. A task may not call run_lanes: a nested call would
-    wait on workers that are busy with the outer one.
+    run in turn on the calling thread. Otherwise the workers of the module's
+    pool, made at import and again in a forked child, take tasks[1:], each
+    under the caller's np.geterr() (numpy keeps its error state per thread
+    or per context, which a pool thread does not inherit), while the caller
+    runs tasks[0] and then waits for them all; a task beyond the worker
+    count waits for a free worker. An exception of a task re-raises here
+    once no task is running. Tasks must be safe to run concurrently and
+    should spend their time in numpy or scipy calls that release the GIL. A
+    task may not call run_lanes: a nested call would wait on workers that
+    are busy with the outer one.
     """
-    global _pool
     if len(tasks) < 2 or lanes(work) < 2:
         return [task() for task in tasks]
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(_cpus() - 1, thread_name_prefix="rankdescent-lane")
     err = np.geterr()
     futures = [_pool.submit(_run_under, err, task) for task in tasks[1:]]
     try:

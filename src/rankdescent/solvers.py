@@ -115,7 +115,8 @@ class IterateHistory(Sequence):
     equal to those appended, as a validated FactoredMatrix wrapped with the
     solve's budget k; iteration reads one iterate at a time. A slice raises
     TypeError. iterate_distances reads each record into one reused buffer and
-    validates none: they were validated before append. The file is not
+    validates none: they were validated before append. A write or read that
+    moves fewer bytes than its record raises OSError. The file is not
     memory-mapped, so iterates read and dropped are not held by the process,
     and it is closed when the history is garbage-collected.
     """
@@ -149,7 +150,8 @@ class IterateHistory(Sequence):
         offset, m, n, s = self._index[i]
         size = (m + 1 + n) * s
         buf = np.empty(size) if buf is None else buf[:size]
-        os.preadv(self._file.fileno(), [buf], offset)
+        if os.preadv(self._file.fileno(), [buf], offset) != buf.nbytes:
+            raise OSError("short read from the iterate history")
         U, sigma, V = np.split(buf, [m * s, (m + 1) * s])
         return U.reshape(m, s), sigma, V.reshape(n, s)
 

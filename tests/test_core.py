@@ -716,6 +716,16 @@ class TestLanes:
         monkeypatch.setattr(core, "PARALLEL_MIN_WORK", 0)
         monkeypatch.setattr(core, "GATHER_BYTES", 8 * 60 * 8)
 
+    @pytest.fixture
+    def own_pool(self, monkeypatch):
+        # the test calls core._new_pool() once its patches are in place; that
+        # pool is shut down after the test and the module's put back
+        module_pool = core._pool
+        monkeypatch.setattr(core, "_pool", module_pool)
+        yield
+        if core._pool is not module_pool:
+            core._pool.shutdown()
+
     def test_below_the_threshold_every_task_runs_on_the_caller(self):
         ran = run_lanes([threading.current_thread] * 3, PARALLEL_MIN_WORK - 1)
         assert ran == [threading.current_thread()] * 3
@@ -761,7 +771,7 @@ class TestLanes:
             run_lanes([on_caller, on_worker], 0)
         assert finished.is_set()
 
-    def test_more_lanes_than_cores_hand_each_block_to_one_lane(self, forced, monkeypatch):
+    def test_more_lanes_than_cores_hand_each_block_to_one_lane(self, forced, own_pool, monkeypatch):
         # a block lost or taken twice, or a buffer shared by two lanes, would
         # leave entries unwritten or overwritten; frequent thread switches
         # give such races their chance
@@ -772,7 +782,7 @@ class TestLanes:
         want = mask_gather(L, R, mask)
         monkeypatch.setattr(core, "PARALLEL_MIN_WORK", 0)
         monkeypatch.setattr(core, "_cpus", lambda: 2 * os.cpu_count() + 1)
-        monkeypatch.setattr(core, "_pool", None)
+        core._new_pool()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -780,8 +790,6 @@ class TestLanes:
                 assert np.array_equal(mask_gather(L, R, mask), want)
         finally:
             sys.setswitchinterval(interval)
-            if core._pool is not None:
-                core._pool.shutdown()
 
     @needs_two_lanes
     def test_worker_count_stays_below_the_lane_count(self, forced):
@@ -796,7 +804,7 @@ class TestLanes:
         assert 1 <= len(lane_threads()) <= lanes(np.inf) - 1
 
     @needs_two_lanes
-    def test_worker_tasks_call_no_package_function(self, forced, monkeypatch):
+    def test_worker_tasks_call_no_package_function(self, forced, own_pool):
         # perfbench's tracer wraps package functions and keeps one stack of
         # open spans, so every span must open and close on the caller's thread
         from rankdescent import bench, solvers
@@ -808,7 +816,7 @@ class TestLanes:
             if event == "call" and frame.f_code.co_filename.startswith(package):
                 seen.add(frame.f_code.co_name)
 
-        monkeypatch.setattr(core, "_pool", None)  # its workers start under the profile
+        core._new_pool()  # its workers start under the profile
         threading.setprofile(profile)
         try:
             spec = bench.CompletionSpec(n=60, r=3, k=4, os_rate=3, seed=1)
@@ -818,31 +826,37 @@ class TestLanes:
                 solvers.solve(problem, X0, solvers.SolverConfig(k=spec.k, variant=variant, max_iters=4))
         finally:
             threading.setprofile(None)
-            if core._pool is not None:
-                core._pool.shutdown()
         assert "_run_under" in seen and seen <= {"_run_under", "lane", "<lambda>"}
 
     def test_import_starts_no_thread(self):
-        script = "import threading, rankdescent.cli; print(threading.active_count())"
+        # the pool is made with the module, but an executor starts no thread
+        # before its first submit
+        script = (
+            "import threading, concurrent.futures, rankdescent.cli; "
+            "print(threading.active_count(), "
+            "isinstance(rankdescent.core._pool, concurrent.futures.ThreadPoolExecutor))"
+        )
         src = os.path.dirname(os.path.dirname(rankdescent.__file__))
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run(
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
         )
-        assert out.stdout.strip() == "1"
+        assert out.stdout.split() == ["1", "True"]
 
     @needs_two_lanes
     @pytest.mark.filterwarnings("ignore:.*use of fork\\(\\) may lead to deadlocks:DeprecationWarning")
     def test_a_forked_child_gathers_on_lanes_of_its_own(self, forced):
-        # the parent's pool exists before the fork; the child drops it, starts
-        # its own workers and gathers the same values
+        # the parent's pool has started workers before the fork; the child
+        # makes a pool of its own, starts its workers and gathers the same values
         rng = np.random.default_rng(10)
         mask = random_mask(rng, 90, 60, 0.3)
         L, R = rng.standard_normal((90, 4)), rng.standard_normal((60, 4))
         want = mask_gather(L, R, mask)
         assert lane_threads()
+        parent_pool = core._pool
 
         def child():
+            assert core._pool is not parent_pool
             assert not lane_threads()
             assert np.array_equal(mask_gather(L, R, mask), want)
             assert lane_threads()

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rankdescent import core
 from rankdescent.core import FactoredMatrix, IndexSet, SparseOnMask, ThinPair, truncate
@@ -321,6 +321,32 @@ class TestConeProjection:
             X = VarietyPoint(truncate(B + eps * noise, 2), 5)
             drift, rank = self._perp_drift(X, obj.gradient(X))
             assert rank > 0 and drift <= 1e-14
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(st.data())
+    def test_perp_factors_stay_orthogonal_to_the_base_on_generated_inputs(self, data):
+        # near-tangent gradients F = U C V' + 10^-e L R' at s < k: the
+        # remainder the perp block truncates is up to twelve decades below
+        # ||F||, and its factors stay orthogonal to U and V at roundoff for
+        # F given dense, as the ThinPair of its factors and on a mask
+        X, _, rng = draw_point_and_gradient(data)
+        assume(X.s < X.k)
+        (m, n), s = X.shape, X.s
+        U, V = X.point.U, X.point.V
+        e = data.draw(st.integers(0, 12), "e")
+        w = data.draw(st.integers(1, 3), "remainder width")
+        C = rng.standard_normal((s, s))
+        L, R = 10.0**-e * rng.standard_normal((m, w)), rng.standard_normal((n, w))
+        F = ThinPair(np.hstack([U @ C, L]), np.hstack([V, R]))
+        D = ambient_dense(F)
+        form = data.draw(st.sampled_from(["dense", "thin", "masked"]), "form")
+        if form == "dense":
+            F = D
+        elif form == "masked":
+            mask = IndexSet((m, n), *np.nonzero(rng.random((m, n)) < 0.5))
+            F = SparseOnMask(mask, D[mask.rows, mask.cols]).csr
+        drift, _ = self._perp_drift(X, F)
+        assert drift <= 1e-14
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=600)
     @given(st.data())

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import os
 import tracemalloc
 import warnings
 
@@ -425,6 +426,17 @@ class TestIterateHistory:
             gc.collect()
         assert fh.closed
         assert not caught
+
+    def test_short_read_raises(self, monkeypatch):
+        # a read that fills less than the record would leave np.empty bytes
+        # in it, and iterate_distances measures records without validating them
+        res, _ = self.recorded_run(max_iters=5)
+        preadv = os.preadv
+        monkeypatch.setattr(os, "preadv", lambda fd, bufs, offset: preadv(fd, bufs, offset) - 8)
+        with pytest.raises(OSError, match="short read from the iterate history"):
+            res.iterates[1]
+        with pytest.raises(OSError, match="short read from the iterate history"):
+            iterate_distances(res.iterates)
 
 
 class TestDirectionRules:
