@@ -34,6 +34,7 @@ never densifies a sparse matrix or a pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -43,6 +44,7 @@ import scipy.sparse
 from .core import (
     FactoredMatrix,
     ThinPair,
+    _norm,
     frob_norm,
     numerical_rank,
     orthonormal_polish,
@@ -97,6 +99,10 @@ class ConeTangentVector:
     ambient embedding is U @ core @ V.T + up @ V.T + U @ vp.T + perp. The
     blocks are coefficients over base's factors, so retract and an
     objective's line take the point from base and from nowhere else.
+
+    norm, factors() and retract share two values cached on first use: the
+    squared block sums (_sums), which -G and choose_flat_direction take over
+    from G, and a flat vector's kept side (_kept), scanned for and formed once.
     """
 
     base: VarietyPoint
@@ -124,68 +130,83 @@ class ConeTangentVector:
         _check_perp(V, self.perp.V, "perp.V")
 
     @cached_property
+    def _sums(self) -> tuple:
+        """np.sum(b**2) of core, up, vp and perp.sigma, in that order."""
+        return tuple(np.sum(b**2) for b in (self.core, self.up, self.vp, self.perp.sigma))
+
+    @cached_property
     def norm(self) -> float:
-        """||xi||_F from the four blocks, summed on first use only."""
-        sq = (
-            np.sum(self.core**2)
-            + np.sum(self.up**2)
-            + np.sum(self.vp**2)
-            + np.sum(self.perp.sigma**2)
-        )
-        return float(np.sqrt(sq))
+        """||xi||_F: the root of the four squared block sums, added in order."""
+        return math.sqrt(sum(self._sums))
 
     def __neg__(self) -> "ConeTangentVector":
         """-xi blockwise; a nonzero perp flips the sign of its left factor, a zero one is kept."""
-        return _negated(self, -self.up, -self.vp)
+        return _negated(self, -self.up, -self.vp, self._sums)
 
     @cached_property
     def _bases(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(RL, RR, [U | QL], [V | QR]): a non-flat retract's alpha-free QRs, built once."""
         U, V, perp = self.base.point.U, self.base.point.V, self.perp
-        QL, RL = np.linalg.qr(project_out(np.hstack([self.up, perp.U]), U))
-        QR_, RR = np.linalg.qr(project_out(np.hstack([self.vp, perp.V]), V))
-        return RL, RR, np.hstack([U, QL]), np.hstack([V, QR_])
+        QL, RL = np.linalg.qr(project_out(np.concatenate([self.up, perp.U], axis=1), U))
+        QR_, RR = np.linalg.qr(project_out(np.concatenate([self.vp, perp.V], axis=1), V))
+        return RL, RR, np.concatenate([U, QL], axis=1), np.concatenate([V, QR_], axis=1)
+
+    @cached_property
+    def _kept(self) -> tuple[bool, np.ndarray] | None:
+        """(swap, K) for a flat vector, else None: swap when up is the zero
+        block, and K the kept side, V @ core.T + vp when swap, else U @ core + up."""
+        U, V = self.base.point.U, self.base.point.V
+        if not self.up.any():
+            return True, V @ self.core.T + self.vp
+        if not self.vp.any():
+            return False, U @ self.core + self.up
+        return None
 
     @property
     def flat(self) -> bool:
         """Whether the up or the vp block is zero: X + alpha * xi then has rank
         at most s + perp.rank <= k, and stays on the variety for every alpha."""
-        return not (self.up.any() and self.vp.any())
+        return self._kept is not None
 
     def factors(self) -> tuple[np.ndarray, np.ndarray]:
         """Thin (L, R) with L @ R.T equal to the ambient embedding.
 
         L = [U | up | perp.U * perp.sigma] and R = [V @ core.T + vp | V | perp.V],
         of width 2s + perp.rank <= 2k. A flat direction folds its zero block
-        away and has width s + perp.rank: L = [U] and R = [V @ core.T + vp]
-        when up is zero, L = [U @ core + up] and R = [V] when vp is zero.
+        away and has width s + perp.rank: L = [U] and R = [K] when up is
+        zero, L = [K] and R = [V] when vp is zero, K its kept side (_kept).
+        With no perp block these are U or V and K themselves, not copies.
         """
-        U, V = self.base.point.U, self.base.point.V
-        if not self.up.any():
-            L, R = [U], [V @ self.core.T + self.vp]
-        elif not self.vp.any():
-            L, R = [U @ self.core + self.up], [V]
-        else:
-            L = [U, self.up]
-            R = [V @ self.core.T + self.vp, V]
-        L.append(self.perp.U * self.perp.sigma)
-        R.append(self.perp.V)
-        return np.hstack(L), np.hstack(R)
+        U, V, perp = self.base.point.U, self.base.point.V, self.perp
+        pU = perp.U * perp.sigma
+        if self._kept is None:
+            L = np.concatenate([U, self.up, pU], axis=1)
+            return L, np.concatenate([V @ self.core.T + self.vp, V, perp.V], axis=1)
+        swap, K = self._kept
+        return (_beside(U, pU), _beside(K, perp.V)) if swap else (_beside(K, pU), _beside(V, perp.V))
 
 
-def _negated(G: ConeTangentVector, up: np.ndarray, vp: np.ndarray) -> ConeTangentVector:
-    """-G with up and vp given, in one construction; a nonzero perp flips its left factor."""
+def _beside(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """[A | B], or A itself when B has no columns."""
+    return np.concatenate([A, B], axis=1) if B.shape[1] else A
+
+
+def _negated(G: ConeTangentVector, up: np.ndarray, vp: np.ndarray, sums: tuple) -> ConeTangentVector:
+    """-G with up and vp given, in one construction; a nonzero perp flips its
+    left factor. sums become the new vector's cached _sums."""
     perp = G.perp
     if perp.rank:
         perp = FactoredMatrix(-perp.U, perp.sigma, perp.V)
-    return ConeTangentVector(G.base, -G.core, up, vp, perp)
+    xi = ConeTangentVector(G.base, -G.core, up, vp, perp)
+    xi.__dict__["_sums"] = sums  # where cached_property keeps its value
+    return xi
 
 
 def _check_perp(B: np.ndarray, W: np.ndarray, name: str) -> None:
     if B.shape[1] == 0 or W.shape[1] == 0:
         return
     drift = np.abs(B.T @ W).max(initial=0.0)
-    if drift > ORTHO_TOL * (1.0 + np.linalg.norm(W)):
+    if drift > ORTHO_TOL * (1.0 + _norm(W)):
         raise ValueError(f"{name} is not orthogonal to the base factor ({drift:.2e})")
 
 
@@ -271,16 +292,17 @@ def retract(xi: ConeTangentVector, alpha: float) -> tuple[VarietyPoint, float]:
 
     - Along a flat xi (see ConeTangentVector.flat) nothing is truncated.
       With vp = 0, right = [V | perp.V] does not change, and one compact QR
-      of N = [U * sigma + alpha * (U @ core + up) | alpha * perp.U *
-      perp.sigma] gives left @ M. An up = 0 step is the vp = 0 step of the
-      transposed problem (U and V, up and vp, perp.U and perp.V swapped,
-      core transposed), whose factors come back swapped. alpha multiplies
-      only finite terms, so an overflowing step leaves inf, never NaN, in
-      N. Y is X + alpha * xi, and the distance is alpha * ||xi||.
+      of N = [U * sigma + alpha * K | alpha * perp.U * perp.sigma] gives
+      left @ M, K = U @ core + up the kept side that xi forms once (with no
+      perp, right = V and N = its first block). An up = 0 step is the vp = 0
+      step of the transposed problem (U and V, up and vp, perp.U and perp.V
+      swapped, core transposed), whose factors come back swapped. alpha
+      scales only finite terms, so an overflowing step leaves inf, never
+      NaN, in N. Y is X + alpha * xi, and the distance is alpha * ||xi||.
     - Any other step takes left = [U | QL] and right = [V | QR] from compact
       QRs of the up/perp and vp/perp blocks, so M is a (2s+p)-sized middle
-      matrix B, in O((m+n)(k+s)^2). xi builds the alpha-free QRs and bases
-      once (ConeTangentVector._bases) for all its trials. Over them X is
+      matrix B, filled block by block, in O((m+n)(k+s)^2). xi builds the
+      alpha-free QRs and bases once (ConeTangentVector._bases). Over them X is
       diag(sigma, 0), so the distance is ||B_r - diag(sigma, 0)||_F, B_r
       the SVD of B cut to the kept modes: a small-matrix norm with no QR.
 
@@ -297,34 +319,30 @@ def retract(xi: ConeTangentVector, alpha: float) -> tuple[VarietyPoint, float]:
         return X, 0.0
     U, sigma, V, perp = X.point.U, X.point.sigma, X.point.V, xi.perp
     s = X.s
-    flat = xi.flat
-    swap = flat and not xi.up.any()
-    if flat:
-        up, core, pU, pV = xi.up, xi.core, perp.U, perp.V
-        if swap:
-            U, V, up, core, pU, pV = V, U, xi.vp, core.T, pV, pU
-        N = np.hstack([U * sigma + alpha * (U @ core + up), alpha * (pU * perp.sigma)])
+    swap, K = xi._kept or (False, None)
+    if K is not None:
+        U, V, pU, pV = (V, U, perp.V, perp.U) if swap else (U, V, perp.U, perp.V)
+        N = _beside(U * sigma + alpha * K, alpha * (pU * perp.sigma))
         _check_finite(N)
         left, M = np.linalg.qr(N)
-        right = np.hstack([V, pV])
+        right = _beside(V, pV)
     else:
         RL, RR, left, right = xi._bases
-        M = np.block([
-            [np.diag(sigma) + alpha * xi.core, alpha * RR[:, :s].T],
-            [alpha * RL[:, :s], alpha * (RL[:, s:] * perp.sigma) @ RR[:, s:].T],
-        ])
+        M = np.empty((s + RL.shape[0], s + RR.shape[0]))
+        M[:s, :s], M[:s, s:] = np.diag(sigma) + alpha * xi.core, alpha * RR[:, :s].T
+        M[s:, :s], M[s:, s:] = alpha * RL[:, :s], alpha * (RL[:, s:] * perp.sigma) @ RR[:, s:].T
         _check_finite(M)
 
     Ub, sb, Vbt = np.linalg.svd(M, full_matrices=False)
     r = min(X.k, numerical_rank(sb))
     U_new = orthonormal_polish(left @ Ub[:, :r])
     V_new = orthonormal_polish(right @ Vbt[:r].T)
-    if flat:
+    if K is not None:
         distance = alpha * xi_norm
     else:
         step = (Ub[:, :r] * sb[:r]) @ Vbt[:r]
         step[:s, :s] -= np.diag(sigma)
-        distance = float(np.linalg.norm(step))
+        distance = _norm(step)
     if swap:
         U_new, V_new = V_new, U_new
     return VarietyPoint(FactoredMatrix(U_new, sb[:r], V_new), X.k), distance
@@ -332,7 +350,7 @@ def retract(xi: ConeTangentVector, alpha: float) -> tuple[VarietyPoint, float]:
 
 def _check_finite(M: np.ndarray) -> None:
     """Raise ValueError unless the Frobenius norm of M is finite."""
-    if not np.isfinite(np.linalg.norm(M)):
+    if not math.isfinite(_norm(M)):
         raise ValueError("non-finite matrix in the rank update")
 
 
@@ -343,12 +361,15 @@ def choose_flat_direction(G: ConeTangentVector) -> ConeTangentVector:
     plus the perp factor, zeroing vp keeps the row space; either way
     X + alpha * xi stays in the variety for every alpha >= 0. The one whose
     kept block has the larger squared norm is returned, vp on a tie, built in
-    one construction from G's negated blocks. It meets the angle condition
+    one construction from G's negated blocks. The squared norms are G's
+    cached _sums, which the result takes over (a negated block sums bitwise
+    the same), with 0.0 for the zeroed block. It meets the angle condition
     with omega = 1/sqrt(2) and carries at least half of the squared cone norm.
     """
-    if np.sum(G.vp**2) >= np.sum(G.up**2):
-        return _negated(G, np.zeros_like(G.up), -G.vp)
-    return _negated(G, -G.up, np.zeros_like(G.vp))
+    core, up, vp, perp = G._sums
+    if vp >= up:
+        return _negated(G, np.zeros_like(G.up), -G.vp, (core, 0.0, vp, perp))
+    return _negated(G, -G.up, np.zeros_like(G.vp), (core, up, 0.0, perp))
 
 
 def random_point(rng: np.random.Generator, m: int, n: int, s: int, k: int) -> VarietyPoint:

@@ -75,7 +75,8 @@ class MaskedLine(Line):
         self._r, self._v = obj._residual(xi.base), v
 
     def value(self, alpha: float) -> float:
-        self._alpha, self._w = alpha, self._r + alpha * self._v
+        self._alpha, self._w = alpha, alpha * self._v
+        self._w += self._r  # in place: one |mask|-sized array, bitwise r + alpha * v
         return 0.5 * float(self._w @ self._w)
 
     def step(self) -> tuple[VarietyPoint, float]:
@@ -170,8 +171,8 @@ class QuadraticDistance:
 
     def gradient(self, X: VarietyPoint) -> ThinPair:
         point = _point(self, X)
-        L = np.hstack([point.U * point.sigma, self._target_left])
-        return ThinPair(L, np.hstack([point.V, self.target.V]))
+        L = np.concatenate([point.U * point.sigma, self._target_left], axis=1)
+        return ThinPair(L, np.concatenate([point.V, self.target.V], axis=1))
 
     def line(self, xi: ConeTangentVector) -> Line:
         """The curvature <xi, Hess f xi> = ||xi||^2 alone: the Hessian is the identity."""

@@ -432,6 +432,32 @@ class TestNorms:
             frob_norm(ThinPair(*pair))
         assert qr == []
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(st.data())
+    def test_norm_helper_is_numpys_norm_bitwise_on_generated_inputs(self, data):
+        # one float64 array of 0-2 dimensions (empty ones included), with or
+        # without inf or NaN entries, in C and in F order, each whole, as a
+        # reversed and as a strided view. The helper takes np.linalg.norm's
+        # own steps, so the two agree bitwise, also where the memory order
+        # sets the dot's summation order; a dot that overflows warns in both
+        shape = tuple(data.draw(st.integers(0, 9), "extent") for _ in range(data.draw(st.integers(0, 2), "ndim")))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+        base = rng.standard_normal(tuple(2 * d for d in shape)) * 10.0 ** data.draw(st.integers(-160, 160), "log10 scale")
+        base = np.asarray(base)
+        for _ in range(data.draw(st.sampled_from([0, 0, 1, 3]), "non-finite entries") if base.size else 0):
+            at = np.unravel_index(data.draw(st.integers(0, base.size - 1), "at"), base.shape)
+            base[at] = data.draw(st.sampled_from([np.inf, -np.inf, np.nan]), "value")
+        views = [
+            tuple(slice(d) for d in shape),
+            tuple(slice(d - 1, None, -1) if d else slice(0) for d in shape),
+            tuple(slice(None, None, 2) for _ in shape),
+        ]
+        for order in "CF":
+            for view in views:
+                x = np.asarray(base, order=order)[(..., *view)]
+                with np.errstate(over="ignore"):
+                    assert np.float64(core._norm(x)).tobytes() == np.linalg.norm(x).tobytes(), (order, view)
+
     @staticmethod
     def long_double_diff_norm(A, B) -> float:
         """||A - B||_F densified from the factors in extended precision."""

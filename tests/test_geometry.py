@@ -446,7 +446,11 @@ class TestRetraction:
         # has rank <= k, its distance is the dense ||Y - X||, within
         # (1 + 1/sqrt(2)) alpha ||xi|| by the retraction bound; retracting
         # one xi at three step sizes in a drawn order, which shares its
-        # cached bases, gives each point bitwise as a fresh copy of xi does
+        # cached bases, gives each point bitwise as a fresh copy of xi does.
+        # After the trials, xi's norm (from block sums that sd and rf take
+        # over from G) and its thin factors (from the kept side that its
+        # flat trials shared) equal the fresh copy's bitwise, and the
+        # factors give xi's dense embedding
         X, F, rng = draw_point_and_gradient(data)
         source = data.draw(st.sampled_from(["sd", "rf", "random"]), "xi")
         if source == "random":
@@ -466,6 +470,13 @@ class TestRetraction:
             assert fresh == distance
             for name in ("U", "sigma", "V"):
                 assert getattr(Z.point, name).tobytes() == getattr(Y.point, name).tobytes(), name
+        copy = replace(xi)
+        assert xi.norm == copy.norm
+        for mine, theirs in zip(xi.factors(), copy.factors()):
+            assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
+        L, R = xi.factors()
+        E = ambient_dense(xi)
+        assert np.abs(L @ R.T - E).max(initial=0.0) <= 1e-13 * (1 + np.abs(E).max(initial=0.0))
 
     def test_first_order_property(self):
         # ||R(X, a*xi) - (X + a*xi)|| / a decreases monotonically as a -> 0

@@ -6,7 +6,9 @@ module of the package, so armijo stays a one-dimensional search that any
 layer from solvers on may use. Every file format lives in bench: no module
 before it, nor linesearch, reads or writes a file. And the package carries
 no API that only tests call: every definition is named somewhere else in
-its code, docstrings and comments aside. Every package name that the
+its code, docstrings and comments aside. The modules an iteration runs
+through call no numpy function whose argument handling costs about as much
+as its work on an iteration's small blocks. Every package name that the
 benchmark's code (perfbench/) or the equivalence check (tools/equiv.py)
 uses exists. The tests' dense reference of
 the methods (tests/reference.py) takes nothing of the package but the line
@@ -45,6 +47,10 @@ FILE_CALLS = {"open", "np.savetxt", "np.loadtxt", "os.makedirs", "tempfile.Tempo
 FILE_CALLS_ALLOWED = {
     ("solvers", "tempfile.TemporaryFile"): "IterateHistory's unnamed file, read by no other program",
 }
+# numpy wrappers whose argument handling an iteration would pay on every
+# call: core._norm takes np.linalg.norm's own steps, np.concatenate(...,
+# axis=1) stacks, and retract fills its middle matrix by slices
+WRAPPER_CALLS = {"np.linalg.norm", "np.hstack", "np.block"}
 
 
 def package_imports(path: Path) -> set[str]:
@@ -124,6 +130,11 @@ def test_import_reader_sees_every_form(tmp_path):
 def test_file_formats_live_in_bench(name):
     allowed = {call for module, call in FILE_CALLS_ALLOWED if module == name}
     assert dotted_calls(PACKAGE / f"{name}.py") & FILE_CALLS <= allowed
+
+
+@pytest.mark.parametrize("name", CHAIN[: CHAIN.index("bench")])
+def test_iteration_path_calls_no_numpy_wrapper(name):
+    assert dotted_calls(PACKAGE / f"{name}.py") & WRAPPER_CALLS == set()
 
 
 def test_call_reader_sees_every_form(tmp_path):
